@@ -36,11 +36,11 @@ fn main() {
     {
         let mesh = Mesh::new(cfg.noc);
         let mut net = Network::new(mesh.clone());
-        let route = mesh.xy_route(Coord::new(0, 0), Coord::new(4, 4));
+        let route = mesh.xy_links(Coord::new(0, 0), Coord::new(4, 4));
         let mut t = 0u64;
         h.bench("noc_traverse_contended", || {
             t += 2;
-            net.traverse(&route, t, 64).arrived
+            net.traverse(route, t, 64, None).arrived
         });
     }
 

@@ -152,6 +152,11 @@ pub fn try_lower(
     out.traces = (0..opts.cores)
         .map(|c| Trace::new(NodeId(c as u16)))
         .collect();
+    // Next free precompute id per trace, carried across nests. Ids are
+    // dense per trace (0..precompute_ids), which lets the engine index
+    // its pre-result table directly instead of hashing (usize, u32)
+    // keys in the inner loop.
+    let mut next_ids = vec![0u32; opts.cores];
 
     for (nest_pos, nest) in prog.nests.iter().enumerate() {
         let points = scheduled_points(nest, sched);
@@ -172,15 +177,12 @@ pub fn try_lower(
         // Partition points across threads by the original parallel
         // dimension (block partitioning, preserving per-thread schedule
         // order).
-        let thread_points = partition(nest, &points, opts.cores);
+        let thread_points = partition(nest, points, opts.cores);
 
         for (tid, my_points) in thread_points.iter().enumerate() {
             let trace = &mut out.traces[tid];
+            let mut next_precompute_id = next_ids[tid];
             // (plan index, consumer point index) -> precompute id.
-            // Ids are dense per trace (0..precompute_count), which lets
-            // the engine index its pre-result table directly instead of
-            // hashing (usize, u32) keys in the inner loop.
-            let mut next_precompute_id = trace.precompute_ids() as u32;
             let mut pending: FxHashMap<(usize, usize), u32> = FxHashMap::default();
             // (fused plan index, consumer point index) -> base id. Kept
             // until every chain member at that point has consumed its
@@ -297,6 +299,7 @@ pub fn try_lower(
                 // Retire fused slots consumed at this point.
                 pending_fused.retain(|&(_, t), _| t != j);
             }
+            next_ids[tid] = next_precompute_id;
         }
     }
     debug_assert_eq!(out.validate_precompute_links(), Ok(()));
@@ -347,11 +350,11 @@ impl FusedLowerInfo {
 
 /// Block-partition scheduled points across threads by the original
 /// value of the parallel dimension.
-fn partition(nest: &LoopNest, points: &[IVec], cores: usize) -> Vec<Vec<IVec>> {
+fn partition(nest: &LoopNest, points: Vec<IVec>, cores: usize) -> Vec<Vec<IVec>> {
     let mut buckets: Vec<Vec<IVec>> = vec![Vec::new(); cores.max(1)];
     match nest.parallel_level {
         None => {
-            buckets[0] = points.to_vec();
+            buckets[0] = points;
         }
         Some(level) => {
             let lo = nest.lo[level];
@@ -363,7 +366,7 @@ fn partition(nest: &LoopNest, points: &[IVec], cores: usize) -> Vec<Vec<IVec>> {
             for p in points {
                 let v = (p[level] - lo) as usize;
                 let t = (v / per).min(cores - 1);
-                buckets[t].push(p.clone());
+                buckets[t].push(p);
             }
         }
     }

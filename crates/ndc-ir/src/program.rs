@@ -350,10 +350,27 @@ impl Program {
     }
 
     /// Physical address touched by `aref` at iteration `iter`, `None`
-    /// if out of the array's bounds.
+    /// if out of the array's bounds. Equal to
+    /// `array.addr_of(&aref.index_at(iter))`, but evaluates `F·I + f`
+    /// row by row and linearizes in place, so lowering allocates
+    /// nothing per reference.
     pub fn addr_of(&self, aref: &ArrayRef, iter: &[i64]) -> Option<Addr> {
-        let idx = aref.index_at(iter);
-        self.array(aref.array).addr_of(&idx)
+        let decl = self.array(aref.array);
+        let f = &aref.coeffs;
+        assert_eq!(f.cols, iter.len());
+        if f.rows != decl.dims.len() {
+            return None;
+        }
+        let mut lin: u64 = 0;
+        for (r, &d) in decl.dims.iter().enumerate() {
+            let offset = aref.offsets.get(r).copied().unwrap_or(0);
+            let i = f.row(r).iter().zip(iter).map(|(c, x)| c * x).sum::<i64>() + offset;
+            if i < 0 || i as u64 >= d {
+                return None;
+            }
+            lin = lin * d + i as u64;
+        }
+        Some(decl.base + lin * decl.elem_bytes)
     }
 }
 
@@ -402,6 +419,33 @@ mod tests {
         // X[j][i] — transposed access (Figure 10 style).
         let r = ArrayRef::affine(x, IMat::from_rows(&[&[0, 1], &[1, 0]]), vec![0, 0]);
         assert_eq!(r.index_at(&[5, 4]), vec![4, 5]);
+    }
+
+    /// The in-place evaluation equals evaluating the index vector and
+    /// linearizing it, inside and outside the array's bounds and for a
+    /// reference whose rank does not match the array's.
+    #[test]
+    fn program_addr_of_matches_index_then_linearize() {
+        let (mut p, x, _) = simple_prog();
+        let v = p.add_array(ArrayDecl::new("V", vec![8], 8));
+        p.assign_layout(0x1000, 256);
+        let refs = [
+            ArrayRef::identity(x, 2, vec![-1, 1]),
+            ArrayRef::affine(x, IMat::from_rows(&[&[0, 1], &[1, 0]]), vec![0, 0]),
+            ArrayRef::affine(x, IMat::from_rows(&[&[2, -1], &[1, 1]]), vec![3, -2]),
+            ArrayRef::affine(v, IMat::from_rows(&[&[1, 1]]), vec![-4]),
+            // Rank 1 reference into the rank 2 array X.
+            ArrayRef::affine(x, IMat::from_rows(&[&[1, 0]]), vec![0]),
+        ];
+        for r in &refs {
+            for i in -2..10 {
+                for j in -2..10 {
+                    let it = [i, j];
+                    let expect = p.array(r.array).addr_of(&r.index_at(&it));
+                    assert_eq!(p.addr_of(r, &it), expect, "{r:?} at {it:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! current epoch, so a planner touching k links per epoch costs O(k),
 //! not O(num_links).
 
-use crate::mesh::{LinkId, Route};
-use crate::network::{LinkTraversal, Network, TraversalRecord};
+use crate::mesh::LinkId;
+use crate::network::{LinkTraversal, Network, Traversal};
 use ndc_types::Cycle;
 
 /// A lane's private view of link horizons: frozen network snapshot plus
@@ -86,30 +86,26 @@ impl LanePlanner {
         }
     }
 
-    /// Plan a traversal of `bytes` along `route` starting at `start`:
+    /// Plan a traversal of `bytes` along `links` starting at `start`:
     /// the same enter/occupancy/exit arithmetic as
     /// [`Network::traverse`], but against the frozen horizons plus this
     /// lane's overlay, with all side effects kept lane-local until
-    /// [`commit`](LanePlanner::commit).
+    /// [`commit`](LanePlanner::commit). Per-link records are appended
+    /// to `out` when given.
     pub fn traverse(
         &mut self,
         frozen: &Network,
-        route: &Route,
+        links: impl IntoIterator<Item = LinkId>,
         start: Cycle,
         bytes: u64,
-    ) -> TraversalRecord {
+        mut out: Option<&mut Vec<LinkTraversal>>,
+    ) -> Traversal {
         let hop = frozen.mesh().config().hop_cycles;
         let occupancy = bytes.div_ceil(frozen.mesh().config().link_bytes).max(1);
         let mut t = start;
-        let mut rec = TraversalRecord {
-            links: Vec::with_capacity(route.links.len()),
-            departed: start,
-            arrived: start,
-            flit_hops: occupancy * route.links.len() as u64,
-        };
-        self.messages += 1;
-        self.flit_hops += rec.flit_hops;
-        for &l in &route.links {
+        let mut hops = 0;
+        for l in links {
+            hops += 1;
             let enter = t.max(self.horizon(frozen, l));
             self.queueing_cycles += enter - t;
             if frozen.obs_enabled() {
@@ -120,16 +116,24 @@ impl LanePlanner {
             if frozen.check_log_enabled() {
                 self.flit_log.push((l, enter, exit));
             }
-            rec.links.push(LinkTraversal {
-                link: l,
-                enter,
-                exit,
-                router: frozen.mesh().link_router(l),
-            });
+            if let Some(out) = out.as_deref_mut() {
+                out.push(LinkTraversal {
+                    link: l,
+                    enter,
+                    exit,
+                    router: frozen.mesh().link_router(l),
+                });
+            }
             t = exit;
         }
-        rec.arrived = t;
-        rec
+        let flit_hops = occupancy * hops;
+        self.messages += 1;
+        self.flit_hops += flit_hops;
+        Traversal {
+            departed: start,
+            arrived: t,
+            flit_hops,
+        }
     }
 
     /// Commit the epoch's planned traffic into the live network:
@@ -179,11 +183,12 @@ mod tests {
         let mesh = frozen.mesh().clone();
         let mut planner = LanePlanner::new(mesh.num_links());
         planner.begin_epoch();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(3, 2));
-        let planned = planner.traverse(&frozen, &r, 100, 64);
-        let actual = live.traverse(&r, 100, 64);
-        assert_eq!(planned.links, actual.links);
-        assert_eq!(planned.arrived, actual.arrived);
+        let r = mesh.xy_links(Coord::new(0, 0), Coord::new(3, 2));
+        let (mut planned_links, mut actual_links) = (Vec::new(), Vec::new());
+        let planned = planner.traverse(&frozen, r, 100, 64, Some(&mut planned_links));
+        let actual = live.traverse(r, 100, 64, Some(&mut actual_links));
+        assert_eq!(planned_links, actual_links);
+        assert_eq!(planned, actual);
     }
 
     #[test]
@@ -192,12 +197,13 @@ mod tests {
         let mesh = frozen.mesh().clone();
         let mut planner = LanePlanner::new(mesh.num_links());
         planner.begin_epoch();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(1, 0));
-        let first = planner.traverse(&frozen, &r, 0, 64);
-        let second = planner.traverse(&frozen, &r, 0, 64);
-        assert_eq!(first.links[0].enter, 0);
+        let r = mesh.xy_links(Coord::new(0, 0), Coord::new(1, 0));
+        let mut links = Vec::new();
+        planner.traverse(&frozen, r, 0, 64, Some(&mut links));
+        planner.traverse(&frozen, r, 0, 64, Some(&mut links));
+        assert_eq!(links[0].enter, 0);
         // The second message queues behind the lane's own first one.
-        assert_eq!(second.links[0].enter, 4);
+        assert_eq!(links[1].enter, 4);
     }
 
     #[test]
@@ -209,7 +215,7 @@ mod tests {
             let mut p = LanePlanner::new(mesh.num_links());
             p.begin_epoch();
             for &s in starts {
-                p.traverse(&frozen, &r, s, 64);
+                p.traverse(&frozen, r.links.iter().copied(), s, 64, None);
             }
             p
         };
@@ -239,16 +245,18 @@ mod tests {
         let mesh = live.mesh().clone();
         let mut planner = LanePlanner::new(mesh.num_links());
         let r = mesh.xy_route(Coord::new(0, 0), Coord::new(1, 0));
+        let links = || r.links.iter().copied();
 
         planner.begin_epoch();
-        planner.traverse(&live, &r, 0, 64); // raises overlay to 4
+        planner.traverse(&live, links(), 0, 64, None); // raises overlay to 4
         planner.commit(&mut live);
         assert_eq!(live.horizon(r.links[0]), 4);
 
         planner.begin_epoch();
         // New epoch: overlay gone, but the committed live horizon queues us.
-        let rec = planner.traverse(&live, &r, 0, 64);
-        assert_eq!(rec.links[0].enter, 4);
+        let mut rec = Vec::new();
+        planner.traverse(&live, links(), 0, 64, Some(&mut rec));
+        assert_eq!(rec[0].enter, 4);
         planner.commit(&mut live);
         assert_eq!(live.horizon(r.links[0]), 8);
         assert_eq!(live.messages, 2);
@@ -264,8 +272,8 @@ mod tests {
         let mut planner = LanePlanner::new(mesh.num_links());
         planner.begin_epoch();
         let r = mesh.xy_route(Coord::new(0, 0), Coord::new(2, 0));
-        planner.traverse(&live, &r, 0, 64);
-        planner.traverse(&live, &r, 0, 64);
+        planner.traverse(&live, r.links.iter().copied(), 0, 64, None);
+        planner.traverse(&live, r.links.iter().copied(), 0, 64, None);
         planner.commit(&mut live);
         let l = r.links[0].index();
         let obs = live.link_obs().unwrap();

@@ -8,7 +8,9 @@
 //! compiler may pick, among the minimal paths of two different accesses,
 //! the pair of signatures maximizing the number of common links — each
 //! common link is an opportunity to perform the computation at the
-//! associated router.
+//! associated router. For two replies converging on one core the best
+//! pair has a closed form ([`converging_pair`]), which the simulator
+//! walks without building routes or signatures.
 //!
 //! The dynamic side ([`Network`]) is a contended-link latency model:
 //! each directed link has a `busy_until` horizon; messages serialize on
@@ -23,9 +25,12 @@ pub mod network;
 pub mod signature;
 
 pub use lane::LanePlanner;
-pub use mesh::{LinkId, Mesh, Route};
-pub use network::{LinkObs, LinkTraversal, Network, TraversalRecord};
-pub use signature::{best_signature_pair, minimal_routes, RouteSignature, SignaturePair};
+pub use mesh::{LinkId, Mesh, Route, XyLinks};
+pub use network::{LinkObs, LinkTraversal, Network, Traversal};
+pub use signature::{
+    best_signature_pair, converging_pair, meeting_corner, minimal_routes, RouteSignature,
+    SignaturePair,
+};
 
 #[cfg(test)]
 mod proptests {

@@ -1,4 +1,9 @@
 //! Mesh topology: nodes, directed links, and static XY routing.
+//!
+//! Every straight segment of a route is a run of consecutive link ids
+//! (the four link blocks are numbered along rows and columns), so a
+//! dimension-ordered route is walked arithmetically by [`XyLinks`]
+//! without collecting its links into a buffer.
 
 use ndc_types::{Coord, NocConfig, NodeId};
 
@@ -32,6 +37,54 @@ impl Route {
     }
 }
 
+/// One straight segment of a route: `left` more consecutive link ids
+/// from `next`, ascending or descending.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    next: u32,
+    left: u32,
+    descending: bool,
+}
+
+/// The links of `XY(src → via) · XY(via → dst)`, generated on the fly.
+/// A plain XY route is the case `via == dst`; the compiler's reshaped
+/// reply routes ([`crate::converging_pair`]) bend once more at `via`.
+/// Copyable and allocation-free: it holds four [`Run`]s.
+#[derive(Debug, Clone, Copy)]
+pub struct XyLinks {
+    runs: [Run; 4],
+    at: usize,
+}
+
+impl Iterator for XyLinks {
+    type Item = LinkId;
+
+    #[inline]
+    fn next(&mut self) -> Option<LinkId> {
+        while let Some(run) = self.runs.get_mut(self.at) {
+            if run.left > 0 {
+                let id = run.next;
+                run.left -= 1;
+                run.next = if run.descending {
+                    id.wrapping_sub(1)
+                } else {
+                    id + 1
+                };
+                return Some(LinkId(id));
+            }
+            self.at += 1;
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.runs[self.at..].iter().map(|r| r.left as usize).sum();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for XyLinks {}
+
 /// Static description of a `w × h` 2D mesh.
 ///
 /// Directed links are numbered in four blocks: east (`x → x+1`), west,
@@ -40,12 +93,21 @@ impl Route {
 #[derive(Debug, Clone)]
 pub struct Mesh {
     cfg: NocConfig,
+    /// Downstream router of every link, indexed by `LinkId`.
+    routers: Vec<NodeId>,
 }
 
 impl Mesh {
     pub fn new(cfg: NocConfig) -> Self {
         assert!(cfg.width >= 1 && cfg.height >= 1, "degenerate mesh");
-        Mesh { cfg }
+        let mut mesh = Mesh {
+            cfg,
+            routers: Vec::new(),
+        };
+        mesh.routers = (0..mesh.num_links() as u32)
+            .map(|i| NodeId::from_coord(mesh.link_endpoints(LinkId(i)).1, cfg.width))
+            .collect();
+        mesh
     }
 
     pub fn config(&self) -> &NocConfig {
@@ -147,36 +209,77 @@ impl Mesh {
     /// The router a message sits in after traversing `l`: the link's
     /// downstream endpoint. NDC link-buffer computations happen at this
     /// router's buffer.
+    #[inline]
     pub fn link_router(&self, l: LinkId) -> NodeId {
-        let (_, to) = self.link_endpoints(l);
-        NodeId::from_coord(to, self.cfg.width)
+        self.routers[l.index()]
+    }
+
+    /// The X run then the Y run of `XY(src → dst)`.
+    fn xy_runs(&self, src: Coord, dst: Coord) -> [Run; 2] {
+        let w1 = self.cfg.width as u32 - 1;
+        let h1 = self.cfg.height as u32 - 1;
+        let east = self.east_count();
+        let south = self.south_count();
+        let (sx, sy, dx, dy) = (src.x as u32, src.y as u32, dst.x as u32, dst.y as u32);
+        // Along row `sy`: east links are `sy·w1 + x`, west links
+        // `east + sy·w1 + (x-1)` for a hop leaving column x.
+        let x = if dx >= sx {
+            Run {
+                next: sy * w1 + sx,
+                left: dx - sx,
+                descending: false,
+            }
+        } else {
+            Run {
+                next: east + sy * w1 + sx - 1,
+                left: sx - dx,
+                descending: true,
+            }
+        };
+        // Along column `dx`: south links are `2·east + dx·h1 + y`, north
+        // links `2·east + south + dx·h1 + (y-1)` for a hop leaving row y.
+        let y = if dy >= sy {
+            Run {
+                next: 2 * east + dx * h1 + sy,
+                left: dy - sy,
+                descending: false,
+            }
+        } else {
+            Run {
+                next: 2 * east + south + dx * h1 + sy - 1,
+                left: sy - dy,
+                descending: true,
+            }
+        };
+        [x, y]
+    }
+
+    /// The links of the static XY route `src → dst`, generated without
+    /// a buffer (see [`Mesh::xy_route`]).
+    pub fn xy_links(&self, src: Coord, dst: Coord) -> XyLinks {
+        self.xy_via(src, dst, dst)
+    }
+
+    /// The links of `XY(src → via) · XY(via → dst)`. Minimal whenever
+    /// `via` lies in the bounding box of `src` and `dst`.
+    pub fn xy_via(&self, src: Coord, via: Coord, dst: Coord) -> XyLinks {
+        let [a, b] = self.xy_runs(src, via);
+        let [c, d] = self.xy_runs(via, dst);
+        XyLinks {
+            runs: [a, b, c, d],
+            at: 0,
+        }
     }
 
     /// Static XY (dimension-ordered) route: travel along X first, then
     /// Y. This is the baseline routing of the simulated machine
     /// (Table 1: "XY-routing").
     pub fn xy_route(&self, src: Coord, dst: Coord) -> Route {
-        let mut links = Vec::with_capacity(src.manhattan(dst) as usize);
-        let mut at = src;
-        while at.x != dst.x {
-            let next = if dst.x > at.x {
-                Coord::new(at.x + 1, at.y)
-            } else {
-                Coord::new(at.x - 1, at.y)
-            };
-            links.push(self.link_between(at, next));
-            at = next;
+        Route {
+            src,
+            dst,
+            links: self.xy_links(src, dst).collect(),
         }
-        while at.y != dst.y {
-            let next = if dst.y > at.y {
-                Coord::new(at.x, at.y + 1)
-            } else {
-                Coord::new(at.x, at.y - 1)
-            };
-            links.push(self.link_between(at, next));
-            at = next;
-        }
-        Route { src, dst, links }
     }
 
     /// Build a route from an explicit node sequence (used by the
@@ -286,6 +389,52 @@ mod tests {
     #[should_panic(expected = "not adjacent")]
     fn non_adjacent_link_panics() {
         mesh5().link_between(Coord::new(0, 0), Coord::new(2, 0));
+    }
+
+    /// The arithmetic walk matches hop-by-hop `link_between` stepping
+    /// for every endpoint pair, on square and non-square meshes.
+    #[test]
+    fn xy_links_match_stepwise_routes() {
+        for (w, h) in [(5u16, 5u16), (7, 4), (1, 6), (6, 1), (3, 8)] {
+            let m = Mesh::new(NocConfig {
+                width: w,
+                height: h,
+                link_bytes: 16,
+                hop_cycles: 3,
+            });
+            let nodes: Vec<Coord> = (0..h)
+                .flat_map(|y| (0..w).map(move |x| Coord::new(x, y)))
+                .collect();
+            for &s in &nodes {
+                for &d in &nodes {
+                    let mut expect = Vec::new();
+                    let mut at = s;
+                    while at.x != d.x {
+                        let nx = if d.x > at.x { at.x + 1 } else { at.x - 1 };
+                        expect.push(m.link_between(at, Coord::new(nx, at.y)));
+                        at.x = nx;
+                    }
+                    while at.y != d.y {
+                        let ny = if d.y > at.y { at.y + 1 } else { at.y - 1 };
+                        expect.push(m.link_between(at, Coord::new(at.x, ny)));
+                        at.y = ny;
+                    }
+                    let walk = m.xy_links(s, d);
+                    assert_eq!(walk.len(), expect.len(), "{w}x{h} {s:?}->{d:?}");
+                    assert_eq!(walk.collect::<Vec<_>>(), expect, "{w}x{h} {s:?}->{d:?}");
+                    for &v in &nodes {
+                        let via: Vec<LinkId> = m.xy_via(s, v, d).collect();
+                        let mut joined = m.xy_route(s, v).links;
+                        joined.extend(m.xy_route(v, d).links);
+                        assert_eq!(via, joined, "{w}x{h} {s:?}->{v:?}->{d:?}");
+                    }
+                }
+            }
+            for i in 0..m.num_links() as u32 {
+                let (_, to) = m.link_endpoints(LinkId(i));
+                assert_eq!(m.link_router(LinkId(i)), NodeId::from_coord(to, w));
+            }
+        }
     }
 
     #[test]

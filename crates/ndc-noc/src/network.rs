@@ -4,12 +4,15 @@
 //! link waits until the link frees, occupies it for
 //! `⌈bytes / link_bytes⌉` cycles (16-byte links, Table 1), and pays the
 //! router pipeline (`hop_cycles`, 3 by default) to move to the next
-//! router. The per-link entry timestamps are returned so the simulator's
-//! instrumentation can compute link-buffer arrival windows: two operands
-//! co-locate at a router when their messages traverse a common link, and
-//! the window is the gap between their entry times.
+//! router. A traversal takes its link sequence as an iterator (usually
+//! an arithmetic [`crate::XyLinks`] walk) and appends the per-link entry
+//! timestamps to a caller-owned buffer — or to none, when nobody reads
+//! them. The simulator's instrumentation uses them to compute
+//! link-buffer arrival windows: two operands co-locate at a router when
+//! their messages traverse a common link, and the window is the gap
+//! between their entry times.
 
-use crate::mesh::{LinkId, Mesh, Route};
+use crate::mesh::{LinkId, Mesh};
 use ndc_types::{Cycle, NodeId, WindowHistogram};
 
 /// Timestamp record for one link of a traversal.
@@ -26,10 +29,10 @@ pub struct LinkTraversal {
     pub router: NodeId,
 }
 
-/// Full record of one message traversal.
-#[derive(Debug, Clone, Default)]
-pub struct TraversalRecord {
-    pub links: Vec<LinkTraversal>,
+/// Timing summary of one message traversal (the per-link records go
+/// to the caller's buffer, if any).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traversal {
     pub departed: Cycle,
     pub arrived: Cycle,
     /// Link occupancy paid per hop times hops crossed: the message's
@@ -39,7 +42,7 @@ pub struct TraversalRecord {
     pub flit_hops: u64,
 }
 
-impl TraversalRecord {
+impl Traversal {
     /// Total network latency including queueing.
     pub fn latency(&self) -> Cycle {
         self.arrived - self.departed
@@ -133,22 +136,23 @@ impl Network {
             .unwrap_or_default()
     }
 
-    /// Send a message of `bytes` bytes along `route`, starting at cycle
-    /// `start`. Returns the per-link timing record. A zero-hop route
-    /// (source == destination) arrives instantly.
-    pub fn traverse(&mut self, route: &Route, start: Cycle, bytes: u64) -> TraversalRecord {
+    /// Send a message of `bytes` bytes along `links`, starting at cycle
+    /// `start`, appending one [`LinkTraversal`] per hop to `out` when
+    /// given. A zero-hop route (source == destination) arrives
+    /// instantly.
+    pub fn traverse(
+        &mut self,
+        links: impl IntoIterator<Item = LinkId>,
+        start: Cycle,
+        bytes: u64,
+        mut out: Option<&mut Vec<LinkTraversal>>,
+    ) -> Traversal {
         let hop = self.mesh.config().hop_cycles;
         let occupancy = bytes.div_ceil(self.mesh.config().link_bytes).max(1);
         let mut t = start;
-        let mut rec = TraversalRecord {
-            links: Vec::with_capacity(route.links.len()),
-            departed: start,
-            arrived: start,
-            flit_hops: occupancy * route.links.len() as u64,
-        };
-        self.messages += 1;
-        self.flit_hops += rec.flit_hops;
-        for &l in &route.links {
+        let mut hops = 0;
+        for l in links {
+            hops += 1;
             let free_at = self.busy_until[l.index()];
             let enter = t.max(free_at);
             self.queueing_cycles += enter - t;
@@ -165,16 +169,24 @@ impl Network {
             if let Some(log) = &mut self.check_log {
                 log.push((l, enter, exit));
             }
-            rec.links.push(LinkTraversal {
-                link: l,
-                enter,
-                exit,
-                router: self.mesh.link_router(l),
-            });
+            if let Some(out) = out.as_deref_mut() {
+                out.push(LinkTraversal {
+                    link: l,
+                    enter,
+                    exit,
+                    router: self.mesh.link_router(l),
+                });
+            }
             t = exit;
         }
-        rec.arrived = t;
-        rec
+        let flit_hops = occupancy * hops;
+        self.messages += 1;
+        self.flit_hops += flit_hops;
+        Traversal {
+            departed: start,
+            arrived: t,
+            flit_hops,
+        }
     }
 
     /// Latency of an uncontended traversal of `hops` hops (used for
@@ -267,29 +279,43 @@ mod tests {
         }))
     }
 
+    /// Send along the XY route `s → d`, collecting per-link records.
+    fn send(
+        n: &mut Network,
+        s: Coord,
+        d: Coord,
+        start: Cycle,
+        bytes: u64,
+    ) -> (Traversal, Vec<LinkTraversal>) {
+        let links = n.mesh().xy_links(s, d);
+        let mut buf = Vec::new();
+        let rec = n.traverse(links, start, bytes, Some(&mut buf));
+        (rec, buf)
+    }
+
     #[test]
     fn uncontended_latency_is_hops_times_pipeline() {
         let mut n = net();
-        let mesh = n.mesh().clone();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(3, 0));
-        let rec = n.traverse(&r, 100, 16);
+        let (rec, links) = send(&mut n, Coord::new(0, 0), Coord::new(3, 0), 100, 16);
         assert_eq!(rec.departed, 100);
         assert_eq!(rec.arrived, 100 + 3 * 3);
         assert_eq!(rec.latency(), 9);
-        assert_eq!(rec.links.len(), 3);
-        assert_eq!(rec.links[0].enter, 100);
-        assert_eq!(rec.links[0].exit, 103);
-        assert_eq!(rec.links[2].enter, 106);
+        assert_eq!(links.len(), 3);
+        assert_eq!(links[0].enter, 100);
+        assert_eq!(links[0].exit, 103);
+        assert_eq!(links[2].enter, 106);
+        // Each link stays busy for one 16-byte flit after entry.
+        for l in &links {
+            assert_eq!(n.horizon(l.link), l.enter + 1);
+        }
     }
 
     #[test]
     fn zero_hop_route_is_free() {
         let mut n = net();
-        let mesh = n.mesh().clone();
-        let r = mesh.xy_route(Coord::new(2, 2), Coord::new(2, 2));
-        let rec = n.traverse(&r, 42, 64);
+        let (rec, links) = send(&mut n, Coord::new(2, 2), Coord::new(2, 2), 42, 64);
         assert_eq!(rec.arrived, 42);
-        assert!(rec.links.is_empty());
+        assert!(links.is_empty());
         assert_eq!(rec.flit_hops, 0);
         assert_eq!(n.flit_hops, 0);
         assert_eq!(n.messages, 1);
@@ -298,15 +324,16 @@ mod tests {
     #[test]
     fn contention_serializes_messages() {
         let mut n = net();
-        let mesh = n.mesh().clone();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(1, 0));
+        let (a, b) = (Coord::new(0, 0), Coord::new(1, 0));
         // A 64-byte message occupies the 16-byte link for 4 cycles.
-        let first = n.traverse(&r, 0, 64);
-        assert_eq!(first.links[0].enter, 0);
+        let (first, first_links) = send(&mut n, a, b, 0, 64);
+        assert_eq!(first_links[0].enter, 0);
+        assert_eq!(n.horizon(first_links[0].link), 4);
         // A second message at the same cycle must wait for the link.
-        let second = n.traverse(&r, 0, 64);
-        assert_eq!(second.links[0].enter, 4);
+        let (second, second_links) = send(&mut n, a, b, 0, 64);
+        assert_eq!(second_links[0].enter, 4);
         assert_eq!(second.arrived, 4 + 3);
+        assert_eq!(n.horizon(second_links[0].link), 8);
         assert_eq!(n.queueing_cycles, 4);
         assert_eq!(n.messages, 2);
         // Two 4-cycle occupancies over one link each.
@@ -317,39 +344,71 @@ mod tests {
     #[test]
     fn disjoint_links_do_not_interfere() {
         let mut n = net();
-        let mesh = n.mesh().clone();
-        let r1 = mesh.xy_route(Coord::new(0, 0), Coord::new(1, 0));
-        let r2 = mesh.xy_route(Coord::new(0, 1), Coord::new(1, 1));
-        n.traverse(&r1, 0, 64);
-        let rec = n.traverse(&r2, 0, 64);
-        assert_eq!(rec.links[0].enter, 0);
+        send(&mut n, Coord::new(0, 0), Coord::new(1, 0), 0, 64);
+        let (_, links) = send(&mut n, Coord::new(0, 1), Coord::new(1, 1), 0, 64);
+        assert_eq!(links[0].enter, 0);
         assert_eq!(n.queueing_cycles, 0);
+    }
+
+    /// Appending to a caller buffer is observation only: without one,
+    /// a traversal pays the same timing, counters and link horizons,
+    /// and a reused buffer just grows by one record per hop.
+    #[test]
+    fn buffer_is_optional_and_appended_to() {
+        let mut with = net();
+        let mut without = net();
+        let mesh = with.mesh().clone();
+        let mut buf = Vec::new();
+        let routes = [
+            (Coord::new(0, 0), Coord::new(3, 2)),
+            (Coord::new(1, 0), Coord::new(3, 4)),
+            (Coord::new(4, 4), Coord::new(0, 1)),
+            (Coord::new(2, 0), Coord::new(2, 3)),
+        ];
+        for (k, &(s, d)) in routes.iter().enumerate() {
+            let before = buf.len();
+            let a = with.traverse(mesh.xy_links(s, d), 10 * k as Cycle, 64, Some(&mut buf));
+            let b = without.traverse(mesh.xy_links(s, d), 10 * k as Cycle, 64, None);
+            assert_eq!(a, b);
+            assert_eq!(buf.len() - before, s.manhattan(d) as usize);
+            // The appended records chain hop to hop and end on arrival.
+            let mut t = a.departed;
+            for l in &buf[before..] {
+                assert!(l.enter >= t);
+                assert_eq!(l.exit, l.enter + 3);
+                t = l.exit;
+            }
+            assert_eq!(t, a.arrived);
+        }
+        for l in 0..mesh.num_links() as u32 {
+            assert_eq!(with.horizon(LinkId(l)), without.horizon(LinkId(l)));
+        }
+        assert_eq!(with.queueing_cycles, without.queueing_cycles);
+        assert_eq!(with.flit_hops, without.flit_hops);
+        assert_eq!(with.messages, without.messages);
     }
 
     #[test]
     fn reset_clears_state() {
         let mut n = net();
-        let mesh = n.mesh().clone();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(1, 0));
-        n.traverse(&r, 0, 64);
+        send(&mut n, Coord::new(0, 0), Coord::new(1, 0), 0, 64);
         n.reset();
-        let rec = n.traverse(&r, 0, 64);
-        assert_eq!(rec.links[0].enter, 0);
+        let (_, links) = send(&mut n, Coord::new(0, 0), Coord::new(1, 0), 0, 64);
+        assert_eq!(links[0].enter, 0);
         assert_eq!(n.messages, 1);
     }
 
     #[test]
     fn link_obs_records_occupancy_and_queue_delay() {
         let mut n = net();
-        let mesh = n.mesh().clone();
         // Disabled by default: no per-link state allocated.
         assert!(n.link_obs().is_none());
         n.enable_obs();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(1, 0));
-        n.traverse(&r, 0, 64); // occupies the link 4 cycles
-        n.traverse(&r, 0, 64); // queues 4 cycles behind it
+        let (s, d) = (Coord::new(0, 0), Coord::new(1, 0));
+        let (_, links) = send(&mut n, s, d, 0, 64); // occupies the link 4 cycles
+        send(&mut n, s, d, 0, 64); // queues 4 cycles behind it
         let obs = n.link_obs().unwrap();
-        let l = r.links[0].index();
+        let l = links[0].link.index();
         assert_eq!(obs[l].traversals, 2);
         assert_eq!(obs[l].busy_cycles, 8);
         assert_eq!(obs[l].queue_delay.total(), 2);
@@ -368,25 +427,26 @@ mod tests {
     #[test]
     fn check_log_records_every_hop_and_timing_is_unchanged() {
         let mut n = net();
-        let mesh = n.mesh().clone();
         assert!(n.check_log().is_none());
         n.enable_check_log();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(3, 0));
-        let rec = n.traverse(&r, 100, 16);
+        let (s, d) = (Coord::new(0, 0), Coord::new(3, 0));
+        let (rec, links) = send(&mut n, s, d, 100, 16);
         // Same timing as the uncontended_latency test: logging is
         // observation-only.
         assert_eq!(rec.arrived, 109);
         let log = n.check_log().unwrap();
         assert_eq!(log.len(), 3);
         for (hop, &(link, enter, exit)) in log.iter().enumerate() {
-            assert_eq!(link, rec.links[hop].link);
-            assert_eq!(enter, rec.links[hop].enter);
-            assert_eq!(exit, rec.links[hop].exit);
+            assert_eq!(link, links[hop].link);
+            assert_eq!(enter, links[hop].enter);
+            assert_eq!(exit, links[hop].exit);
             assert!(enter <= exit);
         }
         assert_eq!(n.take_check_log().len(), 3);
         assert_eq!(n.check_log().unwrap().len(), 0);
-        n.traverse(&r, 0, 16);
+        // Logging does not depend on the caller keeping records.
+        let mesh = n.mesh().clone();
+        n.traverse(mesh.xy_links(s, d), 0, 16, None);
         assert_eq!(n.check_log().unwrap().len(), 3);
         n.reset();
         assert!(n.check_log().unwrap().is_empty());
@@ -395,10 +455,8 @@ mod tests {
     #[test]
     fn router_of_each_hop_is_downstream_node() {
         let mut n = net();
-        let mesh = n.mesh().clone();
-        let r = mesh.xy_route(Coord::new(0, 0), Coord::new(0, 2));
-        let rec = n.traverse(&r, 0, 16);
-        assert_eq!(rec.links[0].router, NodeId::from_coord(Coord::new(0, 1), 5));
-        assert_eq!(rec.links[1].router, NodeId::from_coord(Coord::new(0, 2), 5));
+        let (_, links) = send(&mut n, Coord::new(0, 0), Coord::new(0, 2), 0, 16);
+        assert_eq!(links[0].router, NodeId::from_coord(Coord::new(0, 1), 5));
+        assert_eq!(links[1].router, NodeId::from_coord(Coord::new(0, 2), 5));
     }
 }

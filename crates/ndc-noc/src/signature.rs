@@ -7,8 +7,14 @@
 //! destinations `(pr,qr)`, `(ps,qs)`, the compiler selects signatures
 //! maximizing `|Sx ∩ Sy|` — every common link is a router where the NDC
 //! computation `x op y` can be performed.
+//!
+//! The selection is an exhaustive search over pairs of minimal routes.
+//! For the case the simulator and cost model ask about — two data
+//! replies converging on one core — the answer has a closed form
+//! ([`converging_pair`]), so the search only runs for diverging pairs
+//! and for legs longer than the exhaustive bound.
 
-use crate::mesh::{LinkId, Mesh, Route};
+use crate::mesh::{LinkId, Mesh, Route, XyLinks};
 use ndc_types::Coord;
 
 /// An `L`-bit link set, stored as packed 64-bit words.
@@ -56,6 +62,16 @@ impl RouteSignature {
                 .collect(),
             num_links: self.num_links,
         }
+    }
+
+    /// `|self ∩ other|`, without building the intersection.
+    pub fn common_links(&self, other: &RouteSignature) -> u32 {
+        debug_assert_eq!(self.num_links, other.num_links);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones())
+            .sum()
     }
 
     /// Number of set bits ("the total number of 1s").
@@ -202,13 +218,93 @@ pub struct SignaturePair {
     pub common_links: u32,
 }
 
+/// The corner `m*` of `bbox(a, c) ∩ bbox(b, c)` farthest from `c`. Per
+/// axis both boxes contain `c`'s coordinate, so the intersection runs
+/// from `c` to the nearer of `a` and `b` when they lie on the same side
+/// of `c`, and is `c`'s coordinate alone when they lie on opposite
+/// sides.
+pub fn meeting_corner(a: Coord, b: Coord, c: Coord) -> Coord {
+    fn axis(a: u16, b: u16, c: u16) -> u16 {
+        if a <= c && b <= c {
+            a.max(b)
+        } else if a >= c && b >= c {
+            a.min(b)
+        } else {
+            c
+        }
+    }
+    Coord::new(axis(a.x, b.x, c.x), axis(a.y, b.y, c.y))
+}
+
+/// Closed form of [`best_signature_pair`]`(a, c, b, c)`: the
+/// maximal-overlap minimal routes of two messages converging on `c`
+/// (§5.2.1 reshaping of two data replies toward one core), as
+/// allocation-free link walks.
+///
+/// Every link both routes use lies in `B = bbox(a, c) ∩ bbox(b, c)` =
+/// `bbox(m*, c)` with `m* =` [`meeting_corner`]. A monotone route into
+/// `c` crosses at most `|m* c|` links inside `B` (each hop inside `B`
+/// closes one unit of its extent), so no pair shares more than
+/// `|m* c|` links — and a pair that shares that many must share the
+/// whole path from `m*` to `c`. Such pairs exist: `a → m* → c` and
+/// `b → m* → c` are minimal because `m*` lies in both bounding boxes.
+/// The search enumerates routes X-move-first, so among maximal pairs it
+/// keeps the lexicographically first one:
+/// `XY(a → m*) · XY(m* → c)` and `XY(b → m*) · XY(m* → c)`.
+///
+/// `None` when a leg exceeds the exhaustive bound: longer legs are
+/// searched over the bounded two-bend family, whose best pair differs,
+/// so callers fall back to [`best_signature_pair`].
+pub fn converging_pair(mesh: &Mesh, a: Coord, b: Coord, c: Coord) -> Option<(XyLinks, XyLinks)> {
+    let bound = MAX_EXHAUSTIVE_HOPS as u32;
+    if a.manhattan(c) > bound || b.manhattan(c) > bound {
+        return None;
+    }
+    let m = meeting_corner(a, b, c);
+    Some((mesh.xy_via(a, m, c), mesh.xy_via(b, m, c)))
+}
+
 /// Select, among all minimal routes of `(a_src → a_dst)` and
 /// `(b_src → b_dst)`, the pair maximizing the number of common links
 /// (§5.2.1: "selects signatures carefully in an attempt to maximize 1s
 /// in S{...} ∩ S{...}"). Ties prefer the XY route (index 0 of the
 /// enumeration explores X-first moves first), keeping the baseline
-/// routing when reshaping buys nothing.
+/// routing when reshaping buys nothing. Converging pairs within the
+/// exhaustive bound take the closed form of [`converging_pair`].
 pub fn best_signature_pair(
+    mesh: &Mesh,
+    a_src: Coord,
+    a_dst: Coord,
+    b_src: Coord,
+    b_dst: Coord,
+) -> SignaturePair {
+    if a_dst == b_dst {
+        if let Some((walk_a, walk_b)) = converging_pair(mesh, a_src, b_src, a_dst) {
+            let route_a = Route {
+                src: a_src,
+                dst: a_dst,
+                links: walk_a.collect(),
+            };
+            let route_b = Route {
+                src: b_src,
+                dst: b_dst,
+                links: walk_b.collect(),
+            };
+            return SignaturePair {
+                sig_a: RouteSignature::from_route(mesh, &route_a),
+                sig_b: RouteSignature::from_route(mesh, &route_b),
+                route_a,
+                route_b,
+                common_links: meeting_corner(a_src, b_src, a_dst).manhattan(a_dst),
+            };
+        }
+    }
+    enumerated_signature_pair(mesh, a_src, a_dst, b_src, b_dst)
+}
+
+/// The exhaustive search behind [`best_signature_pair`]: every pair of
+/// enumerated minimal routes, first strictly better pair kept.
+fn enumerated_signature_pair(
     mesh: &Mesh,
     a_src: Coord,
     a_dst: Coord,
@@ -229,7 +325,7 @@ pub fn best_signature_pair(
     let mut best: Option<(usize, usize, u32)> = None;
     for (i, sa) in sigs_a.iter().enumerate() {
         for (j, sb) in sigs_b.iter().enumerate() {
-            let common = sa.and(sb).count_ones();
+            let common = sa.common_links(sb);
             let better = match best {
                 None => true,
                 Some((_, _, c)) => common > c,
@@ -336,6 +432,57 @@ mod tests {
         let d = Coord::new(4, 1);
         let best = best_signature_pair(&m, s, d, s, d);
         assert_eq!(best.common_links, 3);
+    }
+
+    /// The closed form equals the exhaustive search link for link — the
+    /// same routes and the same `common_links` — for every `(a, b, c)`
+    /// triple of a square and a non-square mesh, all of whose legs are
+    /// within the exhaustive bound.
+    #[test]
+    fn converging_closed_form_matches_enumeration() {
+        for (w, h) in [(5u16, 5u16), (7, 4)] {
+            let m = Mesh::new(NocConfig {
+                width: w,
+                height: h,
+                link_bytes: 16,
+                hop_cycles: 3,
+            });
+            let nodes: Vec<Coord> = (0..h)
+                .flat_map(|y| (0..w).map(move |x| Coord::new(x, y)))
+                .collect();
+            for &c in &nodes {
+                for &a in &nodes {
+                    for &b in &nodes {
+                        let reference = enumerated_signature_pair(&m, a, c, b, c);
+                        let (wa, wb) = converging_pair(&m, a, b, c).expect("within bound");
+                        let ctx = format!("{w}x{h} a={a:?} b={b:?} c={c:?}");
+                        assert_eq!(wa.collect::<Vec<_>>(), reference.route_a.links, "{ctx}");
+                        assert_eq!(wb.collect::<Vec<_>>(), reference.route_b.links, "{ctx}");
+                        let chosen = best_signature_pair(&m, a, c, b, c);
+                        assert_eq!(chosen.route_a, reference.route_a, "{ctx}");
+                        assert_eq!(chosen.route_b, reference.route_b, "{ctx}");
+                        assert_eq!(chosen.sig_a, reference.sig_a, "{ctx}");
+                        assert_eq!(chosen.sig_b, reference.sig_b, "{ctx}");
+                        assert_eq!(chosen.common_links, reference.common_links, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Legs beyond the exhaustive bound have no closed form: the
+    /// bounded staircase search decides them.
+    #[test]
+    fn converging_pair_defers_long_legs_to_the_search() {
+        let m = Mesh::new(NocConfig {
+            width: 16,
+            height: 16,
+            link_bytes: 16,
+            hop_cycles: 3,
+        });
+        let c = Coord::new(15, 15);
+        assert!(converging_pair(&m, Coord::new(0, 0), Coord::new(14, 15), c).is_none());
+        assert!(converging_pair(&m, Coord::new(10, 10), Coord::new(14, 15), c).is_some());
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! cross-core request mix. NDC offloads flow through the LD/ST offload
 //! table and the per-component service tables of `crate::ndc`.
 
-use crate::instrument::{Instrumentation, WindowObservation};
+use crate::instrument::Instrumentation;
 use crate::machine::{AccessIntent, AccessPath, Machine, SpanRecorder};
 use crate::ndc::{
-    breakeven_by_location, resolve, windows_by_location, AbortReason, LocationPolicy, NdcOutcome,
-    ResolveParams, ServiceTables,
+    candidate_meetings, reshaped_candidates, resolve, resolve_with_candidates, window_observation,
+    windows_by_location, AbortReason, LocationPolicy, NdcOutcome, ResolveParams, ServiceTables,
 };
 use crate::report::build_metrics;
 use crate::schemes::{
@@ -520,22 +520,16 @@ impl<'a> Engine<'a> {
                 states[c].now += cycles as Cycle;
             }
             InstKind::Load { addr } => {
-                self.mshr_acquire(&mut states[c], 1, result);
-                let now = states[c].now;
-                let path = machine.access(core, addr, now, false, AccessIntent::ToCore, None);
-                record_pc_cache(result, inst.pc, 0, &path);
                 let st = &mut states[c];
-                st.outstanding.push(Reverse(path.completion));
-                st.finish = st.finish.max(path.completion);
+                self.mshr_acquire(st, 1, result);
+                let now = st.now;
+                issue_tracked(machine, st, result, core, inst.pc, 0, addr, now, false);
             }
             InstKind::Store { addr } => {
-                self.mshr_acquire(&mut states[c], 1, result);
-                let now = states[c].now;
-                let path = machine.access(core, addr, now, true, AccessIntent::ToCore, None);
-                record_pc_cache(result, inst.pc, 2, &path);
                 let st = &mut states[c];
-                st.outstanding.push(Reverse(path.completion));
-                st.finish = st.finish.max(path.completion);
+                self.mshr_acquire(st, 1, result);
+                let now = st.now;
+                issue_tracked(machine, st, result, core, inst.pc, 2, addr, now, true);
             }
             InstKind::Compute {
                 op,
@@ -632,12 +626,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Conventional execution of a two-operand compute starting at
-    /// `start`. Returns the completion time.
+    /// `start`. With `instr` (instrumented baseline runs), a
+    /// two-memory-operand compute also records its characterization
+    /// observation there. Returns the completion time.
     #[allow(clippy::too_many_arguments)]
     fn conventional_compute(
         &self,
         machine: &mut Machine,
         st: &mut CoreState,
+        c: usize,
         core: NodeId,
         pc: Pc,
         a: Operand,
@@ -645,36 +642,31 @@ impl<'a> Engine<'a> {
         store_to: Option<Addr>,
         start: Cycle,
         result: &mut SimResult,
-    ) -> (Cycle, Option<AccessPath>, Option<AccessPath>) {
-        let mut done = start;
-        let pa = match a {
+        instr: Option<&mut Instrumentation>,
+    ) -> Cycle {
+        let mut fetch = |slot: u8, x: Operand| match x {
             Operand::Mem(addr) => {
-                let p = machine.access(core, addr, start, false, AccessIntent::ToCore, None);
-                record_pc_cache(result, pc, 0, &p);
-                done = done.max(p.completion);
+                let p = machine.access(core, addr, start, false, AccessIntent::ToCore);
+                record_pc_cache(result, pc, slot, &p);
                 Some(p)
             }
             Operand::Imm(_) => None,
         };
-        let pb = match b {
-            Operand::Mem(addr) => {
-                let p = machine.access(core, addr, start, false, AccessIntent::ToCore, None);
-                record_pc_cache(result, pc, 1, &p);
-                done = done.max(p.completion);
-                Some(p)
-            }
-            Operand::Imm(_) => None,
-        };
-        let done = done + 1; // the op itself
+        let (pa, pb) = (fetch(0, a), fetch(1, b));
+        let operands_at = [&pa, &pb].into_iter().flatten().map(|p| p.completion);
+        let done = operands_at.fold(start, Cycle::max) + 1; // the op itself
+        if let (Some(ins), Some(pa), Some(pb)) = (instr, &pa, &pb) {
+            ins.record(c, window_observation(machine, core, pc, pa, pb, done));
+        }
+        for p in [pa, pb].into_iter().flatten() {
+            machine.recycle(p);
+        }
         if let Some(dst) = store_to {
-            let p = machine.access(core, dst, done, true, AccessIntent::ToCore, None);
-            record_pc_cache(result, pc, 2, &p);
-            st.outstanding.push(Reverse(p.completion));
-            st.finish = st.finish.max(p.completion);
+            issue_tracked(machine, st, result, core, pc, 2, dst, done, true);
         }
         st.outstanding.push(Reverse(done));
         st.finish = st.finish.max(done);
-        (done, pa, pb)
+        done
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -719,14 +711,10 @@ impl<'a> Engine<'a> {
                     let done = start.max(result_at_core);
                     result.ndc_performed[loc_index] += 1;
                     // Wait recorded at offload time (see exec_precompute).
-                    if let Some(dst) = store_to {
-                        let pw = machine.access(core, dst, done, true, AccessIntent::ToCore, None);
-                        record_pc_cache(result, pc, 2, &pw);
-                        let st = &mut states[c];
-                        st.outstanding.push(Reverse(pw.completion));
-                        st.finish = st.finish.max(pw.completion);
-                    }
                     let st = &mut states[c];
+                    if let Some(dst) = store_to {
+                        issue_tracked(machine, st, result, core, pc, 2, dst, done, true);
+                    }
                     st.outstanding.push(Reverse(done));
                     st.finish = st.finish.max(done);
                     return;
@@ -735,14 +723,18 @@ impl<'a> Engine<'a> {
                     result.ndc_local_hits += 1;
                     result.ndc_abort_reasons[AbortReason::LocalHit.index()] += 1;
                     let st = &mut states[c];
-                    self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result);
+                    self.conventional_compute(
+                        machine, st, c, core, pc, a, b, store_to, start, result, None,
+                    );
                     return;
                 }
                 Some(PreResult::Aborted { at }) => {
                     result.ndc_aborts += 1;
                     let st = &mut states[c];
                     let begin = start.max(at);
-                    self.conventional_compute(machine, st, core, pc, a, b, store_to, begin, result);
+                    self.conventional_compute(
+                        machine, st, c, core, pc, a, b, store_to, begin, result, None,
+                    );
                     return;
                 }
                 None => { /* dangling link: fall through to conventional */ }
@@ -797,7 +789,9 @@ impl<'a> Engine<'a> {
 
         let (Operand::Mem(addr_a), Operand::Mem(addr_b)) = (a, b) else {
             let st = &mut states[c];
-            self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result);
+            self.conventional_compute(
+                machine, st, c, core, pc, a, b, store_to, start, result, None,
+            );
             return;
         };
 
@@ -818,23 +812,10 @@ impl<'a> Engine<'a> {
                 // Conventional execution (with instrumentation on
                 // baseline runs).
                 let st = &mut states[c];
-                let (done, pa, pb) =
-                    self.conventional_compute(machine, st, core, pc, a, b, store_to, start, result);
-                if let (Some(ins), Some(pa), Some(pb)) = (instr.as_mut(), pa, pb) {
-                    let windows = windows_by_location(machine, core, &pa, &pb, false);
-                    let windows_reshaped = windows_by_location(machine, core, &pa, &pb, true);
-                    let breakevens = breakeven_by_location(machine, core, &pa, &pb, done);
-                    ins.record(
-                        c,
-                        WindowObservation {
-                            pc,
-                            windows,
-                            windows_reshaped,
-                            breakevens,
-                            conv_done: done,
-                        },
-                    );
-                }
+                let instr = instr.as_mut();
+                self.conventional_compute(
+                    machine, st, c, core, pc, a, b, store_to, start, result, instr,
+                );
             }
             Some((policy, budget)) => {
                 result.ndc_attempts += 1;
@@ -860,9 +841,17 @@ impl<'a> Engine<'a> {
                 };
                 // LD/ST probe + operand fetches toward their homes.
                 let issue = start.saturating_sub(oracle_lead);
-                let pa = machine.access(core, addr_a, issue, false, AccessIntent::NearData, None);
-                let pb = machine.access(core, addr_b, issue, false, AccessIntent::NearData, None);
-                let outcome = resolve(
+                let pa = machine.access(core, addr_a, issue, false, AccessIntent::NearData);
+                let pb = machine.access(core, addr_b, issue, false, AccessIntent::NearData);
+                // One candidate pass serves the resolution and the
+                // predictors' window (which always uses XY routes).
+                let plain = candidate_meetings(machine, core, &pa, &pb, false);
+                let cands = if oracle_reshape {
+                    reshaped_candidates(machine, core, &pa, &pb, plain)
+                } else {
+                    plain
+                };
+                let outcome = resolve_with_candidates(
                     machine,
                     tables,
                     core,
@@ -876,13 +865,16 @@ impl<'a> Engine<'a> {
                         reshape: oracle_reshape,
                         ignore_limits: oracle_lead > 0,
                     },
+                    cands,
                 );
                 // Track the actual window for the Last-Wait and Markov
                 // predictors.
-                let windows = windows_by_location(machine, core, &pa, &pb, false);
+                let windows = windows_by_location(&plain);
                 let observed = windows.iter().flatten().min().copied();
                 last_window.set(pc, observed.unwrap_or(WINDOW_CAP + 1));
                 markov.observe(pc, observed);
+                machine.recycle(pa);
+                machine.recycle(pb);
 
                 match outcome {
                     NdcOutcome::Performed {
@@ -938,15 +930,10 @@ impl<'a> Engine<'a> {
                         // The CPU-feed returned the result; the store
                         // (if any) executes conventionally at the core,
                         // exactly as in baseline execution.
-                        if let Some(dst) = store_to {
-                            let pw =
-                                machine.access(core, dst, done, true, AccessIntent::ToCore, None);
-                            record_pc_cache(result, pc, 2, &pw);
-                            let st = &mut states[c];
-                            st.outstanding.push(Reverse(pw.completion));
-                            st.finish = st.finish.max(pw.completion);
-                        }
                         let st = &mut states[c];
+                        if let Some(dst) = store_to {
+                            issue_tracked(machine, st, result, core, pc, 2, dst, done, true);
+                        }
                         st.offload.push(done);
                         st.finish = st.finish.max(done);
                     }
@@ -958,7 +945,7 @@ impl<'a> Engine<'a> {
                         result.ndc_abort_reasons[AbortReason::LocalHit.index()] += 1;
                         let st = &mut states[c];
                         self.conventional_compute(
-                            machine, st, core, pc, a, b, store_to, start, result,
+                            machine, st, c, core, pc, a, b, store_to, start, result, None,
                         );
                     }
                     NdcOutcome::Aborted { reason, at } => {
@@ -980,7 +967,7 @@ impl<'a> Engine<'a> {
                         // until the abort signal came back.
                         st.offload.push(begin);
                         self.conventional_compute(
-                            machine, st, core, pc, a, b, store_to, begin, result,
+                            machine, st, c, core, pc, a, b, store_to, begin, result, None,
                         );
                     }
                 }
@@ -1042,8 +1029,8 @@ impl<'a> Engine<'a> {
         } else {
             (start + (-stagger) as Cycle, start)
         };
-        let pa = machine.access(core, a, ta, false, AccessIntent::NearData, None);
-        let pb = machine.access(core, b, tb, false, AccessIntent::NearData, None);
+        let pa = machine.access(core, a, ta, false, AccessIntent::NearData);
+        let pb = machine.access(core, b, tb, false, AccessIntent::NearData);
         let outcome = resolve(
             machine,
             tables,
@@ -1059,6 +1046,8 @@ impl<'a> Engine<'a> {
                 ignore_limits: false,
             },
         );
+        machine.recycle(pa);
+        machine.recycle(pb);
         let _ = store_to;
         match outcome {
             NdcOutcome::Performed {
@@ -1194,7 +1183,7 @@ impl<'a> Engine<'a> {
                     1 => tb,
                     _ => start,
                 };
-                machine.access(core, addr, t, false, AccessIntent::NearData, None)
+                machine.access(core, addr, t, false, AccessIntent::NearData)
             })
             .collect();
         let outcome = crate::ndc::resolve_fused(
@@ -1211,6 +1200,9 @@ impl<'a> Engine<'a> {
                 ignore_limits: false,
             },
         );
+        for p in paths {
+            machine.recycle(p);
+        }
         match outcome {
             NdcOutcome::Performed {
                 loc,
@@ -1320,6 +1312,27 @@ pub(crate) fn record_ndc_span(
     root.leaf("ndc:exec", op_done - exec_cycles, op_done);
     root.leaf("noc:feed", op_done, result_at_core);
     spans.record_span(core, root);
+}
+
+/// Issue a conventional access whose path only feeds the per-PC cache
+/// tallies, and track its completion as outstanding on the core.
+#[allow(clippy::too_many_arguments)]
+fn issue_tracked(
+    machine: &mut Machine,
+    st: &mut CoreState,
+    result: &mut SimResult,
+    core: NodeId,
+    pc: Pc,
+    slot: u8,
+    addr: Addr,
+    t: Cycle,
+    write: bool,
+) {
+    let path = machine.access(core, addr, t, write, AccessIntent::ToCore);
+    record_pc_cache(result, pc, slot, &path);
+    st.outstanding.push(Reverse(path.completion));
+    st.finish = st.finish.max(path.completion);
+    machine.recycle(path);
 }
 
 /// Record per-PC L1/L2 hit-miss outcomes from a conventional access.

@@ -48,16 +48,16 @@ use crate::engine::{
 use crate::instrument::{Instrumentation, WindowObservation};
 use crate::machine::{AccessIntent, AccessPath, L2Leg, Machine, MemLeg, REQ_BYTES, RESULT_BYTES};
 use crate::ndc::{
-    breakeven_by_location, candidate_meetings, candidate_meetings_fused, plan_resolution,
-    plan_resolution_fused, reply_routes, windows_by_location, AbortReason, LocationPolicy,
-    NdcOutcome, ResolveParams, ResolvePlan, ServiceTables,
+    candidate_meetings, candidate_meetings_fused, plan_resolution, plan_resolution_fused,
+    prefix_to, reply_routes, reshaped_candidates, window_observation, windows_by_location,
+    AbortReason, Candidates, LocationPolicy, NdcOutcome, ResolveParams, ResolvePlan, ServiceTables,
 };
 use crate::report::build_metrics;
 use crate::schemes::{
     MarkovPredictor, OracleDecision, OracleGuide, Scheme, WaitBudget, WINDOW_CAP,
 };
 use crate::stats::SimResult;
-use ndc_noc::{LanePlanner, Route};
+use ndc_noc::{LanePlanner, LinkId, LinkTraversal, Traversal};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::{chk, CheckLevel, Event, ObsLevel, RingSink};
 use ndc_par::LanePool;
@@ -362,20 +362,7 @@ impl LaneCore {
     ) -> AccessPath {
         let m = fz.machine;
         let cfg = &m.cfg;
-        let mut path = AccessPath {
-            addr,
-            core: self.core,
-            issued: now,
-            completion: now,
-            l1_hit: false,
-            coherence_miss: false,
-            l2: None,
-            mem: None,
-            data_links: Vec::new(),
-            req_links: Vec::new(),
-            mc_links: Vec::new(),
-            refill_links: 0,
-        };
+        let mut path = AccessPath::new(addr, self.core, now);
         let width = cfg.noc.width;
         let core_coord = self.core.coord(width);
         let l1_latency = cfg.l1.latency;
@@ -413,13 +400,20 @@ impl LaneCore {
         // --- Request to the home L2 bank ---
         let home = cfg.l2_home(addr);
         let home_coord = home.coord(width);
-        let req_route = m.mesh().xy_route(core_coord, home_coord);
-        let req = self
-            .planner
-            .traverse(&m.net, &req_route, now + l1_latency, REQ_BYTES);
-        self.charge_traverse(req.flit_hops);
+        let mc = cfg.mc_of(addr);
+        let mc_node = cfg.mc_node(mc);
+        let mc_coord = mc_node.coord(width);
+        path.reserve_legs(Vec::new(), core_coord, home_coord, mc_coord, intent);
+        let req_links = m.mesh().xy_links(core_coord, home_coord);
+        let req = self.send(
+            fz,
+            req_links,
+            now + l1_latency,
+            REQ_BYTES,
+            Some(path.links_mut()),
+        );
         let req_arrival = req.arrived;
-        path.req_links = req.links;
+        path.end_leg(0);
 
         // --- L2 bank: frozen residency + own fills this epoch ---
         let l2_latency = cfg.l2.latency;
@@ -433,14 +427,15 @@ impl LaneCore {
         } else {
             self.l2_overlay.insert(l2_line);
             // --- Memory controller + DRAM ---
-            let mc = cfg.mc_of(addr);
-            let mc_node = cfg.mc_node(mc);
-            let mc_coord = mc_node.coord(width);
-            let to_mc = m.mesh().xy_route(home_coord, mc_coord);
-            let mc_req = self
-                .planner
-                .traverse(&m.net, &to_mc, req_arrival + l2_latency, REQ_BYTES);
-            self.charge_traverse(mc_req.flit_hops);
+            let to_mc = m.mesh().xy_links(home_coord, mc_coord);
+            let mc_req = self.send(
+                fz,
+                to_mc,
+                req_arrival + l2_latency,
+                REQ_BYTES,
+                Some(path.links_mut()),
+            );
+            path.end_leg(1);
             let mc_view = self.mc_view.get_or_insert_with(|| m.mcs.clone());
             let dram = mc_view[mc as usize].request(addr, mc_req.arrived);
             // Charged at plan time; the barrier replays this mc_op into
@@ -448,15 +443,10 @@ impl LaneCore {
             // totals stay conserved.
             self.charge_dram(cfg.l2.line_bytes);
             self.mail.mc_ops.push((mc as usize, addr, mc_req.arrived));
-            path.mc_links = mc_req.links;
             // Refill back to the bank (carries the L2 line).
-            let refill_route = m.mesh().xy_route(mc_coord, home_coord);
-            let refill =
-                self.planner
-                    .traverse(&m.net, &refill_route, dram.completion, cfg.l2.line_bytes);
-            self.charge_traverse(refill.flit_hops);
-            path.data_links.extend(refill.links.iter().copied());
-            path.refill_links = refill.links.len();
+            let back = m.mesh().xy_links(mc_coord, home_coord);
+            let line = cfg.l2.line_bytes;
+            let refill = self.send(fz, back, dram.completion, line, Some(path.links_mut()));
             path.mem = Some(MemLeg {
                 mc,
                 mc_node,
@@ -468,6 +458,7 @@ impl LaneCore {
             });
             (false, refill.arrived)
         };
+        path.end_leg(2);
         path.l2 = Some(L2Leg {
             bank: home,
             req_arrival,
@@ -481,12 +472,9 @@ impl LaneCore {
             }
             AccessIntent::ToCore => {
                 // --- Data reply to the core ---
-                let reply_route = m.mesh().xy_route(home_coord, core_coord);
-                let reply =
-                    self.planner
-                        .traverse(&m.net, &reply_route, data_at_bank, cfg.l1.line_bytes);
-                self.charge_traverse(reply.flit_hops);
-                path.data_links.extend(reply.links.iter().copied());
+                let reply_links = m.mesh().xy_links(home_coord, core_coord);
+                let line = cfg.l1.line_bytes;
+                let reply = self.send(fz, reply_links, data_at_bank, line, Some(path.links_mut()));
                 path.completion = reply.arrived + l1_latency;
                 if write {
                     self.mail.dir_ops.push(DirOp::WriteInvalidate(l1_line));
@@ -497,6 +485,21 @@ impl LaneCore {
         }
         self.record_path(fz, &path);
         path
+    }
+
+    /// Plan a traversal of `links` on this lane and charge it to the
+    /// core's tenant.
+    fn send(
+        &mut self,
+        fz: &Frozen<'_>,
+        links: impl IntoIterator<Item = LinkId>,
+        t: Cycle,
+        bytes: u64,
+        out: Option<&mut Vec<LinkTraversal>>,
+    ) -> Traversal {
+        let rec = self.planner.traverse(&fz.machine.net, links, t, bytes, out);
+        self.charge_traverse(rec.flit_hops);
+        rec
     }
 
     fn record_path(&mut self, fz: &Frozen<'_>, path: &AccessPath) {
@@ -513,6 +516,7 @@ impl LaneCore {
 
     /// The resolution of [`crate::ndc::resolve`], with network charges
     /// going to the lane planner and the service-table insert deferred.
+    /// `cands` are [`candidate_meetings`] for `(a, b, params.reshape)`.
     #[allow(clippy::too_many_arguments)]
     fn lane_resolve(
         &mut self,
@@ -522,11 +526,11 @@ impl LaneCore {
         b: &AccessPath,
         issue: Cycle,
         params: ResolveParams,
+        cands: Candidates,
     ) -> NdcOutcome {
         let m = fz.machine;
         let cfg = m.cfg;
         let core = self.core;
-        let cands = candidate_meetings(m, core, a, b, params.reshape);
         let own_tables = &self.mail.table_ops;
         let plan = plan_resolution(
             &cfg,
@@ -556,19 +560,11 @@ impl LaneCore {
         if chosen.loc == NdcLocation::LinkBuffer {
             if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
                 let (ra, rb) = reply_routes(m, core, l2a.bank, l2b.bank, params.reshape);
-                let ka = ra
-                    .links
-                    .iter()
-                    .position(|l| m.mesh().link_router(*l) == chosen.node);
-                let kb = rb
-                    .links
-                    .iter()
-                    .position(|l| m.mesh().link_router(*l) == chosen.node);
-                if let Some(k) = ka {
-                    self.send_data_along(fz, &ra, k + 1, l2a.data_at_bank, cfg.l1.line_bytes);
-                }
-                if let Some(k) = kb {
-                    self.send_data_along(fz, &rb, k + 1, l2b.data_at_bank, cfg.l1.line_bytes);
+                let bytes = cfg.l1.line_bytes;
+                for (route, l2) in [(ra, l2a), (rb, l2b)] {
+                    if let Some(prefix) = prefix_to(m.mesh(), route.links(), chosen.node) {
+                        self.send(fz, prefix, l2.data_at_bank, bytes, None);
+                    }
                 }
             }
         }
@@ -576,13 +572,7 @@ impl LaneCore {
         let op_done = op_ready + 1;
         self.mail.table_ops.push((chosen.loc, chosen.node, op_done));
         // CPU-feed: the result returns to the core.
-        let width = cfg.noc.width;
-        let feed = m
-            .mesh()
-            .xy_route(chosen.node.coord(width), core.coord(width));
-        let feed_rec = self.planner.traverse(&m.net, &feed, op_done, RESULT_BYTES);
-        self.charge_traverse(feed_rec.flit_hops);
-        let result_at_core = feed_rec.arrived;
+        let result_at_core = self.send_feed(fz, chosen.node, op_done);
         NdcOutcome::Performed {
             loc: chosen.loc,
             node: chosen.node,
@@ -592,21 +582,15 @@ impl LaneCore {
         }
     }
 
-    fn send_data_along(
-        &mut self,
-        fz: &Frozen<'_>,
-        route: &Route,
-        upto_hops: usize,
-        t: Cycle,
-        bytes: u64,
-    ) {
-        let partial = Route {
-            src: route.src,
-            dst: route.dst,
-            links: route.links[..upto_hops.min(route.links.len())].to_vec(),
-        };
-        let rec = self.planner.traverse(&fz.machine.net, &partial, t, bytes);
-        self.charge_traverse(rec.flit_hops);
+    /// Plan the CPU-feed from `node` back to this core; returns its
+    /// arrival.
+    fn send_feed(&mut self, fz: &Frozen<'_>, node: NodeId, t: Cycle) -> Cycle {
+        let width = fz.machine.cfg.noc.width;
+        let feed = fz
+            .machine
+            .mesh()
+            .xy_links(node.coord(width), self.core.coord(width));
+        self.send(fz, feed, t, RESULT_BYTES, None).arrived
     }
 
     /// Conventional execution of a two-operand compute starting at
@@ -771,17 +755,8 @@ impl LaneCore {
                 let collect = self.collect;
                 let (done, pa, pb) = self.conventional_compute(fz, pc, a, b, store_to, start);
                 if let (true, Some(pa), Some(pb)) = (collect, pa, pb) {
-                    let windows = windows_by_location(fz.machine, self.core, &pa, &pb, false);
-                    let windows_reshaped =
-                        windows_by_location(fz.machine, self.core, &pa, &pb, true);
-                    let breakevens = breakeven_by_location(fz.machine, self.core, &pa, &pb, done);
-                    self.mail.instr_obs.push(WindowObservation {
-                        pc,
-                        windows,
-                        windows_reshaped,
-                        breakevens,
-                        conv_done: done,
-                    });
+                    let obs = window_observation(fz.machine, self.core, pc, &pa, &pb, done);
+                    self.mail.instr_obs.push(obs);
                 }
             }
             Some((policy, budget)) => {
@@ -792,6 +767,12 @@ impl LaneCore {
                 let issue = start.saturating_sub(oracle_lead);
                 let pa = self.lane_access(fz, addr_a, issue, false, AccessIntent::NearData);
                 let pb = self.lane_access(fz, addr_b, issue, false, AccessIntent::NearData);
+                let plain = candidate_meetings(fz.machine, self.core, &pa, &pb, false);
+                let cands = if oracle_reshape {
+                    reshaped_candidates(fz.machine, self.core, &pa, &pb, plain)
+                } else {
+                    plain
+                };
                 let outcome = self.lane_resolve(
                     fz,
                     op,
@@ -804,9 +785,10 @@ impl LaneCore {
                         reshape: oracle_reshape,
                         ignore_limits: oracle_lead > 0,
                     },
+                    cands,
                 );
                 // Track the actual window for the predictors.
-                let windows = windows_by_location(fz.machine, self.core, &pa, &pb, false);
+                let windows = windows_by_location(&plain);
                 let observed = windows.iter().flatten().min().copied();
                 let w = observed.unwrap_or(WINDOW_CAP + 1);
                 self.own_lw.insert(pc, w);
@@ -930,6 +912,7 @@ impl LaneCore {
         };
         let pa = self.lane_access(fz, a, ta, false, AccessIntent::NearData);
         let pb = self.lane_access(fz, b, tb, false, AccessIntent::NearData);
+        let cands = candidate_meetings(fz.machine, self.core, &pa, &pb, reshape_routes);
         let outcome = self.lane_resolve(
             fz,
             op,
@@ -942,6 +925,7 @@ impl LaneCore {
                 reshape: reshape_routes,
                 ignore_limits: false,
             },
+            cands,
         );
         let _ = store_to;
         match outcome {
@@ -1054,13 +1038,9 @@ impl LaneCore {
             let cc = core.coord(width);
             for p in paths {
                 let Some(l2) = p.l2 else { continue };
-                let route = m.mesh().xy_route(l2.bank.coord(width), cc);
-                if let Some(k) = route
-                    .links
-                    .iter()
-                    .position(|l| m.mesh().link_router(*l) == chosen.node)
-                {
-                    self.send_data_along(fz, &route, k + 1, l2.data_at_bank, cfg.l1.line_bytes);
+                let route = m.mesh().xy_links(l2.bank.coord(width), cc);
+                if let Some(prefix) = prefix_to(m.mesh(), route, chosen.node) {
+                    self.send(fz, prefix, l2.data_at_bank, cfg.l1.line_bytes, None);
                 }
             }
         }
@@ -1068,13 +1048,7 @@ impl LaneCore {
         // The chain executes serially at the component: one cycle per op.
         let op_done = chosen.ready() + ops.len() as Cycle;
         self.mail.table_ops.push((chosen.loc, chosen.node, op_done));
-        let width = cfg.noc.width;
-        let feed = m
-            .mesh()
-            .xy_route(chosen.node.coord(width), core.coord(width));
-        let feed_rec = self.planner.traverse(&m.net, &feed, op_done, RESULT_BYTES);
-        self.charge_traverse(feed_rec.flit_hops);
-        let result_at_core = feed_rec.arrived;
+        let result_at_core = self.send_feed(fz, chosen.node, op_done);
         NdcOutcome::Performed {
             loc: chosen.loc,
             node: chosen.node,

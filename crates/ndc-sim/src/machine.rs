@@ -10,11 +10,11 @@
 //! package resolution.
 
 use ndc_mem::{AccessOutcome, Directory, MemoryController, RowOutcome, SetAssocCache};
-use ndc_noc::{LinkTraversal, Mesh, Network, Route};
+use ndc_noc::{LinkId, LinkTraversal, Mesh, Network, Traversal};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::{Span, SpanSampler, SpanTrace, QUEUE, STALL};
 use ndc_obs::{chk, Event};
-use ndc_types::{Addr, ArchConfig, Cycle, NodeId};
+use ndc_types::{Addr, ArchConfig, Coord, Cycle, NodeId};
 
 /// Size in bytes of a request message (address + command).
 pub const REQ_BYTES: u64 = 16;
@@ -67,22 +67,98 @@ pub struct AccessPath {
     pub coherence_miss: bool,
     pub l2: Option<L2Leg>,
     pub mem: Option<MemLeg>,
-    /// Data-carrying link traversals (refill + reply legs): where this
-    /// operand's *data* was present on the network, for link-buffer
-    /// window measurement.
-    pub data_links: Vec<LinkTraversal>,
-    /// Request-leg link traversals (core → home L2 bank).
-    pub req_links: Vec<LinkTraversal>,
-    /// MC-request-leg link traversals (home bank → memory controller).
-    pub mc_links: Vec<LinkTraversal>,
-    /// How many of `data_links` belong to the refill leg (MC → bank);
-    /// the rest are the reply leg (bank → core).
-    pub refill_links: usize,
+    /// Every link traversal of the access in path order, leg after leg:
+    /// request (core → home bank), MC request (bank → controller),
+    /// refill (controller → bank), reply (bank → core). One buffer per
+    /// access, sliced by the leg accessors.
+    links: Vec<LinkTraversal>,
+    /// End offsets in `links` of the request, MC-request and refill
+    /// legs; the reply leg runs to the end.
+    leg_ends: [u16; 3],
 }
 
 impl AccessPath {
+    /// A path that has not left the core yet.
+    pub(crate) fn new(addr: Addr, core: NodeId, issued: Cycle) -> AccessPath {
+        AccessPath {
+            addr,
+            core,
+            issued,
+            completion: issued,
+            l1_hit: false,
+            coherence_miss: false,
+            l2: None,
+            mem: None,
+            links: Vec::new(),
+            leg_ends: [0; 3],
+        }
+    }
+
     pub fn latency(&self) -> Cycle {
         self.completion - self.issued
+    }
+
+    /// Take `buf` as the path's link buffer, with room for every leg an
+    /// access from `core` to its `home` bank can take: the request, on
+    /// a miss the MC request and refill via `mc`, and the reply of a
+    /// conventional access. The buffer then never grows mid-walk.
+    pub(crate) fn reserve_legs(
+        &mut self,
+        mut buf: Vec<LinkTraversal>,
+        core: Coord,
+        home: Coord,
+        mc: Coord,
+        intent: AccessIntent,
+    ) {
+        let reply = match intent {
+            AccessIntent::ToCore => home.manhattan(core),
+            AccessIntent::NearData => 0,
+        };
+        buf.clear();
+        buf.reserve_exact((core.manhattan(home) + 2 * home.manhattan(mc) + reply) as usize);
+        self.links = buf;
+    }
+
+    /// The link buffer the next leg's traversals are appended to.
+    pub(crate) fn links_mut(&mut self) -> &mut Vec<LinkTraversal> {
+        &mut self.links
+    }
+
+    /// Close leg `leg` (0 = request, 1 = MC request, 2 = refill) at the
+    /// current end of the buffer. Legs an access skips close empty.
+    pub(crate) fn end_leg(&mut self, leg: usize) {
+        let end =
+            u16::try_from(self.links.len()).expect("a path spans at most four minimal routes");
+        for e in &mut self.leg_ends[leg..] {
+            *e = end;
+        }
+    }
+
+    /// Request-leg link traversals (core → home L2 bank).
+    pub fn req_links(&self) -> &[LinkTraversal] {
+        &self.links[..self.leg_ends[0] as usize]
+    }
+
+    /// MC-request-leg link traversals (home bank → memory controller).
+    pub fn mc_links(&self) -> &[LinkTraversal] {
+        &self.links[self.leg_ends[0] as usize..self.leg_ends[1] as usize]
+    }
+
+    /// Refill-leg link traversals (memory controller → home bank).
+    pub fn refill_links(&self) -> &[LinkTraversal] {
+        &self.links[self.leg_ends[1] as usize..self.leg_ends[2] as usize]
+    }
+
+    /// Reply-leg link traversals (home bank → core).
+    pub fn reply_links(&self) -> &[LinkTraversal] {
+        &self.links[self.leg_ends[2] as usize..]
+    }
+
+    /// Data-carrying link traversals (refill + reply legs): where this
+    /// operand's *data* was present on the network, for link-buffer
+    /// window measurement.
+    pub fn data_links(&self) -> &[LinkTraversal] {
+        &self.links[self.leg_ends[1] as usize..]
     }
 }
 
@@ -205,7 +281,7 @@ impl SpanRecorder {
                     "noc:req",
                     path.issued + self.l1_latency,
                     l2.req_arrival,
-                    &path.req_links,
+                    path.req_links(),
                 );
                 root.leaf("l2", l2.req_arrival, l2.req_arrival + self.l2_latency);
                 if let Some(mem) = &path.mem {
@@ -214,7 +290,7 @@ impl SpanRecorder {
                         "noc:mc_req",
                         l2.req_arrival + self.l2_latency,
                         mem.queue_enter,
-                        &path.mc_links,
+                        path.mc_links(),
                     );
                     let mut mc = Span::new("mc", mem.queue_enter, mem.completion);
                     mc.leaf(
@@ -229,7 +305,7 @@ impl SpanRecorder {
                         "noc:refill",
                         mem.completion,
                         l2.data_at_bank,
-                        &path.data_links[..path.refill_links],
+                        path.refill_links(),
                     );
                 }
                 if path.completion > l2.data_at_bank {
@@ -239,7 +315,7 @@ impl SpanRecorder {
                         "noc:reply",
                         l2.data_at_bank,
                         path.completion - self.l1_latency,
-                        &path.data_links[path.refill_links..],
+                        path.reply_links(),
                     );
                     root.leaf("l1", path.completion - self.l1_latency, path.completion);
                 }
@@ -341,6 +417,9 @@ pub struct Machine {
     /// charge site. Charging never reads simulated time, so enabling it
     /// cannot perturb results.
     pub attr: Option<Box<AttrState>>,
+    /// Link buffers of finished paths ([`Machine::recycle`]), reused by
+    /// later accesses: once warm, walking an access allocates nothing.
+    spare_links: Vec<Vec<LinkTraversal>>,
 }
 
 impl Machine {
@@ -359,6 +438,7 @@ impl Machine {
             chk: None,
             spans: None,
             attr: None,
+            spare_links: Vec::new(),
         }
     }
 
@@ -453,10 +533,6 @@ impl Machine {
     }
 
     /// Walk one access through the hierarchy.
-    ///
-    /// `reply_route` overrides the bank→core data-reply route
-    /// (compiler-reshaped routes); ignored for `NearData` intents and
-    /// L1 hits.
     pub fn access(
         &mut self,
         core: NodeId,
@@ -464,10 +540,9 @@ impl Machine {
         now: Cycle,
         write: bool,
         intent: AccessIntent,
-        reply_route: Option<&Route>,
     ) -> AccessPath {
         self.attribute_to(core);
-        let path = self.access_inner(core, addr, now, write, intent, reply_route);
+        let path = self.access_inner(core, addr, now, write, intent);
         if let Some(a) = &mut self.attr {
             let q = path.mem.as_ref().map(|m| m.service_start - m.queue_enter);
             a.ledger.charge_request(a.current, path.latency(), q);
@@ -488,22 +563,8 @@ impl Machine {
         now: Cycle,
         write: bool,
         intent: AccessIntent,
-        reply_route: Option<&Route>,
     ) -> AccessPath {
-        let mut path = AccessPath {
-            addr,
-            core,
-            issued: now,
-            completion: now,
-            l1_hit: false,
-            coherence_miss: false,
-            l2: None,
-            mem: None,
-            data_links: Vec::new(),
-            req_links: Vec::new(),
-            mc_links: Vec::new(),
-            refill_links: 0,
-        };
+        let mut path = AccessPath::new(addr, core, now);
         let width = self.cfg.noc.width;
         let core_coord = core.coord(width);
         let l1_latency = self.cfg.l1.latency;
@@ -542,11 +603,20 @@ impl Machine {
         // --- Request to the home L2 bank ---
         let home = self.cfg.l2_home(addr);
         let home_coord = home.coord(width);
-        let req_route = self.mesh().xy_route(core_coord, home_coord);
-        let req = self.net.traverse(&req_route, now + l1_latency, REQ_BYTES);
-        self.charge_traverse(req.flit_hops);
+        let mc = self.cfg.mc_of(addr);
+        let mc_node = self.cfg.mc_node(mc);
+        let mc_coord = mc_node.coord(width);
+        let buf = self.spare_links.pop().unwrap_or_default();
+        path.reserve_legs(buf, core_coord, home_coord, mc_coord, intent);
+        let req_links = self.mesh().xy_links(core_coord, home_coord);
+        let req = self.send(
+            req_links,
+            now + l1_latency,
+            REQ_BYTES,
+            Some(path.links_mut()),
+        );
         let req_arrival = req.arrived;
-        path.req_links = req.links;
+        path.end_leg(0);
 
         // --- L2 bank ---
         let l2_latency = self.cfg.l2.latency;
@@ -554,25 +624,20 @@ impl Machine {
             AccessOutcome::Hit { .. } => (true, req_arrival + l2_latency),
             AccessOutcome::Miss { .. } => {
                 // --- Memory controller + DRAM ---
-                let mc = self.cfg.mc_of(addr);
-                let mc_node = self.cfg.mc_node(mc);
-                let mc_coord = mc_node.coord(width);
-                let to_mc = self.mesh().xy_route(home_coord, mc_coord);
-                let mc_req = self
-                    .net
-                    .traverse(&to_mc, req_arrival + l2_latency, REQ_BYTES);
-                self.charge_traverse(mc_req.flit_hops);
+                let to_mc = self.mesh().xy_links(home_coord, mc_coord);
+                let mc_req = self.send(
+                    to_mc,
+                    req_arrival + l2_latency,
+                    REQ_BYTES,
+                    Some(path.links_mut()),
+                );
+                path.end_leg(1);
                 let dram = self.mcs[mc as usize].request(addr, mc_req.arrived);
                 self.charge_dram();
-                path.mc_links = mc_req.links;
                 // Refill back to the bank (carries the L2 line).
-                let refill_route = self.mesh().xy_route(mc_coord, home_coord);
-                let refill =
-                    self.net
-                        .traverse(&refill_route, dram.completion, self.cfg.l2.line_bytes);
-                self.charge_traverse(refill.flit_hops);
-                path.data_links.extend(refill.links.iter().copied());
-                path.refill_links = refill.links.len();
+                let back = self.mesh().xy_links(mc_coord, home_coord);
+                let line = self.cfg.l2.line_bytes;
+                let refill = self.send(back, dram.completion, line, Some(path.links_mut()));
                 path.mem = Some(MemLeg {
                     mc,
                     mc_node,
@@ -585,6 +650,7 @@ impl Machine {
                 (false, refill.arrived)
             }
         };
+        path.end_leg(2);
         path.l2 = Some(L2Leg {
             bank: home,
             req_arrival,
@@ -598,19 +664,9 @@ impl Machine {
             }
             AccessIntent::ToCore => {
                 // --- Data reply to the core ---
-                let xy_reply;
-                let route = match reply_route {
-                    Some(r) => r,
-                    None => {
-                        xy_reply = self.mesh().xy_route(home_coord, core_coord);
-                        &xy_reply
-                    }
-                };
-                let reply = self
-                    .net
-                    .traverse(route, data_at_bank, self.cfg.l1.line_bytes);
-                self.charge_traverse(reply.flit_hops);
-                path.data_links.extend(reply.links.iter().copied());
+                let reply_links = self.mesh().xy_links(home_coord, core_coord);
+                let line = self.cfg.l1.line_bytes;
+                let reply = self.send(reply_links, data_at_bank, line, Some(path.links_mut()));
                 path.completion = reply.arrived + l1_latency;
                 // Directory bookkeeping: the core now holds the line.
                 if write {
@@ -623,9 +679,30 @@ impl Machine {
         path
     }
 
+    /// Hand a finished path's link buffer back for reuse by later
+    /// accesses. Optional: a path that is simply dropped costs a later
+    /// access one allocation.
+    pub fn recycle(&mut self, path: AccessPath) {
+        if path.links.capacity() > 0 {
+            self.spare_links.push(path.links);
+        }
+    }
+
+    /// Traverse `links` and charge the message to the current tenant.
+    fn send(
+        &mut self,
+        links: impl IntoIterator<Item = LinkId>,
+        t: Cycle,
+        bytes: u64,
+        out: Option<&mut Vec<LinkTraversal>>,
+    ) -> Traversal {
+        let rec = self.net.traverse(links, t, bytes, out);
+        self.charge_traverse(rec.flit_hops);
+        rec
+    }
+
     fn invalidate_other_sharers(&mut self, l1_line: Addr, writer: NodeId) {
-        let others: Vec<usize> = self.dir.write_by(l1_line, writer.index()).collect();
-        for c in others {
+        for c in self.dir.write_by(l1_line, writer.index()) {
             self.l1s[c].invalidate(l1_line);
         }
     }
@@ -640,39 +717,31 @@ impl Machine {
         let width = self.cfg.noc.width;
         let home = self.cfg.l2_home(addr);
         let home_coord = home.coord(width);
-        let route = self.mesh().xy_route(from.coord(width), home_coord);
-        let wr = self.net.traverse(&route, t, RESULT_BYTES);
-        self.charge_traverse(wr.flit_hops);
-        let arr = wr.arrived;
+        let route = self.mesh().xy_links(from.coord(width), home_coord);
+        let arr = self.send(route, t, RESULT_BYTES, None).arrived;
         let done = match self.l2s[home.index()].access(addr, arr, true) {
             AccessOutcome::Hit { .. } => arr + self.cfg.l2.latency,
             AccessOutcome::Miss { .. } => {
                 let mc = self.cfg.mc_of(addr);
                 let mc_node = self.cfg.mc_node(mc);
                 let mc_coord = mc_node.coord(width);
-                let to_mc = self.mesh().xy_route(home_coord, mc_coord);
-                let mc_req = self
-                    .net
-                    .traverse(&to_mc, arr + self.cfg.l2.latency, REQ_BYTES);
-                self.charge_traverse(mc_req.flit_hops);
+                let to_mc = self.mesh().xy_links(home_coord, mc_coord);
+                let mc_req = self.send(to_mc, arr + self.cfg.l2.latency, REQ_BYTES, None);
                 let dram = self.mcs[mc as usize].request(addr, mc_req.arrived);
                 self.charge_dram();
-                let back = self.mesh().xy_route(mc_coord, home_coord);
-                let refill = self
-                    .net
-                    .traverse(&back, dram.completion, self.cfg.l2.line_bytes);
-                self.charge_traverse(refill.flit_hops);
+                let back = self.mesh().xy_links(mc_coord, home_coord);
+                let line = self.cfg.l2.line_bytes;
+                let refill = self.send(back, dram.completion, line, None);
                 refill.arrived + self.cfg.l2.latency
             }
         };
         let l1_line = self.l1s[0].line_addr(addr);
         // The writer is no core: invalidate every L1 sharer.
-        let sharers: Vec<usize> = (0..self.cfg.nodes())
-            .filter(|&c| self.dir.is_sharer(l1_line, c))
-            .collect();
-        for c in sharers {
-            self.l1s[c].invalidate(l1_line);
-            self.dir.remove_sharer(l1_line, c);
+        for c in 0..self.cfg.nodes() {
+            if self.dir.is_sharer(l1_line, c) {
+                self.l1s[c].invalidate(l1_line);
+                self.dir.remove_sharer(l1_line, c);
+            }
         }
         done
     }
@@ -681,30 +750,20 @@ impl Machine {
     /// return its arrival time.
     pub fn send_result(&mut self, from: NodeId, to: NodeId, t: Cycle) -> Cycle {
         let width = self.cfg.noc.width;
-        let route = self.mesh().xy_route(from.coord(width), to.coord(width));
-        let rec = self.net.traverse(&route, t, RESULT_BYTES);
-        self.charge_traverse(rec.flit_hops);
-        rec.arrived
+        let route = self.mesh().xy_links(from.coord(width), to.coord(width));
+        self.send(route, t, RESULT_BYTES, None).arrived
     }
 
-    /// Charge the network for a data message along an explicit route
-    /// prefix (NDC meeting at an intermediate router), returning the
-    /// traversal record.
+    /// Charge the network for a data message along explicit links (an
+    /// operand's route prefix up to an NDC meeting router), returning
+    /// its arrival time.
     pub fn send_data_along(
         &mut self,
-        route: &Route,
-        upto_hops: usize,
+        links: impl IntoIterator<Item = LinkId>,
         t: Cycle,
         bytes: u64,
-    ) -> ndc_noc::TraversalRecord {
-        let partial = Route {
-            src: route.src,
-            dst: route.dst,
-            links: route.links[..upto_hops.min(route.links.len())].to_vec(),
-        };
-        let rec = self.net.traverse(&partial, t, bytes);
-        self.charge_traverse(rec.flit_hops);
-        rec
+    ) -> Cycle {
+        self.send(links, t, bytes, None).arrived
     }
 
     /// Uncontended one-way latency between two nodes (static estimates).
@@ -753,29 +812,22 @@ mod tests {
     fn cold_access_walks_full_path() {
         let mut m = machine();
         let core = NodeId(12); // center of the 5x5 mesh
-        let p = m.access(core, 0x10000, 0, false, AccessIntent::ToCore, None);
+        let p = m.access(core, 0x10000, 0, false, AccessIntent::ToCore);
         assert!(!p.l1_hit);
         let l2 = p.l2.expect("L2 leg");
         assert!(!l2.hit);
         assert!(p.mem.is_some());
         // Completion after DRAM + two network legs + latencies.
         assert!(p.completion > 100, "completion {}", p.completion);
-        assert!(!p.data_links.is_empty());
+        assert!(!p.data_links().is_empty());
     }
 
     #[test]
     fn second_access_hits_l1() {
         let mut m = machine();
         let core = NodeId(12);
-        let first = m.access(core, 0x10000, 0, false, AccessIntent::ToCore, None);
-        let second = m.access(
-            core,
-            0x10008,
-            first.completion,
-            false,
-            AccessIntent::ToCore,
-            None,
-        );
+        let first = m.access(core, 0x10000, 0, false, AccessIntent::ToCore);
+        let second = m.access(core, 0x10008, first.completion, false, AccessIntent::ToCore);
         assert!(second.l1_hit);
         assert_eq!(second.latency(), m.cfg.l1.latency);
     }
@@ -783,7 +835,7 @@ mod tests {
     #[test]
     fn l2_hit_from_another_core() {
         let mut m = machine();
-        let a = m.access(NodeId(0), 0x10000, 0, false, AccessIntent::ToCore, None);
+        let a = m.access(NodeId(0), 0x10000, 0, false, AccessIntent::ToCore);
         // Another core, different L1, same L2 home bank: L2 hit.
         let b = m.access(
             NodeId(24),
@@ -791,7 +843,6 @@ mod tests {
             a.completion,
             false,
             AccessIntent::ToCore,
-            None,
         );
         assert!(!b.l1_hit);
         let l2 = b.l2.unwrap();
@@ -805,7 +856,7 @@ mod tests {
         let mut m = machine();
         let core = NodeId(12);
         let addr = 0x20000;
-        let p = m.access(core, addr, 0, false, AccessIntent::NearData, None);
+        let p = m.access(core, addr, 0, false, AccessIntent::NearData);
         assert!(!p.l1_hit);
         let l2 = p.l2.unwrap();
         assert_eq!(p.completion, l2.data_at_bank);
@@ -819,8 +870,8 @@ mod tests {
     fn near_data_on_local_line_degenerates_to_l1_hit() {
         let mut m = machine();
         let core = NodeId(3);
-        m.access(core, 0x30000, 0, false, AccessIntent::ToCore, None);
-        let p = m.access(core, 0x30000, 1000, false, AccessIntent::NearData, None);
+        m.access(core, 0x30000, 0, false, AccessIntent::ToCore);
+        let p = m.access(core, 0x30000, 1000, false, AccessIntent::NearData);
         assert!(p.l1_hit);
     }
 
@@ -828,23 +879,23 @@ mod tests {
     fn write_invalidates_remote_sharers() {
         let mut m = machine();
         let addr = 0x40000;
-        m.access(NodeId(1), addr, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(2), addr, 500, false, AccessIntent::ToCore, None);
+        m.access(NodeId(1), addr, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(2), addr, 500, false, AccessIntent::ToCore);
         assert!(m.l1s[1].probe(addr));
         assert!(m.l1s[2].probe(addr));
         // Core 3 writes: both readers lose their copies.
-        m.access(NodeId(3), addr, 1000, true, AccessIntent::ToCore, None);
+        m.access(NodeId(3), addr, 1000, true, AccessIntent::ToCore);
         assert!(!m.l1s[1].probe(addr));
         assert!(!m.l1s[2].probe(addr));
         // Their next access is a coherence miss.
-        let p = m.access(NodeId(1), addr, 1500, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(1), addr, 1500, false, AccessIntent::ToCore);
         assert!(p.coherence_miss);
     }
 
     #[test]
     fn presence_timestamps_are_ordered() {
         let mut m = machine();
-        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore);
         let l2 = p.l2.unwrap();
         let mem = p.mem.unwrap();
         assert!(p.issued <= l2.req_arrival);
@@ -859,7 +910,7 @@ mod tests {
     fn home_bank_matches_config() {
         let mut m = machine();
         let addr = 0x1234_5678;
-        let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore);
         assert_eq!(p.l2.unwrap().bank, m.cfg.l2_home(addr));
         let mem = p.mem.unwrap();
         assert_eq!(mem.mc, m.cfg.mc_of(addr));
@@ -882,7 +933,7 @@ mod tests {
         let mut m = machine();
         m.enable_check();
         // Cold miss: full issue→l2→mem→bank→retire chain.
-        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore, None);
+        let p = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore);
         // Warm L1 hit: just issue→retire.
         m.access(
             NodeId(7),
@@ -890,7 +941,6 @@ mod tests {
             p.completion,
             false,
             AccessIntent::ToCore,
-            None,
         );
         let rec = m.chk.as_ref().unwrap();
         assert_eq!(rec.requests(), 2);
@@ -914,16 +964,15 @@ mod tests {
     fn span_recorder_partitions_every_sampled_path_exactly() {
         let mut m = machine();
         m.enable_spans(1); // sample everything
-        let cold = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore, None);
+        let cold = m.access(NodeId(7), 0x50000, 10, false, AccessIntent::ToCore);
         m.access(
             NodeId(7),
             0x50000,
             cold.completion,
             false,
             AccessIntent::ToCore,
-            None,
         ); // L1 hit
-        m.access(NodeId(3), 0x60000, 20, false, AccessIntent::NearData, None);
+        m.access(NodeId(3), 0x60000, 20, false, AccessIntent::NearData);
         let rec = m.spans.as_ref().unwrap();
         assert_eq!(rec.requests(), 3);
         assert_eq!(rec.traces().len(), 3);
@@ -977,7 +1026,6 @@ mod tests {
                     i * 10,
                     false,
                     AccessIntent::ToCore,
-                    None,
                 );
             }
             m.spans
@@ -1006,7 +1054,6 @@ mod tests {
                 i * 50,
                 i % 3 == 0,
                 AccessIntent::ToCore,
-                None,
             );
         }
         m.remote_write(NodeId(4), 0x9000, 2000);
@@ -1028,9 +1075,9 @@ mod tests {
         let tenants: Vec<u16> = (0..25).map(|c| (c % 2) as u16).collect();
         let mut m = machine();
         m.enable_ledger(tenants);
-        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(1), 0x2000, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(1), 0x3000, 10, false, AccessIntent::ToCore, None);
+        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(1), 0x2000, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(1), 0x3000, 10, false, AccessIntent::ToCore);
         let led = m.take_ledger().unwrap();
         assert_eq!(led.num_tenants(), 2);
         assert_eq!(led.rows()[0].requests, 1);
@@ -1045,8 +1092,8 @@ mod tests {
     #[test]
     fn stats_aggregate_across_nodes() {
         let mut m = machine();
-        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore, None);
-        m.access(NodeId(5), 0x2000, 0, false, AccessIntent::ToCore, None);
+        m.access(NodeId(0), 0x1000, 0, false, AccessIntent::ToCore);
+        m.access(NodeId(5), 0x2000, 0, false, AccessIntent::ToCore);
         let l1 = m.l1_totals();
         assert_eq!(l1.misses, 2);
         assert_eq!(l1.hits, 0);

@@ -13,9 +13,10 @@
 //! instead picks the best location, and Figure 14's isolation runs
 //! restrict candidates via the control register.
 
+use crate::instrument::WindowObservation;
 use crate::machine::{AccessPath, Machine};
-use ndc_noc::{best_signature_pair, Route};
-use ndc_types::{Cycle, NdcLocation, NodeId, Op, ALL_NDC_LOCATIONS};
+use ndc_noc::{best_signature_pair, converging_pair, LinkId, Mesh, Route, XyLinks};
+use ndc_types::{Cycle, NdcLocation, NodeId, Op, Pc, ALL_NDC_LOCATIONS};
 
 /// Why an NDC attempt did not happen / was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +96,44 @@ impl Meeting {
 
     pub fn ready(&self) -> Cycle {
         self.t_a.max(self.t_b)
+    }
+}
+
+/// The candidate meetings of one resolution, in path order, held
+/// inline. At most two exist: a shared home bank (cache controller)
+/// and a link meeting exclude each other, and at most one memory-side
+/// meeting joins either.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Candidates {
+    slots: [Option<Meeting>; 2],
+    len: usize,
+}
+
+impl Candidates {
+    fn push(&mut self, m: Meeting) {
+        self.slots[self.len] = Some(m);
+        self.len += 1;
+    }
+
+    /// Keep the candidates satisfying `keep`, preserving order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Meeting) -> bool) {
+        let mut kept = Candidates::default();
+        for m in self.iter().copied().filter(|m| keep(m)) {
+            kept.push(m);
+        }
+        *self = kept;
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &Meeting> + '_ {
+        self.slots[..self.len].iter().flatten()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn first(&self) -> Option<Meeting> {
+        self.slots[0]
     }
 }
 
@@ -219,15 +258,18 @@ impl ServiceTables {
 /// 3. a common link of the data-reply routes toward the core — the
 ///    fallback when no memory-side component is shared, and the place
 ///    route reshaping (`reshape`) creates overlap (§5.2.1, Figure 11).
+///
+/// A pure function of the two paths and the mesh: callers compute it
+/// once per compute and derive windows, breakevens and the resolution
+/// from the result.
 pub fn candidate_meetings(
     machine: &Machine,
     core: NodeId,
     a: &AccessPath,
     b: &AccessPath,
     reshape: bool,
-) -> Vec<Meeting> {
-    let mut out = Vec::with_capacity(4);
-    let cfg = &machine.cfg;
+) -> Candidates {
+    let mut out = Candidates::default();
 
     // Both operands must actually travel (L1 hits never leave the
     // core, so no meeting is possible anywhere).
@@ -255,21 +297,17 @@ pub fn candidate_meetings(
     // the windows gate on the two access commands reaching the device.
     if let (Some(ma), Some(mb)) = (a.mem, b.mem) {
         if ma.mc == mb.mc {
-            if ma.dram_bank == mb.dram_bank {
-                out.push(Meeting {
-                    loc: NdcLocation::MemoryBank,
-                    node: ma.mc_node,
-                    t_a: ma.queue_enter,
-                    t_b: mb.queue_enter,
-                });
+            let loc = if ma.dram_bank == mb.dram_bank {
+                NdcLocation::MemoryBank
             } else {
-                out.push(Meeting {
-                    loc: NdcLocation::MemoryController,
-                    node: ma.mc_node,
-                    t_a: ma.queue_enter,
-                    t_b: mb.queue_enter,
-                });
-            }
+                NdcLocation::MemoryController
+            };
+            out.push(Meeting {
+                loc,
+                node: ma.mc_node,
+                t_a: ma.queue_enter,
+                t_b: mb.queue_enter,
+            });
         }
     }
 
@@ -278,45 +316,42 @@ pub fn candidate_meetings(
     // banks): common links of the data routes toward the core, plus
     // any actual refill-leg overlap. ---
     if !same_bank {
+        let mesh = machine.mesh();
         let (route_a, route_b) = reply_routes(machine, core, l2a.bank, l2b.bank, reshape);
-        let hop = cfg.noc.hop_cycles;
-        let mut best_link: Option<Meeting> = None;
+        let mut best_link = None;
         // Entry time of operand X on hop k of its route: data leaves
         // the bank at data_at_bank and pays `hop` per link.
-        for (ka, la) in route_a.links.iter().enumerate() {
-            for (kb, lb) in route_b.links.iter().enumerate() {
-                if la != lb {
-                    continue;
-                }
-                let t_a = l2a.data_at_bank + hop * ka as Cycle;
-                let t_b = l2b.data_at_bank + hop * kb as Cycle;
-                let m = Meeting {
-                    loc: NdcLocation::LinkBuffer,
-                    node: machine.mesh().link_router(*la),
-                    t_a,
-                    t_b,
-                };
-                if best_link.is_none_or(|cur| m.window() < cur.window()) {
-                    best_link = Some(m);
+        let hop = machine.cfg.noc.hop_cycles;
+        for (ka, la) in route_a.links().enumerate() {
+            for (kb, lb) in route_b.links().enumerate() {
+                if la == lb {
+                    keep_tighter(
+                        &mut best_link,
+                        Meeting {
+                            loc: NdcLocation::LinkBuffer,
+                            node: mesh.link_router(la),
+                            t_a: l2a.data_at_bank + hop * ka as Cycle,
+                            t_b: l2b.data_at_bank + hop * kb as Cycle,
+                        },
+                    );
                 }
             }
         }
         // Refill legs (MC -> bank) can also overlap — the "second
         // router attempt" on the L2-miss path of the paper's trial
         // order.
-        for ta in &a.data_links {
-            for tb in &b.data_links {
-                if ta.link != tb.link {
-                    continue;
-                }
-                let m = Meeting {
-                    loc: NdcLocation::LinkBuffer,
-                    node: machine.mesh().link_router(ta.link),
-                    t_a: ta.enter,
-                    t_b: tb.enter,
-                };
-                if best_link.is_none_or(|cur| m.window() < cur.window()) {
-                    best_link = Some(m);
+        for ta in a.data_links() {
+            for tb in b.data_links() {
+                if ta.link == tb.link {
+                    keep_tighter(
+                        &mut best_link,
+                        Meeting {
+                            loc: NdcLocation::LinkBuffer,
+                            node: mesh.link_router(ta.link),
+                            t_a: ta.enter,
+                            t_b: tb.enter,
+                        },
+                    );
                 }
             }
         }
@@ -326,6 +361,32 @@ pub fn candidate_meetings(
     }
 
     out
+}
+
+/// `candidate_meetings(.., reshape = true)` given the plain pass: only
+/// the link meeting depends on the reply routes, and it exists only
+/// when the operands' banks differ, so other pairs reuse `plain`.
+pub fn reshaped_candidates(
+    machine: &Machine,
+    core: NodeId,
+    a: &AccessPath,
+    b: &AccessPath,
+    plain: Candidates,
+) -> Candidates {
+    match (a.l2, b.l2) {
+        (Some(l2a), Some(l2b)) if l2a.bank != l2b.bank => {
+            candidate_meetings(machine, core, a, b, true)
+        }
+        _ => plain,
+    }
+}
+
+/// Replace `best` with `m` if `m` has a strictly smaller window, so
+/// ties keep the meeting found first.
+fn keep_tighter(best: &mut Option<Meeting>, m: Meeting) {
+    if best.is_none_or(|cur| m.window() < cur.window()) {
+        *best = Some(m);
+    }
 }
 
 /// Enumerate the candidate meetings for an n-operand fused gather
@@ -346,26 +407,22 @@ pub fn candidate_meetings_fused(
     core: NodeId,
     paths: &[AccessPath],
     reshape: bool,
-) -> Vec<Meeting> {
-    let mut out = Vec::with_capacity(3);
-    let cfg = &machine.cfg;
+) -> Candidates {
+    let mut out = Candidates::default();
     // Every operand must actually travel.
-    let mut l2s = Vec::with_capacity(paths.len());
-    for p in paths {
-        let Some(l2) = p.l2 else {
-            return out;
-        };
-        l2s.push(l2);
-    }
-    let Some(first) = l2s.first() else {
+    let Some(first) = paths.first().and_then(|p| p.l2) else {
         return out;
     };
-    let same_bank = l2s.iter().all(|l| l.bank == first.bank);
+    if paths.iter().any(|p| p.l2.is_none()) {
+        return out;
+    }
+    let l2 = |k: usize| paths[k].l2.expect("every operand reached its bank");
+    let operands = 0..paths.len();
+    let same_bank = operands.clone().all(|k| l2(k).bank == first.bank);
 
     // --- Cache controller: all operands homed at the same L2 bank. ---
     if same_bank {
-        let t_a = l2s.iter().map(|l| l.data_at_bank).min().unwrap_or(0);
-        let t_b = l2s.iter().map(|l| l.data_at_bank).max().unwrap_or(0);
+        let (t_a, t_b) = spread(operands.clone().map(|k| l2(k).data_at_bank));
         out.push(Meeting {
             loc: NdcLocation::CacheController,
             node: first.bank,
@@ -376,13 +433,11 @@ pub fn candidate_meetings_fused(
 
     // --- Memory side: all operands L2-missed to the same controller
     // (same DRAM bank deepens the meeting to the bank itself). ---
-    let mems: Vec<_> = paths.iter().filter_map(|p| p.mem).collect();
-    if mems.len() == paths.len() {
-        let m0 = mems[0];
-        if mems.iter().all(|m| m.mc == m0.mc) {
-            let t_a = mems.iter().map(|m| m.queue_enter).min().unwrap_or(0);
-            let t_b = mems.iter().map(|m| m.queue_enter).max().unwrap_or(0);
-            let loc = if mems.iter().all(|m| m.dram_bank == m0.dram_bank) {
+    if let Some(m0) = paths[0].mem {
+        if paths.iter().all(|p| p.mem.is_some_and(|m| m.mc == m0.mc)) {
+            let mem = |k: usize| paths[k].mem.expect("every operand reached the controller");
+            let (t_a, t_b) = spread(operands.clone().map(|k| mem(k).queue_enter));
+            let loc = if operands.clone().all(|k| mem(k).dram_bank == m0.dram_bank) {
                 NdcLocation::MemoryBank
             } else {
                 NdcLocation::MemoryController
@@ -398,40 +453,39 @@ pub fn candidate_meetings_fused(
 
     // --- Link buffer: a link every operand's data-reply route crosses. ---
     if !same_bank {
-        let width = cfg.noc.width;
+        let mesh = machine.mesh();
+        let width = machine.cfg.noc.width;
         let cc = core.coord(width);
-        let routes: Vec<Route> = if reshape && l2s.len() == 2 {
-            let (ra, rb) = reply_routes(machine, core, l2s[0].bank, l2s[1].bank, true);
-            vec![ra, rb]
-        } else {
-            l2s.iter()
-                .map(|l| machine.mesh().xy_route(l.bank.coord(width), cc))
-                .collect()
+        let hop = machine.cfg.noc.hop_cycles;
+        let reshaped = (reshape && paths.len() == 2)
+            .then(|| reply_routes(machine, core, l2(0).bank, l2(1).bank, true));
+        let route = |k: usize| match &reshaped {
+            Some((ra, rb)) => [ra, rb][k].links(),
+            None => ReplyLinks::Walk(mesh.xy_links(l2(k).bank.coord(width), cc)),
         };
-        let hop = cfg.noc.hop_cycles;
-        let mut best_link: Option<Meeting> = None;
+        let mut best_link = None;
         // Candidate links come from the first route; each must appear
         // on every other route too.
-        'links: for (k0, link) in routes[0].links.iter().enumerate() {
-            let mut t_min = l2s[0].data_at_bank + hop * k0 as Cycle;
+        'links: for (k0, link) in route(0).enumerate() {
+            let mut t_min = l2(0).data_at_bank + hop * k0 as Cycle;
             let mut t_max = t_min;
-            for (r, l2) in routes.iter().zip(l2s.iter()).skip(1) {
-                let Some(k) = r.links.iter().position(|l| l == link) else {
+            for k in operands.clone().skip(1) {
+                let Some(pos) = route(k).position(|l| l == link) else {
                     continue 'links;
                 };
-                let t = l2.data_at_bank + hop * k as Cycle;
+                let t = l2(k).data_at_bank + hop * pos as Cycle;
                 t_min = t_min.min(t);
                 t_max = t_max.max(t);
             }
-            let m = Meeting {
-                loc: NdcLocation::LinkBuffer,
-                node: machine.mesh().link_router(*link),
-                t_a: t_min,
-                t_b: t_max,
-            };
-            if best_link.is_none_or(|cur| m.window() < cur.window()) {
-                best_link = Some(m);
-            }
+            keep_tighter(
+                &mut best_link,
+                Meeting {
+                    loc: NdcLocation::LinkBuffer,
+                    node: mesh.link_router(link),
+                    t_a: t_min,
+                    t_b: t_max,
+                },
+            );
         }
         if let Some(m) = best_link {
             out.push(m);
@@ -439,6 +493,11 @@ pub fn candidate_meetings_fused(
     }
 
     out
+}
+
+/// Earliest and latest of a non-empty set of arrival times.
+fn spread(times: impl Iterator<Item = Cycle> + Clone) -> (Cycle, Cycle) {
+    (times.clone().min().unwrap_or(0), times.max().unwrap_or(0))
 }
 
 /// The decision half of a fused resolution: [`plan_resolution`]
@@ -455,7 +514,7 @@ pub(crate) fn plan_resolution_fused(
     paths: &[AccessPath],
     issue: Cycle,
     params: ResolveParams,
-    mut cands: Vec<Meeting>,
+    mut cands: Candidates,
 ) -> ResolvePlan {
     if paths.iter().any(|p| p.l1_hit) {
         return ResolvePlan::Abort {
@@ -493,7 +552,7 @@ pub(crate) fn plan_resolution_fused(
             .iter()
             .min_by_key(|m| m.ready() + return_latency(m.node))
             .unwrap(),
-        _ => cands[0],
+        _ => cands.first().expect("checked non-empty above"),
     };
 
     let wait = chosen.window();
@@ -567,13 +626,9 @@ pub fn resolve_fused(
         let cc = core.coord(width);
         for p in paths {
             let Some(l2) = p.l2 else { continue };
-            let route = machine.mesh().xy_route(l2.bank.coord(width), cc);
-            if let Some(k) = route
-                .links
-                .iter()
-                .position(|l| machine.mesh().link_router(*l) == chosen.node)
-            {
-                machine.send_data_along(&route, k + 1, l2.data_at_bank, cfg.l1.line_bytes);
+            let route = machine.mesh().xy_links(l2.bank.coord(width), cc);
+            if let Some(prefix) = prefix_to(machine.mesh(), route, chosen.node) {
+                machine.send_data_along(prefix, l2.data_at_bank, cfg.l1.line_bytes);
             }
         }
     }
@@ -591,27 +646,84 @@ pub fn resolve_fused(
     }
 }
 
-/// The data-reply routes used for link-overlap evaluation.
+/// One operand's data-reply route toward the core.
+pub(crate) enum ReplyRoute {
+    /// An XY route, or a leg of the closed-form reshaped pair
+    /// ([`converging_pair`]): walked arithmetically, never stored.
+    Walk(XyLinks),
+    /// A reshaped leg beyond the exhaustive bound, chosen by the route
+    /// search.
+    Listed(Route),
+}
+
+impl ReplyRoute {
+    pub(crate) fn links(&self) -> ReplyLinks<'_> {
+        match self {
+            ReplyRoute::Walk(w) => ReplyLinks::Walk(*w),
+            ReplyRoute::Listed(r) => ReplyLinks::Listed(r.links.iter()),
+        }
+    }
+}
+
+/// The link sequence of a [`ReplyRoute`].
+#[derive(Clone)]
+pub(crate) enum ReplyLinks<'a> {
+    Walk(XyLinks),
+    Listed(std::slice::Iter<'a, LinkId>),
+}
+
+impl Iterator for ReplyLinks<'_> {
+    type Item = LinkId;
+
+    #[inline]
+    fn next(&mut self) -> Option<LinkId> {
+        match self {
+            ReplyLinks::Walk(w) => w.next(),
+            ReplyLinks::Listed(it) => it.next().copied(),
+        }
+    }
+}
+
+/// The data-reply routes used for link-overlap evaluation: XY, or with
+/// `reshape` the maximal-overlap pair of §5.2.1.
 pub(crate) fn reply_routes(
     machine: &Machine,
     core: NodeId,
     bank_a: NodeId,
     bank_b: NodeId,
     reshape: bool,
-) -> (Route, Route) {
+) -> (ReplyRoute, ReplyRoute) {
+    let mesh = machine.mesh();
     let width = machine.cfg.noc.width;
     let ca = bank_a.coord(width);
     let cb = bank_b.coord(width);
     let cc = core.coord(width);
-    if reshape {
-        let pair = best_signature_pair(machine.mesh(), ca, cc, cb, cc);
-        (pair.route_a, pair.route_b)
-    } else {
-        (
-            machine.mesh().xy_route(ca, cc),
-            machine.mesh().xy_route(cb, cc),
-        )
+    if !reshape {
+        return (
+            ReplyRoute::Walk(mesh.xy_links(ca, cc)),
+            ReplyRoute::Walk(mesh.xy_links(cb, cc)),
+        );
     }
+    match converging_pair(mesh, ca, cb, cc) {
+        Some((ra, rb)) => (ReplyRoute::Walk(ra), ReplyRoute::Walk(rb)),
+        None => {
+            let pair = best_signature_pair(mesh, ca, cc, cb, cc);
+            (
+                ReplyRoute::Listed(pair.route_a),
+                ReplyRoute::Listed(pair.route_b),
+            )
+        }
+    }
+}
+
+/// The prefix of `links` that ends entering `node`, or `None` when the
+/// route does not pass through `node`.
+pub(crate) fn prefix_to<I>(mesh: &Mesh, links: I, node: NodeId) -> Option<std::iter::Take<I>>
+where
+    I: Iterator<Item = LinkId> + Clone,
+{
+    let k = links.clone().position(|l| mesh.link_router(l) == node)?;
+    Some(links.take(k + 1))
 }
 
 /// Parameters of one resolution attempt.
@@ -679,7 +791,7 @@ pub(crate) fn plan_resolution(
     b: &AccessPath,
     issue: Cycle,
     params: ResolveParams,
-    mut cands: Vec<Meeting>,
+    mut cands: Candidates,
 ) -> ResolvePlan {
     // Local L1 copy: the LD/ST unit skips the offload (handled by the
     // caller for timing; reported here for completeness).
@@ -717,7 +829,7 @@ pub(crate) fn plan_resolution(
             .iter()
             .min_by_key(|m| m.ready() + return_latency(m.node))
             .unwrap(),
-        _ => cands[0],
+        _ => cands.first().expect("checked non-empty above"),
     };
 
     let wait = chosen.window();
@@ -763,12 +875,12 @@ pub(crate) fn plan_resolution(
 /// [`resolve`] with the candidate meetings already computed.
 ///
 /// `candidate_meetings` is a pure function of the two operand paths and
-/// the mesh, so the lane engine precomputes candidates for a whole
-/// epoch's offloads in parallel (read-only machine) and then resolves
-/// them serially in canonical order — only this part reads and writes
-/// the shared service tables, link horizons, and predictor state.
-/// `cands` must be the unfiltered output of [`candidate_meetings`] for
-/// `(core, a, b, params.reshape)`.
+/// the mesh, so callers that also need the pair's windows compute the
+/// candidates once and hand them in here; the lane engine likewise
+/// computes them against its frozen snapshot. Only this part reads and
+/// writes the shared service tables, link horizons, and predictor
+/// state. `cands` must be the unfiltered output of
+/// [`candidate_meetings`] for `(core, a, b, params.reshape)`.
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_with_candidates(
     machine: &mut Machine,
@@ -779,7 +891,7 @@ pub fn resolve_with_candidates(
     b: &AccessPath,
     issue: Cycle,
     params: ResolveParams,
-    cands: Vec<Meeting>,
+    cands: Candidates,
 ) -> NdcOutcome {
     machine.attribute_to(core);
     let cfg = machine.cfg;
@@ -806,19 +918,11 @@ pub fn resolve_with_candidates(
     if chosen.loc == NdcLocation::LinkBuffer {
         if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
             let (ra, rb) = reply_routes(machine, core, l2a.bank, l2b.bank, params.reshape);
-            let ka = ra
-                .links
-                .iter()
-                .position(|l| machine.mesh().link_router(*l) == chosen.node);
-            let kb = rb
-                .links
-                .iter()
-                .position(|l| machine.mesh().link_router(*l) == chosen.node);
-            if let Some(k) = ka {
-                machine.send_data_along(&ra, k + 1, l2a.data_at_bank, cfg.l1.line_bytes);
-            }
-            if let Some(k) = kb {
-                machine.send_data_along(&rb, k + 1, l2b.data_at_bank, cfg.l1.line_bytes);
+            let bytes = cfg.l1.line_bytes;
+            for (route, l2) in [(ra, l2a), (rb, l2b)] {
+                if let Some(prefix) = prefix_to(machine.mesh(), route.links(), chosen.node) {
+                    machine.send_data_along(prefix, l2.data_at_bank, bytes);
+                }
             }
         }
     }
@@ -837,18 +941,12 @@ pub fn resolve_with_candidates(
 }
 
 /// Measurement helper for the characterization study (Figures 2/3):
-/// the per-location windows of a conventional (baseline) computation,
-/// derived from its two operands' actual paths. Returns one entry per
-/// location, `None` when the operands never co-locate there.
-pub fn windows_by_location(
-    machine: &Machine,
-    core: NodeId,
-    a: &AccessPath,
-    b: &AccessPath,
-    reshape: bool,
-) -> [Option<Cycle>; 4] {
+/// the per-location windows of a pair's candidate meetings. Returns
+/// one entry per location, `None` when the operands never co-locate
+/// there.
+pub fn windows_by_location(cands: &Candidates) -> [Option<Cycle>; 4] {
     let mut out = [None; 4];
-    for m in candidate_meetings(machine, core, a, b, reshape) {
+    for m in cands.iter() {
         let slot = &mut out[m.loc.index()];
         let w = m.window();
         if slot.is_none_or(|cur| w < cur) {
@@ -865,16 +963,16 @@ pub fn windows_by_location(
 /// `conv_done` is the conventional completion time (operands at core +
 /// 1 op cycle). For a meeting with first-operand availability `t1` at
 /// node `n`, NDC completes at `t1 + w + 1 + return(n → core)`;
-/// breakeven = `conv_done - t1 - 1 - return`, clamped at 0.
+/// breakeven = `conv_done - t1 - 1 - return`, clamped at 0. `cands`
+/// are the pair's plain (XY) candidate meetings.
 pub fn breakeven_by_location(
     machine: &Machine,
     core: NodeId,
-    a: &AccessPath,
-    b: &AccessPath,
+    cands: &Candidates,
     conv_done: Cycle,
 ) -> [Option<Cycle>; 4] {
     let mut out = [None; 4];
-    for m in candidate_meetings(machine, core, a, b, false) {
+    for m in cands.iter() {
         let t1 = m.t_a.min(m.t_b);
         let ret = machine.hop_latency(m.node, core);
         let be = conv_done.saturating_sub(t1 + 1 + ret);
@@ -884,6 +982,29 @@ pub fn breakeven_by_location(
         }
     }
     out
+}
+
+/// The characterization record of one conventionally executed compute
+/// (instrumented baseline runs): windows under XY and reshaped reply
+/// routes plus breakevens, from one plain candidate pass and — only
+/// when the operands' banks differ — one reshaped pass.
+pub fn window_observation(
+    machine: &Machine,
+    core: NodeId,
+    pc: Pc,
+    a: &AccessPath,
+    b: &AccessPath,
+    conv_done: Cycle,
+) -> WindowObservation {
+    let plain = candidate_meetings(machine, core, a, b, false);
+    let reshaped = reshaped_candidates(machine, core, a, b, plain);
+    WindowObservation {
+        pc,
+        windows: windows_by_location(&plain),
+        windows_reshaped: windows_by_location(&reshaped),
+        breakevens: breakeven_by_location(machine, core, &plain, conv_done),
+        conv_done,
+    }
 }
 
 /// All four locations, exported for iteration in reports.
@@ -916,8 +1037,8 @@ mod tests {
         let mut m = machine();
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let cands = candidate_meetings(&m, core, &a, &b, false);
         assert!(cands
             .iter()
@@ -931,8 +1052,8 @@ mod tests {
         let line = m.cfg.l2.line_bytes;
         // Banks 0 and 1: adjacent nodes; replies toward core 12 share
         // links.
-        let a = m.access(core, 0, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, line, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, 0, 0, false, AccessIntent::NearData);
+        let b = m.access(core, line, 0, false, AccessIntent::NearData);
         let cands = candidate_meetings(&m, core, &a, &b, false);
         assert!(!cands.iter().any(|c| c.loc == NdcLocation::CacheController));
         // Banks 0=(0,0) and 1=(1,0) routing XY to (2,2): share links
@@ -945,9 +1066,9 @@ mod tests {
     fn l1_hit_operand_aborts_with_local_hit() {
         let mut m = machine();
         let core = NodeId(5);
-        m.access(core, 0x1000, 0, false, AccessIntent::ToCore, None);
-        let a = m.access(core, 0x1000, 100, false, AccessIntent::NearData, None);
-        let b = m.access(core, 0x2000, 100, false, AccessIntent::NearData, None);
+        m.access(core, 0x1000, 0, false, AccessIntent::ToCore);
+        let a = m.access(core, 0x1000, 100, false, AccessIntent::NearData);
+        let b = m.access(core, 0x2000, 100, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -979,8 +1100,8 @@ mod tests {
         m.cfg.ndc.op_class = ndc_types::OpClass::AddSubOnly;
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1013,8 +1134,8 @@ mod tests {
         m.cfg.ndc.enabled_mask = ndc_types::NdcConfig::only(NdcLocation::CacheController);
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1053,9 +1174,9 @@ mod tests {
         m.cfg.ndc.enabled_mask = ndc_types::NdcConfig::only(NdcLocation::CacheController);
         let core = NodeId(12);
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         // Operand b fetched much later: a big window.
-        let b = m.access(core, b_addr, 5000, false, AccessIntent::NearData, None);
+        let b = m.access(core, b_addr, 5000, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
         let out = resolve(
             &mut m,
@@ -1093,8 +1214,8 @@ mod tests {
         let mut tables = ServiceTables::default();
         // Fill the single slot with a far-future release.
         tables.insert(NdcLocation::CacheController, NodeId(0), 1_000_000);
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let out = resolve(
             &mut m,
             &mut tables,
@@ -1128,9 +1249,9 @@ mod tests {
         let (a_addr, b_addr) = (0u64, 1600 * m.cfg.l2.line_bytes);
         assert_eq!(m.cfg.l2_home(a_addr), m.cfg.l2_home(b_addr));
         assert_eq!(m.cfg.mc_of(a_addr), m.cfg.mc_of(b_addr));
-        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(core, b_addr, 40, false, AccessIntent::NearData, None);
-        let w = windows_by_location(&m, core, &a, &b, false);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 40, false, AccessIntent::NearData);
+        let w = windows_by_location(&candidate_meetings(&m, core, &a, &b, false));
         // Same L2 bank: cache-controller window exists.
         assert!(w[NdcLocation::CacheController.index()].is_some());
         // Cold misses to the same MC: the MC window exists too.
@@ -1143,15 +1264,23 @@ mod tests {
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
         // Core far from bank 0 (node 24) vs adjacent core (node 1).
         let far = NodeId(24);
-        let a = m.access(far, a_addr, 0, false, AccessIntent::NearData, None);
-        let b = m.access(far, b_addr, 0, false, AccessIntent::NearData, None);
+        let a = m.access(far, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(far, b_addr, 0, false, AccessIntent::NearData);
         let conv_done = 500;
-        let be_far = breakeven_by_location(&m, far, &a, &b, conv_done)
-            [NdcLocation::CacheController.index()]
+        let be_far = breakeven_by_location(
+            &m,
+            far,
+            &candidate_meetings(&m, far, &a, &b, false),
+            conv_done,
+        )[NdcLocation::CacheController.index()]
         .unwrap();
         let near = NodeId(1);
-        let be_near = breakeven_by_location(&m, near, &a, &b, conv_done)
-            [NdcLocation::CacheController.index()]
+        let be_near = breakeven_by_location(
+            &m,
+            near,
+            &candidate_meetings(&m, near, &a, &b, false),
+            conv_done,
+        )[NdcLocation::CacheController.index()]
         .unwrap();
         // The far core pays more for the result return, so its
         // breakeven is smaller.

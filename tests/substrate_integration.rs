@@ -16,7 +16,7 @@ fn access_legs_agree_with_static_mappings() {
     for k in 0..200u64 {
         let addr = 0x20_0000 + k * 4097; // deliberately page-straddling
         let core = NodeId((k % 25) as u16);
-        let p = m.access(core, addr, k * 10, false, AccessIntent::ToCore, None);
+        let p = m.access(core, addr, k * 10, false, AccessIntent::ToCore);
         if let Some(l2) = p.l2 {
             assert_eq!(l2.bank, m.cfg.l2_home(addr), "home mismatch at {addr:#x}");
             if let Some(mem) = p.mem {
@@ -33,14 +33,14 @@ fn repeated_access_monotonically_warms_the_hierarchy() {
     let mut m = machine();
     let core = NodeId(7);
     let addr = 0x40_0000;
-    let cold = m.access(core, addr, 0, false, AccessIntent::ToCore, None);
+    let cold = m.access(core, addr, 0, false, AccessIntent::ToCore);
     assert!(!cold.l1_hit);
     assert!(cold.mem.is_some(), "first touch must reach DRAM");
     // Second touch: L1 hit.
-    let warm = m.access(core, addr, 10_000, false, AccessIntent::ToCore, None);
+    let warm = m.access(core, addr, 10_000, false, AccessIntent::ToCore);
     assert!(warm.l1_hit);
     // A different core touching the same line: L2 hit (no DRAM).
-    let sibling = m.access(NodeId(8), addr, 20_000, false, AccessIntent::ToCore, None);
+    let sibling = m.access(NodeId(8), addr, 20_000, false, AccessIntent::ToCore);
     assert!(!sibling.l1_hit);
     assert!(sibling.l2.unwrap().hit);
     assert!(sibling.mem.is_none());
@@ -61,19 +61,18 @@ fn writes_keep_directory_and_l1s_coherent_across_many_cores() {
             1000 + c as u64 * 100,
             false,
             AccessIntent::ToCore,
-            None,
         );
     }
     for c in 0..25usize {
         assert!(m.l1s[c].probe(addr), "core {c} should hold the line");
     }
     // One write invalidates all other 24 copies.
-    m.access(NodeId(3), addr, 50_000, true, AccessIntent::ToCore, None);
+    m.access(NodeId(3), addr, 50_000, true, AccessIntent::ToCore);
     for c in 0..25usize {
         assert_eq!(m.l1s[c].probe(addr), c == 3, "core {c}");
     }
     // The invalidated cores re-miss with the coherence flag.
-    let p = m.access(NodeId(17), addr, 60_000, false, AccessIntent::ToCore, None);
+    let p = m.access(NodeId(17), addr, 60_000, false, AccessIntent::ToCore);
     assert!(p.coherence_miss);
 }
 
@@ -83,7 +82,7 @@ fn near_data_fetches_warm_l2_but_never_l1() {
     let core = NodeId(12);
     for k in 0..50u64 {
         let addr = 0x80_0000 + k * 256;
-        m.access(core, addr, k * 50, false, AccessIntent::NearData, None);
+        m.access(core, addr, k * 50, false, AccessIntent::NearData);
         assert!(!m.l1s[core.index()].probe(addr));
         let home = m.cfg.l2_home(addr);
         assert!(m.l2s[home.index()].probe(addr));
@@ -96,7 +95,7 @@ fn contention_raises_latencies_under_load() {
     // traffic, must see a higher completion time under load.
     let mut quiet = machine();
     let probe_addr = 0x90_0000;
-    let quiet_path = quiet.access(NodeId(12), probe_addr, 0, false, AccessIntent::ToCore, None);
+    let quiet_path = quiet.access(NodeId(12), probe_addr, 0, false, AccessIntent::ToCore);
 
     let mut busy = machine();
     // Generate a storm crossing the center of the mesh.
@@ -108,10 +107,9 @@ fn contention_raises_latencies_under_load() {
             0,
             false,
             AccessIntent::ToCore,
-            None,
         );
     }
-    let busy_path = busy.access(NodeId(12), probe_addr, 0, false, AccessIntent::ToCore, None);
+    let busy_path = busy.access(NodeId(12), probe_addr, 0, false, AccessIntent::ToCore);
     assert!(
         busy_path.latency() >= quiet_path.latency(),
         "load should not reduce latency: {} vs {}",
@@ -135,7 +133,6 @@ fn dram_row_locality_visible_end_to_end() {
             100_000 + k * 500,
             false,
             AccessIntent::ToCore,
-            None,
         );
         stream_total += p.latency();
     }
@@ -149,7 +146,6 @@ fn dram_row_locality_visible_end_to_end() {
             100_000 + k * 500,
             false,
             AccessIntent::ToCore,
-            None,
         );
         jump_total += p.latency();
     }
@@ -173,7 +169,7 @@ fn mesh_sizes_scale_the_machine_consistently() {
             let addr = k * cfg.l2.line_bytes;
             let home = cfg.l2_home(addr);
             assert!(home.index() < (w * h) as usize);
-            let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore, None);
+            let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore);
             assert_eq!(p.l2.unwrap().bank, home);
         }
     }
