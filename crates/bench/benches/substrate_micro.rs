@@ -18,7 +18,7 @@ fn main() {
         let mut addr = 0u64;
         h.bench("cache_access_stream", || {
             addr = addr.wrapping_add(64) % (1 << 20);
-            cache.access(addr, 0, false)
+            cache.access(addr)
         });
     }
 

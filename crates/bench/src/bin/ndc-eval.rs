@@ -36,6 +36,11 @@
 //! with `ndc-eval fuzz --count 1 --seed <seed>`. The class × bottleneck
 //! corpus table lands in `BENCH_fuzz_corpus.json`.
 //!
+//! The `explain` full sweep writes `BENCH_model_accuracy.json` and
+//! `fuse` writes `BENCH_fusion.json`; at `--scale paper` they write
+//! `BENCH_<name>.paper.json` instead, so a paper-scale run leaves the
+//! committed test-scale baselines untouched.
+//!
 //! `--metrics` writes a per-run component-level breakdown (engine,
 //! NDC, caches, directory, NoC links, DRAM channels) of every
 //! benchmark-evaluation run as JSON; `--trace` additionally writes the
@@ -386,6 +391,16 @@ fn write_obs_outputs(args: &Args, evals: &[exp::BenchmarkEvaluation], all_obs: &
             }
         }
         write_json(path, &ndc::obs::trace_json(&runs));
+    }
+}
+
+/// Where an experiment's `BENCH_<name>.json` artifact goes. Paper-scale
+/// runs write `BENCH_<name>.paper.json` instead, so they never replace
+/// the committed test-scale baselines `scripts/verify.sh` gates against.
+fn bench_path(name: &str, scale: Scale) -> String {
+    match scale {
+        Scale::Paper => format!("BENCH_{name}.paper.json"),
+        _ => format!("BENCH_{name}.json"),
     }
 }
 
@@ -796,7 +811,7 @@ fn explain_cmd(args: &Args, cfg: ArchConfig) {
             .with("scale", format!("{:?}", args.scale))
             .with("summary", summary.clone())
             .with("rows", acc_rows);
-        write_json("BENCH_model_accuracy.json", &doc);
+        write_json(&bench_path("model_accuracy", args.scale), &doc);
     }
 
     if args.json {
@@ -1902,8 +1917,8 @@ fn scale_cmd(args: &Args) {
 /// cache lines to the core where an offload returns a 16 B result, so
 /// the real saving is larger). Offload cycles and NoC messages are
 /// measured by simulating both schedules under `Scheme::Compiled`.
-/// Results land in `BENCH_fusion.json`; rows are deterministic for any
-/// `NDC_THREADS`.
+/// Results land in `BENCH_fusion.json` (`BENCH_fusion.paper.json` at
+/// paper scale); rows are deterministic for any `NDC_THREADS`.
 fn fuse_cmd(args: &Args, cfg: ArchConfig) {
     use ndc::compiler::outcome;
     use std::collections::BTreeSet;
@@ -2031,7 +2046,7 @@ fn fuse_cmd(args: &Args, cfg: ArchConfig) {
         .with("fused_chains", total_chains)
         .with("workloads_reduced_bytes_and_cycles", reduced_both as u64)
         .with("rows", json_rows);
-    write_json("BENCH_fusion.json", &doc);
+    write_json(&bench_path("fusion", args.scale), &doc);
 }
 
 /// `fuzz`: drive `--count` seeded programs (seeds `--seed`, `--seed`+1,

@@ -101,7 +101,7 @@ pub fn inject(data: &mut CheckData, result: &mut SimResult, fault: Fault, seed: 
         },
         Fault::StaleOffloadWindow => match pick_index(data, chk::RETIRE, &mut rng) {
             Some(i) => {
-                let dup = data.events[i].clone();
+                let dup = data.events[i];
                 data.events.push(dup);
                 true
             }

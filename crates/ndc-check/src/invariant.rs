@@ -2,8 +2,8 @@
 //!
 //! Input is the [`ndc_sim::CheckData`] stream recorded by a
 //! `CheckLevel::full()` run (the `ndc_obs::chk` event contract) plus
-//! the run's [`ndc_sim::SimResult`] counters. All maps are ordered
-//! (`BTreeMap`) so violation reports are deterministic.
+//! the run's [`ndc_sim::SimResult`] counters. Violations are reported
+//! in id order (requests, then links), so reports are deterministic.
 
 use ndc_obs::ledger::{AttributionLedger, NUM_LOCATIONS};
 use ndc_obs::span::SpanTrace;
@@ -53,7 +53,7 @@ impl Invariant {
 }
 
 /// One invariant violation, with a human-readable locus.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     pub invariant: Invariant,
     pub detail: String,
@@ -66,7 +66,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// Outcome of checking one run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckReport {
     /// Distinct request ids seen in the stream.
     pub requests: usize,
@@ -88,57 +88,135 @@ impl CheckReport {
     }
 }
 
+/// Per-id state of [`check_stream`]. Ids below the stream's length
+/// index a `Vec`; larger ones, which only a malformed stream has, go to
+/// an ordered map, so memory stays O(events) whatever the ids are.
+struct IdTable<T> {
+    dense: Vec<T>,
+    bound: usize,
+    sparse: BTreeMap<u32, T>,
+}
+
+impl<T: Clone + Default> IdTable<T> {
+    fn new(bound: usize) -> Self {
+        IdTable {
+            dense: Vec::new(),
+            bound,
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    fn get_mut(&mut self, id: u32) -> &mut T {
+        let i = id as usize;
+        if i >= self.bound {
+            return self.sparse.entry(id).or_default();
+        }
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, T::default());
+        }
+        &mut self.dense[i]
+    }
+
+    fn get(&self, id: u32) -> Option<&T> {
+        let i = id as usize;
+        if i < self.bound {
+            self.dense.get(i)
+        } else {
+            self.sparse.get(&id)
+        }
+    }
+
+    /// Every slot in id order (dense ids all precede sparse ones).
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        let dense = self.dense.iter().enumerate().map(|(i, t)| (i as u32, t));
+        dense.chain(self.sparse.iter().map(|(id, t)| (*id, t)))
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+struct ReqState {
+    issues: u64,
+    retires: u64,
+    /// Timestamp of the request's latest event; `None` until one is
+    /// seen (a gap in the dense table).
+    last_ts: Option<u64>,
+    /// The first event that went back in time: (name, ts, prior ts).
+    broken: Option<(&'static str, u64, u64)>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct LinkState {
+    seen: bool,
+    enters: u64,
+    exits: u64,
+    /// Some `flit_exit` on this link does not directly follow a
+    /// `flit_enter` of the same link no later than it.
+    unpaired: bool,
+    /// Of an unpaired link with balanced counts: the first `i` whose
+    /// `i`-th earliest exit precedes its `i`-th earliest enter, as
+    /// (i, enter, exit).
+    crossing: Option<(usize, u64, u64)>,
+}
+
 /// Check the stream-level invariants (retire-once, path monotonicity,
 /// link occupancy) over a check-event stream.
+///
+/// One pass does O(1) work and no allocation per event: requests and
+/// links are tables indexed by id (the recorder numbers requests
+/// densely from 0). Link occupancy is proven without storing a
+/// timestamp: when every `flit_exit` of a link directly follows a
+/// `flit_enter` of the same link no later than it — which is how the
+/// engines write the flit log — and the link has as many enters as
+/// exits, those pairs match every enter to a distinct exit no earlier
+/// than it, so occupancy never goes negative. Only a link whose flits
+/// do not pair up that way (a malformed stream) has its timestamps
+/// collected and sorted for the exact check.
 pub fn check_stream(events: &[Event]) -> CheckReport {
     let mut report = CheckReport {
         events: events.len(),
         ..Default::default()
     };
-
-    // Per-request bookkeeping, in request-id order.
-    #[derive(Default)]
-    struct ReqState {
-        issues: u64,
-        retires: u64,
-        last_ts: Option<u64>,
-        monotonic_broken: Option<String>,
-    }
-    let mut reqs: BTreeMap<u32, ReqState> = BTreeMap::new();
-    // Per-link enter/exit timestamps, in link-id order.
-    let mut links: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+    let mut reqs: IdTable<ReqState> = IdTable::new(events.len());
+    let mut links: IdTable<LinkState> = IdTable::new(events.len());
+    // The previous event, when it was a `flit_enter`: (link, ts).
+    let mut prev_enter: Option<(u32, u64)> = None;
 
     for ev in events {
+        let after_enter = prev_enter.take();
         if ev.cat == chk::CAT_REQ {
-            let st = reqs.entry(ev.pid).or_default();
-            match ev.name.as_str() {
-                n if n == chk::ISSUE => st.issues += 1,
-                n if n == chk::RETIRE => st.retires += 1,
-                _ => {}
+            let st = reqs.get_mut(ev.pid);
+            if ev.name == chk::ISSUE {
+                st.issues += 1;
+            } else if ev.name == chk::RETIRE {
+                st.retires += 1;
             }
             if let Some(prev) = st.last_ts {
-                if ev.ts < prev && st.monotonic_broken.is_none() {
-                    st.monotonic_broken = Some(format!(
-                        "request {}: {} at cycle {} precedes prior event at cycle {}",
-                        ev.pid, ev.name, ev.ts, prev
-                    ));
+                if ev.ts < prev && st.broken.is_none() {
+                    st.broken = Some((ev.name, ev.ts, prev));
                 }
             }
             st.last_ts = Some(ev.ts);
         } else if ev.cat == chk::CAT_LINK {
-            let (enters, exits) = links.entry(ev.tid).or_default();
-            match ev.name.as_str() {
-                n if n == chk::FLIT_ENTER => enters.push(ev.ts),
-                n if n == chk::FLIT_EXIT => exits.push(ev.ts),
-                _ => {}
+            let st = links.get_mut(ev.tid);
+            st.seen = true;
+            if ev.name == chk::FLIT_ENTER {
+                st.enters += 1;
+                prev_enter = Some((ev.tid, ev.ts));
+            } else if ev.name == chk::FLIT_EXIT {
+                st.exits += 1;
+                st.unpaired |= !after_enter.is_some_and(|(link, ts)| link == ev.tid && ts <= ev.ts);
             }
         }
     }
+    exact_crossings(events, &mut links);
 
-    report.requests = reqs.len();
-    report.links = links.len();
+    report.requests = reqs.iter().filter(|(_, st)| st.last_ts.is_some()).count();
+    report.links = links.iter().filter(|(_, st)| st.seen).count();
 
-    for (id, st) in &reqs {
+    for (id, st) in reqs.iter() {
+        if st.last_ts.is_none() {
+            continue;
+        }
         if st.issues != 1 || st.retires != 1 {
             report.violations.push(Violation {
                 invariant: Invariant::RetireOnce,
@@ -148,37 +226,29 @@ pub fn check_stream(events: &[Event]) -> CheckReport {
                 ),
             });
         }
-        if let Some(d) = &st.monotonic_broken {
+        if let Some((name, ts, prev)) = st.broken {
             report.violations.push(Violation {
                 invariant: Invariant::PathMonotonic,
-                detail: d.clone(),
+                detail: format!(
+                    "request {id}: {name} at cycle {ts} precedes prior event at cycle {prev}"
+                ),
             });
         }
     }
 
-    for (link, (enters, exits)) in &mut links {
-        if enters.len() != exits.len() {
+    for (link, st) in links.iter() {
+        if !st.seen {
+            continue;
+        }
+        if st.enters != st.exits {
             report.violations.push(Violation {
                 invariant: Invariant::LinkOccupancy,
                 detail: format!(
                     "link {link}: {} flit enters vs {} exits (occupancy does not drain to zero)",
-                    enters.len(),
-                    exits.len()
+                    st.enters, st.exits
                 ),
             });
-            continue;
-        }
-        // Feasible matching check: pairing the i-th earliest enter with
-        // the i-th earliest exit must never require an exit before its
-        // enter — otherwise occupancy went negative at some point.
-        enters.sort_unstable();
-        exits.sort_unstable();
-        if let Some((i, (en, ex))) = enters
-            .iter()
-            .zip(exits.iter())
-            .enumerate()
-            .find(|(_, (en, ex))| ex < en)
-        {
+        } else if let Some((i, en, ex)) = st.crossing {
             report.violations.push(Violation {
                 invariant: Invariant::LinkOccupancy,
                 detail: format!(
@@ -189,6 +259,44 @@ pub fn check_stream(events: &[Event]) -> CheckReport {
     }
 
     report
+}
+
+/// The exact occupancy check for links whose flits did not pair up:
+/// pairing the i-th earliest enter with the i-th earliest exit must
+/// never require an exit before its enter — otherwise occupancy went
+/// negative at some point. Links with unequal counts are reported by
+/// count alone and skipped here.
+fn exact_crossings(events: &[Event], links: &mut IdTable<LinkState>) {
+    let suspect = |st: &LinkState| st.unpaired && st.enters == st.exits;
+    if !links.iter().any(|(_, st)| suspect(st)) {
+        return;
+    }
+    // (link, is_exit, ts): sorted, each link's enters come first, then
+    // its exits, each in time order.
+    let mut flits: Vec<(u32, bool, u64)> = events
+        .iter()
+        .filter(|ev| ev.cat == chk::CAT_LINK && links.get(ev.tid).is_some_and(suspect))
+        .filter_map(|ev| {
+            let is_exit = if ev.name == chk::FLIT_ENTER {
+                false
+            } else if ev.name == chk::FLIT_EXIT {
+                true
+            } else {
+                return None;
+            };
+            Some((ev.tid, is_exit, ev.ts))
+        })
+        .collect();
+    flits.sort_unstable();
+    for group in flits.chunk_by(|a, b| a.0 == b.0) {
+        let (enters, exits) = group.split_at(group.len() / 2);
+        links.get_mut(group[0].0).crossing = enters
+            .iter()
+            .zip(exits)
+            .enumerate()
+            .find(|(_, (en, ex))| ex.2 < en.2)
+            .map(|(i, (en, ex))| (i, en.2, ex.2));
+    }
 }
 
 /// Check the counter-level conservation laws of a [`SimResult`]:
@@ -378,10 +486,11 @@ pub fn check_engine_output(out: &EngineOutput) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndc_types::SplitMix64;
 
     fn req(name: &'static str, ts: u64, pid: u32) -> Event {
         Event {
-            name: name.to_string(),
+            name,
             cat: chk::CAT_REQ,
             ts,
             dur: 0,
@@ -392,7 +501,7 @@ mod tests {
 
     fn flit(name: &'static str, ts: u64, link: u32) -> Event {
         Event {
-            name: name.to_string(),
+            name,
             cat: chk::CAT_LINK,
             ts,
             dur: 0,
@@ -531,5 +640,260 @@ mod tests {
         };
         let r = check_run(&broken, &result);
         assert!(r.violated(Invariant::DramAccounting));
+    }
+
+    /// The `BTreeMap` checker [`check_stream`] replaced, kept as the
+    /// reference its reports must equal on every stream.
+    fn reference_check_stream(events: &[Event]) -> CheckReport {
+        let mut report = CheckReport {
+            events: events.len(),
+            ..Default::default()
+        };
+
+        #[derive(Default)]
+        struct ReqState {
+            issues: u64,
+            retires: u64,
+            last_ts: Option<u64>,
+            monotonic_broken: Option<String>,
+        }
+        let mut reqs: BTreeMap<u32, ReqState> = BTreeMap::new();
+        let mut links: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+
+        for ev in events {
+            if ev.cat == chk::CAT_REQ {
+                let st = reqs.entry(ev.pid).or_default();
+                match ev.name {
+                    n if n == chk::ISSUE => st.issues += 1,
+                    n if n == chk::RETIRE => st.retires += 1,
+                    _ => {}
+                }
+                if let Some(prev) = st.last_ts {
+                    if ev.ts < prev && st.monotonic_broken.is_none() {
+                        st.monotonic_broken = Some(format!(
+                            "request {}: {} at cycle {} precedes prior event at cycle {}",
+                            ev.pid, ev.name, ev.ts, prev
+                        ));
+                    }
+                }
+                st.last_ts = Some(ev.ts);
+            } else if ev.cat == chk::CAT_LINK {
+                let (enters, exits) = links.entry(ev.tid).or_default();
+                match ev.name {
+                    n if n == chk::FLIT_ENTER => enters.push(ev.ts),
+                    n if n == chk::FLIT_EXIT => exits.push(ev.ts),
+                    _ => {}
+                }
+            }
+        }
+
+        report.requests = reqs.len();
+        report.links = links.len();
+
+        for (id, st) in &reqs {
+            if st.issues != 1 || st.retires != 1 {
+                report.violations.push(Violation {
+                    invariant: Invariant::RetireOnce,
+                    detail: format!(
+                        "request {id}: {} issue(s), {} retire(s) (want exactly 1 of each)",
+                        st.issues, st.retires
+                    ),
+                });
+            }
+            if let Some(d) = &st.monotonic_broken {
+                report.violations.push(Violation {
+                    invariant: Invariant::PathMonotonic,
+                    detail: d.clone(),
+                });
+            }
+        }
+
+        for (link, (enters, exits)) in &mut links {
+            if enters.len() != exits.len() {
+                report.violations.push(Violation {
+                    invariant: Invariant::LinkOccupancy,
+                    detail: format!(
+                        "link {link}: {} flit enters vs {} exits (occupancy does not drain to zero)",
+                        enters.len(),
+                        exits.len()
+                    ),
+                });
+                continue;
+            }
+            enters.sort_unstable();
+            exits.sort_unstable();
+            if let Some((i, (en, ex))) = enters
+                .iter()
+                .zip(exits.iter())
+                .enumerate()
+                .find(|(_, (en, ex))| ex < en)
+            {
+                report.violations.push(Violation {
+                    invariant: Invariant::LinkOccupancy,
+                    detail: format!(
+                        "link {link}: {i}-th flit exit at cycle {ex} precedes its enter at cycle {en}"
+                    ),
+                });
+            }
+        }
+
+        report
+    }
+
+    /// Recorded streams of real kernels, faulted by every class of the
+    /// fault matrix, give the reference's report exactly.
+    #[test]
+    fn check_stream_matches_the_reference_on_recorded_runs() {
+        use crate::fault::{inject, ALL_FAULTS};
+        use ndc_ir::{lower, LowerOptions};
+        use ndc_sim::{simulate_checked, Scheme, WaitBudget};
+        use ndc_types::ArchConfig;
+        use ndc_workloads::{by_name, Scale};
+
+        let cfg = ArchConfig::paper_default();
+        let opts = LowerOptions {
+            cores: cfg.nodes(),
+            emit_busy: true,
+        };
+        let scheme = Scheme::NdcAll {
+            budget: WaitBudget::PctOfCap(50),
+        };
+        for name in ["kdtree", "swim", "barnes"] {
+            let prog = by_name(name).unwrap().build_timesteps(Scale::Test, 1);
+            let out = simulate_checked(cfg, &lower(&prog, &opts, None), scheme);
+            let data = out.check.expect("checked run records CheckData");
+            let clean = check_stream(&data.events);
+            assert!(clean.ok(), "{name}: {:?}", clean.violations);
+            assert!(clean.requests > 0 && clean.links > 0);
+            assert_eq!(clean, reference_check_stream(&data.events), "{name}");
+            for (k, fault) in ALL_FAULTS.iter().enumerate() {
+                let mut faulted = data.clone();
+                let mut result = out.result.clone();
+                inject(&mut faulted, &mut result, *fault, 0x5eed + k as u64);
+                assert_eq!(
+                    check_stream(&faulted.events),
+                    reference_check_stream(&faulted.events),
+                    "{name}: {}",
+                    fault.label()
+                );
+            }
+        }
+    }
+
+    /// A healthy synthetic stream: request paths with ids from 0, then
+    /// enter/exit pairs on a few links.
+    fn synthetic_stream(rng: &mut SplitMix64) -> Vec<Event> {
+        const SHORT: [&str; 2] = [chk::ISSUE, chk::RETIRE];
+        const LONG: [&str; 7] = [
+            chk::ISSUE,
+            chk::L2_REQ,
+            chk::MEM_QUEUE,
+            chk::MEM_SERVICE,
+            chk::MEM_DONE,
+            chk::DATA_AT_BANK,
+            chk::RETIRE,
+        ];
+        let mut evs = Vec::new();
+        for id in 0..rng.below(6) as u32 {
+            let path: &[&str] = if rng.chance(0.5) { &SHORT } else { &LONG };
+            let mut t = rng.below(100);
+            for name in path {
+                evs.push(req(name, t, id));
+                t += rng.below(20);
+            }
+        }
+        let links = 1 + rng.below(4);
+        for _ in 0..rng.below(12) {
+            let link = rng.below(links) as u32;
+            let enter = rng.below(200);
+            evs.push(flit(chk::FLIT_ENTER, enter, link));
+            evs.push(flit(chk::FLIT_EXIT, enter + rng.below(8), link));
+        }
+        evs
+    }
+
+    /// Corrupt a stream: drop, duplicate, swap and move events, rename
+    /// them (including names the contract does not define), move them
+    /// across categories, give them sparse ids up to `u32::MAX`, and
+    /// shift their timestamps.
+    fn mutate(rng: &mut SplitMix64, evs: &mut Vec<Event>) {
+        const NAMES: [&str; 11] = [
+            chk::ISSUE,
+            chk::L2_REQ,
+            chk::MEM_QUEUE,
+            chk::MEM_SERVICE,
+            chk::MEM_DONE,
+            chk::DATA_AT_BANK,
+            chk::RETIRE,
+            chk::FLIT_ENTER,
+            chk::FLIT_EXIT,
+            "bogus",
+            "",
+        ];
+        const CATS: [&str; 3] = [chk::CAT_REQ, chk::CAT_LINK, "ndc"];
+        for _ in 0..rng.below(8) {
+            if evs.is_empty() {
+                return;
+            }
+            let n = evs.len() as u64;
+            let i = rng.below(n) as usize;
+            match rng.below(8) {
+                0 => {
+                    evs.remove(i);
+                }
+                1 => {
+                    let ev = evs[i];
+                    evs.insert(rng.below(n + 1) as usize, ev);
+                }
+                2 => evs.swap(i, rng.below(n) as usize),
+                3 => {
+                    let ev = evs.remove(i);
+                    evs.insert(rng.below(n) as usize, ev);
+                }
+                4 => evs[i].name = *rng.choose(&NAMES),
+                5 => evs[i].cat = *rng.choose(&CATS),
+                6 => {
+                    let near = rng.below(3) as u32;
+                    let ids = [
+                        u32::MAX,
+                        u32::MAX - 1 - near,
+                        rng.next_u32(),
+                        n as u32 - 1,
+                        n as u32 + near,
+                    ];
+                    let id = *rng.choose(&ids);
+                    if rng.chance(0.5) {
+                        evs[i].pid = id;
+                    } else {
+                        evs[i].tid = id;
+                    }
+                }
+                _ => evs[i].ts = rng.below(220),
+            }
+        }
+    }
+
+    #[test]
+    fn check_stream_matches_the_reference_on_corrupted_streams() {
+        let mut seen = [0usize; 4];
+        for case in 0..512u64 {
+            let mut rng = SplitMix64::new(0xc4ec_0000 + case);
+            let mut evs = synthetic_stream(&mut rng);
+            mutate(&mut rng, &mut evs);
+            let report = check_stream(&evs);
+            assert_eq!(report, reference_check_stream(&evs), "case {case}: {evs:?}");
+            for v in &report.violations {
+                let kind = match v.invariant {
+                    Invariant::RetireOnce => 0,
+                    Invariant::PathMonotonic => 1,
+                    _ if v.detail.contains("precedes its enter") => 2,
+                    _ => 3,
+                };
+                seen[kind] += 1;
+            }
+        }
+        // Every kind of stream violation, including the exact
+        // occupancy check's crossing, was exercised.
+        assert!(seen.iter().all(|&k| k > 0), "{seen:?}");
     }
 }

@@ -1,18 +1,20 @@
-//! A timed, LRU, set-associative cache.
+//! An LRU, set-associative cache.
 //!
 //! Used for both L1s (32 KB, 64 B lines, 2-way) and NUCA L2 banks
-//! (512 KB, 256 B lines, 64-way). Each resident line remembers the cycle
-//! it was filled: the simulator uses fill times to compute how long one
-//! operand has been L2-resident when the other arrives (the
-//! cache-controller arrival window of Figure 2b).
+//! (512 KB, 256 B lines, 64-way). Only residency is modelled: the
+//! simulator charges latencies along the full access path itself.
+//!
+//! Each way is one line index (`addr >> log2(line_bytes)`) in a flat
+//! tag array plus an LRU stamp in a parallel array, so a lookup is one
+//! `u64` compare per way and the LRU victim is found in the same pass.
 
-use ndc_types::{Addr, CacheConfig, Cycle};
+use ndc_types::{Addr, CacheConfig, FxHashSet};
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
-    /// The line was resident; carries the cycle it was filled.
-    Hit { filled_at: Cycle },
+    /// The line was resident.
+    Hit,
     /// The line was not resident. It has been filled (allocated) by this
     /// access; `evicted` names the line address displaced, if any, and
     /// `coherence` is true when the line was absent because of a
@@ -25,7 +27,7 @@ pub enum AccessOutcome {
 
 impl AccessOutcome {
     pub fn is_hit(&self) -> bool {
-        matches!(self, AccessOutcome::Hit { .. })
+        matches!(self, AccessOutcome::Hit)
     }
 }
 
@@ -56,51 +58,55 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LineEntry {
-    tag: u64,
-    /// Monotone LRU stamp: larger = more recently used.
-    lru: u64,
-    filled_at: Cycle,
-    dirty: bool,
-    valid: bool,
-}
-
-const INVALID: LineEntry = LineEntry {
-    tag: 0,
-    lru: 0,
-    filled_at: 0,
-    dirty: false,
-    valid: false,
-};
+/// Tag of an empty way. No line index reaches it: line sizes are
+/// powers of two above 1, so a line index is at most `u64::MAX >> 1`.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative, write-allocate, LRU cache.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: u64,
     ways: usize,
-    /// `sets * ways` entries, row-major by set.
-    lines: Vec<LineEntry>,
+    /// `log2(line_bytes)`: address → line index.
+    line_shift: u32,
+    /// `sets - 1`: line index → set.
+    set_mask: u64,
+    /// `sets * ways` line indices, row-major by set; [`EMPTY`] marks an
+    /// empty way.
+    tags: Vec<u64>,
+    /// LRU stamps parallel to `tags`: larger = more recently used, 0 =
+    /// empty (the clock starts at 1), so the oldest stamp in a set is
+    /// its first empty way if it has one.
+    lru: Vec<u64>,
     lru_clock: u64,
     /// Lines whose next miss should count as a coherence miss because
     /// an invalidation (not capacity/conflict pressure) removed them.
-    invalidated: std::collections::HashSet<Addr>,
+    invalidated: FxHashSet<Addr>,
     pub stats: CacheStats,
 }
 
 impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
-        assert!(sets > 0, "cache must have at least one set");
+        assert!(
+            cfg.line_bytes > 1 && cfg.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two above 1, got {}",
+            cfg.line_bytes
+        );
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a nonzero power of two, got {sets}"
+        );
         let ways = cfg.ways as usize;
         SetAssocCache {
             cfg,
-            sets,
             ways,
-            lines: vec![INVALID; (sets as usize) * ways],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            tags: vec![EMPTY; sets as usize * ways],
+            lru: vec![0; sets as usize * ways],
             lru_clock: 0,
-            invalidated: std::collections::HashSet::new(),
+            invalidated: FxHashSet::default(),
             stats: CacheStats::default(),
         }
     }
@@ -111,136 +117,73 @@ impl SetAssocCache {
 
     /// Line-aligned address of the block containing `addr`.
     pub fn line_addr(&self, addr: Addr) -> Addr {
-        addr / self.cfg.line_bytes * self.cfg.line_bytes
+        addr & !(self.cfg.line_bytes - 1)
     }
 
-    fn set_of(&self, addr: Addr) -> usize {
-        ((addr / self.cfg.line_bytes) % self.sets) as usize
+    /// The line index of `addr` and the first slot of its set.
+    fn locate(&self, addr: Addr) -> (u64, usize) {
+        let line = addr >> self.line_shift;
+        (line, (line & self.set_mask) as usize * self.ways)
     }
 
-    fn tag_of(&self, addr: Addr) -> u64 {
-        addr / self.cfg.line_bytes / self.sets
-    }
-
-    fn set_slice(&mut self, set: usize) -> &mut [LineEntry] {
-        let base = set * self.ways;
-        &mut self.lines[base..base + self.ways]
-    }
-
-    /// Access `addr` at cycle `now`. On a miss the line is allocated
-    /// (fills are modelled as instantaneous at `now`; the *latency* of
-    /// the fill is the caller's concern — it knows the full path cost).
-    pub fn access(&mut self, addr: Addr, now: Cycle, is_write: bool) -> AccessOutcome {
-        let line_addr = self.line_addr(addr);
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
+    /// Access `addr`. On a miss the line is allocated, evicting the
+    /// set's least recently used line when the set is full.
+    pub fn access(&mut self, addr: Addr) -> AccessOutcome {
+        let (line, base) = self.locate(addr);
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-
-        if let Some(e) = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|e| e.valid && e.tag == tag)
-        {
-            e.lru = clock;
-            e.dirty |= is_write;
-            let filled_at = e.filled_at;
-            self.stats.hits += 1;
-            return AccessOutcome::Hit { filled_at };
+        let tags = &self.tags[base..base + self.ways];
+        let lru = &mut self.lru[base..base + self.ways];
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (w, (&tag, stamp)) in tags.iter().zip(lru.iter_mut()).enumerate() {
+            if tag == line {
+                *stamp = self.lru_clock;
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+            if *stamp < oldest {
+                (victim, oldest) = (w, *stamp);
+            }
         }
 
-        // Miss: allocate, evicting LRU if the set is full.
         self.stats.misses += 1;
-        let coherence = self.invalidated.remove(&line_addr);
+        let coherence = self.invalidated.remove(&(line << self.line_shift));
         if coherence {
             self.stats.coherence_misses += 1;
         }
-        let sets = self.sets;
-        let line_bytes = self.cfg.line_bytes;
-        let slot = {
-            let set_lines = self.set_slice(set);
-            let mut victim = 0usize;
-            let mut victim_lru = u64::MAX;
-            let mut found_invalid = false;
-            for (i, e) in set_lines.iter().enumerate() {
-                if !e.valid {
-                    victim = i;
-                    found_invalid = true;
-                    break;
-                }
-                if e.lru < victim_lru {
-                    victim_lru = e.lru;
-                    victim = i;
-                }
-            }
-            (victim, found_invalid)
-        };
-        let (victim, was_invalid) = slot;
-        let evicted = if was_invalid {
-            None
-        } else {
-            let e = &self.set_slice(set)[victim];
-            let evicted_addr = (e.tag * sets + set as u64) * line_bytes;
-            Some(evicted_addr)
-        };
+        let old = std::mem::replace(&mut self.tags[base + victim], line);
+        lru[victim] = self.lru_clock;
+        let evicted = (old != EMPTY).then(|| old << self.line_shift);
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        self.set_slice(set)[victim] = LineEntry {
-            tag,
-            lru: clock,
-            filled_at: now,
-            dirty: is_write,
-            valid: true,
-        };
         AccessOutcome::Miss { evicted, coherence }
     }
 
     /// Non-mutating residency probe (the LD/ST unit's "local $ probe"
     /// before offloading, Figure 1).
     pub fn probe(&self, addr: Addr) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|e| e.valid && e.tag == tag)
-    }
-
-    /// Fill time of a resident line, if resident.
-    pub fn resident_since(&self, addr: Addr) -> Option<Cycle> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .find(|e| e.valid && e.tag == tag)
-            .map(|e| e.filled_at)
+        let (line, base) = self.locate(addr);
+        self.tags[base..base + self.ways].contains(&line)
     }
 
     /// Remove a line (directory-initiated invalidation). The next demand
     /// miss on this line is counted as a coherence miss.
     pub fn invalidate(&mut self, addr: Addr) {
-        let line_addr = self.line_addr(addr);
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let mut hit = false;
-        for e in self.set_slice(set) {
-            if e.valid && e.tag == tag {
-                e.valid = false;
-                hit = true;
-                break;
-            }
-        }
-        if hit {
+        let (line, base) = self.locate(addr);
+        if let Some(w) = self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == line)
+        {
+            self.tags[base + w] = EMPTY;
+            self.lru[base + w] = 0;
             self.stats.invalidations += 1;
-            self.invalidated.insert(line_addr);
+            self.invalidated.insert(line << self.line_shift);
         }
     }
 
     /// Number of currently-valid lines (tests and occupancy metrics).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|e| e.valid).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 }
 
@@ -261,7 +204,7 @@ mod tests {
     #[test]
     fn geometry() {
         let c = tiny();
-        assert_eq!(c.sets, 4);
+        assert_eq!(c.set_mask + 1, 4);
         assert_eq!(c.ways, 2);
         assert_eq!(c.line_addr(130), 128);
     }
@@ -269,11 +212,8 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.access(0, 10, false).is_hit());
-        match c.access(32, 11, false) {
-            AccessOutcome::Hit { filled_at } => assert_eq!(filled_at, 10),
-            _ => panic!("same line should hit"),
-        }
+        assert!(!c.access(0).is_hit());
+        assert!(c.access(32).is_hit(), "same line should hit");
         assert_eq!(c.stats.hits, 1);
         assert_eq!(c.stats.misses, 1);
     }
@@ -282,10 +222,10 @@ mod tests {
     fn lru_eviction_order() {
         let mut c = tiny();
         // Set 0 holds lines with (line_index % 4 == 0): 0, 256, 512, ...
-        c.access(0, 1, false); // A
-        c.access(256, 2, false); // B
-        c.access(0, 3, false); // touch A -> B is now LRU
-        match c.access(512, 4, false) {
+        c.access(0); // A
+        c.access(256); // B
+        c.access(0); // touch A -> B is now LRU
+        match c.access(512) {
             AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(256)),
             _ => panic!("expected miss"),
         }
@@ -297,10 +237,10 @@ mod tests {
     #[test]
     fn associativity_is_respected() {
         let mut c = tiny();
-        c.access(0, 1, false);
-        c.access(256, 2, false);
+        c.access(0);
+        c.access(256);
         assert_eq!(c.occupancy(), 2);
-        c.access(512, 3, false);
+        c.access(512);
         // Still only 2 lines in set 0.
         assert_eq!(c.occupancy(), 2);
     }
@@ -308,7 +248,7 @@ mod tests {
     #[test]
     fn probe_does_not_mutate() {
         let mut c = tiny();
-        c.access(0, 1, false);
+        c.access(0);
         let stats_before = c.stats;
         assert!(c.probe(0));
         assert!(!c.probe(64));
@@ -318,49 +258,150 @@ mod tests {
     #[test]
     fn invalidation_counts_coherence_miss() {
         let mut c = tiny();
-        c.access(0, 1, false);
+        c.access(0);
         c.invalidate(0);
         assert!(!c.probe(0));
         assert_eq!(c.stats.invalidations, 1);
-        match c.access(0, 2, false) {
+        match c.access(0) {
             AccessOutcome::Miss { coherence, .. } => assert!(coherence),
             _ => panic!("expected miss"),
         }
         assert_eq!(c.stats.coherence_misses, 1);
         // A second miss on the same line (capacity path) is not
         // coherence.
-        c.access(256, 3, false);
-        c.access(512, 4, false); // evicts line 0's set members
-        c.access(0, 5, false);
+        c.access(256);
+        c.access(512); // evicts line 0's set members
+        c.access(0);
         assert_eq!(c.stats.coherence_misses, 1);
-    }
-
-    #[test]
-    fn resident_since_reports_fill_time() {
-        let mut c = tiny();
-        assert_eq!(c.resident_since(0), None);
-        c.access(0, 42, false);
-        assert_eq!(c.resident_since(0), Some(42));
-        assert_eq!(c.resident_since(32), Some(42));
-    }
-
-    #[test]
-    fn writes_mark_dirty_and_hit() {
-        let mut c = tiny();
-        c.access(0, 1, true);
-        assert!(c.access(0, 2, true).is_hit());
-        assert_eq!(c.stats.misses, 1);
     }
 
     #[test]
     fn eviction_reconstructs_correct_address() {
         let mut c = tiny();
         // Line at address 64 lives in set 1; its set-mates are 64+256k.
-        c.access(64, 1, false);
-        c.access(64 + 256, 2, false);
-        match c.access(64 + 512, 3, false) {
+        c.access(64);
+        c.access(64 + 256);
+        match c.access(64 + 512) {
             AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(64)),
             _ => panic!("expected miss"),
         }
+    }
+
+    /// The textbook model: each set a list of resident lines, least
+    /// recently used first.
+    struct ReferenceLru {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<Addr>>,
+        invalidated: std::collections::BTreeSet<Addr>,
+        stats: CacheStats,
+    }
+
+    impl ReferenceLru {
+        fn new(cfg: CacheConfig) -> Self {
+            ReferenceLru {
+                line_bytes: cfg.line_bytes,
+                ways: cfg.ways as usize,
+                sets: vec![Vec::new(); cfg.sets() as usize],
+                invalidated: Default::default(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, line: Addr) -> &mut Vec<Addr> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line / self.line_bytes % n) as usize]
+        }
+
+        fn access(&mut self, addr: Addr) -> AccessOutcome {
+            let line = addr / self.line_bytes * self.line_bytes;
+            let ways = self.ways;
+            let set = self.set(line);
+            if let Some(i) = set.iter().position(|&l| l == line) {
+                set.remove(i);
+                set.push(line);
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+            let evicted = (set.len() == ways).then(|| set.remove(0));
+            set.push(line);
+            self.stats.misses += 1;
+            self.stats.evictions += evicted.is_some() as u64;
+            let coherence = self.invalidated.remove(&line);
+            self.stats.coherence_misses += coherence as u64;
+            AccessOutcome::Miss { evicted, coherence }
+        }
+
+        fn invalidate(&mut self, addr: Addr) {
+            let line = addr / self.line_bytes * self.line_bytes;
+            let set = self.set(line);
+            if let Some(i) = set.iter().position(|&l| l == line) {
+                set.remove(i);
+                self.stats.invalidations += 1;
+                self.invalidated.insert(line);
+            }
+        }
+    }
+
+    /// Seeded random access/invalidate sequences over the L1, L2 and
+    /// `test_small` geometries: the flat tag store and the reference
+    /// model agree on every outcome (hit/miss, evicted line, coherence
+    /// flag), every probe, and the final stats and occupancy.
+    #[test]
+    fn matches_a_reference_lru_model() {
+        use ndc_types::{ArchConfig, SplitMix64};
+        let paper = ArchConfig::paper_default();
+        let small = ArchConfig::test_small();
+        let geometries = [paper.l1, paper.l2, small.l1, small.l2];
+        for case in 0..256u64 {
+            let cfg = geometries[case as usize % geometries.len()];
+            let mut rng = SplitMix64::new(0xcac4e + case);
+            let mut cache = SetAssocCache::new(cfg);
+            let mut model = ReferenceLru::new(cfg);
+            let sets = cfg.sets();
+            // Crowd a few sets with up to twice their ways' worth of
+            // lines, so evictions and re-references are common.
+            let hot_sets = 1 + rng.below(3);
+            let tags = 2 * cfg.ways as u64;
+            for step in 0..400 {
+                let line = if rng.chance(0.9) {
+                    rng.below(hot_sets) + sets * rng.below(tags)
+                } else {
+                    rng.below(1 << 30)
+                };
+                let addr = line * cfg.line_bytes + rng.below(cfg.line_bytes);
+                if rng.chance(0.15) {
+                    cache.invalidate(addr);
+                    model.invalidate(addr);
+                } else {
+                    assert_eq!(
+                        cache.access(addr),
+                        model.access(addr),
+                        "case {case} step {step}: access {addr:#x}"
+                    );
+                }
+                let probe = rng.below(hot_sets) + sets * rng.below(tags);
+                let probe = probe * cfg.line_bytes;
+                assert_eq!(
+                    cache.probe(probe),
+                    model.set(probe).contains(&probe),
+                    "case {case} step {step}: probe {probe:#x}"
+                );
+            }
+            assert_eq!(cache.stats, model.stats, "case {case}");
+            let resident: usize = model.sets.iter().map(Vec::len).sum();
+            assert_eq!(cache.occupancy(), resident, "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_a_set_count_that_is_not_a_power_of_two() {
+        SetAssocCache::new(CacheConfig {
+            size_bytes: 3 * 2 * 64,
+            line_bytes: 64,
+            ways: 2,
+            latency: 2,
+        });
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Three pieces, composed by the simulator:
 //!
-//! * [`cache::SetAssocCache`] — a timed, LRU, set-associative cache used
-//!   for both the per-core L1s and the static-NUCA L2 banks (Table 1
-//!   geometries). Lines carry their fill timestamp so the simulator can
-//!   measure L2-residency arrival windows.
+//! * [`cache::SetAssocCache`] — an LRU, set-associative cache used for
+//!   both the per-core L1s and the static-NUCA L2 banks (Table 1
+//!   geometries). It models residency only; the simulator charges each
+//!   access's latency along its path.
 //! * [`directory::Directory`] — a full-map sharer directory at the L2
 //!   home banks. Writes invalidate remote L1 copies; the resulting
 //!   *coherence misses* are exactly what the paper's CME estimator does

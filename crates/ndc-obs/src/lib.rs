@@ -298,10 +298,13 @@ impl Metrics {
 ///
 /// `pid`/`tid` map to Chrome-trace process/thread rows; we use pid for
 /// the run (benchmark × scheme) and tid for the simulated core or
-/// component lane.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// component lane. Every name the simulator emits comes from a finite
+/// set (the [`chk`] constants and the engines' static trace-name
+/// tables), so an event is a plain `Copy` value and recording one
+/// never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    pub name: String,
+    pub name: &'static str,
     /// Category string, comma-separable in trace viewers.
     pub cat: &'static str,
     /// Start, in simulated cycles.
@@ -470,7 +473,7 @@ pub fn trace_json(runs: &[(String, Vec<Event>)]) -> Json {
         for ev in evs {
             events.push(
                 Json::obj()
-                    .with("name", ev.name.clone())
+                    .with("name", ev.name)
                     .with("cat", ev.cat)
                     .with("ph", "X")
                     .with("ts", ev.ts)
@@ -489,9 +492,9 @@ pub fn trace_json(runs: &[(String, Vec<Event>)]) -> Json {
 mod tests {
     use super::*;
 
-    fn ev(name: &str, ts: Cycle) -> Event {
+    fn ev(name: &'static str, ts: Cycle) -> Event {
         Event {
-            name: name.to_string(),
+            name,
             cat: "test",
             ts,
             dur: 1,

@@ -8,7 +8,7 @@
 //! table and the per-component service tables of `crate::ndc`.
 
 use crate::instrument::Instrumentation;
-use crate::machine::{AccessIntent, AccessPath, Machine, SpanRecorder};
+use crate::machine::{AccessIntent, AccessPath, CheckRecorder, Machine, SpanRecorder};
 use crate::ndc::{
     candidate_meetings, reshaped_candidates, resolve, resolve_with_candidates, window_observation,
     windows_by_location, AbortReason, LocationPolicy, NdcOutcome, ResolveParams, ServiceTables,
@@ -219,6 +219,53 @@ pub struct CheckData {
     /// ledger conservation check.
     pub noc_messages: u64,
     pub noc_flit_hops: u64,
+}
+
+impl CheckData {
+    /// Collect a finished run's check data from its machine (both
+    /// engines use this): the recorded request paths, then one
+    /// `flit_enter`/`flit_exit` pair per logged link traversal, written
+    /// into space reserved once for the whole log.
+    pub(crate) fn collect(machine: &mut Machine) -> CheckData {
+        let mut events = machine
+            .chk
+            .take()
+            .map(CheckRecorder::into_events)
+            .unwrap_or_default();
+        let log = machine.net.take_check_log();
+        events.reserve_exact(2 * log.len());
+        for (link, enter, exit) in log {
+            let tid = link.index() as u32;
+            events.push(Event {
+                name: chk::FLIT_ENTER,
+                cat: chk::CAT_LINK,
+                ts: enter,
+                dur: exit - enter,
+                pid: 0,
+                tid,
+            });
+            events.push(Event {
+                name: chk::FLIT_EXIT,
+                cat: chk::CAT_LINK,
+                ts: exit,
+                dur: 0,
+                pid: 0,
+                tid,
+            });
+        }
+        CheckData {
+            events,
+            dram_requests: machine.mcs.iter().map(|m| m.stats.requests).sum(),
+            dram_outcomes: machine
+                .mcs
+                .iter()
+                .map(|m| m.stats.row_hits + m.stats.row_misses + m.stats.row_conflicts)
+                .sum(),
+            dram_bytes: machine.mcs.iter().map(|m| m.stats.bytes).sum(),
+            noc_messages: machine.net.messages,
+            noc_flit_hops: machine.net.flit_hops,
+        }
+    }
 }
 
 /// Engine output: the run result plus (for instrumented baseline runs)
@@ -433,44 +480,10 @@ impl<'a> Engine<'a> {
             .take()
             .map(SpanRecorder::into_traces)
             .unwrap_or_default();
-        let check = self.check.invariants.then(|| {
-            let mut evs = machine
-                .chk
-                .take()
-                .map(crate::machine::CheckRecorder::into_events)
-                .unwrap_or_default();
-            for (link, enter, exit) in machine.net.take_check_log() {
-                let tid = link.index() as u32;
-                evs.push(Event {
-                    name: chk::FLIT_ENTER.to_string(),
-                    cat: chk::CAT_LINK,
-                    ts: enter,
-                    dur: exit - enter,
-                    pid: 0,
-                    tid,
-                });
-                evs.push(Event {
-                    name: chk::FLIT_EXIT.to_string(),
-                    cat: chk::CAT_LINK,
-                    ts: exit,
-                    dur: 0,
-                    pid: 0,
-                    tid,
-                });
-            }
-            CheckData {
-                events: evs,
-                dram_requests: machine.mcs.iter().map(|m| m.stats.requests).sum(),
-                dram_outcomes: machine
-                    .mcs
-                    .iter()
-                    .map(|m| m.stats.row_hits + m.stats.row_misses + m.stats.row_conflicts)
-                    .sum(),
-                dram_bytes: machine.mcs.iter().map(|m| m.stats.bytes).sum(),
-                noc_messages: machine.net.messages,
-                noc_flit_hops: machine.net.flit_hops,
-            }
-        });
+        let check = self
+            .check
+            .invariants
+            .then(|| CheckData::collect(&mut machine));
         let ledger = machine.take_ledger();
         if let (Some(m), Some(l)) = (metrics.as_mut(), ledger.as_ref()) {
             crate::report::ledger_metrics(m, l);
@@ -910,7 +923,7 @@ impl<'a> Engine<'a> {
                         );
                         if sink.enabled() {
                             sink.record(Event {
-                                name: format!("ndc@{}", loc.paper_label()),
+                                name: loc.trace_name(),
                                 cat: "ndc",
                                 ts: start,
                                 dur: result_at_core.saturating_sub(start),
@@ -953,7 +966,7 @@ impl<'a> Engine<'a> {
                         result.ndc_abort_reasons[reason.index()] += 1;
                         if sink.enabled() {
                             sink.record(Event {
-                                name: format!("ndc-abort:{}", reason.label()),
+                                name: reason.trace_name(),
                                 cat: "ndc",
                                 ts: start,
                                 dur: at.saturating_sub(start),
@@ -1073,7 +1086,7 @@ impl<'a> Engine<'a> {
                 );
                 if sink.enabled() {
                     sink.record(Event {
-                        name: format!("ndc@{}", loc.paper_label()),
+                        name: loc.trace_name(),
                         cat: "pre",
                         ts: start,
                         dur: result_at_core.saturating_sub(start),
@@ -1101,7 +1114,7 @@ impl<'a> Engine<'a> {
                 result.ndc_abort_reasons[reason.index()] += 1;
                 if sink.enabled() {
                     sink.record(Event {
-                        name: format!("ndc-abort:{}", reason.label()),
+                        name: reason.trace_name(),
                         cat: "pre",
                         ts: start,
                         dur: at.saturating_sub(start),
@@ -1235,7 +1248,7 @@ impl<'a> Engine<'a> {
                 );
                 if sink.enabled() {
                     sink.record(Event {
-                        name: format!("ndc-fused{}@{}", n_ops, loc.paper_label()),
+                        name: loc.fused_trace_name(n_ops as usize),
                         cat: "pre",
                         ts: start,
                         dur: result_at_core.saturating_sub(start),
@@ -1267,7 +1280,7 @@ impl<'a> Engine<'a> {
                 result.ndc_abort_reasons[reason.index()] += n_ops as u64;
                 if sink.enabled() {
                     sink.record(Event {
-                        name: format!("ndc-abort:{}", reason.label()),
+                        name: reason.trace_name(),
                         cat: "pre",
                         ts: start,
                         dur: at.saturating_sub(start),

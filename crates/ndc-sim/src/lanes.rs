@@ -59,7 +59,7 @@ use crate::schemes::{
 use crate::stats::SimResult;
 use ndc_noc::{LanePlanner, LinkId, LinkTraversal, Traversal};
 use ndc_obs::ledger::AttributionLedger;
-use ndc_obs::{chk, CheckLevel, Event, ObsLevel, RingSink};
+use ndc_obs::{CheckLevel, Event, ObsLevel, RingSink};
 use ndc_par::LanePool;
 use ndc_types::{
     Addr, ArchConfig, Cycle, FxHashMap, FxHashSet, InstKind, NdcLocation, NodeId, Op, Operand, Pc,
@@ -103,9 +103,9 @@ enum DirOp {
 /// core order — the "mailbox" of the lane scheme.
 #[derive(Default)]
 struct Mailbox {
-    /// L2 accesses `(bank, addr, cycle, is_write)`, replayed into the
-    /// live banks for state and statistics evolution.
-    l2_ops: Vec<(usize, Addr, Cycle, bool)>,
+    /// L2 accesses `(bank, addr)`, replayed into the live banks for
+    /// state and statistics evolution.
+    l2_ops: Vec<(usize, Addr)>,
     /// DRAM requests `(controller, addr, arrival)`.
     mc_ops: Vec<(usize, Addr, Cycle)>,
     dir_ops: Vec<DirOp>,
@@ -370,8 +370,8 @@ impl LaneCore {
 
         // --- L1 (core-private: exact, not deferred) ---
         match intent {
-            AccessIntent::ToCore => match self.l1.access(addr, now, write) {
-                ndc_mem::AccessOutcome::Hit { .. } => {
+            AccessIntent::ToCore => match self.l1.access(addr) {
+                ndc_mem::AccessOutcome::Hit => {
                     path.l1_hit = true;
                     path.completion = now + l1_latency;
                     if write {
@@ -419,9 +419,7 @@ impl LaneCore {
         let l2_latency = cfg.l2.latency;
         let l2_line = m.l2s[home.index()].line_addr(addr);
         let resident = m.l2s[home.index()].probe(addr) || self.l2_overlay.contains(&l2_line);
-        self.mail
-            .l2_ops
-            .push((home.index(), addr, req_arrival, write));
+        self.mail.l2_ops.push((home.index(), addr));
         let (l2_hit, data_at_bank) = if resident {
             (true, req_arrival + l2_latency)
         } else {
@@ -822,7 +820,7 @@ impl LaneCore {
                         }
                         if fz.sink_enabled {
                             self.mail.events.push(Event {
-                                name: format!("ndc@{}", loc.paper_label()),
+                                name: loc.trace_name(),
                                 cat: "ndc",
                                 ts: start,
                                 dur: result_at_core.saturating_sub(start),
@@ -857,7 +855,7 @@ impl LaneCore {
                         self.stats.ndc_abort_reasons[reason.index()] += 1;
                         if fz.sink_enabled {
                             self.mail.events.push(Event {
-                                name: format!("ndc-abort:{}", reason.label()),
+                                name: reason.trace_name(),
                                 cat: "ndc",
                                 ts: start,
                                 dur: at.saturating_sub(start),
@@ -953,7 +951,7 @@ impl LaneCore {
                 }
                 if fz.sink_enabled {
                     self.mail.events.push(Event {
-                        name: format!("ndc@{}", loc.paper_label()),
+                        name: loc.trace_name(),
                         cat: "pre",
                         ts: start,
                         dur: result_at_core.saturating_sub(start),
@@ -980,7 +978,7 @@ impl LaneCore {
                 self.stats.ndc_abort_reasons[reason.index()] += 1;
                 if fz.sink_enabled {
                     self.mail.events.push(Event {
-                        name: format!("ndc-abort:{}", reason.label()),
+                        name: reason.trace_name(),
                         cat: "pre",
                         ts: start,
                         dur: at.saturating_sub(start),
@@ -1151,7 +1149,7 @@ impl LaneCore {
                 }
                 if fz.sink_enabled {
                     self.mail.events.push(Event {
-                        name: format!("ndc-fused{}@{}", n_ops, loc.paper_label()),
+                        name: loc.fused_trace_name(n_ops as usize),
                         cat: "pre",
                         ts: start,
                         dur: result_at_core.saturating_sub(start),
@@ -1182,7 +1180,7 @@ impl LaneCore {
                 self.stats.ndc_abort_reasons[reason.index()] += n_ops as u64;
                 if fz.sink_enabled {
                     self.mail.events.push(Event {
-                        name: format!("ndc-abort:{}", reason.label()),
+                        name: reason.trace_name(),
                         cat: "pre",
                         ts: start,
                         dur: at.saturating_sub(start),
@@ -1425,8 +1423,8 @@ impl<'a> LaneEngine<'a> {
             let mut pending_inval: Vec<(usize, Addr)> = Vec::new();
             for lc in &mut cores {
                 lc.planner.commit(&mut machine.net);
-                for (bank, addr, t, write) in lc.mail.l2_ops.drain(..) {
-                    machine.l2s[bank].access(addr, t, write);
+                for (bank, addr) in lc.mail.l2_ops.drain(..) {
+                    machine.l2s[bank].access(addr);
                 }
                 for (mc, addr, arrival) in lc.mail.mc_ops.drain(..) {
                     machine.mcs[mc].request(addr, arrival);
@@ -1588,44 +1586,10 @@ impl<'a> LaneEngine<'a> {
             .take()
             .map(crate::machine::SpanRecorder::into_traces)
             .unwrap_or_default();
-        let check = self.check.invariants.then(|| {
-            let mut evs = machine
-                .chk
-                .take()
-                .map(crate::machine::CheckRecorder::into_events)
-                .unwrap_or_default();
-            for (link, enter, exit) in machine.net.take_check_log() {
-                let tid = link.index() as u32;
-                evs.push(Event {
-                    name: chk::FLIT_ENTER.to_string(),
-                    cat: chk::CAT_LINK,
-                    ts: enter,
-                    dur: exit - enter,
-                    pid: 0,
-                    tid,
-                });
-                evs.push(Event {
-                    name: chk::FLIT_EXIT.to_string(),
-                    cat: chk::CAT_LINK,
-                    ts: exit,
-                    dur: 0,
-                    pid: 0,
-                    tid,
-                });
-            }
-            CheckData {
-                events: evs,
-                dram_requests: machine.mcs.iter().map(|m| m.stats.requests).sum(),
-                dram_outcomes: machine
-                    .mcs
-                    .iter()
-                    .map(|m| m.stats.row_hits + m.stats.row_misses + m.stats.row_conflicts)
-                    .sum(),
-                dram_bytes: machine.mcs.iter().map(|m| m.stats.bytes).sum(),
-                noc_messages: machine.net.messages,
-                noc_flit_hops: machine.net.flit_hops,
-            }
-        });
+        let check = self
+            .check
+            .invariants
+            .then(|| CheckData::collect(&mut machine));
         EngineOutput {
             result,
             instrumentation: instr,

@@ -186,7 +186,7 @@ pub struct CheckRecorder {
 impl CheckRecorder {
     fn push(&mut self, name: &'static str, ts: Cycle, pid: u32, tid: u32) {
         self.events.push(Event {
-            name: name.to_string(),
+            name,
             cat: chk::CAT_REQ,
             ts,
             dur: 0,
@@ -572,8 +572,8 @@ impl Machine {
 
         // --- L1 ---
         match intent {
-            AccessIntent::ToCore => match self.l1s[core.index()].access(addr, now, write) {
-                AccessOutcome::Hit { .. } => {
+            AccessIntent::ToCore => match self.l1s[core.index()].access(addr) {
+                AccessOutcome::Hit => {
                     path.l1_hit = true;
                     path.completion = now + l1_latency;
                     if write {
@@ -620,8 +620,8 @@ impl Machine {
 
         // --- L2 bank ---
         let l2_latency = self.cfg.l2.latency;
-        let (l2_hit, data_at_bank) = match self.l2s[home.index()].access(addr, req_arrival, write) {
-            AccessOutcome::Hit { .. } => (true, req_arrival + l2_latency),
+        let (l2_hit, data_at_bank) = match self.l2s[home.index()].access(addr) {
+            AccessOutcome::Hit => (true, req_arrival + l2_latency),
             AccessOutcome::Miss { .. } => {
                 // --- Memory controller + DRAM ---
                 let to_mc = self.mesh().xy_links(home_coord, mc_coord);
@@ -719,8 +719,8 @@ impl Machine {
         let home_coord = home.coord(width);
         let route = self.mesh().xy_links(from.coord(width), home_coord);
         let arr = self.send(route, t, RESULT_BYTES, None).arrived;
-        let done = match self.l2s[home.index()].access(addr, arr, true) {
-            AccessOutcome::Hit { .. } => arr + self.cfg.l2.latency,
+        let done = match self.l2s[home.index()].access(addr) {
+            AccessOutcome::Hit => arr + self.cfg.l2.latency,
             AccessOutcome::Miss { .. } => {
                 let mc = self.cfg.mc_of(addr);
                 let mc_node = self.cfg.mc_node(mc);

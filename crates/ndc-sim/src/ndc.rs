@@ -73,6 +73,19 @@ impl AbortReason {
             AbortReason::BudgetExceeded => "budget_exceeded",
         }
     }
+
+    /// Trace-event name of an abort for this reason:
+    /// `ndc-abort:<label>`.
+    pub fn trace_name(self) -> &'static str {
+        [
+            "ndc-abort:local_hit",
+            "ndc-abort:op_not_allowed",
+            "ndc-abort:no_colocation",
+            "ndc-abort:timeout",
+            "ndc-abort:service_table_full",
+            "ndc-abort:budget_exceeded",
+        ][self.index()]
+    }
 }
 
 /// One candidate meeting point.
@@ -1020,6 +1033,13 @@ mod tests {
     use super::*;
     use crate::machine::AccessIntent;
     use ndc_types::ArchConfig;
+
+    #[test]
+    fn abort_trace_names_match_their_labels() {
+        for r in ALL_ABORT_REASONS {
+            assert_eq!(r.trace_name(), format!("ndc-abort:{}", r.label()));
+        }
+    }
 
     fn machine() -> Machine {
         Machine::new(ArchConfig::paper_default())

@@ -1,5 +1,7 @@
 //! Arithmetic/logic operations and NDC hardware locations.
 
+use crate::trace::MAX_FUSED_OPS;
+
 /// The arithmetic and logic operations that can be offloaded near data.
 ///
 /// The paper writes `A + B` throughout but states the approach handles
@@ -110,6 +112,29 @@ pub enum NdcLocation {
     MemoryBank,
 }
 
+/// [`NdcLocation::fused_trace_name`] by chain length (2..=
+/// [`MAX_FUSED_OPS`]) and [`NdcLocation::index`].
+const FUSED_TRACE_NAMES: [[&str; 4]; MAX_FUSED_OPS - 1] = [
+    [
+        "ndc-fused2@network",
+        "ndc-fused2@cache",
+        "ndc-fused2@MC",
+        "ndc-fused2@memory",
+    ],
+    [
+        "ndc-fused3@network",
+        "ndc-fused3@cache",
+        "ndc-fused3@MC",
+        "ndc-fused3@memory",
+    ],
+    [
+        "ndc-fused4@network",
+        "ndc-fused4@cache",
+        "ndc-fused4@MC",
+        "ndc-fused4@memory",
+    ],
+];
+
 /// All four locations in the order the paper's figures report them
 /// (cache, network, MC, memory in the breakdown plots; we keep the
 /// canonical enum order here and let presentation code reorder).
@@ -141,6 +166,19 @@ impl NdcLocation {
         }
     }
 
+    /// Trace-event name of one offload performed here:
+    /// `ndc@<paper label>`.
+    pub fn trace_name(self) -> &'static str {
+        ["ndc@network", "ndc@cache", "ndc@MC", "ndc@memory"][self.index()]
+    }
+
+    /// Trace-event name of a fused `n_ops`-operation packet performed
+    /// here: `ndc-fused<n_ops>@<paper label>`, for `n_ops` in
+    /// `2..=MAX_FUSED_OPS`.
+    pub fn fused_trace_name(self, n_ops: usize) -> &'static str {
+        FUSED_TRACE_NAMES[n_ops - 2][self.index()]
+    }
+
     pub fn from_index(i: usize) -> Option<Self> {
         ALL_NDC_LOCATIONS.get(i).copied()
     }
@@ -161,6 +199,19 @@ impl std::fmt::Display for NdcLocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_names_match_their_labels() {
+        for loc in ALL_NDC_LOCATIONS {
+            assert_eq!(loc.trace_name(), format!("ndc@{}", loc.paper_label()));
+            for n in 2..=MAX_FUSED_OPS {
+                assert_eq!(
+                    loc.fused_trace_name(n),
+                    format!("ndc-fused{n}@{}", loc.paper_label())
+                );
+            }
+        }
+    }
 
     #[test]
     fn op_apply_basics() {

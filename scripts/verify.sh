@@ -1,213 +1,144 @@
 #!/usr/bin/env bash
-# Repo verification: offline build, lints, formatting, full test
-# suite, and the determinism contract of the ndc-par runtime —
-# `ndc-eval` output (including the `--metrics` observability dump)
-# must be bit-identical whether the experiment fan-out runs on one
-# thread or eight.
+# Repo verification: offline build, lints, formatting, the full test
+# suite, and the determinism contract of the ndc-par runtime — every
+# `ndc-eval` stage below (including the `--metrics` observability dump)
+# must print bit-identical output whether the experiment fan-out runs
+# on one thread or eight — plus the BENCH_*.json attestations and gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
-
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
-
 echo "== rustfmt (check) =="
 cargo fmt --check
-
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
 EVAL=target/release/ndc-eval
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
-# Perf-regression gate: the scale/fuse/bench stages below regenerate
-# BENCH_*.json in place, so save the committed baselines aside first;
-# each regenerated file is gated against its committed counterpart
-# (simulated counters exact, wall clock within 10x). Rebase with
-# NDC_BENCH_REBASE=1 after an intentional behaviour change.
-base_scale=$(mktemp) && base_fusion=$(mktemp) && base_fig4=$(mktemp) && base_macc=$(mktemp)
-cp BENCH_scale.json "$base_scale"
-cp BENCH_fusion.json "$base_fusion"
-cp BENCH_fig4_schemes.json "$base_fig4"
-cp BENCH_model_accuracy.json "$base_macc"
+fail() { echo "FAIL: $*" >&2; exit 1; }
+
+# same_outputs A B WHAT [FILTER]: files A and B must match (after each
+# is piped through the FILTER command, if given).
+same_outputs() {
+    if ! cmp -s <(${4:-cat} < "$1") <(${4:-cat} < "$2"); then
+        diff <(head -c 2000 "$1") <(head -c 2000 "$2") | head -20 >&2
+        fail "$3: output differs across thread counts"
+    fi
+    echo "ok: $3 across thread counts"
+}
+
+# same_across_threads NAME WHAT [--filter FILTER] CMD...: run CMD under
+# NDC_THREADS=1 and =8 (`{t}` in an argument becomes the thread count)
+# with stdout in $tmp/NAME.1 and $tmp/NAME.8; the two must match.
+same_across_threads() {
+    local name=$1 what=$2 filter=cat t
+    shift 2
+    if [[ $1 == --filter ]]; then
+        filter=$2
+        shift 2
+    fi
+    for t in 1 8; do
+        NDC_THREADS=$t "${@//\{t\}/$t}" > "$tmp/$name.$t"
+    done
+    same_outputs "$tmp/$name.1" "$tmp/$name.8" "$what" "$filter"
+}
+
+# require FILE PATTERN MESSAGE: FILE exists and contains PATTERN.
+# refuse FILE PATTERN MESSAGE: FILE does not contain PATTERN.
+require() { test -s "$1" || fail "$1 missing"; grep -q "$2" "$1" || fail "$3"; }
+refuse() { ! grep -q "$2" "$1" || fail "$3"; }
+
+# Perf-regression gate: the stages below regenerate BENCH_*.json in
+# place, so the committed baselines are saved aside first and each
+# regenerated file is gated against its own (simulated counters exact,
+# wall clock within 10x). Rebase with NDC_BENCH_REBASE=1 after an
+# intentional behaviour change.
+for b in scale fusion fig4_schemes model_accuracy; do
+    cp "BENCH_$b.json" "$tmp/base_$b.json"
+done
+gate() { "$EVAL" gate --baseline "$tmp/base_$1.json" --current "BENCH_$1.json"; }
 
 echo "== determinism: NDC_THREADS=1 vs NDC_THREADS=8 =="
-tmp1=$(mktemp) && tmp8=$(mktemp)
-met1=$(mktemp) && met8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8"' EXIT
-NDC_THREADS=1 "$EVAL" fig4 --scale test --metrics "$met1" > "$tmp1"
-NDC_THREADS=8 "$EVAL" fig4 --scale test --metrics "$met8" > "$tmp8"
-if ! diff -q "$tmp1" "$tmp8" > /dev/null; then
-    echo "FAIL: parallel output differs from serial output" >&2
-    diff "$tmp1" "$tmp8" | head -20 >&2
-    exit 1
-fi
-echo "ok: fig4 output bit-identical across thread counts"
-if ! cmp -s "$met1" "$met8"; then
-    echo "FAIL: --metrics output differs across thread counts" >&2
-    diff <(head -c 2000 "$met1") <(head -c 2000 "$met8") | head -20 >&2
-    exit 1
-fi
-echo "ok: --metrics output byte-identical across thread counts"
+same_across_threads fig4 "fig4 output bit-identical" \
+    "$EVAL" fig4 --scale test --metrics "$tmp/metrics.{t}"
+same_outputs "$tmp/metrics.1" "$tmp/metrics.8" "--metrics output byte-identical"
 
 echo "== determinism: fig13 NDC_THREADS=1 vs NDC_THREADS=8 =="
-f13a=$(mktemp) && f13b=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b"' EXIT
-NDC_THREADS=1 "$EVAL" fig13 --scale test > "$f13a"
-NDC_THREADS=8 "$EVAL" fig13 --scale test > "$f13b"
-if ! diff -q "$f13a" "$f13b" > /dev/null; then
-    echo "FAIL: fig13 output differs across thread counts" >&2
-    diff "$f13a" "$f13b" | head -20 >&2
-    exit 1
-fi
-echo "ok: fig13 output bit-identical across thread counts"
+same_across_threads fig13 "fig13 output bit-identical" "$EVAL" fig13 --scale test
 
 echo "== determinism: explain NDC_THREADS=1 vs NDC_THREADS=8 =="
-ex1=$(mktemp) && ex8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8"' EXIT
-NDC_THREADS=1 "$EVAL" explain --scale test --bench kdtree > "$ex1"
-NDC_THREADS=8 "$EVAL" explain --scale test --bench kdtree > "$ex8"
-if ! diff -q "$ex1" "$ex8" > /dev/null; then
-    echo "FAIL: explain output differs across thread counts" >&2
-    diff "$ex1" "$ex8" | head -20 >&2
-    exit 1
-fi
-echo "ok: explain spans/provenance bit-identical across thread counts"
+same_across_threads explain "explain spans/provenance bit-identical" \
+    "$EVAL" explain --scale test --bench kdtree
 
 echo "== model accuracy: reuse-based cost model vs legacy heuristic =="
 # The full explain sweep (every workload x every NDC location) emits
-# BENCH_model_accuracy.json with mean/max absolute relative error for
-# both the reuse-based model and the retired heuristic. The sweep's
-# --json document must be byte-identical across thread counts, the
-# artifact must attest the reuse model's mean error beats the legacy
-# one, and the regenerated file is gated against the committed
-# baseline like every other BENCH artifact.
-ma1=$(mktemp) && ma8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8" "$ma1" "$ma8"' EXIT
-NDC_THREADS=1 "$EVAL" explain --scale test --json > "$ma1"
-NDC_THREADS=8 "$EVAL" explain --scale test --json > "$ma8"
-if ! cmp -s "$ma1" "$ma8"; then
-    echo "FAIL: explain --json sweep differs across thread counts" >&2
-    diff <(head -c 2000 "$ma1") <(head -c 2000 "$ma8") | head -20 >&2
-    exit 1
-fi
-echo "ok: explain --json sweep byte-identical across thread counts"
-test -s BENCH_model_accuracy.json || { echo "FAIL: BENCH_model_accuracy.json missing" >&2; exit 1; }
-grep -q '"model_beats_legacy":true' BENCH_model_accuracy.json \
-    || { echo "FAIL: reuse model does not beat the legacy heuristic" >&2; exit 1; }
-grep -q '"rows"' BENCH_model_accuracy.json \
-    || { echo "FAIL: BENCH_model_accuracy.json has no accuracy rows" >&2; exit 1; }
-"$EVAL" gate --baseline "$base_macc" --current BENCH_model_accuracy.json
+# BENCH_model_accuracy.json with the mean/max error of the reuse-based
+# model and of the retired heuristic; the reuse model must win.
+same_across_threads explain-json "explain --json sweep byte-identical" \
+    "$EVAL" explain --scale test --json
+require BENCH_model_accuracy.json '"model_beats_legacy":true' \
+    "reuse model does not beat the legacy heuristic"
+require BENCH_model_accuracy.json '"rows"' "BENCH_model_accuracy.json has no accuracy rows"
+gate model_accuracy
 
-# The `check` stage below also runs the span-attribution invariant:
-# CheckLevel::full() samples request spans and asserts child spans +
-# queue/stall residue sum exactly to each root latency.
+# `check` also runs the span-attribution invariant: CheckLevel::full()
+# samples request spans and asserts child spans + queue/stall residue
+# sum exactly to each root latency.
 echo "== correctness layer: oracle + invariants + fault matrix =="
 "$EVAL" check --scale test
 
 echo "== static legality: lint verdicts, certificates, fault matrix =="
-ln1=$(mktemp) && ln8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8" "$ma1" "$ma8" "$ln1" "$ln8"' EXIT
-NDC_THREADS=1 "$EVAL" lint --scale test > "$ln1"
-NDC_THREADS=8 "$EVAL" lint --scale test > "$ln8"
-if ! diff -q "$ln1" "$ln8" > /dev/null; then
-    echo "FAIL: lint output differs across thread counts" >&2
-    diff "$ln1" "$ln8" | head -20 >&2
-    exit 1
-fi
-cat "$ln1"
-echo "ok: lint verdicts bit-identical across thread counts"
+same_across_threads lint "lint verdicts bit-identical" "$EVAL" lint --scale test
+cat "$tmp/lint.1"
 
 echo "== mesh scale-up: lane engine determinism + BENCH_scale.json =="
-# Fast mode: 8x8 mesh only, lane counts {1, 2}. The subcommand itself
-# asserts the lane engine's SimResult is byte-identical across lane
-# counts; here we additionally pin the *printed study* (tables include
-# simulated cycles and instruction counts) across NDC_THREADS.
-sc1=$(mktemp) && sc8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8" "$ma1" "$ma8" "$ln1" "$ln8" "$sc1" "$sc8"' EXIT
-NDC_BENCH_FAST=1 NDC_THREADS=1 "$EVAL" scale > "$sc1"
-NDC_BENCH_FAST=1 NDC_THREADS=8 "$EVAL" scale > "$sc8"
-if ! diff -q <(grep -v "host ms\|insts/sec\|speedup" "$sc1" | cut -c1-60) \
-             <(grep -v "host ms\|insts/sec\|speedup" "$sc8" | cut -c1-60) > /dev/null; then
-    echo "FAIL: scale study simulated results differ across thread counts" >&2
-    diff "$sc1" "$sc8" | head -20 >&2
-    exit 1
-fi
-echo "ok: scale study simulated cycles/instructions bit-identical across thread counts"
-test -s BENCH_scale.json || { echo "FAIL: BENCH_scale.json missing" >&2; exit 1; }
-grep -q '"deterministic_across_lanes":true' BENCH_scale.json \
-    || { echo "FAIL: BENCH_scale.json missing determinism attestation" >&2; exit 1; }
-grep -q '"rows"' BENCH_scale.json \
-    || { echo "FAIL: BENCH_scale.json has no measurement rows" >&2; exit 1; }
-"$EVAL" gate --baseline "$base_scale" --current BENCH_scale.json
+# Fast mode: 8x8 mesh, lane counts {1, 2}. The subcommand asserts the
+# lane engine's SimResult is identical across lane counts; here the
+# printed study is pinned across NDC_THREADS too, minus the host
+# wall-clock columns.
+simulated_only() { grep -v "host ms\|insts/sec\|speedup" | cut -c1-60; }
+same_across_threads scale "scale study simulated cycles/instructions bit-identical" \
+    --filter simulated_only env NDC_BENCH_FAST=1 "$EVAL" scale
+require BENCH_scale.json '"deterministic_across_lanes":true' \
+    "BENCH_scale.json missing determinism attestation"
+require BENCH_scale.json '"rows"' "BENCH_scale.json has no measurement rows"
+gate scale
 
 echo "== operator fusion: fused-vs-unfused report + BENCH_fusion.json =="
-# Compiles every workload twice (fusion off/on), simulates both
-# schedules, and reports predicted bytes moved and measured offload
-# cycles. Deterministic across thread counts; the emitted JSON must
-# attest that fusion fired and that some workload reduced both bytes
-# and offload cycles.
-fu1=$(mktemp) && fu8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8" "$ma1" "$ma8" "$ln1" "$ln8" "$sc1" "$sc8" "$fu1" "$fu8"' EXIT
-NDC_THREADS=1 "$EVAL" fuse --scale test > "$fu1"
-NDC_THREADS=8 "$EVAL" fuse --scale test > "$fu8"
-if ! diff -q "$fu1" "$fu8" > /dev/null; then
-    echo "FAIL: fuse report differs across thread counts" >&2
-    diff "$fu1" "$fu8" | head -20 >&2
-    exit 1
-fi
-cat "$fu1"
-echo "ok: fuse report bit-identical across thread counts"
-test -s BENCH_fusion.json || { echo "FAIL: BENCH_fusion.json missing" >&2; exit 1; }
-grep -q '"scale":"Test","fused_chains":0,' BENCH_fusion.json \
-    && { echo "FAIL: BENCH_fusion.json reports zero fused chains overall" >&2; exit 1; }
-grep -q '"workloads_reduced_bytes_and_cycles":0' BENCH_fusion.json \
-    && { echo "FAIL: no workload reduced both bytes moved and offload cycles" >&2; exit 1; }
-grep -q '"rows"' BENCH_fusion.json \
-    || { echo "FAIL: BENCH_fusion.json has no per-workload rows" >&2; exit 1; }
-"$EVAL" gate --baseline "$base_fusion" --current BENCH_fusion.json
+# Every workload compiled with fusion off and on, both schedules
+# simulated; fusion must fire and some workload must reduce both
+# predicted bytes and measured offload cycles.
+same_across_threads fuse "fuse report bit-identical" "$EVAL" fuse --scale test
+cat "$tmp/fuse.1"
+require BENCH_fusion.json '"rows"' "BENCH_fusion.json has no per-workload rows"
+refuse BENCH_fusion.json '"scale":"Test","fused_chains":0,' \
+    "BENCH_fusion.json reports zero fused chains overall"
+refuse BENCH_fusion.json '"workloads_reduced_bytes_and_cycles":0' \
+    "no workload reduced both bytes moved and offload cycles"
+gate fusion
 
 echo "== seeded fuzzing: full pipeline, deterministic across thread counts =="
 # A fixed 512-seed corpus through generator -> verifier/bounds ->
 # layout -> compilers -> lint -> oracle -> checked simulator -> the
-# fusion stage (fused compile, certificates, oracle, checked sim). The
-# subcommand exits 1 on any divergence, violation, or panic (printing
-# the reproducing seed); here we additionally pin the whole report
-# across NDC_THREADS and assert the emitted corpus table attests a
-# clean run.
-fz1=$(mktemp) && fz8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8" "$ma1" "$ma8" "$ln1" "$ln8" "$sc1" "$sc8" "$fu1" "$fu8" "$fz1" "$fz8"' EXIT
-NDC_THREADS=1 "$EVAL" fuzz --count 512 --seed 7 > "$fz1"
-NDC_THREADS=8 "$EVAL" fuzz --count 512 --seed 7 > "$fz8"
-if ! diff -q "$fz1" "$fz8" > /dev/null; then
-    echo "FAIL: fuzz report differs across thread counts" >&2
-    diff "$fz1" "$fz8" | head -20 >&2
-    exit 1
-fi
-cat "$fz1"
-echo "ok: fuzz report bit-identical across thread counts"
-test -s BENCH_fuzz_corpus.json || { echo "FAIL: BENCH_fuzz_corpus.json missing" >&2; exit 1; }
-grep -q '"clean":true' BENCH_fuzz_corpus.json \
-    || { echo "FAIL: BENCH_fuzz_corpus.json does not attest a clean run" >&2; exit 1; }
-grep -q '"classes"' BENCH_fuzz_corpus.json \
-    || { echo "FAIL: BENCH_fuzz_corpus.json has no corpus table" >&2; exit 1; }
+# fusion stage. The subcommand exits 1 on any divergence, violation,
+# or panic, printing the reproducing seed.
+same_across_threads fuzz "fuzz report bit-identical" "$EVAL" fuzz --count 512 --seed 7
+cat "$tmp/fuzz.1"
+require BENCH_fuzz_corpus.json '"clean":true' "BENCH_fuzz_corpus.json does not attest a clean run"
+require BENCH_fuzz_corpus.json '"classes"' "BENCH_fuzz_corpus.json has no corpus table"
 
 echo "== profile: tenant attribution deterministic across thread counts =="
-pr1=$(mktemp) && pr8=$(mktemp)
-trap 'rm -f "$base_scale" "$base_fusion" "$base_fig4" "$base_macc" "$tmp1" "$tmp8" "$met1" "$met8" "$f13a" "$f13b" "$ex1" "$ex8" "$ma1" "$ma8" "$ln1" "$ln8" "$sc1" "$sc8" "$fu1" "$fu8" "$fz1" "$fz8" "$pr1" "$pr8"' EXIT
-NDC_THREADS=1 "$EVAL" profile --scale test --tenants 2 --json > "$pr1"
-NDC_THREADS=8 "$EVAL" profile --scale test --tenants 2 --json > "$pr8"
-if ! cmp -s "$pr1" "$pr8"; then
-    echo "FAIL: profile --json output differs across thread counts" >&2
-    diff <(head -c 2000 "$pr1") <(head -c 2000 "$pr8") | head -20 >&2
-    exit 1
-fi
-echo "ok: profile ledger/sketches byte-identical across thread counts"
+same_across_threads profile "profile ledger/sketches byte-identical" \
+    "$EVAL" profile --scale test --tenants 2 --json
 
 echo "== bench harness smoke (appends BENCH_fig4_schemes.json) =="
 NDC_BENCH_FAST=1 cargo bench --offline -p bench --bench fig4_schemes
-test -s BENCH_fig4_schemes.json || { echo "FAIL: BENCH_fig4_schemes.json missing" >&2; exit 1; }
-"$EVAL" gate --baseline "$base_fig4" --current BENCH_fig4_schemes.json
+test -s BENCH_fig4_schemes.json || fail "BENCH_fig4_schemes.json missing"
+gate fig4_schemes
 
 echo "== all checks passed =="

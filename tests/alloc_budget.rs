@@ -1,13 +1,18 @@
-//! Allocation budget of the simulator hot path.
+//! Allocation budget of the simulator hot path and of checked runs.
 //!
 //! A counting global allocator shows that simulating a kernel makes at
 //! most one heap allocation per simulated instruction under the
 //! instrumented baseline, Default NDC, and Algorithm 2's compiled
-//! schedule. The count is a deterministic function of the inputs, so
-//! unlike a wall-clock bound it guards the hot path without flaking on
-//! a loaded host.
+//! schedule, and that a fully checked and observed run, invariant
+//! check included, stays within a small constant per instruction. The
+//! count is a deterministic function of the inputs, so unlike a
+//! wall-clock bound it guards the hot path without flaking on a loaded
+//! host.
 
+use ndc::check::{check_engine_output, CheckLevel};
+use ndc::obs::ObsLevel;
 use ndc::prelude::*;
+use ndc::types::TraceProgram;
 use ndc_sim::engine::Engine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,6 +121,56 @@ fn simulation_allocates_at_most_once_per_instruction() {
                 per_inst <= BUDGET,
                 "{name}/{label}: {per_inst:.3} allocations per simulated instruction \
                  (budget {BUDGET})"
+            );
+        }
+    }
+}
+
+/// At most this many allocations per simulated instruction for a run
+/// under `CheckLevel::full()` + `ObsLevel::metrics()` followed by its
+/// invariant check. Check events carry static names and the checker
+/// keeps per-id tables, so these kernels read 1.6–4.4; what remains is
+/// mostly the sampled span trees. One `String` per check event read
+/// 9.8–22.1.
+const CHECKED_BUDGET: f64 = 6.0;
+
+#[test]
+fn checked_runs_allocate_a_bounded_amount_per_instruction() {
+    let cfg = ArchConfig::paper_default();
+    let cores = cfg.nodes();
+    let opts = LowerOptions {
+        cores,
+        emit_busy: true,
+    };
+    let checked = |traces: &TraceProgram, scheme: Scheme| {
+        let out = Engine::new(cfg, traces, scheme)
+            .with_check(CheckLevel::full())
+            .with_obs(ObsLevel::metrics())
+            .run();
+        let report = check_engine_output(&out);
+        assert!(report.ok(), "{:?}", report.violations);
+        out.result
+    };
+    for name in ["swim", "kdtree", "ocean", "barnes"] {
+        let prog = by_name(name).expect("known kernel").build(Scale::Test);
+        let base = lower(&prog, &opts, None);
+        let (sched, _) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
+        let compiled = lower(&prog, &opts, Some(&sched));
+        let runs = [
+            (
+                "baseline",
+                allocs_per_inst(|| checked(&base, Scheme::Baseline)),
+            ),
+            (
+                "compiled Alg 2",
+                allocs_per_inst(|| checked(&compiled, Scheme::Compiled)),
+            ),
+        ];
+        for (label, per_inst) in runs {
+            assert!(
+                per_inst <= CHECKED_BUDGET,
+                "{name}/{label}: {per_inst:.3} allocations per simulated instruction \
+                 in a checked run (budget {CHECKED_BUDGET})"
             );
         }
     }
