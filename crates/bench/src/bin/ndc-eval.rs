@@ -23,7 +23,7 @@
 //!   fuse              operator fusion: bytes moved + offload cycles, BENCH_fusion.json
 //!   check             differential oracle + simulator invariants + fault matrix
 //!   lint              static legality: certificates, bounds proofs, race report
-//!   scale             mesh scale-up study: lane engine vs serial, BENCH_scale.json
+//!   scale             mesh scale-up study (5x5 to 16x16), BENCH_scale.json
 //!   fuzz              seeded IR fuzzing: generator -> compilers -> oracle -> checked sim
 //!   gen               seeded corpus summary (class mix, shapes, degenerate coverage)
 //!   all               everything above in sequence (except check, lint, scale, fuzz)
@@ -60,6 +60,7 @@
 use ndc::experiments as exp;
 use ndc::obs::ObsLevel;
 use ndc::prelude::*;
+use ndc::sim::Engine;
 use ndc_types::{geomean_improvement, Json, ALL_NDC_LOCATIONS, BUCKET_LABELS};
 
 /// Ring capacity per simulated run when `--trace` is on: enough to
@@ -135,7 +136,7 @@ fn usage() {
     );
     println!("  check             differential oracle + simulator invariants + fault matrix");
     println!("  lint              static legality: certificates, bounds proofs, race report");
-    println!("  scale             mesh scale-up study: lane engine vs serial, BENCH_scale.json");
+    println!("  scale             mesh scale-up study (5x5 to 16x16), BENCH_scale.json");
     println!(
         "  fuzz              seeded IR fuzzing: generator -> compilers -> oracle -> checked sim"
     );
@@ -1365,13 +1366,15 @@ fn check_cmd(args: &Args, cfg: ArchConfig) {
     let reports = ndc_par::parallel_map(&list, |b| {
         let prog = b.build_timesteps(args.scale, 1);
         let traces = lower(&prog, &opts, None);
-        let out = chk::simulate_checked(
+        let out = Engine::new(
             cfg,
             &traces,
             Scheme::NdcAll {
                 budget: WaitBudget::PctOfCap(50),
             },
-        );
+        )
+        .with_check(chk::CheckLevel::full())
+        .run();
         (b.name, out.spans.len(), chk::check_engine_output(&out))
     });
     let mut invariant_rows = Vec::new();
@@ -1465,13 +1468,15 @@ fn check_cmd(args: &Args, cfg: ArchConfig) {
     }
     let prog = by_name("kdtree").unwrap().build_timesteps(args.scale, 1);
     let traces = lower(&prog, &opts, None);
-    let out = chk::simulate_checked(
+    let out = Engine::new(
         cfg,
         &traces,
         Scheme::NdcAll {
             budget: WaitBudget::PctOfCap(50),
         },
-    );
+    )
+    .with_check(chk::CheckLevel::full())
+    .run();
     let clean_result = out.result;
     let clean_data = out.check.expect("checked run records CheckData");
     let clean_ledger = out.ledger.expect("checked run collects the ledger");
@@ -1763,17 +1768,15 @@ fn ablation_coarse(args: &Args, cfg: ArchConfig) {
     println!();
 }
 
-/// `scale` — the mesh scale-up study: one workload run at every mesh
-/// size by the serial engine and the epoch-barriered lane engine at
-/// several lane counts. Per row: simulated cycles, host wall-clock,
-/// and host throughput (issued instructions per second). The lane
-/// engine's full `SimResult` must be byte-identical at every lane
-/// count (the determinism contract); the run aborts otherwise.
+/// `scale` — the mesh scale-up study: one workload simulated at every
+/// mesh size, its work scaled with the node count. Per row: simulated
+/// cycles and issued instructions, then host wall-clock and host
+/// throughput (issued instructions per second). Only the simulated
+/// counters land in `BENCH_scale.json`, so the file is identical on
+/// every host; the host columns stay on stdout.
 ///
-/// `NDC_BENCH_FAST=1` shrinks the sweep to the 8×8 mesh with lane
-/// counts {1, 2} for CI. Results land in `BENCH_scale.json`.
+/// `NDC_BENCH_FAST=1` shrinks the sweep to the 8×8 mesh for CI.
 fn scale_cmd(args: &Args) {
-    use ndc::sim::{Engine, LaneEngine};
     use std::time::Instant;
 
     let fast = std::env::var("NDC_BENCH_FAST").is_ok();
@@ -1782,7 +1785,6 @@ fn scale_cmd(args: &Args) {
     } else {
         &[(5, 5), (8, 8), (12, 12), (16, 16)]
     };
-    let lane_counts: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4, 8] };
     let name = args.bench.as_deref().unwrap_or("ocean");
     let bench = by_name(name).unwrap_or_else(|| {
         eprintln!("unknown benchmark '{name}'");
@@ -1792,14 +1794,13 @@ fn scale_cmd(args: &Args) {
         budget: WaitBudget::LastWindow,
     };
 
-    println!("== Mesh scale-up: serial engine vs epoch-barriered lanes ({name}) ==");
+    println!("== Mesh scale-up ({name}) ==");
     println!(
-        "{:<7} {:>6} {:<8} {:>6} {:>14} {:>12} {:>10} {:>12}",
-        "mesh", "nodes", "engine", "lanes", "sim cycles", "insts", "host ms", "insts/sec"
+        "{:<7} {:>6} {:>14} {:>12} {:>10} {:>12}",
+        "mesh", "nodes", "sim cycles", "insts", "host ms", "insts/sec"
     );
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut host_ns_of: Vec<((u16, u16), &'static str, usize, u64)> = Vec::new();
     for &(w, h) in meshes {
         let cfg = ArchConfig::with_mesh(w, h);
         // Work scales with the mesh so per-node load stays constant:
@@ -1811,96 +1812,33 @@ fn scale_cmd(args: &Args) {
         };
         let traces = lower(&prog, &opts, None);
 
-        let mut row = |engine: &'static str, lanes: usize, result: &SimResult, host_ns: u64| {
-            let per_sec = result.issued_insts as f64 * 1e9 / host_ns.max(1) as f64;
-            println!(
-                "{:<7} {:>6} {:<8} {:>6} {:>14} {:>12} {:>10.1} {:>12.0}",
-                format!("{w}x{h}"),
-                cfg.nodes(),
-                engine,
-                lanes,
-                result.total_cycles,
-                result.issued_insts,
-                host_ns as f64 / 1e6,
-                per_sec
-            );
-            host_ns_of.push(((w, h), engine, lanes, host_ns));
-            rows.push(
-                Json::obj()
-                    .with("mesh", format!("{w}x{h}"))
-                    .with("nodes", cfg.nodes())
-                    .with("engine", engine)
-                    .with("lanes", lanes)
-                    .with("simulated_cycles", result.total_cycles)
-                    .with("issued_insts", result.issued_insts)
-                    .with("host_ns", host_ns)
-                    .with("insts_per_sec", per_sec),
-            );
-        };
-
         let t0 = Instant::now();
-        let serial = Engine::new(cfg, &traces, scheme).run();
-        row("serial", 0, &serial.result, t0.elapsed().as_nanos() as u64);
-
-        let mut fingerprint: Option<String> = None;
-        for &n in lane_counts {
-            let t0 = Instant::now();
-            let out = LaneEngine::new(cfg, &traces, scheme).with_lanes(n).run();
-            let host_ns = t0.elapsed().as_nanos() as u64;
-            let fp = format!("{:?}", out.result);
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(first) => assert_eq!(
-                    *first, fp,
-                    "{w}x{h}: lane engine diverged between lane counts"
-                ),
-            }
-            row("lanes", n, &out.result, host_ns);
-        }
-    }
-
-    // Single-run speedup at the largest mesh: serial wall-clock over
-    // the widest lane configuration (ISSUE 6 targets >= 3x at 16x16
-    // with 8 lanes; only meaningful for release builds).
-    let &(bw, bh) = meshes.last().expect("non-empty mesh list");
-    let widest = *lane_counts.last().expect("non-empty lane list");
-    let ns = |eng: &str, lanes: usize| {
-        host_ns_of
-            .iter()
-            .find(|&&(m, e, l, _)| m == (bw, bh) && e == eng && l == lanes)
-            .map(|&(_, _, _, ns)| ns)
-            .expect("measured row")
-    };
-    let speedup = ns("serial", 0) as f64 / ns("lanes", widest).max(1) as f64;
-    let host_cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    println!();
-    println!("{bw}x{bh} speedup, {widest} lanes vs serial: {speedup:.2}x (host CPUs: {host_cpus})");
-    if host_cpus < widest {
+        let result = Engine::new(cfg, &traces, scheme).run().result;
+        let host_ns = t0.elapsed().as_nanos() as u64;
+        let per_sec = result.issued_insts as f64 * 1e9 / host_ns.max(1) as f64;
         println!(
-            "note: only {host_cpus} host CPU(s) — lane threads time-slice instead of \
-             running concurrently, so the recorded speedup reflects overhead, not scaling"
+            "{:<7} {:>6} {:>14} {:>12} {:>10.1} {:>12.0}",
+            format!("{w}x{h}"),
+            cfg.nodes(),
+            result.total_cycles,
+            result.issued_insts,
+            host_ns as f64 / 1e6,
+            per_sec
+        );
+        rows.push(
+            Json::obj()
+                .with("mesh", format!("{w}x{h}"))
+                .with("nodes", cfg.nodes())
+                .with("simulated_cycles", result.total_cycles)
+                .with("issued_insts", result.issued_insts),
         );
     }
-    println!("lane engine byte-identical across lane counts: yes");
 
     let doc = Json::obj()
         .with("experiment", "scale")
         .with("benchmark", name)
         .with("scheme", format!("{scheme:?}"))
         .with("fast", fast)
-        .with("epoch_hops", ndc::sim::lanes::EPOCH_HOPS)
-        .with("host_parallelism", host_cpus)
-        .with("deterministic_across_lanes", true)
-        .with(
-            "speedup_largest_mesh",
-            Json::obj()
-                .with("mesh", format!("{bw}x{bh}"))
-                .with("lanes", widest)
-                .with("speedup", speedup)
-                .with("host_saturated", host_cpus < widest),
-        )
         .with("rows", rows);
     write_json("BENCH_scale.json", &doc);
 }

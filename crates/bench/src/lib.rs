@@ -4,6 +4,8 @@
 //! experiment with the zero-dependency [`harness`]. Table/figure
 //! *content* comes from `ndc::experiments`.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod harness;
 

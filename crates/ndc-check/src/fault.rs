@@ -394,7 +394,7 @@ mod tests {
     use super::*;
     use crate::invariant::check_run;
     use ndc_ir::{lower, LowerOptions};
-    use ndc_sim::{simulate_checked, Scheme, WaitBudget};
+    use ndc_sim::{CheckLevel, Engine, Scheme, WaitBudget};
     use ndc_types::ArchConfig;
     use ndc_workloads::{by_name, Scale};
 
@@ -411,13 +411,15 @@ mod tests {
             },
             None,
         );
-        let out = simulate_checked(
+        let out = Engine::new(
             cfg,
             &traces,
             Scheme::NdcAll {
                 budget: WaitBudget::PctOfCap(50),
             },
-        );
+        )
+        .with_check(CheckLevel::full())
+        .run();
         (
             out.check.expect("checked run records CheckData"),
             out.result,
@@ -499,13 +501,15 @@ mod tests {
             },
             None,
         );
-        simulate_checked(
+        Engine::new(
             cfg,
             &traces,
             Scheme::NdcAll {
                 budget: WaitBudget::PctOfCap(50),
             },
         )
+        .with_check(CheckLevel::full())
+        .run()
     }
 
     #[test]

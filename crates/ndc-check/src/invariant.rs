@@ -746,7 +746,7 @@ mod tests {
     fn check_stream_matches_the_reference_on_recorded_runs() {
         use crate::fault::{inject, ALL_FAULTS};
         use ndc_ir::{lower, LowerOptions};
-        use ndc_sim::{simulate_checked, Scheme, WaitBudget};
+        use ndc_sim::{CheckLevel, Engine, Scheme, WaitBudget};
         use ndc_types::ArchConfig;
         use ndc_workloads::{by_name, Scale};
 
@@ -760,7 +760,9 @@ mod tests {
         };
         for name in ["kdtree", "swim", "barnes"] {
             let prog = by_name(name).unwrap().build_timesteps(Scale::Test, 1);
-            let out = simulate_checked(cfg, &lower(&prog, &opts, None), scheme);
+            let out = Engine::new(cfg, &lower(&prog, &opts, None), scheme)
+                .with_check(CheckLevel::full())
+                .run();
             let data = out.check.expect("checked run records CheckData");
             let clean = check_stream(&data.events);
             assert!(clean.ok(), "{name}: {:?}", clean.violations);

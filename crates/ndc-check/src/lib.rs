@@ -35,6 +35,8 @@
 //! Zero-dependency like the rest of the workspace; everything here is
 //! deterministic (seeded PRNG, no clocks).
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod invariant;
 pub mod oracle;
@@ -57,4 +59,3 @@ pub use reuse_check::{
 };
 
 pub use ndc_obs::CheckLevel;
-pub use ndc_sim::simulate_checked;

@@ -17,6 +17,8 @@
 //! simulator's per-reference counters, which *do* include coherence
 //! misses.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod bottleneck;
 pub mod predict;

@@ -29,6 +29,8 @@
 //! the architecture description (`ndc_types::ArchConfig`) and produce
 //! an `ndc_ir::Schedule` plus a [`report::CompilerReport`].
 
+#![forbid(unsafe_code)]
+
 pub mod algorithm1;
 pub mod algorithm2;
 pub mod coarse;

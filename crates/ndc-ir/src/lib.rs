@@ -23,6 +23,8 @@
 //! * [`mod@lower`] — lowering of a (scheduled) program to per-core
 //!   instruction traces consumed by `ndc-sim`.
 
+#![forbid(unsafe_code)]
+
 pub mod deps;
 pub mod interp;
 pub mod lower;

@@ -28,6 +28,8 @@
 //! it never touches the simulator, so its verdicts cannot be
 //! contaminated by the machinery it is checking.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod certificate;
 pub mod fusion;

@@ -25,17 +25,6 @@ pub struct DirStats {
     pub contended_writes: u64,
 }
 
-impl DirStats {
-    /// Fold another shard's counters into this one (the lane engine
-    /// keeps one directory shard per home bank and merges at the end).
-    pub fn merge(&mut self, other: &DirStats) {
-        self.sharer_adds += other.sharer_adds;
-        self.writes += other.writes;
-        self.invalidations_sent += other.invalidations_sent;
-        self.contended_writes += other.contended_writes;
-    }
-}
-
 /// Widest mesh the sharer mask supports: 4×64 bits = 256 cores, i.e. a
 /// 16×16 mesh. `debug_assert`ed at every entry point.
 pub const MAX_CORES: usize = SHARER_WORDS * 64;
@@ -269,26 +258,5 @@ mod tests {
         assert!(d.is_sharer(0x40, 130));
         d.remove_sharer(0x40, 130);
         assert_eq!(d.tracked_lines(), 0);
-    }
-
-    #[test]
-    fn stats_merge_sums_shards() {
-        let mut a = DirStats {
-            sharer_adds: 1,
-            writes: 2,
-            invalidations_sent: 3,
-            contended_writes: 4,
-        };
-        let b = DirStats {
-            sharer_adds: 10,
-            writes: 20,
-            invalidations_sent: 30,
-            contended_writes: 40,
-        };
-        a.merge(&b);
-        assert_eq!(a.sharer_adds, 11);
-        assert_eq!(a.writes, 22);
-        assert_eq!(a.invalidations_sent, 33);
-        assert_eq!(a.contended_writes, 44);
     }
 }

@@ -16,6 +16,8 @@
 //!   different latencies, banks serialize on their busy horizon, and
 //!   the shared data channel serializes bursts.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod directory;
 pub mod dram;

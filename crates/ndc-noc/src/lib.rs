@@ -19,12 +19,12 @@
 //! operand arrival times — the raw material of the paper's
 //! arrival-window study — without flit-level simulation cost.
 
-pub mod lane;
+#![forbid(unsafe_code)]
+
 pub mod mesh;
 pub mod network;
 pub mod signature;
 
-pub use lane::LanePlanner;
 pub use mesh::{LinkId, Mesh, Route, XyLinks};
 pub use network::{LinkObs, LinkTraversal, Network, Traversal};
 pub use signature::{

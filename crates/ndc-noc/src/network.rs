@@ -195,59 +195,10 @@ impl Network {
         hops as Cycle * self.mesh.config().hop_cycles
     }
 
-    /// Frozen busy-horizon of one directed link, for lane planners that
-    /// plan traversals against an epoch-start snapshot (the live vector
-    /// is not mutated during a parallel phase, so a shared reference to
-    /// the `Network` *is* the snapshot).
-    pub fn horizon(&self, l: LinkId) -> Cycle {
+    /// Busy-horizon of one directed link.
+    #[cfg(test)]
+    fn horizon(&self, l: LinkId) -> Cycle {
         self.busy_until[l.index()]
-    }
-
-    /// Max-merge a planned occupancy into the live horizon. Used by
-    /// [`crate::lane::LanePlanner::commit`]: the merged horizon is the
-    /// max over the frozen value and every lane's overlay, which is
-    /// commutative — commit order across lanes cannot change the result.
-    pub fn raise_horizon(&mut self, l: LinkId, until: Cycle) {
-        let h = &mut self.busy_until[l.index()];
-        *h = (*h).max(until);
-    }
-
-    /// Fold planned traffic counters in at commit time.
-    pub fn add_traffic(&mut self, messages: u64, queueing_cycles: u64, flit_hops: u64) {
-        self.messages += messages;
-        self.queueing_cycles += queueing_cycles;
-        self.flit_hops += flit_hops;
-    }
-
-    /// Record one planned per-link telemetry sample (no-op when obs is
-    /// disabled; counter sums and histogram bucket increments are
-    /// commutative across lanes).
-    pub fn record_obs_sample(&mut self, l: LinkId, occupancy: u64, delay: Cycle) {
-        if let Some(obs) = &mut self.obs {
-            let lo = &mut obs[l.index()];
-            lo.traversals += 1;
-            lo.busy_cycles += occupancy;
-            lo.queue_delay.record(Some(delay));
-        }
-    }
-
-    /// Append one planned flit tuple to the occupancy log (no-op when
-    /// the check log is disabled).
-    pub fn log_flit(&mut self, l: LinkId, enter: Cycle, exit: Cycle) {
-        if let Some(log) = &mut self.check_log {
-            log.push((l, enter, exit));
-        }
-    }
-
-    /// Whether per-link telemetry is on (planners skip sample capture
-    /// otherwise).
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    /// Whether the flit occupancy log is on.
-    pub fn check_log_enabled(&self) -> bool {
-        self.check_log.is_some()
     }
 
     /// Reset all busy horizons (between independent simulations).

@@ -5,9 +5,8 @@
 //! moment the simulated component pays it. Charging is pure
 //! bookkeeping — it never reads or perturbs simulated timing — and all
 //! row operations are commutative `u64` sums plus
-//! [`QuantileSketch`](crate::sketch::QuantileSketch) merges, so
-//! lane-local ledgers merged in canonical core order reproduce the
-//! serial ledger byte-for-byte.
+//! [`QuantileSketch`](crate::sketch::QuantileSketch) merges, so rows
+//! fold together ([`TenantRow::merge`]) in any order.
 //!
 //! The point of the ledger is that its column sums are *conserved*
 //! quantities: `ndc-check` asserts they equal the simulator's global
@@ -176,13 +175,6 @@ impl AttributionLedger {
         row.offload[loc].record(total);
     }
 
-    /// Fold another ledger into this one, row by row (commutative).
-    pub fn merge(&mut self, other: &AttributionLedger) {
-        for (t, row) in other.rows.iter().enumerate() {
-            self.row_mut(t as u16).merge(row);
-        }
-    }
-
     /// Render as a JSON array of per-tenant rows, in tenant order.
     pub fn to_json(&self) -> Json {
         let arr =
@@ -256,24 +248,6 @@ mod tests {
             r.ndc_offload_cycles[2]
         );
         assert_eq!(r.offload[2].count(), 1);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_grows_rows() {
-        let mut a = AttributionLedger::new(1);
-        a.charge_request(0, 10, None);
-        let mut b = AttributionLedger::new(3);
-        b.charge_request(2, 30, Some(4));
-        b.charge_traverse(0, 5);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.num_tenants(), 3);
-        assert_eq!(ab.rows()[0].requests, 1);
-        assert_eq!(ab.rows()[2].request_cycles, 30);
     }
 
     #[test]

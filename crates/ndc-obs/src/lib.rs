@@ -23,6 +23,8 @@
 //! simulated cycles supplied by the caller, and every container
 //! preserves insertion order.
 
+#![forbid(unsafe_code)]
+
 use ndc_types::{Cycle, Json, WindowHistogram, BUCKET_LABELS};
 
 pub mod ledger;

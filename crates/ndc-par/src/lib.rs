@@ -27,10 +27,11 @@
 //! them), so assertion failures inside parallel property tests behave
 //! like serial ones.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 thread_local! {
     /// Set while the current thread is an ndc-par worker; nested
@@ -165,232 +166,6 @@ where
     })
 }
 
-// ---------------------------------------------------------------------------
-// Lane pool: persistent workers with a reusable barrier.
-//
-// `parallel_map` fork-joins per call — fine for coarse experiment
-// fan-out, far too heavy for the intra-run lane engine, which crosses a
-// barrier every simulation epoch (thousands of times per run). The
-// `LanePool` spawns its workers once and reuses them: each `run` call
-// publishes one type-erased closure under a generation counter, every
-// worker executes it with its own lane index, and the caller doubles as
-// lane 0 so `lanes == 1` never context-switches at all.
-// ---------------------------------------------------------------------------
-
-/// A type-erased borrow of the per-epoch closure. The raw pointer is
-/// only dereferenced between the generation bump that publishes it and
-/// the matching `pending == 0` handshake — i.e. strictly within the
-/// `run` call that owns the referent — so the `Send`/`Sync` assertion
-/// below is sound.
-#[derive(Clone, Copy)]
-struct JobPtr(*const (dyn Fn(usize) + Sync));
-
-unsafe impl Send for JobPtr {}
-unsafe impl Sync for JobPtr {}
-
-struct PoolState {
-    /// Bumped once per `run`; workers execute each generation exactly once.
-    generation: u64,
-    job: Option<JobPtr>,
-    /// Workers still running the current generation.
-    pending: usize,
-    /// Workers that panicked in the current generation (re-raised on the caller).
-    panicked: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signals workers: new generation published (or shutdown).
-    go: Condvar,
-    /// Signals the caller: all workers finished the generation.
-    done: Condvar,
-}
-
-/// Persistent worker pool for epoch-barriered lane execution.
-///
-/// `run(f)` executes `f(lane)` once per lane, `0..lanes()`, with lane 0
-/// on the calling thread, and returns only when every lane finished —
-/// the return *is* the epoch barrier. Workers park on a condvar between
-/// epochs instead of being respawned, so a simulation crossing tens of
-/// thousands of barriers pays thread-spawn cost exactly once.
-///
-/// Determinism contract: the pool decides only *where* work runs. Lane
-/// engines must key all work and all output buffers by shard index, not
-/// lane index, so results are invariant under `NDC_THREADS`.
-pub struct LanePool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    lanes: usize,
-}
-
-impl LanePool {
-    /// A pool with `lanes` lanes (clamped to ≥ 1); spawns `lanes - 1`
-    /// worker threads, the caller being lane 0.
-    pub fn new(lanes: usize) -> Self {
-        let lanes = lanes.max(1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                generation: 0,
-                job: None,
-                pending: 0,
-                panicked: 0,
-                shutdown: false,
-            }),
-            go: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let workers = (1..lanes)
-            .map(|lane| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, lane))
-            })
-            .collect();
-        Self {
-            shared,
-            workers,
-            lanes,
-        }
-    }
-
-    /// Pool sized for the environment: `NDC_THREADS` (or host
-    /// parallelism), degraded to a single lane when already inside an
-    /// ndc-par worker — a lane engine nested under experiment fan-out
-    /// must not oversubscribe the host.
-    pub fn for_env() -> Self {
-        Self::new(if in_worker() { 1 } else { num_threads() })
-    }
-
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Execute `f(lane)` on every lane and wait for all of them: one
-    /// epoch. Serial pools (one lane) call `f(0)` inline with zero
-    /// synchronization. Worker panics are re-raised here after the
-    /// barrier, so a failed assertion inside a lane behaves like a
-    /// failed assertion in a serial run.
-    pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        if self.lanes == 1 {
-            f(0);
-            return;
-        }
-        // Erase the borrow's lifetime to park it in the shared slot;
-        // `run` does not return until every worker is done with it.
-        let erased: *const (dyn Fn(usize) + Sync + 'static) =
-            unsafe { std::mem::transmute(f as *const (dyn Fn(usize) + Sync)) };
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.job = Some(JobPtr(erased));
-            st.pending = self.lanes - 1;
-            st.panicked = 0;
-            st.generation += 1;
-            self.shared.go.notify_all();
-        }
-        // The caller is lane 0. Catching the unwind keeps the barrier
-        // intact (workers must never observe a torn generation).
-        let lane0 = std::panic::catch_unwind(AssertUnwindSafe(|| f(0)));
-        let mut st = self.shared.state.lock().unwrap();
-        while st.pending > 0 {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        st.job = None;
-        let worker_panics = st.panicked;
-        drop(st);
-        if let Err(payload) = lane0 {
-            std::panic::resume_unwind(payload);
-        }
-        assert!(
-            worker_panics == 0,
-            "{worker_panics} lane worker(s) panicked"
-        );
-    }
-
-    /// Shard helper: `f(i, &mut items[i])` for every item, items
-    /// distributed round-robin over lanes (`i % lanes`). The fixed
-    /// item→lane map plus `&mut` disjointness is what makes per-shard
-    /// mutation safe without locks.
-    pub fn run_sharded<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        let lanes = self.lanes;
-        let base = SendPtr(items.as_mut_ptr());
-        self.run(&move |lane| {
-            let mut i = lane;
-            while i < n {
-                // SAFETY: lane `l` visits exactly the indices ≡ l (mod
-                // lanes); distinct lanes touch disjoint elements, and
-                // `run` keeps the borrow of `items` alive past every
-                // worker's last access.
-                let item = unsafe { &mut *base.at(i) };
-                f(i, item);
-                i += lanes;
-            }
-        });
-    }
-}
-
-/// Raw-pointer wrapper whose `Send`/`Sync` is justified at each use
-/// site (disjoint strided access under a joined scope).
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than a public field) so closures capture the
-    /// `Sync` wrapper, not the raw pointer, under disjoint capture.
-    fn at(&self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
-
-impl Drop for LanePool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.go.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, lane: usize) {
-    IN_WORKER.with(|flag| flag.set(true));
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen {
-                    seen = st.generation;
-                    break st.job.expect("published generation carries a job");
-                }
-                st = shared.go.wait(st).unwrap();
-            }
-        };
-        // SAFETY: `run` owns this generation and blocks until `pending`
-        // drains; the closure outlives this call.
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(lane) }));
-        let mut st = shared.state.lock().unwrap();
-        if res.is_err() {
-            st.panicked += 1;
-        }
-        st.pending -= 1;
-        if st.pending == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,73 +296,6 @@ mod tests {
         let _ = parallel_map(&items, |&x| {
             assert!(x != 17, "boom");
             x
-        });
-    }
-
-    #[test]
-    fn lane_pool_visits_every_lane_each_epoch() {
-        let pool = LanePool::new(4);
-        assert_eq!(pool.lanes(), 4);
-        for _epoch in 0..100 {
-            let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(&|lane| {
-                hits[lane].fetch_add(1, Ordering::Relaxed);
-            });
-            for h in &hits {
-                assert_eq!(h.load(Ordering::Relaxed), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn lane_pool_serial_runs_inline() {
-        let pool = LanePool::new(1);
-        let mut order = Vec::new();
-        // With one lane the closure runs on the caller; a non-Sync
-        // side effect through a cell would not compile, so collect via
-        // an atomic and assert single execution.
-        let count = AtomicUsize::new(0);
-        pool.run(&|lane| {
-            assert_eq!(lane, 0);
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        order.push(count.load(Ordering::Relaxed));
-        assert_eq!(order, vec![1]);
-    }
-
-    #[test]
-    fn run_sharded_touches_each_item_once() {
-        let pool = LanePool::new(3);
-        let mut items: Vec<u64> = vec![0; 17];
-        pool.run_sharded(&mut items, |i, v| {
-            *v += 1 + i as u64;
-        });
-        let expect: Vec<u64> = (0..17).map(|i| 1 + i as u64).collect();
-        assert_eq!(items, expect);
-        // Barrier reuse: a second epoch over the same pool.
-        pool.run_sharded(&mut items, |_, v| *v *= 2);
-        let expect2: Vec<u64> = expect.iter().map(|v| v * 2).collect();
-        assert_eq!(items, expect2);
-    }
-
-    #[test]
-    fn lane_pool_workers_are_marked_as_workers() {
-        let pool = LanePool::new(2);
-        let outside = AtomicBool::new(false);
-        pool.run(&|lane| {
-            if lane > 0 && !in_worker() {
-                outside.store(true, Ordering::Relaxed);
-            }
-        });
-        assert!(!outside.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    #[should_panic]
-    fn lane_pool_worker_panic_reaches_caller() {
-        let pool = LanePool::new(2);
-        pool.run(&|lane| {
-            assert!(lane != 1, "lane boom");
         });
     }
 }

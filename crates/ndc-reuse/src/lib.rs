@@ -35,6 +35,8 @@
 //! Zero-dependency like the rest of the workspace: only `ndc-ir`,
 //! `ndc-lint`, and `ndc-types`.
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod classify;
 pub mod form;

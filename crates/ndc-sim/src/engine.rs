@@ -45,7 +45,7 @@ struct CoreState {
 
 /// Result of a pre-compute offload, awaiting its consumer.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum PreResult {
+enum PreResult {
     Performed {
         loc_index: usize,
         result_at_core: Cycle,
@@ -62,12 +62,12 @@ pub(crate) enum PreResult {
 const _STORE_AT_CORE: () = ();
 
 /// Sentinel meaning "no window recorded yet" in [`LastWindowTable`].
-pub(crate) const NO_WINDOW: Cycle = Cycle::MAX;
+const NO_WINDOW: Cycle = Cycle::MAX;
 
 /// Span-sampling rate a `CheckLevel::full()` run uses when the caller
 /// did not request spans explicitly: enough traces to exercise the
 /// attribution invariant without recording every request.
-pub(crate) const CHECK_SPAN_ONE_IN: u32 = 8;
+const CHECK_SPAN_ONE_IN: u32 = 8;
 
 /// Dense per-PC last-observed-window table for the Last-Wait predictor.
 ///
@@ -75,14 +75,14 @@ pub(crate) const CHECK_SPAN_ONE_IN: u32 = 8;
 /// indexed by PC replaces the former `HashMap<Pc, Cycle>` in the
 /// engine's inner loop: one bounds-checked load instead of a hash +
 /// probe per eligible compute.
-pub(crate) struct LastWindowTable {
+struct LastWindowTable {
     slots: Vec<Cycle>,
 }
 
 impl LastWindowTable {
     /// Sized from the largest PC in the program; every lookup hits
     /// in-bounds by construction (all queried PCs come from the traces).
-    pub(crate) fn for_program(prog: &TraceProgram) -> Self {
+    fn for_program(prog: &TraceProgram) -> Self {
         let n = prog
             .traces
             .iter()
@@ -109,13 +109,13 @@ impl LastWindowTable {
     }
 
     #[inline]
-    pub(crate) fn get(&self, pc: Pc) -> Option<Cycle> {
+    fn get(&self, pc: Pc) -> Option<Cycle> {
         let w = self.slots[pc as usize];
         (w != NO_WINDOW).then_some(w)
     }
 
     #[inline]
-    pub(crate) fn set(&mut self, pc: Pc, w: Cycle) {
+    fn set(&mut self, pc: Pc, w: Cycle) {
         self.slots[pc as usize] = w;
     }
 }
@@ -203,7 +203,7 @@ impl PreResultTable {
 /// the run had `CheckLevel::full()`: the complete check-event stream
 /// (`chk:req` request paths, then `chk:link` flit pairs) plus the DRAM
 /// accounting totals that live outside `SimResult`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckData {
     /// `ndc_obs::chk` events: every request path and flit traversal.
     pub events: Vec<Event>,
@@ -222,11 +222,11 @@ pub struct CheckData {
 }
 
 impl CheckData {
-    /// Collect a finished run's check data from its machine (both
-    /// engines use this): the recorded request paths, then one
-    /// `flit_enter`/`flit_exit` pair per logged link traversal, written
-    /// into space reserved once for the whole log.
-    pub(crate) fn collect(machine: &mut Machine) -> CheckData {
+    /// Collect a finished run's check data from its machine: the
+    /// recorded request paths, then one `flit_enter`/`flit_exit` pair
+    /// per logged link traversal, written into space reserved once for
+    /// the whole log.
+    fn collect(machine: &mut Machine) -> CheckData {
         let mut events = machine
             .chk
             .take()
@@ -331,7 +331,8 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// Attach an oracle guide (required for `Scheme::Oracle`).
+    /// Attach a planned oracle guide. A `Scheme::Oracle` engine without
+    /// one plans its own guide when it runs (see [`Engine::run`]).
     pub fn with_guide(mut self, guide: &'a OracleGuide) -> Self {
         self.guide = Some(guide);
         self
@@ -358,8 +359,36 @@ impl<'a> Engine<'a> {
         self
     }
 
+    /// Run the simulation. A `Scheme::Oracle` engine without a guide
+    /// runs the oracle's two passes: an instrumented baseline, with no
+    /// other options, plans the [`OracleGuide`]; the guided pass then
+    /// runs with this engine's options. Only the guided pass is
+    /// observed, checked and attributed — the plan is an artifact.
     pub fn run(self) -> EngineOutput {
-        let cores = self.cfg.nodes().min(self.prog.traces.len().max(1));
+        let reuse_aware = match (self.scheme, self.guide) {
+            (Scheme::Oracle { reuse_aware }, None) => reuse_aware,
+            _ => return self.run_pass(),
+        };
+        let guide = {
+            let plan = Engine::new(self.cfg, self.prog, Scheme::Baseline)
+                .with_instrumentation()
+                .run_pass();
+            let records = &plan
+                .instrumentation
+                .as_ref()
+                .expect("instrumented plan pass")
+                .records;
+            OracleGuide::build(records, self.prog, self.cfg.l1.line_bytes, reuse_aware)
+        };
+        Engine {
+            guide: Some(&guide),
+            ..self
+        }
+        .run_pass()
+    }
+
+    /// One simulation pass with exactly the configured options.
+    fn run_pass(self) -> EngineOutput {
         let mut machine = Machine::new(self.cfg);
         if self.obs.metrics {
             machine.net.enable_obs();
@@ -462,7 +491,6 @@ impl<'a> Engine<'a> {
         result.noc_queueing_cycles = machine.net.queueing_cycles;
         result.noc_flit_hops = machine.net.flit_hops;
         result.total_computes = self.prog.total_computes();
-        let _ = cores;
         let mut metrics = self.obs.metrics.then(|| build_metrics(&machine, &result));
         // Ring-drop accounting: a truncated trace must say so (and say
         // whose events were evicted), not silently shorten history.
@@ -783,11 +811,10 @@ impl<'a> Engine<'a> {
             }
             Scheme::Oracle { .. } => {
                 if eligible {
-                    match self
+                    let guide = self
                         .guide
-                        .map(|g| g.decision(c, seq))
-                        .unwrap_or(OracleDecision::Conventional)
-                    {
+                        .expect("`run` plans a guide for every oracle pass");
+                    match guide.decision(c, seq) {
                         OracleDecision::Conventional => None,
                         OracleDecision::Ndc { loc, reshape } => {
                             oracle_reshape = reshape;
@@ -1305,7 +1332,7 @@ impl<'a> Engine<'a> {
 /// (`op_done = last arrival + exec_cycles`, `wait` = arrival spread),
 /// so the children tile `[issue, result_at_core)` with no residue.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn record_ndc_span(
+fn record_ndc_span(
     machine: &mut Machine,
     core: u32,
     loc_label: &str,
@@ -1349,114 +1376,17 @@ fn issue_tracked(
 }
 
 /// Record per-PC L1/L2 hit-miss outcomes from a conventional access.
-pub(crate) fn record_pc_cache(result: &mut SimResult, pc: Pc, slot: u8, path: &AccessPath) {
+fn record_pc_cache(result: &mut SimResult, pc: Pc, slot: u8, path: &AccessPath) {
     result.record_l1(pc, slot, path.l1_hit, path.coherence_miss);
     if let Some(l2) = path.l2 {
         result.record_l2(pc, slot, l2.hit);
     }
 }
 
-/// Run a scheme end-to-end, handling the oracle's two-pass protocol.
+/// Run a scheme end-to-end with no observation: shorthand for
+/// `Engine::new(cfg, prog, scheme).run()`.
 pub fn simulate(cfg: ArchConfig, prog: &TraceProgram, scheme: Scheme) -> EngineOutput {
-    simulate_obs(cfg, prog, scheme, ObsLevel::off())
-}
-
-/// [`simulate`] with observability: collect per-component metrics
-/// and/or a bounded trace-event ring from the measured run. For the
-/// oracle's two-pass protocol only the second (guided) run is
-/// observed — the instrumented baseline is a planning artifact.
-pub fn simulate_obs(
-    cfg: ArchConfig,
-    prog: &TraceProgram,
-    scheme: Scheme,
-    obs: ObsLevel,
-) -> EngineOutput {
-    match scheme {
-        Scheme::Oracle { reuse_aware } => {
-            let base = Engine::new(cfg, prog, Scheme::Baseline)
-                .with_instrumentation()
-                .run();
-            let records = &base
-                .instrumentation
-                .as_ref()
-                .expect("instrumented baseline")
-                .records;
-            let guide = OracleGuide::build(records, prog, cfg.l1.line_bytes, reuse_aware);
-            let mut out = Engine::new(cfg, prog, scheme)
-                .with_guide(&guide)
-                .with_obs(obs)
-                .run();
-            out.result.scheme = scheme.label();
-            out
-        }
-        _ => Engine::new(cfg, prog, scheme).with_obs(obs).run(),
-    }
-}
-
-/// [`simulate_obs`] with a core→tenant assignment for the attribution
-/// ledger. For the oracle's two-pass protocol only the measured
-/// (guided) run is attributed — the instrumented baseline is a
-/// planning artifact.
-pub fn simulate_tenants(
-    cfg: ArchConfig,
-    prog: &TraceProgram,
-    scheme: Scheme,
-    obs: ObsLevel,
-    tenants: Vec<u16>,
-) -> EngineOutput {
-    match scheme {
-        Scheme::Oracle { reuse_aware } => {
-            let base = Engine::new(cfg, prog, Scheme::Baseline)
-                .with_instrumentation()
-                .run();
-            let records = &base
-                .instrumentation
-                .as_ref()
-                .expect("instrumented baseline")
-                .records;
-            let guide = OracleGuide::build(records, prog, cfg.l1.line_bytes, reuse_aware);
-            let mut out = Engine::new(cfg, prog, scheme)
-                .with_guide(&guide)
-                .with_obs(obs)
-                .with_tenants(tenants)
-                .run();
-            out.result.scheme = scheme.label();
-            out
-        }
-        _ => Engine::new(cfg, prog, scheme)
-            .with_obs(obs)
-            .with_tenants(tenants)
-            .run(),
-    }
-}
-
-/// [`simulate`] with the invariant-checker stream enabled: the output's
-/// `check` field carries the complete [`CheckData`] for `ndc-check`.
-/// For the oracle's two-pass protocol only the measured (guided) run is
-/// checked.
-pub fn simulate_checked(cfg: ArchConfig, prog: &TraceProgram, scheme: Scheme) -> EngineOutput {
-    match scheme {
-        Scheme::Oracle { reuse_aware } => {
-            let base = Engine::new(cfg, prog, Scheme::Baseline)
-                .with_instrumentation()
-                .run();
-            let records = &base
-                .instrumentation
-                .as_ref()
-                .expect("instrumented baseline")
-                .records;
-            let guide = OracleGuide::build(records, prog, cfg.l1.line_bytes, reuse_aware);
-            let mut out = Engine::new(cfg, prog, scheme)
-                .with_guide(&guide)
-                .with_check(CheckLevel::full())
-                .run();
-            out.result.scheme = scheme.label();
-            out
-        }
-        _ => Engine::new(cfg, prog, scheme)
-            .with_check(CheckLevel::full())
-            .run(),
-    }
+    Engine::new(cfg, prog, scheme).run()
 }
 
 #[cfg(test)]
@@ -1678,23 +1608,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_packet_lane_engine_matches_serial() {
-        let prog = fused_prog();
-        let serial = simulate(cfg(), &prog, Scheme::Compiled);
-        let lanes = crate::lanes::simulate_lanes(cfg(), &prog, Scheme::Compiled);
-        assert_eq!(serial.result.total_cycles, lanes.result.total_cycles);
-        assert_eq!(serial.result.ndc_attempts, lanes.result.ndc_attempts);
-        assert_eq!(serial.result.ndc_performed, lanes.result.ndc_performed);
-        assert_eq!(
-            serial.result.ndc_offload_cycles,
-            lanes.result.ndc_offload_cycles
-        );
-    }
-
-    #[test]
     fn fused_span_partitions_with_chain_exec_cycles() {
         let prog = fused_prog();
-        let out = simulate_obs(cfg(), &prog, Scheme::Compiled, ObsLevel::with_spans(1));
+        let out = Engine::new(cfg(), &prog, Scheme::Compiled)
+            .with_obs(ObsLevel::with_spans(1))
+            .run();
         // The fused offload's span must tile exactly, with a 2-cycle
         // exec leaf (one per chain op).
         let ndc = out
@@ -1854,7 +1772,9 @@ mod tests {
             budget: WaitBudget::PctOfCap(50),
         };
         let plain = simulate(cfg(), &prog, scheme);
-        let observed = simulate_obs(cfg(), &prog, scheme, ObsLevel::with_trace(256));
+        let observed = Engine::new(cfg(), &prog, scheme)
+            .with_obs(ObsLevel::with_trace(256))
+            .run();
         assert_eq!(plain.result.total_cycles, observed.result.total_cycles);
         assert_eq!(
             plain.result.per_core_cycles,
@@ -1873,7 +1793,9 @@ mod tests {
             budget: WaitBudget::PctOfCap(50),
         };
         let plain = simulate(cfg(), &prog, scheme);
-        let checked = simulate_checked(cfg(), &prog, scheme);
+        let checked = Engine::new(cfg(), &prog, scheme)
+            .with_check(CheckLevel::full())
+            .run();
         // CheckLevel::off() (the default) collects nothing...
         assert!(plain.check.is_none());
         // ...and CheckLevel::full() is observation-only.
@@ -1908,14 +1830,15 @@ mod tests {
     #[test]
     fn metrics_tree_reflects_run_counters() {
         let prog = stream_prog(4, 150);
-        let out = simulate_obs(
+        let out = Engine::new(
             cfg(),
             &prog,
             Scheme::NdcAll {
                 budget: WaitBudget::PctOfCap(50),
             },
-            ObsLevel::metrics(),
-        );
+        )
+        .with_obs(ObsLevel::metrics())
+        .run();
         let m = out.metrics.expect("metrics enabled");
         let eng = match m.get("engine") {
             Some(ndc_obs::MetricNode::Tree(t)) => t,
@@ -1949,7 +1872,9 @@ mod tests {
             budget: WaitBudget::PctOfCap(50),
         };
         let plain = simulate(cfg(), &prog, scheme);
-        let spanned = simulate_obs(cfg(), &prog, scheme, ObsLevel::with_spans(1));
+        let spanned = Engine::new(cfg(), &prog, scheme)
+            .with_obs(ObsLevel::with_spans(1))
+            .run();
         // Span recording is observation-only.
         assert_eq!(plain.result.total_cycles, spanned.result.total_cycles);
         assert_eq!(plain.result.per_core_cycles, spanned.result.per_core_cycles);
@@ -1981,15 +1906,23 @@ mod tests {
         let scheme = Scheme::NdcAll {
             budget: WaitBudget::PctOfCap(50),
         };
-        let a = simulate_obs(cfg(), &prog, scheme, ObsLevel::with_spans(8));
-        let b = simulate_obs(cfg(), &prog, scheme, ObsLevel::with_spans(8));
+        let a = Engine::new(cfg(), &prog, scheme)
+            .with_obs(ObsLevel::with_spans(8))
+            .run();
+        let b = Engine::new(cfg(), &prog, scheme)
+            .with_obs(ObsLevel::with_spans(8))
+            .run();
         // Sampling keys on the request id alone: identical trace sets.
         assert_eq!(a.spans, b.spans);
-        let full = simulate_obs(cfg(), &prog, scheme, ObsLevel::with_spans(1));
+        let full = Engine::new(cfg(), &prog, scheme)
+            .with_obs(ObsLevel::with_spans(1))
+            .run();
         assert!(a.spans.len() < full.spans.len());
         // CheckLevel::full() auto-enables sampled spans so the
         // span-attribution invariant has material to verify.
-        let checked = simulate_checked(cfg(), &prog, scheme);
+        let checked = Engine::new(cfg(), &prog, scheme)
+            .with_check(CheckLevel::full())
+            .run();
         assert!(!checked.spans.is_empty());
         for t in &checked.spans {
             assert_eq!(t.root.partition_violation(), None);
@@ -2022,14 +1955,15 @@ mod tests {
     #[test]
     fn trace_ring_collects_bounded_events() {
         let prog = stream_prog(4, 200);
-        let out = simulate_obs(
+        let out = Engine::new(
             cfg(),
             &prog,
             Scheme::NdcAll {
                 budget: WaitBudget::PctOfCap(50),
             },
-            ObsLevel::with_trace(16),
-        );
+        )
+        .with_obs(ObsLevel::with_trace(16))
+        .run();
         assert!(!out.events.is_empty());
         assert!(out.events.len() <= 16);
         for ev in &out.events {

@@ -24,9 +24,10 @@
 //! * [`report`] — per-component [`ndc_obs::Metrics`] assembly for the
 //!   observability layer (`--metrics` / `--trace`).
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod instrument;
-pub mod lanes;
 pub mod machine;
 pub mod ndc;
 pub mod queue;
@@ -34,13 +35,8 @@ pub mod report;
 pub mod schemes;
 pub mod stats;
 
-pub use engine::{
-    simulate, simulate_checked, simulate_obs, simulate_tenants, CheckData, Engine, EngineOutput,
-};
+pub use engine::{simulate, CheckData, Engine, EngineOutput};
 pub use instrument::{BreakevenInfo, Instrumentation, WindowObservation};
-pub use lanes::{
-    simulate_lanes, simulate_lanes_checked, simulate_lanes_obs, simulate_lanes_tenants, LaneEngine,
-};
 pub use machine::{AccessPath, CheckRecorder, Machine, SpanRecorder, SPAN_SEED};
 pub use ndc::{NdcOutcome, NdcResolution, ALL_ABORT_REASONS};
 pub use report::{build_metrics, ledger_metrics};

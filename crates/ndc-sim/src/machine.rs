@@ -79,7 +79,7 @@ pub struct AccessPath {
 
 impl AccessPath {
     /// A path that has not left the core yet.
-    pub(crate) fn new(addr: Addr, core: NodeId, issued: Cycle) -> AccessPath {
+    fn new(addr: Addr, core: NodeId, issued: Cycle) -> AccessPath {
         AccessPath {
             addr,
             core,
@@ -102,7 +102,7 @@ impl AccessPath {
     /// access from `core` to its `home` bank can take: the request, on
     /// a miss the MC request and refill via `mc`, and the reply of a
     /// conventional access. The buffer then never grows mid-walk.
-    pub(crate) fn reserve_legs(
+    fn reserve_legs(
         &mut self,
         mut buf: Vec<LinkTraversal>,
         core: Coord,
@@ -120,13 +120,13 @@ impl AccessPath {
     }
 
     /// The link buffer the next leg's traversals are appended to.
-    pub(crate) fn links_mut(&mut self) -> &mut Vec<LinkTraversal> {
+    fn links_mut(&mut self) -> &mut Vec<LinkTraversal> {
         &mut self.links
     }
 
     /// Close leg `leg` (0 = request, 1 = MC request, 2 = refill) at the
     /// current end of the buffer. Legs an access skips close empty.
-    pub(crate) fn end_leg(&mut self, leg: usize) {
+    fn end_leg(&mut self, leg: usize) {
         let end =
             u16::try_from(self.links.len()).expect("a path spans at most four minimal routes");
         for e in &mut self.leg_ends[leg..] {

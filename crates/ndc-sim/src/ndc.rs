@@ -231,27 +231,8 @@ impl ServiceTables {
         v.len()
     }
 
-    /// Read-only live-entry count at `now` — the lane engine's frozen
-    /// view during a parallel phase (no pruning, no slot allocation).
-    pub(crate) fn live_at(&self, loc: NdcLocation, node: NodeId, now: Cycle) -> usize {
-        let idx = node.0 as usize * 4 + loc.index();
-        self.entries
-            .get(idx)
-            .map_or(0, |v| v.iter().filter(|&&r| r > now).count())
-    }
-
-    pub(crate) fn insert(&mut self, loc: NdcLocation, node: NodeId, release: Cycle) {
+    fn insert(&mut self, loc: NdcLocation, node: NodeId, release: Cycle) {
         self.slot(loc, node).push(release);
-    }
-
-    /// Drop entries released at or before `now` from every slot — the
-    /// lane engine's epoch-barrier garbage collection (the serial
-    /// engine prunes lazily inside `live`, which the frozen view
-    /// cannot).
-    pub(crate) fn prune_released(&mut self, now: Cycle) {
-        for v in &mut self.entries {
-            v.retain(|&r| r > now);
-        }
     }
 
     pub fn clear(&mut self) {
@@ -513,95 +494,6 @@ fn spread(times: impl Iterator<Item = Cycle> + Clone) -> (Cycle, Cycle) {
     (times.clone().min().unwrap_or(0), times.max().unwrap_or(0))
 }
 
-/// The decision half of a fused resolution: [`plan_resolution`]
-/// generalized to an n-operand gather executing a chain of `ops` at
-/// the meeting component. Any locally-cached operand skips the offload
-/// (the LD/ST probe covers the whole gather set), and every op of the
-/// chain must be offloadable under the control register.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_resolution_fused(
-    cfg: &ndc_types::ArchConfig,
-    return_latency: impl Fn(NodeId) -> Cycle,
-    live: impl FnOnce(NdcLocation, NodeId, Cycle) -> usize,
-    ops: &[Op],
-    paths: &[AccessPath],
-    issue: Cycle,
-    params: ResolveParams,
-    mut cands: Candidates,
-) -> ResolvePlan {
-    if paths.iter().any(|p| p.l1_hit) {
-        return ResolvePlan::Abort {
-            reason: AbortReason::LocalHit,
-            at: issue,
-        };
-    }
-    if ops.iter().any(|&op| !cfg.ndc.op_class.allows(op)) {
-        return ResolvePlan::Abort {
-            reason: AbortReason::OpNotAllowed,
-            at: issue,
-        };
-    }
-
-    cands.retain(|m| cfg.ndc.location_enabled(m.loc));
-    match params.policy {
-        LocationPolicy::Only(loc) => cands.retain(|m| m.loc == loc),
-        LocationPolicy::FirstOnPath | LocationPolicy::Best => {}
-    }
-    if cands.is_empty() {
-        let at = paths
-            .iter()
-            .map(|p| p.completion)
-            .max()
-            .unwrap_or(issue)
-            .max(issue);
-        return ResolvePlan::Abort {
-            reason: AbortReason::NoColocation,
-            at,
-        };
-    }
-
-    let chosen = match params.policy {
-        LocationPolicy::Best => *cands
-            .iter()
-            .min_by_key(|m| m.ready() + return_latency(m.node))
-            .unwrap(),
-        _ => cands.first().expect("checked non-empty above"),
-    };
-
-    let wait = chosen.window();
-    if let Some(budget) = params.budget {
-        if wait > budget {
-            let first = chosen.t_a.min(chosen.t_b);
-            return ResolvePlan::Abort {
-                reason: AbortReason::BudgetExceeded,
-                at: first + budget,
-            };
-        }
-    }
-    if !params.ignore_limits {
-        if let Some(tmo) = cfg.ndc.timeout {
-            if wait > tmo {
-                let first = chosen.t_a.min(chosen.t_b);
-                return ResolvePlan::Abort {
-                    reason: AbortReason::Timeout,
-                    at: first + tmo,
-                };
-            }
-        }
-    }
-    let arrive = chosen.t_a.min(chosen.t_b);
-    if !params.ignore_limits
-        && live(chosen.loc, chosen.node, arrive) >= cfg.ndc.service_table_entries
-    {
-        let wasted = cfg.ndc.timeout.unwrap_or(0);
-        return ResolvePlan::Abort {
-            reason: AbortReason::ServiceTableFull,
-            at: arrive + wasted,
-        };
-    }
-    ResolvePlan::Perform { chosen, wait }
-}
-
 /// Resolve a fused multi-op package: one gather of all operands, one
 /// chain execution (`ops.len()` cycles at the component), one CPU-feed
 /// carrying the final chain value home.
@@ -617,12 +509,12 @@ pub fn resolve_fused(
     machine.attribute_to(core);
     let cfg = machine.cfg;
     let cands = candidate_meetings_fused(machine, core, paths, params.reshape);
-    let plan = plan_resolution_fused(
-        &cfg,
-        |n| machine.hop_latency(n, core),
-        |loc, node, at| tables.live(loc, node, at),
+    let plan = plan_resolution(
+        machine,
+        tables,
+        core,
         ops,
-        paths,
+        paths.iter(),
         issue,
         params,
         cands,
@@ -660,7 +552,7 @@ pub fn resolve_fused(
 }
 
 /// One operand's data-reply route toward the core.
-pub(crate) enum ReplyRoute {
+enum ReplyRoute {
     /// An XY route, or a leg of the closed-form reshaped pair
     /// ([`converging_pair`]): walked arithmetically, never stored.
     Walk(XyLinks),
@@ -670,7 +562,7 @@ pub(crate) enum ReplyRoute {
 }
 
 impl ReplyRoute {
-    pub(crate) fn links(&self) -> ReplyLinks<'_> {
+    fn links(&self) -> ReplyLinks<'_> {
         match self {
             ReplyRoute::Walk(w) => ReplyLinks::Walk(*w),
             ReplyRoute::Listed(r) => ReplyLinks::Listed(r.links.iter()),
@@ -680,7 +572,7 @@ impl ReplyRoute {
 
 /// The link sequence of a [`ReplyRoute`].
 #[derive(Clone)]
-pub(crate) enum ReplyLinks<'a> {
+enum ReplyLinks<'a> {
     Walk(XyLinks),
     Listed(std::slice::Iter<'a, LinkId>),
 }
@@ -699,7 +591,7 @@ impl Iterator for ReplyLinks<'_> {
 
 /// The data-reply routes used for link-overlap evaluation: XY, or with
 /// `reshape` the maximal-overlap pair of §5.2.1.
-pub(crate) fn reply_routes(
+fn reply_routes(
     machine: &Machine,
     core: NodeId,
     bank_a: NodeId,
@@ -731,7 +623,7 @@ pub(crate) fn reply_routes(
 
 /// The prefix of `links` that ends entering `node`, or `None` when the
 /// route does not pass through `node`.
-pub(crate) fn prefix_to<I>(mesh: &Mesh, links: I, node: NodeId) -> Option<std::iter::Take<I>>
+fn prefix_to<I>(mesh: &Mesh, links: I, node: NodeId) -> Option<std::iter::Take<I>>
 where
     I: Iterator<Item = LinkId> + Clone,
 {
@@ -776,45 +668,44 @@ pub fn resolve(
     resolve_with_candidates(machine, tables, core, op, a, b, issue, params, cands)
 }
 
-/// The pure decision half of a resolution: everything up to (but not
-/// including) charging the network and mutating the service tables.
+/// The decision half of a resolution: everything up to (but not
+/// including) charging the network and inserting the service-table
+/// entry.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ResolvePlan {
+enum ResolvePlan {
     Abort { reason: AbortReason, at: Cycle },
     Perform { chosen: Meeting, wait: Cycle },
 }
 
-/// Decide the outcome of an NDC package without side effects on the
-/// network. Shared by the serial engine (which then charges the live
-/// [`Machine`]) and the lane engine (which charges its per-core
-/// `LanePlanner` and defers the table insert to the epoch barrier).
-///
-/// `return_latency(n)` is the uncontended one-way latency node → core;
-/// `live(loc, node, at)` counts live service-table entries — the
-/// serial engine passes the pruning [`ServiceTables::live`], the lane
-/// engine a frozen [`ServiceTables::live_at`] plus its own epoch
-/// overlay. It is called at most once.
+/// Decide the outcome of an NDC package that gathers `paths` and
+/// executes the chain `ops` at the meeting component. A pair package
+/// is the one-op, two-path case. The checks run in hardware order, each
+/// with its own abort time: local L1 copy, op class, co-location,
+/// scheme budget, time-out register, service table. Only the last
+/// touches `tables` (pruning released entries); nothing allocates.
+/// `cands` are the unfiltered candidate meetings of `paths`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_resolution(
-    cfg: &ndc_types::ArchConfig,
-    return_latency: impl Fn(NodeId) -> Cycle,
-    live: impl FnOnce(NdcLocation, NodeId, Cycle) -> usize,
-    op: Op,
-    a: &AccessPath,
-    b: &AccessPath,
+fn plan_resolution<'p>(
+    machine: &Machine,
+    tables: &mut ServiceTables,
+    core: NodeId,
+    ops: &[Op],
+    paths: impl Iterator<Item = &'p AccessPath> + Clone,
     issue: Cycle,
     params: ResolveParams,
     mut cands: Candidates,
 ) -> ResolvePlan {
-    // Local L1 copy: the LD/ST unit skips the offload (handled by the
-    // caller for timing; reported here for completeness).
-    if a.l1_hit || b.l1_hit {
+    let cfg = &machine.cfg;
+    // Local L1 copy of any operand: the LD/ST unit skips the offload
+    // (handled by the caller for timing; reported here for
+    // completeness).
+    if paths.clone().any(|p| p.l1_hit) {
         return ResolvePlan::Abort {
             reason: AbortReason::LocalHit,
             at: issue,
         };
     }
-    if !cfg.ndc.op_class.allows(op) {
+    if ops.iter().any(|&op| !cfg.ndc.op_class.allows(op)) {
         return ResolvePlan::Abort {
             reason: AbortReason::OpNotAllowed,
             at: issue,
@@ -828,9 +719,9 @@ pub(crate) fn plan_resolution(
     }
     if cands.is_empty() {
         // The package traveled with the operands to the end of the path
-        // and nothing met; the hardware knows once both journeys
-        // resolve, and signals the offload table (no time-out wait).
-        let at = a.completion.max(b.completion).max(issue);
+        // and nothing met; the hardware knows once every journey
+        // resolves, and signals the offload table (no time-out wait).
+        let at = paths.map(|p| p.completion).fold(issue, Cycle::max);
         return ResolvePlan::Abort {
             reason: AbortReason::NoColocation,
             at,
@@ -840,7 +731,7 @@ pub(crate) fn plan_resolution(
     let chosen = match params.policy {
         LocationPolicy::Best => *cands
             .iter()
-            .min_by_key(|m| m.ready() + return_latency(m.node))
+            .min_by_key(|m| m.ready() + machine.hop_latency(m.node, core))
             .unwrap(),
         _ => cands.first().expect("checked non-empty above"),
     };
@@ -874,7 +765,7 @@ pub(crate) fn plan_resolution(
     // the expensive path that makes indiscriminate offloading hurt.
     let arrive = chosen.t_a.min(chosen.t_b);
     if !params.ignore_limits
-        && live(chosen.loc, chosen.node, arrive) >= cfg.ndc.service_table_entries
+        && tables.live(chosen.loc, chosen.node, arrive) >= cfg.ndc.service_table_entries
     {
         let wasted = cfg.ndc.timeout.unwrap_or(0);
         return ResolvePlan::Abort {
@@ -889,11 +780,10 @@ pub(crate) fn plan_resolution(
 ///
 /// `candidate_meetings` is a pure function of the two operand paths and
 /// the mesh, so callers that also need the pair's windows compute the
-/// candidates once and hand them in here; the lane engine likewise
-/// computes them against its frozen snapshot. Only this part reads and
-/// writes the shared service tables, link horizons, and predictor
-/// state. `cands` must be the unfiltered output of
-/// [`candidate_meetings`] for `(core, a, b, params.reshape)`.
+/// candidates once and hand them in here. Only this part reads and
+/// writes the service tables and link horizons. `cands` must be the
+/// unfiltered output of [`candidate_meetings`] for
+/// `(core, a, b, params.reshape)`.
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_with_candidates(
     machine: &mut Machine,
@@ -909,12 +799,11 @@ pub fn resolve_with_candidates(
     machine.attribute_to(core);
     let cfg = machine.cfg;
     let plan = plan_resolution(
-        &cfg,
-        |n| machine.hop_latency(n, core),
-        |loc, node, at| tables.live(loc, node, at),
-        op,
-        a,
-        b,
+        machine,
+        tables,
+        core,
+        &[op],
+        [a, b].into_iter(),
         issue,
         params,
         cands,

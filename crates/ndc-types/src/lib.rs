@@ -11,6 +11,8 @@
 //! leaf crate with no workspace dependencies so that the NoC, memory,
 //! simulator, and compiler crates can all share it without cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod geom;
 pub mod hash;

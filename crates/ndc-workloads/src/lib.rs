@@ -19,6 +19,8 @@
 //! usable three ways: interpreted (semantics oracle), analyzed
 //! (CME/compiler), and lowered to traces (simulator).
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod specomp;
 pub mod splash2;

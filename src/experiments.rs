@@ -26,7 +26,7 @@ use ndc_ir::{lower, LowerOptions, Program};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::SpanTrace;
 use ndc_obs::{Event, Metrics, ObsLevel};
-use ndc_sim::engine::{simulate, simulate_obs, simulate_tenants, Engine};
+use ndc_sim::engine::{simulate, Engine};
 use ndc_sim::instrument::Instrumentation;
 use ndc_sim::schemes::{Scheme, WaitBudget};
 use ndc_sim::SimResult;
@@ -195,7 +195,7 @@ pub fn evaluate_benchmark_obs(
             )
         }
         Job::Scheme(s) => {
-            let out = simulate_obs(cfg, &traces, *s, obs);
+            let out = Engine::new(cfg, &traces, *s).with_obs(obs).run();
             (
                 JobOut::Scheme(Box::new(out.result)),
                 out.metrics,
@@ -209,7 +209,7 @@ pub fn evaluate_benchmark_obs(
                 compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default())
             };
             let t = lower(&prog, &opts, Some(&sched));
-            let out = simulate_obs(cfg, &t, Scheme::Compiled, obs);
+            let out = Engine::new(cfg, &t, Scheme::Compiled).with_obs(obs).run();
             (
                 JobOut::Algorithm(Box::new((out.result, report))),
                 out.metrics,
@@ -699,7 +699,9 @@ pub fn explain_benchmark(
     };
     let (sched, compiler) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
     let traces = lower(&prog, &opts, Some(&sched));
-    let out = simulate_obs(cfg, &traces, Scheme::Compiled, ObsLevel::with_spans(one_in));
+    let out = Engine::new(cfg, &traces, Scheme::Compiled)
+        .with_obs(ObsLevel::with_spans(one_in))
+        .run();
     let offload = offload_accuracy(
         predicted_offload_means(&compiler),
         out.result.ndc_offload_cycles,
@@ -800,7 +802,10 @@ pub fn profile_benchmark(
         ..ObsLevel::default()
     };
     let tenants = round_robin_tenants(cores, num_tenants);
-    let out = simulate_tenants(cfg, &traces, Scheme::Compiled, obs, tenants);
+    let out = Engine::new(cfg, &traces, Scheme::Compiled)
+        .with_obs(obs)
+        .with_tenants(tenants)
+        .run();
     ProfileReport {
         name: bench.name.to_string(),
         result: out.result,

@@ -18,6 +18,7 @@
 
 use crate::check as chk;
 use crate::prelude::*;
+use crate::sim::{CheckLevel, Engine};
 use ndc_cme::{classify, BottleneckClass, BottleneckCounters};
 use ndc_ir::try_lower;
 use ndc_workloads::gen::{generate, GenClass};
@@ -250,13 +251,15 @@ pub fn fuzz_one(seed: u64, cfg: &ArchConfig) -> FuzzOutcome {
         }
     };
     let simulated = catch_unwind(AssertUnwindSafe(|| {
-        chk::simulate_checked(
+        Engine::new(
             *cfg,
             &traces,
             Scheme::NdcAll {
                 budget: WaitBudget::PctOfCap(50),
             },
         )
+        .with_check(CheckLevel::full())
+        .run()
     }));
     let engine_out = match simulated {
         Ok(o) => o,
@@ -326,7 +329,9 @@ pub fn fuzz_one(seed: u64, cfg: &ArchConfig) -> FuzzOutcome {
         }
     };
     let fsim = catch_unwind(AssertUnwindSafe(|| {
-        chk::simulate_checked(*cfg, &ftraces, Scheme::Compiled)
+        Engine::new(*cfg, &ftraces, Scheme::Compiled)
+            .with_check(CheckLevel::full())
+            .run()
     }));
     match fsim {
         Ok(o) => {

@@ -51,6 +51,8 @@
 //! println!("{}: {improvement:.1}% faster, {} chains offloaded", program.name, report.planned);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod fuzz;
 

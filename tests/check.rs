@@ -3,12 +3,11 @@
 //! every scheme family, and the seeded fault-injection matrix.
 
 use ndc::check::{
-    check_engine_output, check_run, check_schedule, inject, simulate_checked, sweep_workload,
-    ALL_FAULTS,
+    check_engine_output, check_run, check_schedule, inject, sweep_workload, CheckLevel, ALL_FAULTS,
 };
 use ndc::prelude::*;
 use ndc_ir::{DataStore, Interpreter};
-use ndc_sim::engine::simulate as simulate_plain;
+use ndc_sim::engine::{simulate as simulate_plain, Engine};
 
 fn cfg() -> ArchConfig {
     ArchConfig::paper_default()
@@ -79,7 +78,9 @@ fn invariants_hold_under_every_scheme_family() {
         },
         Scheme::Oracle { reuse_aware: true },
     ] {
-        let out = simulate_checked(cfg, &traces, scheme);
+        let out = Engine::new(cfg, &traces, scheme)
+            .with_check(CheckLevel::full())
+            .run();
         let report = check_engine_output(&out);
         assert!(
             report.ok(),
@@ -99,7 +100,9 @@ fn check_level_off_collects_nothing_and_matches_checked_timing() {
         budget: WaitBudget::PctOfCap(25),
     };
     let plain = simulate_plain(cfg, &traces, scheme);
-    let checked = simulate_checked(cfg, &traces, scheme);
+    let checked = Engine::new(cfg, &traces, scheme)
+        .with_check(CheckLevel::full())
+        .run();
     assert!(plain.check.is_none(), "plain runs must not record");
     assert!(checked.check.is_some());
     assert_eq!(plain.result.total_cycles, checked.result.total_cycles);
@@ -111,13 +114,15 @@ fn check_level_off_collects_nothing_and_matches_checked_timing() {
 fn fault_matrix_trips_every_invariant_on_a_real_run() {
     let cfg = cfg();
     let traces = traces_for(&by_name("kdtree").unwrap(), &cfg);
-    let out = simulate_checked(
+    let out = Engine::new(
         cfg,
         &traces,
         Scheme::NdcAll {
             budget: WaitBudget::PctOfCap(50),
         },
-    );
+    )
+    .with_check(CheckLevel::full())
+    .run();
     let clean_result = out.result;
     let clean_data = out.check.expect("checked run records CheckData");
     assert!(clean_result.ndc_attempts > 0, "need NDC traffic");

@@ -1,7 +1,10 @@
 //! End-to-end integration: every benchmark builds, compiles under both
 //! algorithms, preserves semantics, and simulates under every scheme.
 
+use ndc::experiments::round_robin_tenants;
 use ndc::prelude::*;
+use ndc::sim::schemes::OracleGuide;
+use ndc::sim::{CheckLevel, Engine, ObsLevel};
 use ndc_ir::{lower, DataStore, Interpreter, LowerOptions};
 use ndc_sim::engine::simulate;
 
@@ -159,6 +162,67 @@ fn simulation_is_deterministic_across_runs() {
         );
         assert_eq!(a.ndc_performed, b.ndc_performed);
         assert_eq!(a.l1.misses, b.l1.misses);
+    }
+}
+
+/// A guide-less `Scheme::Oracle` engine runs the oracle's two passes
+/// itself: its run equals the explicit split (instrumented baseline,
+/// `OracleGuide::build`, `with_guide`) byte for byte, and the options
+/// it carries observe the guided pass only.
+#[test]
+fn guideless_oracle_engine_plans_then_runs_guided() {
+    let cfg = cfg();
+    let opts = LowerOptions {
+        cores: cfg.nodes(),
+        emit_busy: true,
+    };
+    let tenants = round_robin_tenants(cfg.nodes(), 2);
+    let observed = |e: Engine| {
+        e.with_check(CheckLevel::full())
+            .with_obs(ObsLevel::metrics())
+            .with_tenants(tenants.clone())
+            .run()
+    };
+    // Kernels on which both oracle variants offload at test scale.
+    for name in ["md", "bwaves", "water"] {
+        let traces = lower(&by_name(name).unwrap().build(Scale::Test), &opts, None);
+        for reuse_aware in [true, false] {
+            let scheme = Scheme::Oracle { reuse_aware };
+            let plan = Engine::new(cfg, &traces, Scheme::Baseline)
+                .with_instrumentation()
+                .run();
+            let records = &plan
+                .instrumentation
+                .as_ref()
+                .expect("instrumented plan pass")
+                .records;
+            let guide = OracleGuide::build(records, &traces, cfg.l1.line_bytes, reuse_aware);
+
+            let split = Engine::new(cfg, &traces, scheme).with_guide(&guide).run();
+            assert!(
+                split.result.ndc_total() > 0,
+                "{name} {scheme:?}: the guided oracle must offload"
+            );
+            let own = Engine::new(cfg, &traces, scheme).run();
+            assert_eq!(
+                format!("{:?}", own.result),
+                format!("{:?}", split.result),
+                "{name} {scheme:?}: guide-less run differs from the split"
+            );
+
+            let split = observed(Engine::new(cfg, &traces, scheme).with_guide(&guide));
+            let own = observed(Engine::new(cfg, &traces, scheme));
+            assert_eq!(
+                format!("{:?}", own.result),
+                format!("{:?}", split.result),
+                "{name} {scheme:?}: observed guide-less run differs"
+            );
+            assert!(split.check.is_some() && split.metrics.is_some() && split.ledger.is_some());
+            assert!(own.check == split.check, "{name} {scheme:?}: CheckData");
+            assert!(own.metrics == split.metrics, "{name} {scheme:?}: metrics");
+            assert!(own.ledger == split.ledger, "{name} {scheme:?}: ledger");
+            assert!(own.instrumentation.is_none());
+        }
     }
 }
 

@@ -5,13 +5,14 @@
 //! paper workloads and the seeded fuzz corpus. A hand-forged illegal
 //! fusion must be rejected by both the certifier and `lint_schedule`.
 
-use ndc::check::{check_engine_output, check_schedule, simulate_checked};
+use ndc::check::{check_engine_output, check_schedule, CheckLevel};
 use ndc::compiler::outcome;
 use ndc::ir::program::{ArrayDecl, ArrayRef, LoopNest, NestId, Program, Ref, Stmt, StmtId};
 use ndc::ir::schedule::FusedPrecomputePlan;
 use ndc::ir::try_lower;
 use ndc::lint::{certify_fusion, lint_schedule, verify_fusion_certificate, FusionError};
 use ndc::prelude::*;
+use ndc::sim::Engine;
 use ndc::workloads::gen::generate_batch;
 
 /// Same base seed as `ndc-eval fuzz`'s default and `scripts/verify.sh`.
@@ -163,7 +164,9 @@ fn fused_packets_simulate_under_full_checks() {
         fused_any = true;
         let traces = try_lower(&prog, &opts, Some(&sched))
             .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", bench.name));
-        let out = simulate_checked(cfg, &traces, Scheme::Compiled);
+        let out = Engine::new(cfg, &traces, Scheme::Compiled)
+            .with_check(CheckLevel::full())
+            .run();
         let report = check_engine_output(&out);
         assert!(report.ok(), "{}: {:?}", bench.name, report.violations);
         assert!(

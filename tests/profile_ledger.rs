@@ -1,14 +1,13 @@
 //! The attribution-and-distribution layer end to end: quantile-sketch
 //! algebra, ledger conservation at every mesh size, profile determinism
-//! across thread and lane counts, and the lossless-capture contract of
-//! the trace ring.
+//! across thread counts, and the lossless-capture contract of the trace
+//! ring.
 
 use ndc::check::{check_engine_output, CheckLevel};
 use ndc::experiments as exp;
 use ndc::obs::sketch::{QuantileSketch, SUB_BUCKETS};
 use ndc::obs::ObsLevel;
 use ndc::prelude::*;
-use ndc::sim::lanes::LaneEngine;
 use ndc::sim::Engine;
 use ndc::types::SplitMix64;
 
@@ -113,45 +112,6 @@ fn profile_ledger_identical_across_thread_counts() {
     assert!(one.iter().all(|s| s.contains(r#""tenant":1"#)));
     assert_eq!(one, four);
     assert_eq!(one, eight);
-}
-
-#[test]
-fn lane_ledger_is_identical_at_every_lane_count() {
-    // The lane engine is its own (epoch-barriered) simulator, so its
-    // ledger is not the serial engine's — but it must be byte-identical
-    // no matter how many lanes the run is sharded across, because
-    // lane-local ledgers merge in canonical core order.
-    let cfg = ArchConfig::paper_default();
-    let bench = by_name("ocean").unwrap();
-    let prog = bench.build(Scale::Test);
-    let opts = LowerOptions {
-        cores: cfg.nodes(),
-        emit_busy: true,
-    };
-    let traces = lower(&prog, &opts, None);
-    let scheme = Scheme::NdcAll {
-        budget: WaitBudget::LastWindow,
-    };
-    let tenants = exp::round_robin_tenants(cfg.nodes(), 3);
-
-    let run = |lanes: usize| {
-        LaneEngine::new(cfg, &traces, scheme)
-            .with_obs(ObsLevel::with_ledger())
-            .with_tenants(tenants.clone())
-            .with_lanes(lanes)
-            .run()
-            .ledger
-            .expect("lane ledger")
-    };
-    let reference = run(1);
-    assert!(reference.rows().iter().all(|r| r.requests > 0));
-    for lanes in [2usize, 4, 8] {
-        assert_eq!(
-            run(lanes),
-            reference,
-            "{lanes}-lane ledger diverges from the 1-lane ledger"
-        );
-    }
 }
 
 #[test]

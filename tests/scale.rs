@@ -1,15 +1,15 @@
-//! Mesh scale-up: the lane engine satisfies every simulator invariant
-//! and the compiler's differential oracle at each mesh size of the
-//! scaling study (5×5, 8×8, 12×12, 16×16).
+//! Mesh scale-up: the simulator satisfies every invariant and the
+//! compiler's schedules pass the differential oracle at each mesh size
+//! of the scaling study (5×5, 8×8, 12×12, 16×16).
 
-use ndc::check::{check_engine_output, check_schedule};
+use ndc::check::{check_engine_output, check_schedule, CheckLevel};
 use ndc::prelude::*;
-use ndc::sim::lanes::simulate_lanes_checked;
+use ndc::sim::Engine;
 
 const MESHES: [(u16, u16); 4] = [(5, 5), (8, 8), (12, 12), (16, 16)];
 
 #[test]
-fn lane_engine_invariants_hold_at_every_mesh_size() {
+fn engine_invariants_hold_at_every_mesh_size() {
     let bench = by_name("ocean").unwrap();
     for (w, h) in MESHES {
         let cfg = ArchConfig::with_mesh(w, h);
@@ -30,7 +30,9 @@ fn lane_engine_invariants_hold_at_every_mesh_size() {
             ),
             (lower(&prog, &opts, Some(&sched)), Scheme::Compiled),
         ] {
-            let out = simulate_lanes_checked(cfg, &traces, scheme);
+            let out = Engine::new(cfg, &traces, scheme)
+                .with_check(CheckLevel::full())
+                .run();
             let report = check_engine_output(&out);
             assert!(
                 report.ok(),

@@ -5,7 +5,7 @@
 use ndc::experiments as exp;
 use ndc::obs::ObsLevel;
 use ndc::prelude::*;
-use ndc::sim::{render_tree, simulate_obs, LaneEngine};
+use ndc::sim::{render_tree, Engine};
 
 const BENCHES: [&str; 3] = ["kdtree", "ocean", "fft"];
 
@@ -57,75 +57,15 @@ fn observation_level_never_changes_figure_counters() {
     let untraced = format!("{:?}", simulate(cfg, &traces, Scheme::Compiled).result);
     let off = format!(
         "{:?}",
-        simulate_obs(cfg, &traces, Scheme::Compiled, ObsLevel::off()).result
+        Engine::new(cfg, &traces, Scheme::Compiled)
+            .with_obs(ObsLevel::off())
+            .run()
+            .result
     );
-    let spanned = simulate_obs(cfg, &traces, Scheme::Compiled, ObsLevel::with_spans(4));
+    let spanned = Engine::new(cfg, &traces, Scheme::Compiled)
+        .with_obs(ObsLevel::with_spans(4))
+        .run();
     assert_eq!(untraced, off);
     assert_eq!(untraced, format!("{:?}", spanned.result));
     assert!(!spanned.spans.is_empty());
-}
-
-/// One lane-engine run rendered to bytes: every figure counter
-/// (`SimResult` Debug), every sampled span tree, and the metrics tree.
-fn lane_fingerprint(
-    cfg: ArchConfig,
-    traces: &ndc::types::TraceProgram,
-    scheme: Scheme,
-    lanes: usize,
-) -> String {
-    let obs = ObsLevel {
-        metrics: true,
-        trace_capacity: 4096,
-        span_one_in: 4,
-        ledger: true,
-    };
-    let out = LaneEngine::new(cfg, traces, scheme)
-        .with_obs(obs)
-        .with_lanes(lanes)
-        .run();
-    let mut s = format!("{:?}\n", out.result);
-    for t in &out.spans {
-        s.push_str(&render_tree(t));
-    }
-    if let Some(m) = &out.metrics {
-        s.push_str(&m.to_json().render());
-    }
-    for e in &out.events {
-        s.push_str(&format!(
-            "{} {} {} {} {}\n",
-            e.name, e.cat, e.ts, e.dur, e.tid
-        ));
-    }
-    s
-}
-
-/// The tentpole determinism guarantee: a lane-engine run is
-/// byte-identical — counters, spans, metrics, trace events — for any
-/// lane count, at the paper mesh and at the 16×16 scale-up.
-#[test]
-fn lane_engine_is_byte_identical_across_lane_counts() {
-    for (w, h) in [(5u16, 5u16), (16, 16)] {
-        let cfg = ArchConfig::with_mesh(w, h);
-        let bench = by_name("ocean").unwrap();
-        let prog = bench.build(Scale::Test);
-        let opts = LowerOptions {
-            cores: cfg.nodes(),
-            emit_busy: true,
-        };
-        let (sched, _) = compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
-        let traces = lower(&prog, &opts, Some(&sched));
-
-        for scheme in [
-            Scheme::Compiled,
-            Scheme::NdcAll {
-                budget: WaitBudget::LastWindow,
-            },
-        ] {
-            let one = lane_fingerprint(cfg, &traces, scheme, 1);
-            let two = lane_fingerprint(cfg, &traces, scheme, 2);
-            let eight = lane_fingerprint(cfg, &traces, scheme, 8);
-            assert_eq!(one, two, "{w}x{h} {scheme:?}: 1 vs 2 lanes");
-            assert_eq!(one, eight, "{w}x{h} {scheme:?}: 1 vs 8 lanes");
-        }
-    }
 }
