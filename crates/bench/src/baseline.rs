@@ -1,45 +1,17 @@
-//! The perf-regression gate: compare a freshly generated `BENCH_*.json`
-//! document against a committed baseline.
+//! The regression gate: compare a freshly generated `BENCH_*.json`
+//! document against its committed copy.
 //!
-//! Two channels with different contracts:
-//!
-//! * **Simulated counters are exact.** Every numeric leaf that is not
-//!   wall-clock-derived (simulated cycles, issued instructions, NoC
-//!   messages, offload cycles, fused-chain counts, ...) must match the
-//!   baseline bit-for-bit — the simulator is deterministic, so any
-//!   drift is a real behavioural change that someone must either fix
-//!   or explicitly re-baseline (`NDC_BENCH_REBASE=1`).
-//! * **Wall-clock numbers are toleranced.** Keys ending in `_ns` or
-//!   `_per_sec`, and `speedup`, measure the host, not the simulator;
-//!   they gate only on a generous ratio so a catastrophic slowdown
-//!   still fails while machine-to-machine variance does not.
-//! * **Host-shape keys are ignored.** `host_parallelism`,
-//!   `host_saturated`, and the harness's calibration artifacts
-//!   (`iters_per_sample`, `samples`) describe the machine the file was
-//!   generated on, not the code under test.
+//! Every committed file holds simulated counters, attestations and
+//! model errors only — nothing that depends on the host — so every
+//! leaf must match exactly. The simulator is deterministic, so any
+//! drift is a real behavioural change: fix it, or regenerate the file
+//! and commit it. Host time is measured by `perfbench`, not here.
 //!
 //! Comparison is structural and recursive; every divergence is
 //! reported with its JSON path, so a failing gate says exactly which
 //! counter moved and by how much.
 
 use ndc_types::Json;
-
-/// Default wall-clock tolerance: fail only when current/baseline (or
-/// its inverse) exceeds this ratio.
-pub const DEFAULT_WALL_TOLERANCE: f64 = 10.0;
-
-/// Keys whose values describe the generating host, not the simulator.
-const IGNORED_KEYS: [&str; 4] = [
-    "host_parallelism",
-    "host_saturated",
-    "iters_per_sample",
-    "samples",
-];
-
-/// Whether `key` carries a wall-clock-derived measurement.
-fn is_wall_key(key: &str) -> bool {
-    key.ends_with("_ns") || key.ends_with("_per_sec") || key == "speedup"
-}
 
 /// One divergence between baseline and current, with its JSON path.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,10 +27,10 @@ impl std::fmt::Display for Diff {
 }
 
 /// Compare `current` against `baseline`. Empty result means the gate
-/// passes. `wall_tolerance` is the permitted ratio for wall-clock keys.
-pub fn compare(baseline: &Json, current: &Json, wall_tolerance: f64) -> Vec<Diff> {
+/// passes.
+pub fn compare(baseline: &Json, current: &Json) -> Vec<Diff> {
     let mut diffs = Vec::new();
-    walk(baseline, current, "$", wall_tolerance, &mut diffs);
+    walk(baseline, current, "$", &mut diffs);
     diffs
 }
 
@@ -80,29 +52,18 @@ fn type_name(v: &Json) -> &'static str {
     }
 }
 
-fn walk(base: &Json, cur: &Json, path: &str, tol: f64, diffs: &mut Vec<Diff>) {
-    // Numbers first: Int/UInt/Num cross-compare by value, wall keys by
-    // ratio (the key test happens in the object arm via `path` suffix —
-    // here we only see leaves whose tolerance was already decided).
+fn walk(base: &Json, cur: &Json, path: &str, diffs: &mut Vec<Diff>) {
     match (base, cur) {
         (Json::Obj(b), Json::Obj(c)) => {
             for (k, bv) in b {
-                if IGNORED_KEYS.contains(&k.as_str()) {
-                    continue;
-                }
-                let Some(cv) = cur.get(k) else {
-                    push(diffs, &format!("{path}.{k}"), "missing in current".into());
-                    continue;
-                };
                 let child = format!("{path}.{k}");
-                if is_wall_key(k) {
-                    compare_wall(bv, cv, &child, tol, diffs);
-                } else {
-                    walk(bv, cv, &child, tol, diffs);
+                match cur.get(k) {
+                    Some(cv) => walk(bv, cv, &child, diffs),
+                    None => push(diffs, &child, "missing in current".into()),
                 }
             }
             for (k, _) in c {
-                if base.get(k).is_none() && !IGNORED_KEYS.contains(&k.as_str()) {
+                if base.get(k).is_none() {
                     push(diffs, &format!("{path}.{k}"), "missing in baseline".into());
                 }
             }
@@ -121,12 +82,13 @@ fn walk(base: &Json, cur: &Json, path: &str, tol: f64, diffs: &mut Vec<Diff>) {
                 return;
             }
             for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                walk(bv, cv, &format!("{path}[{i}]"), tol, diffs);
+                walk(bv, cv, &format!("{path}[{i}]"), diffs);
             }
         }
         _ => {
+            // Int/UInt/Num cross-compare by value; everything else
+            // (and type mismatches) compares as a value tree.
             let (Some(bn), Some(cn)) = (base.as_f64(), cur.as_f64()) else {
-                // Non-numeric leaves (and type mismatches): exact.
                 if base != cur {
                     push(
                         diffs,
@@ -157,42 +119,15 @@ fn walk(base: &Json, cur: &Json, path: &str, tol: f64, diffs: &mut Vec<Diff>) {
     }
 }
 
-/// Wall-clock comparison: any numeric value within `tol`× either way
-/// passes; non-numbers fall back to the exact rules.
-fn compare_wall(base: &Json, cur: &Json, path: &str, tol: f64, diffs: &mut Vec<Diff>) {
-    let (Some(b), Some(c)) = (base.as_f64(), cur.as_f64()) else {
-        walk(base, cur, path, tol, diffs);
-        return;
-    };
-    if b <= 0.0 || c <= 0.0 {
-        return; // degenerate timings carry no signal
-    }
-    let ratio = if c > b { c / b } else { b / c };
-    if ratio > tol {
-        push(
-            diffs,
-            path,
-            format!("wall-clock ratio {ratio:.2}x exceeds tolerance {tol:.1}x (baseline {b}, current {c})"),
-        );
-    }
-}
-
-/// Load a baseline file and compare a current document against it,
-/// honouring the `NDC_BENCH_REBASE=1` escape hatch. Returns the diffs
-/// (empty = pass); `Err` means the baseline could not be read/parsed.
-pub fn gate_against_file(
-    baseline_path: &str,
-    current: &Json,
-    wall_tolerance: f64,
-) -> Result<Vec<Diff>, String> {
-    if std::env::var("NDC_BENCH_REBASE").is_ok_and(|v| v == "1") {
-        return Ok(Vec::new());
-    }
+/// Load a baseline file and compare a current document against it.
+/// Returns the diffs (empty = pass); `Err` means the baseline could
+/// not be read or parsed.
+pub fn gate_against_file(baseline_path: &str, current: &Json) -> Result<Vec<Diff>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let baseline =
         Json::parse(&text).map_err(|e| format!("cannot parse baseline {baseline_path}: {e}"))?;
-    Ok(compare(&baseline, current, wall_tolerance))
+    Ok(compare(&baseline, current))
 }
 
 #[cfg(test)]
@@ -205,19 +140,18 @@ mod tests {
             Json::Arr(vec![Json::obj()
                 .with("name", "b")
                 .with("median_ns", ns)
-                .with("iters_per_sample", 4u64)
                 .with("counters", Json::obj().with("total_cycles", cycles))]),
         )
     }
 
     #[test]
     fn identical_documents_pass() {
-        assert!(compare(&doc(100, 5e6), &doc(100, 5e6), DEFAULT_WALL_TOLERANCE).is_empty());
+        assert!(compare(&doc(100, 5e6), &doc(100, 5e6)).is_empty());
     }
 
     #[test]
     fn perturbed_simulated_counter_fails_exactly() {
-        let diffs = compare(&doc(100, 5e6), &doc(101, 5e6), DEFAULT_WALL_TOLERANCE);
+        let diffs = compare(&doc(100, 5e6), &doc(101, 5e6));
         assert_eq!(diffs.len(), 1, "{diffs:?}");
         assert!(
             diffs[0].path.ends_with("counters.total_cycles"),
@@ -226,25 +160,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_toleranced_but_not_unbounded() {
-        // 8x slower: within the 10x default.
-        assert!(compare(&doc(100, 1e6), &doc(100, 8e6), DEFAULT_WALL_TOLERANCE).is_empty());
-        // 20x slower: fails. 20x faster fails symmetrically.
-        assert_eq!(
-            compare(&doc(100, 1e6), &doc(100, 2e7), DEFAULT_WALL_TOLERANCE).len(),
-            1
-        );
-        assert_eq!(
-            compare(&doc(100, 2e7), &doc(100, 1e6), DEFAULT_WALL_TOLERANCE).len(),
-            1
-        );
-    }
-
-    #[test]
-    fn host_shape_keys_are_ignored() {
+    fn host_time_and_host_shape_keys_compare_exactly_too() {
+        // No key is exempt: a wall-clock or host-shape value in a
+        // committed file is itself the defect, and the gate says so.
+        let diffs = compare(&doc(100, 5e6), &doc(100, 5.1e6));
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].path, "$.benches[0].median_ns");
         let b = Json::obj().with("host_parallelism", 4u64).with("x", 1u64);
         let c = Json::obj().with("host_parallelism", 64u64).with("x", 1u64);
-        assert!(compare(&b, &c, DEFAULT_WALL_TOLERANCE).is_empty());
+        let diffs = compare(&b, &c);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].path, "$.host_parallelism");
     }
 
     #[test]
@@ -253,17 +179,9 @@ mod tests {
         let c = Json::obj()
             .with("rows", vec![1u64, 2, 3])
             .with("extra", true);
-        let diffs = compare(&b, &c, DEFAULT_WALL_TOLERANCE);
+        let diffs = compare(&b, &c);
         let paths: Vec<&str> = diffs.iter().map(|d| d.path.as_str()).collect();
         assert!(paths.contains(&"$.rows"), "{diffs:?}");
         assert!(paths.contains(&"$.extra"), "{diffs:?}");
-    }
-
-    #[test]
-    fn rebase_escape_hatch_short_circuits() {
-        std::env::set_var("NDC_BENCH_REBASE", "1");
-        let diffs = gate_against_file("/nonexistent.json", &doc(1, 1.0), 10.0).unwrap();
-        std::env::remove_var("NDC_BENCH_REBASE");
-        assert!(diffs.is_empty());
     }
 }

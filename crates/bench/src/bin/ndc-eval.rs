@@ -36,10 +36,14 @@
 //! with `ndc-eval fuzz --count 1 --seed <seed>`. The class × bottleneck
 //! corpus table lands in `BENCH_fuzz_corpus.json`.
 //!
-//! The `explain` full sweep writes `BENCH_model_accuracy.json` and
-//! `fuse` writes `BENCH_fusion.json`; at `--scale paper` they write
-//! `BENCH_<name>.paper.json` instead, so a paper-scale run leaves the
-//! committed test-scale baselines untouched.
+//! `fig4` writes the simulated counters of every Figure 4 run to
+//! `BENCH_fig4_schemes.json`, `explain` its model accuracy to
+//! `BENCH_model_accuracy.json`, `fuse` to `BENCH_fusion.json` and
+//! `scale` to `BENCH_scale.json`. At `--scale paper` each writes
+//! `BENCH_<name>.paper.json` instead, and under `--bench` none writes,
+//! so a partial or paper-scale run never replaces a committed
+//! test-scale file. `scripts/verify.sh` regenerates each committed file
+//! and gates it exactly with `ndc-eval gate`.
 //!
 //! `--metrics` writes a per-run component-level breakdown (engine,
 //! NDC, caches, directory, NoC links, DRAM channels) of every
@@ -88,8 +92,6 @@ struct Args {
     baseline: Option<String>,
     /// `--current` for gate: the freshly generated `BENCH_*.json`.
     current: Option<String>,
-    /// `--tolerance` for gate: wall-clock ratio (default 10x).
-    tolerance: f64,
 }
 
 impl Args {
@@ -156,7 +158,6 @@ fn usage() {
     println!("  --top <k>            profile: slowest sampled requests to show (default: 5)");
     println!("  --baseline <path>    gate: committed BENCH_*.json to compare against");
     println!("  --current <path>     gate: freshly generated BENCH_*.json under test");
-    println!("  --tolerance <ratio>  gate: wall-clock ratio tolerance (default: 10)");
 }
 
 /// Exit 2 with an argument error (usage goes to stderr so piped
@@ -180,7 +181,6 @@ fn parse_args() -> Args {
     let mut top = 5usize;
     let mut baseline = None;
     let mut current = None;
-    let mut tolerance = bench::baseline::DEFAULT_WALL_TOLERANCE;
     let mut it = std::env::args().skip(1);
     let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
         it.next()
@@ -236,12 +236,6 @@ fn parse_args() -> Args {
             }
             "--baseline" => baseline = Some(value(&mut it, "--baseline")),
             "--current" => current = Some(value(&mut it, "--current")),
-            "--tolerance" => {
-                let v = value(&mut it, "--tolerance");
-                tolerance = v.parse().ok().filter(|&t| t >= 1.0).unwrap_or_else(|| {
-                    arg_error(&format!("--tolerance wants a ratio >= 1.0, got '{v}'"))
-                });
-            }
             flag if flag.starts_with('-') => arg_error(&format!("unknown flag '{flag}'")),
             other if experiment.is_none() => experiment = Some(other.to_string()),
             other => arg_error(&format!(
@@ -262,7 +256,6 @@ fn parse_args() -> Args {
         top,
         baseline,
         current,
-        tolerance,
     }
 }
 
@@ -285,7 +278,7 @@ fn main() {
         "table2" => with_evals(&args, cfg, table2_cmd),
         "fig2" => with_evals(&args, cfg, fig2),
         "fig3" => with_evals(&args, cfg, fig3),
-        "fig4" => with_evals(&args, cfg, fig4),
+        "fig4" => with_evals(&args, cfg, |evals| fig4(&args, evals)),
         "fig5" => fig5(&args, cfg),
         "fig6" => with_evals(&args, cfg, fig6),
         "fig13" => with_evals(&args, cfg, fig13),
@@ -313,7 +306,7 @@ fn main() {
             table2_cmd(&evals);
             fig2(&evals);
             fig3(&evals);
-            fig4(&evals);
+            fig4(&args, &evals);
             fig5(&args, cfg);
             fig6(&evals);
             fig13(&evals);
@@ -395,13 +388,16 @@ fn write_obs_outputs(args: &Args, evals: &[exp::BenchmarkEvaluation], all_obs: &
     }
 }
 
-/// Where an experiment's `BENCH_<name>.json` artifact goes. Paper-scale
-/// runs write `BENCH_<name>.paper.json` instead, so they never replace
-/// the committed test-scale baselines `scripts/verify.sh` gates against.
-fn bench_path(name: &str, scale: Scale) -> String {
-    match scale {
-        Scale::Paper => format!("BENCH_{name}.paper.json"),
-        _ => format!("BENCH_{name}.json"),
+/// Where an experiment's `BENCH_<name>.json` artifact goes, if
+/// anywhere. A `--bench`-filtered run covers part of the sweep, so it
+/// writes nothing; a paper-scale run writes `BENCH_<name>.paper.json`.
+/// So only a full test-scale sweep replaces a committed test-scale
+/// file, and only a full paper-scale sweep a committed paper-scale one.
+fn bench_file(name: &str, scale: Scale, filter: Option<&str>) -> Option<String> {
+    match (filter, scale) {
+        (Some(_), _) => None,
+        (None, Scale::Paper) => Some(format!("BENCH_{name}.paper.json")),
+        (None, _) => Some(format!("BENCH_{name}.json")),
     }
 }
 
@@ -551,7 +547,10 @@ fn fig3(evals: &[exp::BenchmarkEvaluation]) {
     println!();
 }
 
-fn fig4(evals: &[exp::BenchmarkEvaluation]) {
+fn fig4(args: &Args, evals: &[exp::BenchmarkEvaluation]) {
+    if let Some(path) = bench_file("fig4_schemes", args.scale, args.bench.as_deref()) {
+        write_json(&path, &exp::figure4_counters(evals, args.scale));
+    }
     println!("== Figure 4: performance benefit over original (%) ==");
     let rows = exp::figure4(evals);
     println!(
@@ -805,14 +804,13 @@ fn explain_cmd(args: &Args, cfg: ArchConfig) {
         .with("mean_abs_rel_error_pct_legacy", mean_legacy)
         .with("max_abs_rel_error_pct_legacy", max_legacy)
         .with("model_beats_legacy", beats);
-    if !detail {
-        // Full-sweep accuracy artifact for the CI gate.
+    if let Some(path) = bench_file("model_accuracy", args.scale, args.bench.as_deref()) {
         let doc = Json::obj()
             .with("experiment", "model_accuracy")
             .with("scale", format!("{:?}", args.scale))
             .with("summary", summary.clone())
             .with("rows", acc_rows);
-        write_json(&bench_path("model_accuracy", args.scale), &doc);
+        write_json(&path, &doc);
     }
 
     if args.json {
@@ -1145,9 +1143,8 @@ fn profile_cmd(args: &Args, cfg: ArchConfig) {
 }
 
 /// `gate`: compare a freshly generated `BENCH_*.json` (`--current`)
-/// against a committed baseline (`--baseline`). Simulated counters
-/// must match exactly; wall-clock keys gate on `--tolerance`;
-/// `NDC_BENCH_REBASE=1` skips the comparison.
+/// against a committed baseline (`--baseline`). Every value must match
+/// exactly; to accept new numbers, regenerate the file and commit it.
 fn gate_cmd(args: &Args) {
     let Some(baseline) = &args.baseline else {
         arg_error("gate requires --baseline <path>");
@@ -1163,7 +1160,7 @@ fn gate_cmd(args: &Args) {
         eprintln!("gate: cannot parse current {current_path}: {e}");
         std::process::exit(1);
     });
-    match bench::baseline::gate_against_file(baseline, &current, args.tolerance) {
+    match bench::baseline::gate_against_file(baseline, &current) {
         Ok(diffs) if diffs.is_empty() => {
             println!("gate: {current_path} matches baseline {baseline}");
         }
@@ -1172,7 +1169,7 @@ fn gate_cmd(args: &Args) {
             for d in &diffs {
                 eprintln!("  {d}");
             }
-            eprintln!("(rerun with NDC_BENCH_REBASE=1 to accept the new numbers)");
+            eprintln!("(to accept the new numbers, commit the regenerated file)");
             std::process::exit(1);
         }
         Err(e) => {
@@ -1772,18 +1769,18 @@ fn ablation_coarse(args: &Args, cfg: ArchConfig) {
 /// mesh size, its work scaled with the node count. Per row: simulated
 /// cycles and issued instructions, then host wall-clock and host
 /// throughput (issued instructions per second). Only the simulated
-/// counters land in `BENCH_scale.json`, so the file is identical on
-/// every host; the host columns stay on stdout.
+/// counters land in `BENCH_scale.json` (`BENCH_scale.paper.json` for
+/// the full sweep), so the file is identical on every host; the host
+/// columns stay on stdout.
 ///
-/// `NDC_BENCH_FAST=1` shrinks the sweep to the 8×8 mesh for CI.
+/// `--scale test` runs the 8×8 mesh alone; `--scale paper` (the
+/// default) sweeps 5×5 to 16×16.
 fn scale_cmd(args: &Args) {
     use std::time::Instant;
 
-    let fast = std::env::var("NDC_BENCH_FAST").is_ok();
-    let meshes: &[(u16, u16)] = if fast {
-        &[(8, 8)]
-    } else {
-        &[(5, 5), (8, 8), (12, 12), (16, 16)]
+    let meshes: &[(u16, u16)] = match args.scale {
+        Scale::Paper => &[(5, 5), (8, 8), (12, 12), (16, 16)],
+        _ => &[(8, 8)],
     };
     let name = args.bench.as_deref().unwrap_or("ocean");
     let bench = by_name(name).unwrap_or_else(|| {
@@ -1838,9 +1835,11 @@ fn scale_cmd(args: &Args) {
         .with("experiment", "scale")
         .with("benchmark", name)
         .with("scheme", format!("{scheme:?}"))
-        .with("fast", fast)
+        .with("scale", format!("{:?}", args.scale))
         .with("rows", rows);
-    write_json("BENCH_scale.json", &doc);
+    if let Some(path) = bench_file("scale", args.scale, args.bench.as_deref()) {
+        write_json(&path, &doc);
+    }
 }
 
 /// `fuse`: the operator-fusion ablation — Algorithm 2 with and without
@@ -1856,7 +1855,8 @@ fn scale_cmd(args: &Args) {
 /// the real saving is larger). Offload cycles and NoC messages are
 /// measured by simulating both schedules under `Scheme::Compiled`.
 /// Results land in `BENCH_fusion.json` (`BENCH_fusion.paper.json` at
-/// paper scale); rows are deterministic for any `NDC_THREADS`.
+/// paper scale, nothing under `--bench`); rows are deterministic for
+/// any `NDC_THREADS`.
 fn fuse_cmd(args: &Args, cfg: ArchConfig) {
     use ndc::compiler::outcome;
     use std::collections::BTreeSet;
@@ -1984,7 +1984,9 @@ fn fuse_cmd(args: &Args, cfg: ArchConfig) {
         .with("fused_chains", total_chains)
         .with("workloads_reduced_bytes_and_cycles", reduced_both as u64)
         .with("rows", json_rows);
-    write_json(&bench_path("fusion", args.scale), &doc);
+    if let Some(path) = bench_file("fusion", args.scale, args.bench.as_deref()) {
+        write_json(&path, &doc);
+    }
 }
 
 /// `fuzz`: drive `--count` seeded programs (seeds `--seed`, `--seed`+1,
@@ -2159,4 +2161,24 @@ fn gen_cmd(args: &Args) {
         "degenerate coverage: zero-trip {zero_trip}, single-trip {single_trip}, \
          negative-stride {neg_stride}, zero-work {zero_work}"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_full_sweep_writes_a_bench_file() {
+        assert_eq!(
+            bench_file("fusion", Scale::Test, None).as_deref(),
+            Some("BENCH_fusion.json")
+        );
+        assert_eq!(
+            bench_file("fusion", Scale::Paper, None).as_deref(),
+            Some("BENCH_fusion.paper.json")
+        );
+        for scale in [Scale::Test, Scale::Paper] {
+            assert_eq!(bench_file("scale", scale, Some("md")), None);
+        }
+    }
 }

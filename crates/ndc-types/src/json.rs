@@ -6,12 +6,13 @@
 //! float formatting; non-finite floats become `null` (matching what
 //! `serde_json` does by default for JSON's number grammar).
 //!
-//! [`Json::parse`] is the read side, added for the perf-regression
-//! gate, which re-reads its own committed `BENCH_*.json` baselines. It
-//! accepts exactly the JSON grammar (objects, arrays, strings with the
-//! escapes [`Json::render`] emits plus `\u` escapes, numbers, bools,
-//! null) and keeps object field order, so `parse(render(x)) == x` for
-//! every tree the writer produces.
+//! [`Json::parse`] is the read side: the exact regression gate
+//! (`ndc-eval gate`) and the root integration tests use it to re-read
+//! the committed `BENCH_*.json` counter files. It accepts exactly the
+//! JSON grammar (objects, arrays, strings with the escapes
+//! [`Json::render`] emits plus `\u` escapes, numbers, bools, null) and
+//! keeps object field order, so `parse(render(x)) == x` for every tree
+//! the writer produces.
 
 use std::fmt::Write as _;
 

@@ -31,8 +31,8 @@ use ndc_sim::instrument::Instrumentation;
 use ndc_sim::schemes::{Scheme, WaitBudget};
 use ndc_sim::SimResult;
 use ndc_types::{
-    geomean_improvement, ArchConfig, Cycle, NdcConfig, NdcLocation, OpClass, Pc, WindowHistogram,
-    ALL_NDC_LOCATIONS,
+    geomean_improvement, ArchConfig, Cycle, Json, NdcConfig, NdcLocation, OpClass, Pc,
+    WindowHistogram, ALL_NDC_LOCATIONS,
 };
 use ndc_workloads::{all_benchmarks, Benchmark, Scale};
 
@@ -91,6 +91,23 @@ impl BenchmarkEvaluation {
     pub fn oracle(&self) -> &SimResult {
         &self.scheme_results[1]
     }
+
+    /// Every simulated run, in [`run_labels`] order.
+    pub fn runs(&self) -> impl Iterator<Item = &SimResult> {
+        std::iter::once(&self.baseline)
+            .chain(&self.scheme_results)
+            .chain([&self.alg1.0, &self.alg2.0])
+    }
+}
+
+/// The label of every run of one benchmark evaluation, in job order:
+/// `baseline`, the seven [`figure4_schemes`] labels, `alg1`, `alg2`.
+/// `--metrics` and [`figure4_counters`] key their runs by these.
+pub fn run_labels() -> Vec<String> {
+    std::iter::once("baseline".to_string())
+        .chain(figure4_schemes().into_iter().map(|s| s.label()))
+        .chain(["alg1".to_string(), "alg2".to_string()])
+        .collect()
 }
 
 /// Map a [`RefKey`] to the PC the lowering assigned its accesses.
@@ -100,9 +117,8 @@ fn pc_of_refkey(key: &RefKey) -> Pc {
 
 /// Observability artifacts from one benchmark evaluation: every run's
 /// component-level metrics tree and (optionally) its trace events, in
-/// fixed job order — `baseline`, the seven [`figure4_schemes`] labels,
-/// `alg1`, `alg2`. The order is the `ndc-par` job input order, so it
-/// is identical under any `NDC_THREADS`.
+/// fixed [`run_labels`] order. The order is the `ndc-par` job input
+/// order, so it is identical under any `NDC_THREADS`.
 #[derive(Default)]
 pub struct BenchObs {
     pub per_run: Vec<(String, Metrics)>,
@@ -159,10 +175,7 @@ pub fn evaluate_benchmark_obs(
 
     // Per-job run labels in the same order as `jobs`, used to key the
     // observability output.
-    let labels: Vec<String> = std::iter::once("baseline".to_string())
-        .chain(figure4_schemes().into_iter().map(|s| s.label()))
-        .chain(["alg1".to_string(), "alg2".to_string()])
-        .collect();
+    let labels = run_labels();
 
     let outs = ndc_par::parallel_map(&jobs, |job| match job {
         Job::Baseline => {
@@ -332,6 +345,37 @@ pub fn figure4(evals: &[BenchmarkEvaluation]) -> Vec<Figure4Row> {
 pub fn figure4_geomean(rows: &[Figure4Row], col: impl Fn(&Figure4Row) -> f64) -> f64 {
     let vals: Vec<f64> = rows.iter().map(col).collect();
     geomean_improvement(&vals)
+}
+
+/// The simulated counters behind Figures 4, 6 and 13, as the document
+/// `ndc-eval fig4` commits as `BENCH_fig4_schemes.json`: one row per
+/// benchmark, each listing its runs under their [`run_labels`] with
+/// execution time, issued instructions, NoC messages and performed NDC
+/// per location (in [`ALL_NDC_LOCATIONS`] order: network, cache, MC,
+/// memory). Counters only, so the document is identical on every host.
+pub fn figure4_counters(evals: &[BenchmarkEvaluation], scale: Scale) -> Json {
+    let rows: Vec<Json> = evals
+        .iter()
+        .map(|e| {
+            let runs: Vec<Json> = run_labels()
+                .into_iter()
+                .zip(e.runs())
+                .map(|(label, r)| {
+                    Json::obj()
+                        .with("run", label)
+                        .with("total_cycles", r.total_cycles)
+                        .with("issued_insts", r.issued_insts)
+                        .with("noc_messages", r.noc_messages)
+                        .with("ndc_performed", r.ndc_performed.to_vec())
+                })
+                .collect();
+            Json::obj().with("name", e.name.as_str()).with("runs", runs)
+        })
+        .collect();
+    Json::obj()
+        .with("experiment", "fig4")
+        .with("scale", format!("{scale:?}"))
+        .with("rows", rows)
 }
 
 // ---------------------------------------------------------------------

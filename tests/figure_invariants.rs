@@ -113,6 +113,38 @@ fn oracle_dominates_blind_waiting() {
 }
 
 #[test]
+fn committed_fig4_counters_match_a_fresh_evaluation() {
+    // scripts/verify.sh gates every kernel of BENCH_fig4_schemes.json;
+    // re-deriving two here lets `cargo test` catch a moved counter
+    // too. water is one of them because its oracle offloads at this
+    // scale (kdtree's does not).
+    use ndc::types::Json;
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fig4_schemes.json");
+    let text = std::fs::read_to_string(path).expect("committed BENCH_fig4_schemes.json");
+    let committed = Json::parse(&text).expect("BENCH_fig4_schemes.json parses");
+    assert_eq!(committed.get("scale").and_then(Json::as_str), Some("Test"));
+    let Some(Json::Arr(committed_rows)) = committed.get("rows") else {
+        panic!("BENCH_fig4_schemes.json has no rows");
+    };
+    let fresh = exp::figure4_counters(&[eval("kdtree"), eval("water")], Scale::Test);
+    let Some(Json::Arr(fresh_rows)) = fresh.get("rows") else {
+        panic!("figure4_counters emitted no rows");
+    };
+    for row in fresh_rows {
+        let name = row.get("name").and_then(Json::as_str).unwrap();
+        let old = committed_rows
+            .iter()
+            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from BENCH_fig4_schemes.json"));
+        assert_eq!(
+            row.render(),
+            old.render(),
+            "{name}: counters moved; regenerate with `ndc-eval fig4 --scale test`"
+        );
+    }
+}
+
+#[test]
 fn figure15_fraction_reflects_bypasses() {
     let e = eval("md");
     let (_, pct) = exp::figure15(std::slice::from_ref(&e)).pop().unwrap();
