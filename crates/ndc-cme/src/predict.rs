@@ -89,15 +89,7 @@ fn analyze_nest(
     let l2_line = cfg.l2.line_bytes;
     // Per-thread iteration extents (block partitioning of the parallel
     // level).
-    let mut extents: Vec<i64> = nest
-        .lo
-        .iter()
-        .zip(nest.hi.iter())
-        .map(|(l, h)| h - l)
-        .collect();
-    if let Some(level) = nest.parallel_level {
-        extents[level] = (extents[level] + cores as i64 - 1) / cores.max(1) as i64;
-    }
+    let extents = nest.thread_extents(cores);
 
     // Gather reuse for every reference first (group analysis needs the
     // full set).

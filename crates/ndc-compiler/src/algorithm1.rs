@@ -28,7 +28,7 @@
 //! and an adopted transform's certificate is re-verified independently
 //! before it enters the schedule and the report's provenance.
 
-use crate::estimate::{assess, assess_fused, core_of, LatencyModel, TargetViability};
+use crate::estimate::{assess, assess_fused, LatencyModel, TargetViability};
 use crate::report::{
     fuse_note, no_offload, outcome, reason, CandidateRecord, ChainProvenance, CompilerReport,
 };
@@ -39,7 +39,7 @@ use ndc_ir::program::{LoopNest, Program, Stmt, StmtId};
 use ndc_ir::schedule::{
     chain_operands, FusedPrecomputePlan, MoveStrategy, PrecomputePlan, Schedule,
 };
-use ndc_types::{ArchConfig, NdcLocation, MAX_FUSED_OPS};
+use ndc_types::{ArchConfig, NdcLocation, NodeId, MAX_FUSED_OPS};
 
 /// Viability thresholds for target selection.
 ///
@@ -728,16 +728,7 @@ fn legal_lookahead(
     stagger: i32,
 ) -> u32 {
     // Per-thread extents for linearizing distances.
-    let mut extents: Vec<i64> = nest
-        .lo
-        .iter()
-        .zip(nest.hi.iter())
-        .map(|(l, h)| h - l)
-        .collect();
-    if let Some(level) = nest.parallel_level {
-        let c = cores.max(1) as i64;
-        extents[level] = (extents[level] + c - 1) / c;
-    }
+    let extents = nest.thread_extents(cores);
 
     let mut legal_cap: i64 = MAX_LOOKAHEAD as i64;
     for e in &deps.edges {
@@ -765,7 +756,7 @@ fn legal_lookahead(
 
     // Desired: cover the offload round-trip.
     let model = LatencyModel::new(*cfg);
-    let core = core_of(nest, &nest.lo, cores, cfg);
+    let core = NodeId(nest.thread_of(&nest.lo, cores) as u16);
     let rt = model.est_data_at_bank(core, cfg.l2_home(0), 0.3)
         + stagger.unsigned_abs() as f64
         + 2.0 * cfg.noc.hop_cycles as f64;

@@ -264,8 +264,6 @@ pub fn assess(
         None => (p_l2_a, p_l2_b),
     };
 
-    // Evenly spaced sample points across the iteration space.
-    let step = (total / SAMPLES as u64).max(1);
     let mut skews_bank = 0.0;
     let mut skews_mc = 0.0;
     // Sampled hop sums, extrapolated to whole-nest byte·hop totals
@@ -278,16 +276,14 @@ pub fn assess(
     let mut hops_res_mc = 0u64; // mc(a) -> core
     let mut load = HopLoad::new(cfg.noc.width);
 
-    for (k, point) in nest.iter_points().step_by(step as usize).enumerate() {
-        if k >= SAMPLES {
-            break;
-        }
-        let (Some(addr_a), Some(addr_b)) = (prog.addr_of(ra, &point), prog.addr_of(rb, &point))
+    // Evenly spaced sample points across the iteration space.
+    nest.for_each_sample(SAMPLES, |point| {
+        let (Some(addr_a), Some(addr_b)) = (prog.addr_of(ra, point), prog.addr_of(rb, point))
         else {
-            continue;
+            return;
         };
         // Which core executes this iteration (block partitioning).
-        let core = core_of(nest, &point, cores, cfg);
+        let core = NodeId(nest.thread_of(point, cores) as u16);
         let home_a = cfg.l2_home(addr_a);
         let home_b = cfg.l2_home(addr_b);
         v.samples += 1;
@@ -371,7 +367,7 @@ pub fn assess(
             load.add_flow(core, home_b, MSG_BYTES);
         }
         load.add_flow(home_a, core, MSG_BYTES);
-    }
+    });
 
     if v.samples == 0 {
         return None;
@@ -541,25 +537,30 @@ pub fn assess_fused(
     let model = LatencyModel::new(*cfg);
     let mesh = Mesh::new(cfg.noc);
     let mut v = FusedViability::default();
-    let step = (total / SAMPLES as u64).max(1);
     // Per-ref sampled hop sums (request and fill paths), plus the
     // result path of the head operand.
     let mut hops_req = vec![0u64; refs.len()];
     let mut hops_fill = vec![0u64; refs.len()];
     let mut hops_res_l2 = 0u64;
     let mut hops_res_mc = 0u64;
-    for (k, point) in nest.iter_points().step_by(step as usize).enumerate() {
-        if k >= SAMPLES {
-            break;
+    // Per-sample operand addresses, L2 homes and memory-controller
+    // nodes, in buffers reused across samples.
+    let mut addrs: Vec<u64> = Vec::with_capacity(refs.len());
+    let mut homes: Vec<NodeId> = Vec::with_capacity(refs.len());
+    let mut mcns: Vec<NodeId> = Vec::with_capacity(refs.len());
+    nest.for_each_sample(SAMPLES, |point| {
+        addrs.clear();
+        for (r, _, _) in &refs {
+            match prog.addr_of(r, point) {
+                Some(a) => addrs.push(a),
+                None => return,
+            }
         }
-        let addrs: Option<Vec<u64>> = refs
-            .iter()
-            .map(|(r, _, _)| prog.addr_of(r, &point))
-            .collect();
-        let Some(addrs) = addrs else { continue };
-        let core = core_of(nest, &point, cores, cfg);
-        let homes: Vec<NodeId> = addrs.iter().map(|&a| cfg.l2_home(a)).collect();
-        let mcns: Vec<NodeId> = addrs.iter().map(|&a| cfg.mc_node(cfg.mc_of(a))).collect();
+        let core = NodeId(nest.thread_of(point, cores) as u16);
+        homes.clear();
+        homes.extend(addrs.iter().map(|&a| cfg.l2_home(a)));
+        mcns.clear();
+        mcns.extend(addrs.iter().map(|&a| cfg.mc_node(cfg.mc_of(a))));
         v.samples += 1;
 
         use ndc_types::NdcLocation::*;
@@ -620,7 +621,7 @@ pub fn assess_fused(
         }
         hops_res_l2 += model.hops(homes[0], core);
         hops_res_mc += model.hops(mcns[0], core);
-    }
+    });
 
     if v.samples == 0 {
         return None;
@@ -659,23 +660,6 @@ pub fn assess_fused(
     v.est_bytes[MemoryController.index()] = near_mc;
     v.est_bytes[MemoryBank.index()] = near_mc;
     Some(v)
-}
-
-/// The core executing an iteration point under block partitioning of
-/// the parallel level.
-pub fn core_of(nest: &LoopNest, point: &[i64], cores: usize, cfg: &ArchConfig) -> NodeId {
-    let cores = cores.max(1).min(cfg.nodes());
-    match nest.parallel_level {
-        None => NodeId(0),
-        Some(level) => {
-            let lo = nest.lo[level];
-            let hi = nest.hi[level];
-            let extent = (hi - lo).max(1) as usize;
-            let per = extent.div_ceil(cores).max(1);
-            let t = ((point[level] - lo) as usize / per).min(cores - 1);
-            NodeId(t as u16)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -754,19 +738,6 @@ mod tests {
             v.same_bank > 0.9,
             "operands 800 elements apart always share a home: {v:?}"
         );
-    }
-
-    #[test]
-    fn core_assignment_is_block_partitioned() {
-        let (_, nest) = streaming(100);
-        let c = cfg();
-        assert_eq!(core_of(&nest, &[0], 25, &c), NodeId(0));
-        assert_eq!(core_of(&nest, &[99], 25, &c), NodeId(24));
-        assert_eq!(core_of(&nest, &[50], 25, &c), NodeId(12));
-        // Serial nest runs on core 0.
-        let mut serial = nest.clone();
-        serial.parallel_level = None;
-        assert_eq!(core_of(&serial, &[99], 25, &c), NodeId(0));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! reads (e.g. a stencil's halo the workloads guard by construction)
 //! evaluate to 0.0 so the oracle stays total.
 
-use crate::matrix::lex_cmp;
-use crate::program::{ArrayId, LoopNest, Program, Ref, Stmt};
+use crate::program::{ArrayId, LoopNest, PointList, Program, Ref, Stmt};
 use crate::schedule::Schedule;
 
 /// Backing storage for a program's arrays.
@@ -60,8 +59,7 @@ impl DataStore {
     }
 
     pub fn read(&self, prog: &Program, aref: &crate::program::ArrayRef, iter: &[i64]) -> f64 {
-        let idx = aref.index_at(iter);
-        match prog.array(aref.array).linearize(&idx) {
+        match prog.element_index(aref, iter) {
             Some(l) => self.arrays[aref.array.0 as usize][l as usize],
             None => {
                 self.oob_reads.set(self.oob_reads.get() + 1);
@@ -84,8 +82,7 @@ impl DataStore {
         iter: &[i64],
         value: f64,
     ) {
-        let idx = aref.index_at(iter);
-        if let Some(l) = prog.array(aref.array).linearize(&idx) {
+        if let Some(l) = prog.element_index(aref, iter) {
             self.arrays[aref.array.0 as usize][l as usize] = value;
         }
     }
@@ -134,11 +131,11 @@ impl<'p> Interpreter<'p> {
     /// Execute the whole program in original order.
     pub fn run(&self, store: &mut DataStore) {
         for nest in &self.prog.nests {
-            for point in nest.iter_points() {
+            nest.for_each_point(|point| {
                 for s in &nest.body {
-                    self.exec_stmt(store, s, &point);
+                    self.exec_stmt(store, s, point);
                 }
-            }
+            });
         }
     }
 
@@ -159,76 +156,83 @@ impl<'p> Interpreter<'p> {
     /// differential oracle its discriminating power.
     pub fn run_scheduled(&self, store: &mut DataStore, schedule: &Schedule) {
         for nest in &self.prog.nests {
-            let points = scheduled_points(nest, schedule);
             let order = schedule.stmt_order_for(nest);
             let chains: Vec<FusedChain> = schedule
                 .fused_for(nest.id)
                 .map(|plan| FusedChain::build(nest, plan))
                 .collect();
-            if chains.is_empty() {
-                for point in &points {
-                    for &pos in &order {
-                        self.exec_stmt(store, &nest.body[pos], point);
-                    }
-                }
-                continue;
-            }
             // Body position -> (chain index, member index).
-            let mut member_at: std::collections::HashMap<usize, (usize, usize)> =
-                std::collections::HashMap::new();
+            let mut member_at: Vec<Option<(usize, usize)>> = vec![None; nest.body.len()];
             for (ci, c) in chains.iter().enumerate() {
                 for (mi, &pos) in c.positions.iter().enumerate() {
-                    member_at.insert(pos, (ci, mi));
+                    member_at[pos] = Some((ci, mi));
                 }
             }
-            for point in &points {
-                let mut pending: Vec<Option<ChainState>> =
-                    (0..chains.len()).map(|_| None).collect();
+            // One packet per chain, reused at every point.
+            let mut packets: Vec<ChainState> = chains
+                .iter()
+                .map(|c| ChainState {
+                    live: false,
+                    snapshots: Vec::with_capacity(c.tails.len()),
+                    forwarded: 0.0,
+                })
+                .collect();
+            let run_point = |point: &[i64]| {
+                for packet in &mut packets {
+                    packet.live = false;
+                }
                 for &pos in &order {
                     let s = &nest.body[pos];
-                    match member_at.get(&pos) {
-                        Some(&(ci, 0)) => {
+                    match member_at[pos] {
+                        Some((ci, 0)) => {
                             // Chain head: gather the whole union
                             // footprint now, execute op 0, forward.
                             let chain = &chains[ci];
                             let a = self.eval_ref(store, &s.a, point);
                             let b =
                                 self.eval_ref(store, s.b.as_ref().expect("head is binary"), point);
-                            let snapshots = chain
-                                .tails
-                                .iter()
-                                .map(|t| store.read(self.prog, &t.gathered, point))
-                                .collect();
+                            let packet = &mut packets[ci];
+                            packet.snapshots.clear();
+                            packet.snapshots.extend(
+                                chain
+                                    .tails
+                                    .iter()
+                                    .map(|t| store.read(self.prog, &t.gathered, point)),
+                            );
                             let v = s.op.expect("head is binary").apply(a, b);
                             store.write(self.prog, &s.dst, point, v);
-                            pending[ci] = Some(ChainState {
-                                snapshots,
-                                forwarded: v,
-                            });
+                            packet.forwarded = v;
+                            packet.live = true;
                         }
-                        Some(&(ci, mi)) => {
+                        Some((ci, mi)) => {
                             let chain = &chains[ci];
                             // A statement order that runs a tail before
                             // its head has no packet to consume from;
                             // fall back to plain execution.
-                            let Some(state) = pending[ci].as_mut() else {
+                            let packet = &mut packets[ci];
+                            if !packet.live {
                                 self.exec_stmt(store, s, point);
                                 continue;
-                            };
+                            }
                             let tail = &chain.tails[mi - 1];
-                            let g = state.snapshots[mi - 1];
+                            let g = packet.snapshots[mi - 1];
                             let op = s.op.expect("tail is binary");
                             let v = if tail.link_is_a {
-                                op.apply(state.forwarded, g)
+                                op.apply(packet.forwarded, g)
                             } else {
-                                op.apply(g, state.forwarded)
+                                op.apply(g, packet.forwarded)
                             };
                             store.write(self.prog, &s.dst, point, v);
-                            state.forwarded = v;
+                            packet.forwarded = v;
                         }
                         None => self.exec_stmt(store, s, point),
                     }
                 }
+            };
+            // An untransformed nest runs in walk order, with no list.
+            match schedule.transforms.get(&nest.id) {
+                Some(_) => scheduled_points(nest, schedule).iter().for_each(run_point),
+                None => nest.for_each_point(run_point),
             }
         }
     }
@@ -250,6 +254,8 @@ struct TailInfo {
 
 /// Per-point execution state of a fused chain.
 struct ChainState {
+    /// The head ran at the current point.
+    live: bool,
     /// Tail gathered-operand values, read at head time.
     snapshots: Vec<f64>,
     /// Running chain value forwarded to the next member.
@@ -280,13 +286,13 @@ impl FusedChain {
 }
 
 /// A nest's iteration points in scheduled (possibly transformed)
-/// execution order.
-pub fn scheduled_points(nest: &LoopNest, schedule: &Schedule) -> Vec<crate::matrix::IVec> {
-    let mut points: Vec<crate::matrix::IVec> = nest.iter_points().collect();
-    if let Some(t) = schedule.transforms.get(&nest.id) {
-        points.sort_by(|a, b| lex_cmp(&t.mul_vec(a), &t.mul_vec(b)));
+/// execution order: lexicographic, or under a transform `T` the
+/// lexicographic order of the images `T·I`.
+pub(crate) fn scheduled_points(nest: &LoopNest, schedule: &Schedule) -> PointList {
+    match schedule.transforms.get(&nest.id) {
+        Some(t) => PointList::sorted_by(nest, t.rows, |p, image| t.mul_into(p, image)),
+        None => PointList::of(nest),
     }
-    points
 }
 
 #[cfg(test)]

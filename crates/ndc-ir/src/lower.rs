@@ -16,9 +16,7 @@
 //! `stagger`) starts early, and the original statement S3 becomes a
 //! `Compute` that consumes the offloaded result.
 
-use crate::interp::scheduled_points;
-use crate::matrix::IVec;
-use crate::program::{ArrayRef, LoopNest, NestId, Program, Ref, Stmt, StmtId};
+use crate::program::{ArrayRef, LoopNest, NestId, PointList, Program, Ref, Stmt, StmtId};
 use crate::schedule::{chain_operands, FusedPrecomputePlan, Schedule};
 use ndc_types::{
     FxHashMap, Inst, InstKind, NodeId, Op, Operand, Pc, Trace, TraceProgram, MAX_FUSED_OPS,
@@ -159,7 +157,6 @@ pub fn try_lower(
     let mut next_ids = vec![0u32; opts.cores];
 
     for (nest_pos, nest) in prog.nests.iter().enumerate() {
-        let points = scheduled_points(nest, sched);
         let order = sched.stmt_order_for(nest);
         let plans: Vec<_> = sched.plans_for(nest.id).collect();
         let fused_infos: Vec<FusedLowerInfo> = sched
@@ -174,12 +171,26 @@ pub fn try_lower(
             }
         }
 
-        // Partition points across threads by the original parallel
-        // dimension (block partitioning, preserving per-thread schedule
-        // order).
-        let thread_points = partition(nest, points, opts.cores);
+        // Scheduled points grouped by the thread that runs them (block
+        // partitioning of the original parallel dimension), each
+        // thread's in schedule order (`interp::scheduled_points`):
+        // thread `t` runs points `starts[t]..starts[t + 1]`. Under a
+        // transform one sort by (thread, T·I) both orders and groups
+        // them.
+        let cores = opts.cores.max(1);
+        let thread = |p: &[i64]| nest.thread_of(p, cores);
+        let points = match sched.transforms.get(&nest.id) {
+            Some(t) => PointList::sorted_by(nest, 1 + t.rows, |p, key| {
+                key[0] = thread(p) as i64;
+                t.mul_into(p, &mut key[1..]);
+            }),
+            None => PointList::of(nest),
+        };
+        let (points, starts) = points.grouped_by(cores, thread);
 
-        for (tid, my_points) in thread_points.iter().enumerate() {
+        for (tid, bounds) in starts.windows(2).enumerate() {
+            let my_points = |j: usize| points.get(bounds[0] + j);
+            let my_len = bounds[1] - bounds[0];
             let trace = &mut out.traces[tid];
             let mut next_precompute_id = next_ids[tid];
             // (plan index, consumer point index) -> precompute id.
@@ -188,12 +199,13 @@ pub fn try_lower(
             // until every chain member at that point has consumed its
             // slot, then retired after the body loop.
             let mut pending_fused: FxHashMap<(usize, usize), u32> = FxHashMap::default();
-            for (j, point) in my_points.iter().enumerate() {
+            for j in 0..my_len {
+                let point = my_points(j);
                 // Issue pre-computes whose consumer sits `lookahead`
                 // iterations ahead.
                 for (pi, plan) in plans.iter().enumerate() {
                     let target = j + plan.lookahead as usize;
-                    if target >= my_points.len() {
+                    if target >= my_len {
                         continue;
                     }
                     // Validated up-front: the plan's statement exists in
@@ -202,7 +214,7 @@ pub fn try_lower(
                         continue;
                     };
                     let stmt = &nest.body[stmt_pos];
-                    let tpoint = &my_points[target];
+                    let tpoint = my_points(target);
                     let Some((ra, rb)) = stmt.memory_operand_pair() else {
                         continue;
                     };
@@ -234,10 +246,10 @@ pub fn try_lower(
                 // footprint, one packet, `n_ops` result slots.
                 for (fi, info) in fused_infos.iter().enumerate() {
                     let target = j + info.lookahead as usize;
-                    if target >= my_points.len() {
+                    if target >= my_len {
                         continue;
                     }
-                    let tpoint = &my_points[target];
+                    let tpoint = my_points(target);
                     let mut addrs = [0u64; MAX_FUSED_OPS + 1];
                     let mut resolvable = true;
                     for (k, r) in info.gathered.iter().enumerate() {
@@ -302,6 +314,12 @@ pub fn try_lower(
             next_ids[tid] = next_precompute_id;
         }
     }
+    // Callers keep traces while they simulate them, and an evaluation
+    // keeps every kernel's baseline, so growth slack (up to half of each
+    // buffer) would stay resident; hand it back to the allocator.
+    for trace in &mut out.traces {
+        trace.insts.shrink_to_fit();
+    }
     debug_assert_eq!(out.validate_precompute_links(), Ok(()));
     Ok(out)
 }
@@ -346,31 +364,6 @@ impl FusedLowerInfo {
             reshape_routes: plan.reshape_routes,
         }
     }
-}
-
-/// Block-partition scheduled points across threads by the original
-/// value of the parallel dimension.
-fn partition(nest: &LoopNest, points: Vec<IVec>, cores: usize) -> Vec<Vec<IVec>> {
-    let mut buckets: Vec<Vec<IVec>> = vec![Vec::new(); cores.max(1)];
-    match nest.parallel_level {
-        None => {
-            buckets[0] = points;
-        }
-        Some(level) => {
-            let lo = nest.lo[level];
-            let hi = nest.hi[level];
-            // Zero-trip nests reach here with an empty `points`, so the
-            // clamp only guards the div_ceil below.
-            let extent = (hi - lo).max(0) as usize;
-            let per = extent.div_ceil(cores.max(1)).max(1);
-            for p in points {
-                let v = (p[level] - lo) as usize;
-                let t = (v / per).min(cores - 1);
-                buckets[t].push(p);
-            }
-        }
-    }
-    buckets
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -495,6 +488,73 @@ mod tests {
         match tp.traces[1].insts[0].kind {
             InstKind::Compute { a, .. } => assert_eq!(a.addr(), Some(x_base + 25 * 8)),
             ref k => panic!("unexpected {k:?}"),
+        }
+    }
+
+    /// Every point lowered into trace `t` is one that
+    /// [`LoopNest::thread_of`] gives to thread `t`, in the order
+    /// `scheduled_points` runs them: with either loop parallel or
+    /// none, under transforms that interleave the threads' points, and
+    /// for core counts that do not divide the extent.
+    #[test]
+    fn every_lowered_point_runs_on_its_thread() {
+        let (rows, cols) = (10i64, 7i64);
+        let transforms = [
+            crate::matrix::IMat::identity(2),
+            crate::matrix::IMat::from_rows(&[&[0, 1], &[1, 0]]),
+            crate::matrix::IMat::from_rows(&[&[-1, 0], &[0, 1]]),
+            crate::matrix::IMat::from_rows(&[&[1, 0], &[1, 1]]),
+        ];
+        for level in [Some(0), Some(1), None] {
+            for t in &transforms {
+                for cores in [1, 3, 4] {
+                    let mut p = Program::new("owners");
+                    let x = p.add_array(ArrayDecl::new("X", vec![rows as u64, cols as u64], 8));
+                    // X[i+5][j] over i in -5..5: a negative lower bound.
+                    let at = ArrayRef::identity(x, 2, vec![5, 0]);
+                    let s =
+                        Stmt::binary(0, at.clone(), Op::Add, Ref::Array(at), Ref::Const(1.0), 0);
+                    let mut nest = LoopNest::new(0, vec![-5, 0], vec![rows - 5, cols], vec![s]);
+                    nest.parallel_level = level;
+                    p.nests.push(nest.clone());
+                    p.assign_layout(0, 64);
+                    let mut sched = Schedule::default();
+                    sched
+                        .transforms
+                        .insert(crate::program::NestId(0), t.clone());
+                    let opts = LowerOptions {
+                        cores,
+                        emit_busy: false,
+                    };
+                    let tp = lower(&p, &opts, Some(&sched));
+                    let scheduled = crate::interp::scheduled_points(&nest, &sched);
+                    let mut lowered = 0;
+                    for (tid, trace) in tp.traces.iter().enumerate() {
+                        let mut mine = scheduled.iter().filter(|q| nest.thread_of(q, cores) == tid);
+                        for inst in &trace.insts {
+                            let InstKind::Compute {
+                                store_to: Some(addr),
+                                ..
+                            } = inst.kind
+                            else {
+                                panic!("unexpected {inst:?}");
+                            };
+                            let l = (addr - p.array(x).base) as i64 / 8;
+                            let point = [l / cols - 5, l % cols];
+                            assert_eq!(
+                                nest.thread_of(&point, cores),
+                                tid,
+                                "{point:?} under {t:?}, {level:?} of {cores} cores"
+                            );
+                            // In schedule order within the thread.
+                            assert_eq!(mine.next(), Some(&point[..]), "under {t:?}");
+                            lowered += 1;
+                        }
+                        assert_eq!(mine.next(), None);
+                    }
+                    assert_eq!(lowered, nest.points());
+                }
+            }
         }
     }
 

@@ -49,10 +49,18 @@ impl IMat {
 
     /// Matrix × vector.
     pub fn mul_vec(&self, v: &[i64]) -> IVec {
+        let mut out = vec![0; self.rows];
+        self.mul_into(v, &mut out);
+        out
+    }
+
+    /// Matrix × vector into a caller-owned buffer of `rows` entries.
+    pub fn mul_into(&self, v: &[i64], out: &mut [i64]) {
         assert_eq!(self.cols, v.len());
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
-            .collect()
+        assert_eq!(self.rows, out.len());
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.row(i).iter().zip(v).map(|(a, x)| a * x).sum();
+        }
     }
 
     /// Matrix × matrix.

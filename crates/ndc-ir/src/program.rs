@@ -6,7 +6,7 @@
 //! with an attached `work` cost modelling the surrounding non-memory
 //! computation.
 
-use crate::matrix::{IMat, IVec};
+use crate::matrix::{lex_cmp, IMat, IVec};
 use ndc_types::{Addr, Op};
 
 /// Index of an array within its program.
@@ -247,17 +247,98 @@ impl LoopNest {
         self.points() == 0
     }
 
-    /// Enumerate all iteration vectors in lexicographic order. Yields
-    /// nothing for an empty (zero-trip or inverted) nest.
-    pub fn iter_points(&self) -> IterPoints<'_> {
-        IterPoints {
-            nest: self,
-            cur: if self.is_empty() {
-                None
-            } else {
-                Some(self.lo.clone())
-            },
+    /// Visit every iteration vector in lexicographic order, reusing one
+    /// coordinate buffer for all of them. Visits nothing for an empty
+    /// (zero-trip or inverted) nest; a depth-0 nest has one empty
+    /// point.
+    pub fn for_each_point(&self, mut f: impl FnMut(&[i64])) {
+        if self.is_empty() {
+            return;
         }
+        let mut point = self.lo.clone();
+        'walk: loop {
+            f(&point);
+            // Odometer increment from the innermost dimension; wrapping
+            // past the outermost one means that was the last point.
+            for k in (0..point.len()).rev() {
+                point[k] += 1;
+                if point[k] < self.hi[k] {
+                    continue 'walk;
+                }
+                point[k] = self.lo[k];
+            }
+            return;
+        }
+    }
+
+    /// Write the `k`-th point of the lexicographic walk (0-based) into
+    /// `out`, one entry per loop, by mixed-radix arithmetic: O(depth),
+    /// whatever `k` is. Panics unless `k < points()`.
+    pub fn point_at(&self, k: u64, out: &mut [i64]) {
+        assert!(k < self.points(), "point {k} outside the iteration space");
+        let mut rest = k;
+        for d in (0..self.depth()).rev() {
+            let extent = (self.hi[d] - self.lo[d]) as u64;
+            out[d] = self.lo[d] + (rest % extent) as i64;
+            rest /= extent;
+        }
+    }
+
+    /// Visit up to `count` points spread evenly through the walk: the
+    /// points at indices 0, step, 2·step, … below [`LoopNest::points`],
+    /// with `step = max(points / count, 1)`. Each visit costs O(depth),
+    /// however large the nest.
+    pub fn for_each_sample(&self, count: usize, mut f: impl FnMut(&[i64])) {
+        let total = self.points();
+        let step = (total / count.max(1) as u64).max(1);
+        let mut point = self.lo.clone();
+        for k in (0..count as u64)
+            .map(|i| i * step)
+            .take_while(|&k| k < total)
+        {
+            self.point_at(k, &mut point);
+            f(&point);
+        }
+    }
+
+    /// Per-loop trip counts as one thread runs them: the parallel level
+    /// is cut into blocks of ⌈extent / cores⌉ (see
+    /// [`LoopNest::thread_of`]); every other level runs whole.
+    pub fn thread_extents(&self, cores: usize) -> IVec {
+        let mut extents: IVec = self
+            .lo
+            .iter()
+            .zip(&self.hi)
+            .map(|(l, h)| (h - l).max(0))
+            .collect();
+        if let Some(level) = self.parallel_level {
+            extents[level] = self.block(level, cores);
+        }
+        extents
+    }
+
+    /// The thread, of `cores`, that runs `point`: the parallel level's
+    /// values are dealt out in consecutive blocks of ⌈extent / cores⌉,
+    /// so the last busy thread may get fewer values and any threads
+    /// after it none. A nest without a parallel level runs on thread 0.
+    /// Lowering places each point by this rule and the cost model
+    /// assumes it.
+    pub fn thread_of(&self, point: &[i64], cores: usize) -> usize {
+        let cores = cores.max(1);
+        match self.parallel_level {
+            None => 0,
+            Some(level) => {
+                let block = self.block(level, cores).max(1) as usize;
+                ((point[level] - self.lo[level]) as usize / block).min(cores - 1)
+            }
+        }
+    }
+
+    /// ⌈extent / cores⌉ of loop `level`: one thread's block.
+    fn block(&self, level: usize, cores: usize) -> i64 {
+        let extent = (self.hi[level] - self.lo[level]).max(0);
+        let c = cores.max(1) as i64;
+        (extent + c - 1) / c
     }
 
     pub fn stmt(&self, id: StmtId) -> Option<&Stmt> {
@@ -270,30 +351,105 @@ impl LoopNest {
     }
 }
 
-/// Iterator over a nest's iteration space in lexicographic order.
-pub struct IterPoints<'a> {
-    nest: &'a LoopNest,
-    cur: Option<IVec>,
+/// Iteration points stored flat: `depth` coordinates per point, all in
+/// one buffer, so a list of a million points is one allocation rather
+/// than a million.
+#[derive(Debug, Clone)]
+pub(crate) struct PointList {
+    depth: usize,
+    /// Number of points. Kept apart from `coords` because depth-0
+    /// points have no coordinates.
+    len: usize,
+    coords: Vec<i64>,
 }
 
-impl Iterator for IterPoints<'_> {
-    type Item = IVec;
-
-    fn next(&mut self) -> Option<IVec> {
-        let cur = self.cur.take()?;
-        let mut next = cur.clone();
-        // Odometer increment from the innermost dimension.
-        for k in (0..next.len()).rev() {
-            next[k] += 1;
-            if next[k] < self.nest.hi[k] {
-                self.cur = Some(next);
-                return Some(cur);
-            }
-            next[k] = self.nest.lo[k];
+impl PointList {
+    /// A nest's whole iteration space in lexicographic order.
+    pub(crate) fn of(nest: &LoopNest) -> PointList {
+        let len = nest.points() as usize;
+        let mut coords = Vec::with_capacity(len * nest.depth());
+        nest.for_each_point(|p| coords.extend_from_slice(p));
+        PointList {
+            depth: nest.depth(),
+            len,
+            coords,
         }
-        // Wrapped past the end: this was the last point.
-        self.cur = None;
-        Some(cur)
+    }
+
+    /// Point `i`.
+    pub(crate) fn get(&self, i: usize) -> &[i64] {
+        assert!(i < self.len, "point {i} of {}", self.len);
+        &self.coords[i * self.depth..(i + 1) * self.depth]
+    }
+
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[i64]> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// A nest's points ordered by `key`: ascending in the lexicographic
+    /// order of the `width` entries `key(point, out)` writes, points with
+    /// equal keys kept in lexicographic order (a stable sort). Each key
+    /// is computed once, and the lexicographic list is never held: the
+    /// sorted points are rebuilt from their walk indices with
+    /// [`LoopNest::point_at`].
+    pub(crate) fn sorted_by(
+        nest: &LoopNest,
+        width: usize,
+        key: impl Fn(&[i64], &mut [i64]),
+    ) -> PointList {
+        let len = nest.points() as usize;
+        let mut keys = vec![0i64; len * width];
+        let mut at = 0;
+        nest.for_each_point(|p| {
+            key(p, &mut keys[at..at + width]);
+            at += width;
+        });
+        let key_of = |i: usize| &keys[i * width..(i + 1) * width];
+        let mut order: Vec<usize> = (0..len).collect();
+        order.sort_by(|&a, &b| lex_cmp(key_of(a), key_of(b)));
+        drop(keys);
+        let depth = nest.depth();
+        let mut coords = vec![0i64; len * depth];
+        for (j, &k) in order.iter().enumerate() {
+            nest.point_at(k as u64, &mut coords[j * depth..(j + 1) * depth]);
+        }
+        PointList { depth, len, coords }
+    }
+
+    /// The same points grouped by `group(point)` (one of `groups`),
+    /// each group keeping the current order. Returns the regrouped list
+    /// and the group boundaries: group `g` holds points
+    /// `starts[g]..starts[g + 1]`. When the groups already sit in
+    /// ascending order the list is returned as it is.
+    pub(crate) fn grouped_by(
+        self,
+        groups: usize,
+        group: impl Fn(&[i64]) -> usize,
+    ) -> (PointList, Vec<usize>) {
+        let mut starts = vec![0usize; groups + 1];
+        let mut in_order = true;
+        let mut last = 0;
+        for p in self.iter() {
+            let g = group(p);
+            in_order &= g >= last;
+            last = g;
+            starts[g + 1] += 1;
+        }
+        for g in 0..groups {
+            starts[g + 1] += starts[g];
+        }
+        if in_order {
+            return (self, starts);
+        }
+        let d = self.depth;
+        let mut next = starts.clone();
+        let mut coords = vec![0i64; self.coords.len()];
+        for p in self.iter() {
+            let g = group(p);
+            coords[next[g] * d..(next[g] + 1) * d].copy_from_slice(p);
+            next[g] += 1;
+        }
+        (PointList { coords, ..self }, starts)
     }
 }
 
@@ -349,12 +505,12 @@ impl Program {
         self.arrays.iter().map(|a| a.size_bytes()).sum()
     }
 
-    /// Physical address touched by `aref` at iteration `iter`, `None`
-    /// if out of the array's bounds. Equal to
-    /// `array.addr_of(&aref.index_at(iter))`, but evaluates `F·I + f`
-    /// row by row and linearizes in place, so lowering allocates
-    /// nothing per reference.
-    pub fn addr_of(&self, aref: &ArrayRef, iter: &[i64]) -> Option<Addr> {
+    /// Row-major element index touched by `aref` at iteration `iter`,
+    /// `None` if out of the array's bounds. Equal to
+    /// `array.linearize(&aref.index_at(iter))`, but evaluates `F·I + f`
+    /// row by row and linearizes in place, so neither lowering nor the
+    /// interpreter allocates per reference.
+    pub fn element_index(&self, aref: &ArrayRef, iter: &[i64]) -> Option<u64> {
         let decl = self.array(aref.array);
         let f = &aref.coeffs;
         assert_eq!(f.cols, iter.len());
@@ -370,13 +526,54 @@ impl Program {
             }
             lin = lin * d + i as u64;
         }
-        Some(decl.base + lin * decl.elem_bytes)
+        Some(lin)
+    }
+
+    /// Physical address touched by `aref` at iteration `iter`, `None`
+    /// if out of the array's bounds: the array's base plus
+    /// [`Program::element_index`] elements.
+    pub fn addr_of(&self, aref: &ArrayRef, iter: &[i64]) -> Option<Addr> {
+        let decl = self.array(aref.array);
+        self.element_index(aref, iter)
+            .map(|l| decl.base + l * decl.elem_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::candidate_transforms;
+    use ndc_types::SplitMix64;
+
+    /// Every point of the walk, collected.
+    fn walk(nest: &LoopNest) -> Vec<IVec> {
+        let mut pts = Vec::new();
+        nest.for_each_point(|p| pts.push(p.to_vec()));
+        pts
+    }
+
+    /// A seeded random nest: depth 0–4, `lo` in -3..3, extents 0–4 (a
+    /// zero extent empties the whole nest), any parallel level or none.
+    fn random_nest(g: &mut SplitMix64) -> LoopNest {
+        let depth = g.range_i64(0, 5) as usize;
+        let lo: IVec = (0..depth).map(|_| g.range_i64(-3, 3)).collect();
+        let hi: IVec = lo.iter().map(|&l| l + g.range_i64(0, 5)).collect();
+        let mut nest = LoopNest::new(0, lo, hi, vec![]);
+        nest.parallel_level = match depth {
+            0 => None,
+            _ if g.chance(0.2) => None,
+            _ => Some(g.range_i64(0, depth as i64) as usize),
+        };
+        nest
+    }
+
+    /// A random unimodular transform for a depth-`n` nest: the product
+    /// of up to three candidate transforms (permutations, reversals,
+    /// skews).
+    fn random_transform(g: &mut SplitMix64, n: usize) -> IMat {
+        let cands = candidate_transforms(n, 2);
+        (0..g.range_i64(1, 4)).fold(IMat::identity(n), |t, _| t.mul(g.choose(&cands)))
+    }
 
     fn simple_prog() -> (Program, ArrayId, ArrayId) {
         let mut p = Program::new("t");
@@ -421,9 +618,10 @@ mod tests {
         assert_eq!(r.index_at(&[5, 4]), vec![4, 5]);
     }
 
-    /// The in-place evaluation equals evaluating the index vector and
-    /// linearizing it, inside and outside the array's bounds and for a
-    /// reference whose rank does not match the array's.
+    /// The in-place evaluation (element index and address) equals
+    /// evaluating the index vector and linearizing it, inside and
+    /// outside the array's bounds and for a reference whose rank does
+    /// not match the array's.
     #[test]
     fn program_addr_of_matches_index_then_linearize() {
         let (mut p, x, _) = simple_prog();
@@ -441,8 +639,11 @@ mod tests {
             for i in -2..10 {
                 for j in -2..10 {
                     let it = [i, j];
-                    let expect = p.array(r.array).addr_of(&r.index_at(&it));
+                    let idx = r.index_at(&it);
+                    let expect = p.array(r.array).addr_of(&idx);
                     assert_eq!(p.addr_of(r, &it), expect, "{r:?} at {it:?}");
+                    let expect = p.array(r.array).linearize(&idx);
+                    assert_eq!(p.element_index(r, &it), expect, "{r:?} at {it:?}");
                 }
             }
         }
@@ -451,7 +652,7 @@ mod tests {
     #[test]
     fn iteration_order_is_lexicographic() {
         let nest = LoopNest::new(0, vec![0, 0], vec![2, 3], vec![]);
-        let pts: Vec<IVec> = nest.iter_points().collect();
+        let pts = walk(&nest);
         assert_eq!(
             pts,
             vec![
@@ -469,7 +670,7 @@ mod tests {
     #[test]
     fn nonzero_lower_bounds() {
         let nest = LoopNest::new(0, vec![1, 2], vec![3, 4], vec![]);
-        let pts: Vec<IVec> = nest.iter_points().collect();
+        let pts = walk(&nest);
         assert_eq!(pts.len(), 4);
         assert_eq!(pts[0], vec![1, 2]);
         assert_eq!(pts[3], vec![2, 3]);
@@ -506,19 +707,127 @@ mod tests {
         let nest = LoopNest::new(0, vec![0], vec![0], vec![]);
         assert_eq!(nest.points(), 0);
         assert!(nest.is_empty());
-        assert_eq!(nest.iter_points().count(), 0);
+        assert!(walk(&nest).is_empty());
         // A single zero-trip dimension empties the whole space.
         let nest = LoopNest::new(1, vec![0, 4], vec![8, 4], vec![]);
         assert_eq!(nest.points(), 0);
-        assert_eq!(nest.iter_points().count(), 0);
+        assert!(walk(&nest).is_empty());
+        assert_eq!(PointList::of(&nest).iter().len(), 0);
     }
 
     #[test]
     fn single_trip_nest_yields_one_point() {
         let nest = LoopNest::new(0, vec![3, 0], vec![4, 2], vec![]);
         assert_eq!(nest.points(), 2);
-        let pts: Vec<IVec> = nest.iter_points().collect();
-        assert_eq!(pts, vec![vec![3, 0], vec![3, 1]]);
+        assert_eq!(walk(&nest), vec![vec![3, 0], vec![3, 1]]);
+    }
+
+    /// Seeded property over random nests (depth 0–4, zero-trip
+    /// dimensions, negative `lo`): `point_at(k)` is the k-th point of
+    /// the walk, the flat list holds the walk, and the evenly spaced
+    /// sample is what `step_by` over the walk selects.
+    #[test]
+    fn point_at_and_samples_match_the_walk() {
+        let g = SplitMix64::new(0x9017);
+        for case in 0..512 {
+            let nest = random_nest(&mut g.fork(case));
+            let pts = walk(&nest);
+            assert_eq!(pts.len() as u64, nest.points(), "{nest:?}");
+            let mut at = vec![0; nest.depth()];
+            for (k, p) in pts.iter().enumerate() {
+                nest.point_at(k as u64, &mut at);
+                assert_eq!(&at, p, "{nest:?} point {k}");
+            }
+            let flat = PointList::of(&nest);
+            assert_eq!(flat.iter().len(), pts.len());
+            assert!(flat.iter().eq(pts.iter().map(|p| p.as_slice())));
+            for count in [1, 3, 24] {
+                let step = (pts.len() / count).max(1);
+                let expect: Vec<&IVec> = pts.iter().step_by(step).take(count).collect();
+                let mut got = Vec::new();
+                nest.for_each_sample(count, |p| got.push(p.to_vec()));
+                assert!(got.iter().eq(expect), "{nest:?} count {count}");
+            }
+        }
+    }
+
+    /// The scheduled order sorts by keys computed once per point; it
+    /// must keep the order of sorting with `lex_cmp(T·a, T·b)` per
+    /// comparison, the reference kept here, under random unimodular
+    /// transforms, and be the walk itself without one.
+    #[test]
+    fn scheduled_order_keeps_the_per_comparison_order() {
+        let g = SplitMix64::new(0x9018);
+        for case in 0..512 {
+            let mut g = g.fork(case);
+            let nest = random_nest(&mut g);
+            let t = random_transform(&mut g, nest.depth());
+            let mut sched = crate::schedule::Schedule::default();
+            let walked = crate::interp::scheduled_points(&nest, &sched);
+            assert!(walked.iter().eq(walk(&nest).iter().map(|p| p.as_slice())));
+            let mut expect = walk(&nest);
+            expect.sort_by(|a, b| lex_cmp(&t.mul_vec(a), &t.mul_vec(b)));
+            sched.transforms.insert(nest.id, t.clone());
+            let got = crate::interp::scheduled_points(&nest, &sched);
+            assert!(
+                got.iter().eq(expect.iter().map(|p| p.as_slice())),
+                "{nest:?} under {t:?}"
+            );
+        }
+    }
+
+    /// Block partitioning: each thread runs a contiguous block of the
+    /// parallel level, ⌈extent / cores⌉ wide except for the last busy
+    /// thread's, and a serial nest runs on thread 0.
+    #[test]
+    fn threads_own_contiguous_blocks_of_the_parallel_level() {
+        let nest = LoopNest::new(0, vec![0], vec![100], vec![]);
+        assert_eq!(nest.thread_of(&[0], 25), 0);
+        assert_eq!(nest.thread_of(&[99], 25), 24);
+        assert_eq!(nest.thread_of(&[50], 25), 12);
+        assert_eq!(nest.thread_extents(25), vec![4]);
+        // 10 values over 4 threads: blocks of 3, 3, 3, 1.
+        let nest = LoopNest::new(0, vec![-5, 0], vec![5, 7], vec![]);
+        let owners: Vec<usize> = (-5..5).map(|i| nest.thread_of(&[i, 6], 4)).collect();
+        assert_eq!(owners, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+        assert_eq!(nest.thread_extents(4), vec![3, 7]);
+        // More threads than values: one value each, the rest idle.
+        assert_eq!(nest.thread_of(&[4, 0], 25), 9);
+        assert_eq!(nest.thread_extents(25), vec![1, 7]);
+        let mut serial = nest.clone();
+        serial.parallel_level = None;
+        assert_eq!(serial.thread_of(&[4, 6], 4), 0);
+        assert_eq!(serial.thread_extents(4), vec![10, 7]);
+        // The inner level can be the parallel one.
+        let mut inner = nest;
+        inner.parallel_level = Some(1);
+        assert_eq!(inner.thread_of(&[0, 6], 4), 3);
+        assert_eq!(inner.thread_extents(4), vec![10, 2]);
+    }
+
+    /// Grouping keeps every group's points in their current order, and
+    /// the boundaries cover the list, whether the groups arrive in
+    /// order or interleaved.
+    #[test]
+    fn grouping_keeps_each_groups_order() {
+        let g = SplitMix64::new(0x9019);
+        for case in 0..256 {
+            let mut g = g.fork(case);
+            let nest = random_nest(&mut g);
+            let t = random_transform(&mut g, nest.depth());
+            let cores = g.range_i64(1, 6) as usize;
+            let thread = |p: &[i64]| nest.thread_of(p, cores);
+            let list = PointList::sorted_by(&nest, t.rows, |p, image| t.mul_into(p, image));
+            let (grouped, starts) = list.clone().grouped_by(cores, thread);
+            assert_eq!(starts.len(), cores + 1);
+            assert_eq!(starts[cores], list.iter().len());
+            for c in 0..cores {
+                let mine: Vec<&[i64]> =
+                    (starts[c]..starts[c + 1]).map(|i| grouped.get(i)).collect();
+                let expect: Vec<&[i64]> = list.iter().filter(|p| thread(p) == c).collect();
+                assert_eq!(mine, expect, "{nest:?} thread {c} of {cores}");
+            }
+        }
     }
 
     #[test]

@@ -346,8 +346,8 @@ mod tests {
         let mut elems: FxHashSet<i128> = FxHashSet::default();
         let mut lines: FxHashSet<i128> = FxHashSet::default();
         let arr = prog.array(aref.array);
-        for point in nest.iter_points() {
-            let idx = aref.index_at(&point);
+        nest.for_each_point(|point| {
+            let idx = aref.index_at(point);
             // Composite linear index, in-bounds or not: the form models
             // the full affine image.
             let mut lin: i128 = 0;
@@ -357,7 +357,7 @@ mod tests {
             let addr = arr.base as i128 + lin * arr.elem_bytes as i128;
             elems.insert(addr);
             lines.insert(addr.div_euclid(line as i128));
-        }
+        });
         let e = form.distinct_elements();
         match e.tag {
             Exactness::Exact => assert_eq!(e.value as usize, elems.len(), "{form:?}"),

@@ -45,15 +45,15 @@ pub fn measure_ref(
     let mut elems: FxHashSet<u64> = FxHashSet::default();
     let mut l1: FxHashSet<u64> = FxHashSet::default();
     let mut l2: FxHashSet<u64> = FxHashSet::default();
-    for point in nest.iter_points() {
-        let Some(addr) = prog.addr_of(aref, &point) else {
-            continue;
+    nest.for_each_point(|point| {
+        let Some(addr) = prog.addr_of(aref, point) else {
+            return;
         };
         m.accesses += 1;
         elems.insert(addr);
         l1.insert(addr / l1_line.max(1));
         l2.insert(addr / l2_line.max(1));
-    }
+    });
     m.elems = elems.len() as u64;
     m.l1_lines = l1.len() as u64;
     m.l2_lines = l2.len() as u64;

@@ -400,7 +400,9 @@ mod tests {
         let stmt = &nest.body[stmt_idx];
         let (ra, rb) = stmt.memory_operand_pair().expect("binary stmt");
         let (mut home, mut mc, mut bank, mut n) = (0u32, 0u32, 0u32, 0u32);
-        for pt in nest.iter_points().step_by(61).take(100) {
+        let mut pt = vec![0; nest.depth()];
+        for k in (0..nest.points()).step_by(61).take(100) {
+            nest.point_at(k, &mut pt);
             let (Some(a), Some(b)) = (prog.addr_of(ra, &pt), prog.addr_of(rb, &pt)) else {
                 continue;
             };

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Repo verification: offline build, lints, formatting, the full test
-# suite, and the determinism contract of the ndc-par runtime — every
-# `ndc-eval` stage below (including the `--metrics` observability dump)
-# must print bit-identical output whether the experiment fan-out runs
-# on one thread or eight — plus the BENCH_*.json attestations and exact
-# gates. The run must leave the worktree as it found it: from a clean
+# suite, the benchmark's build and unit tests, and the determinism
+# contract of the ndc-par runtime — every `ndc-eval` stage below
+# (including the `--metrics` observability dump) must print
+# bit-identical output whether the experiment fan-out runs on one
+# thread or eight — plus the BENCH_*.json attestations and exact gates.
+# The run must leave the worktree as it found it: from a clean
 # checkout, `git status --porcelain` is still empty at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,6 +19,12 @@ echo "== rustfmt (check) =="
 cargo fmt --check
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
+echo "== benchmark: perfbench builds and its unit tests pass =="
+# perfbench links the `ndc` facade by path, so a change to any public
+# item it calls must still compile there. `--locked` fails on a stale
+# perfbench/Cargo.lock instead of rewriting it; the build lands in the
+# ignored perfbench/target/.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 EVAL=target/release/ndc-eval
 tmp=$(mktemp -d)

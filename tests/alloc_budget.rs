@@ -1,12 +1,20 @@
-//! Allocation budget of the simulator hot path and of checked runs.
+//! Allocation budgets of the simulator hot path, of checked runs, of
+//! the compiler and of lowering.
 //!
-//! A counting global allocator shows that simulating a kernel makes at
-//! most one heap allocation per simulated instruction under the
-//! instrumented baseline, Default NDC, and Algorithm 2's compiled
-//! schedule, and that a fully checked and observed run, invariant
-//! check included, stays within a small constant per instruction. The
-//! count is a deterministic function of the inputs, so unlike a
-//! wall-clock bound it guards the hot path without flaking on a loaded
+//! A counting global allocator shows that:
+//! - simulating a kernel makes at most one heap allocation per
+//!   simulated instruction under the instrumented baseline, Default
+//!   NDC, and Algorithm 2's compiled schedule;
+//! - a fully checked and observed run, invariant check included, stays
+//!   within a small constant per instruction;
+//! - compiling a kernel with Algorithm 1 or 2 at paper size allocates
+//!   about what it does at test size, because the cost model draws its
+//!   24 sample points directly instead of walking the iteration space;
+//! - lowering allocates far less than once per lowered instruction,
+//!   because scheduled points live in one flat buffer.
+//!
+//! The count is a deterministic function of the inputs, so unlike a
+//! wall-clock bound it guards these paths without flaking on a loaded
 //! host.
 
 use ndc::check::{check_engine_output, CheckLevel};
@@ -64,11 +72,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations made by `f` on this thread, and its result.
+fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let result = f();
+    (ALLOCS.with(Cell::get) - before, result)
+}
+
 /// Allocations per simulated instruction of one run.
 fn allocs_per_inst(run: impl FnOnce() -> SimResult) -> f64 {
-    let before = ALLOCS.with(Cell::get);
-    let result = run();
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let (allocs, result) = allocs(run);
     assert!(result.issued_insts > 0);
     allocs as f64 / result.issued_insts as f64
 }
@@ -173,5 +186,67 @@ fn checked_runs_allocate_a_bounded_amount_per_instruction() {
                  in a checked run (budget {CHECKED_BUDGET})"
             );
         }
+    }
+}
+
+/// Compiling at `Scale::Paper` may allocate at most this many times what
+/// compiling the same kernel at `Scale::Test` does. The cost model's 24
+/// samples cost O(depth) each, so these kernels read 0.91–1.0. Reaching
+/// the samples by walking the iteration space, one `Vec` per point,
+/// read 7× (kdtree) to 40× (bwaves).
+const COMPILE_SCALE_RATIO: f64 = 1.5;
+
+#[test]
+fn compiling_at_paper_size_allocates_about_what_test_size_does() {
+    let cfg = ArchConfig::paper_default();
+    let cores = cfg.nodes();
+    for name in ["bwaves", "applu", "kdtree"] {
+        let bench = by_name(name).expect("known kernel");
+        let count = |scale: Scale| {
+            let prog = bench.build(scale);
+            let (alg1, _) = allocs(|| compile_algorithm1(&prog, &cfg, cores));
+            let (alg2, _) =
+                allocs(|| compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default()));
+            [alg1, alg2]
+        };
+        let (test, paper) = (count(Scale::Test), count(Scale::Paper));
+        for (label, t, p) in [
+            ("Algorithm 1", test[0], paper[0]),
+            ("Algorithm 2", test[1], paper[1]),
+        ] {
+            let ratio = p as f64 / t as f64;
+            assert!(
+                ratio <= COMPILE_SCALE_RATIO,
+                "{name}/{label}: {p} allocations at paper size vs {t} at test size \
+                 ({ratio:.2}×, budget {COMPILE_SCALE_RATIO}×)"
+            );
+        }
+    }
+}
+
+/// At most this many allocations per lowered instruction at paper
+/// size. Grouping one flat buffer of scheduled points by thread, these
+/// kernels read 0.001–0.006; what remains is per nest and per trace
+/// (buffer growth, and the link validation of debug builds). One `Vec`
+/// per point, sorted and bucketed per thread, read 0.11–0.34.
+const LOWER_BUDGET: f64 = 0.02;
+
+#[test]
+fn lowering_allocates_far_less_than_once_per_instruction() {
+    let cfg = ArchConfig::paper_default();
+    let cores = cfg.nodes();
+    let opts = LowerOptions {
+        cores,
+        emit_busy: true,
+    };
+    for name in ["swim", "kdtree", "ocean"] {
+        let prog = by_name(name).expect("known kernel").build(Scale::Paper);
+        let (sched, _) = compile_algorithm1(&prog, &cfg, cores);
+        let (allocs, traces) = allocs(|| lower(&prog, &opts, Some(&sched)));
+        let per_inst = allocs as f64 / traces.total_insts() as f64;
+        assert!(
+            per_inst <= LOWER_BUDGET,
+            "{name}: {per_inst:.4} allocations per lowered instruction (budget {LOWER_BUDGET})"
+        );
     }
 }
