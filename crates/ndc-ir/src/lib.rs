@@ -6,6 +6,9 @@
 //! column of `T·D` to be lexicographically positive. This crate provides
 //! exactly that abstraction, built from scratch:
 //!
+//! * [`affine`] — the box-extrema rule for subscript ranges, shared with
+//!   `ndc-lint`'s bounds prover, and the `c0 + g·I` address forms
+//!   lowering evaluates for references proven inside their arrays;
 //! * [`matrix`] — small integer vectors/matrices, unimodularity,
 //!   lexicographic order, and candidate-`T` enumeration;
 //! * [`program`] — arrays, affine references, statements, loop nests,
@@ -25,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod affine;
 pub mod deps;
 pub mod interp;
 pub mod lower;

@@ -16,10 +16,11 @@
 //! `stagger`) starts early, and the original statement S3 becomes a
 //! `Compute` that consumes the offloaded result.
 
+use crate::affine::AffineAddr;
 use crate::program::{ArrayRef, LoopNest, NestId, PointList, Program, Ref, Stmt, StmtId};
 use crate::schedule::{chain_operands, FusedPrecomputePlan, Schedule};
 use ndc_types::{
-    FxHashMap, Inst, InstKind, NodeId, Op, Operand, Pc, Trace, TraceProgram, MAX_FUSED_OPS,
+    Addr, FxHashMap, Inst, InstKind, NodeId, Op, Operand, Pc, Trace, TraceProgram, MAX_FUSED_OPS,
 };
 
 /// A structural defect in the (program, schedule) pair that makes
@@ -146,10 +147,28 @@ pub fn try_lower(
             }
         })?;
     }
+    let cores = opts.cores.max(1);
     let mut out = TraceProgram::new(prog.name.clone());
     out.traces = (0..opts.cores)
         .map(|c| Trace::new(NodeId(c as u16)))
         .collect();
+    // One reservation per trace: the points each nest gives the thread,
+    // times the most instructions a point can lower to. The final
+    // `shrink_to_fit` trims only what the bound over-counts (lookahead
+    // tails and halo fallbacks).
+    let reserved: Vec<usize> = (0..out.traces.len())
+        .map(|t| {
+            prog.nests
+                .iter()
+                .map(|nest| {
+                    nest.thread_points(t, cores) * insts_per_point(nest, sched, opts.emit_busy)
+                })
+                .sum::<u64>() as usize
+        })
+        .collect();
+    for (trace, &bound) in out.traces.iter_mut().zip(&reserved) {
+        trace.insts.reserve_exact(bound);
+    }
     // Next free precompute id per trace, carried across nests. Ids are
     // dense per trace (0..precompute_ids), which lets the engine index
     // its pre-result table directly instead of hashing (usize, u32)
@@ -159,9 +178,17 @@ pub fn try_lower(
     for (nest_pos, nest) in prog.nests.iter().enumerate() {
         let order = sched.stmt_order_for(nest);
         let plans: Vec<_> = sched.plans_for(nest.id).collect();
+        // Each plan's statement position in this nest's body, looked up
+        // once rather than at every point.
+        let plan_pos: Vec<Option<usize>> = plans.iter().map(|p| nest.stmt_pos(p.stmt)).collect();
+        let stmt_addrs: Vec<StmtAddrs> = nest
+            .body
+            .iter()
+            .map(|s| StmtAddrs::new(prog, s, nest))
+            .collect();
         let fused_infos: Vec<FusedLowerInfo> = sched
             .fused_for(nest.id)
-            .map(|p| FusedLowerInfo::build(nest, p))
+            .map(|p| FusedLowerInfo::build(prog, nest, p))
             .collect();
         // Statement id -> (fused plan index, chain member index).
         let mut fused_member: FxHashMap<StmtId, (usize, usize)> = FxHashMap::default();
@@ -177,7 +204,6 @@ pub fn try_lower(
         // thread `t` runs points `starts[t]..starts[t + 1]`. Under a
         // transform one sort by (thread, T·I) both orders and groups
         // them.
-        let cores = opts.cores.max(1);
         let thread = |p: &[i64]| nest.thread_of(p, cores);
         let points = match sched.transforms.get(&nest.id) {
             Some(t) => PointList::sorted_by(nest, 1 + t.rows, |p, key| {
@@ -208,22 +234,21 @@ pub fn try_lower(
                     if target >= my_len {
                         continue;
                     }
-                    // Validated up-front: the plan's statement exists in
-                    // this nest's body.
-                    let Some(stmt_pos) = nest.stmt_pos(plan.stmt) else {
+                    let Some(stmt_pos) = plan_pos[pi] else {
                         continue;
                     };
-                    let stmt = &nest.body[stmt_pos];
-                    let tpoint = my_points(target);
-                    let Some((ra, rb)) = stmt.memory_operand_pair() else {
-                        continue;
-                    };
-                    let (Some(addr_a), Some(addr_b)) =
-                        (prog.addr_of(ra, tpoint), prog.addr_of(rb, tpoint))
+                    let addrs = &stmt_addrs[stmt_pos];
+                    let (Some(op), OperandAddr::Mem(ra), Some(OperandAddr::Mem(rb))) =
+                        (nest.body[stmt_pos].op, &addrs.a, &addrs.b)
                     else {
                         continue;
                     };
-                    let store_to = prog.addr_of(&stmt.dst, tpoint);
+                    let tpoint = my_points(target);
+                    let (Some(addr_a), Some(addr_b)) = (ra.at(prog, tpoint), rb.at(prog, tpoint))
+                    else {
+                        continue;
+                    };
+                    let store_to = addrs.dst.at(prog, tpoint);
                     let id = next_precompute_id;
                     next_precompute_id += 1;
                     pending.insert((pi, target), id);
@@ -231,7 +256,7 @@ pub fn try_lower(
                         pc: pc_of(nest_pos, stmt_pos, ROLE_PRECOMPUTE),
                         kind: InstKind::PreCompute {
                             id,
-                            op: stmt.op.expect("validated: binary stmt"),
+                            op,
                             a: addr_a,
                             b: addr_b,
                             store_to,
@@ -253,7 +278,7 @@ pub fn try_lower(
                     let mut addrs = [0u64; MAX_FUSED_OPS + 1];
                     let mut resolvable = true;
                     for (k, r) in info.gathered.iter().enumerate() {
-                        match prog.addr_of(r, tpoint) {
+                        match r.at(prog, tpoint) {
                             Some(a) => addrs[k] = a,
                             None => {
                                 // Halo access: the chain falls back to
@@ -303,6 +328,7 @@ pub fn try_lower(
                         nest_pos,
                         stmt_pos,
                         stmt,
+                        &stmt_addrs[stmt_pos],
                         point,
                         precomputed,
                         opts.emit_busy,
@@ -315,43 +341,134 @@ pub fn try_lower(
         }
     }
     // Callers keep traces while they simulate them, and an evaluation
-    // keeps every kernel's baseline, so growth slack (up to half of each
-    // buffer) would stay resident; hand it back to the allocator.
-    for trace in &mut out.traces {
+    // keeps every kernel's baseline, so the bound's slack would stay
+    // resident; hand it back to the allocator.
+    for (trace, &bound) in out.traces.iter_mut().zip(&reserved) {
+        debug_assert!(trace.insts.len() <= bound, "trace outgrew its reservation");
         trace.insts.shrink_to_fit();
     }
     debug_assert_eq!(out.validate_precompute_links(), Ok(()));
     Ok(out)
 }
 
+/// The most instructions one point of `nest` lowers to: one per
+/// precompute plan and per fused plan, and per statement a `Busy` (when
+/// emitted) plus a `Compute`, or a `Load` and a `Store` for a copy.
+fn insts_per_point(nest: &LoopNest, sched: &Schedule, emit_busy: bool) -> u64 {
+    let plans = sched.plans_for(nest.id).count() + sched.fused_for(nest.id).count();
+    let body: usize = nest
+        .body
+        .iter()
+        .map(|s| {
+            let busy = usize::from(emit_busy && s.work > 0);
+            let main = match (s.op, &s.b) {
+                (Some(_), Some(_)) => 1,
+                _ => 2,
+            };
+            busy + main
+        })
+        .sum();
+    (plans + body) as u64
+}
+
+/// How lowering finds one reference's address at a point.
+enum RefAddr<'a> {
+    /// Proven inside its array over the whole nest: `c0 + g·I`.
+    Affine(AffineAddr),
+    /// May leave its array: [`Program::addr_of`], `None` outside.
+    Checked(&'a ArrayRef),
+}
+
+impl<'a> RefAddr<'a> {
+    fn new(prog: &Program, aref: &'a ArrayRef, nest: &LoopNest) -> Self {
+        match AffineAddr::of(prog, aref, nest) {
+            Some(form) => RefAddr::Affine(form),
+            None => RefAddr::Checked(aref),
+        }
+    }
+
+    #[inline]
+    fn at(&self, prog: &Program, point: &[i64]) -> Option<Addr> {
+        match self {
+            RefAddr::Affine(form) => Some(form.at(point)),
+            RefAddr::Checked(aref) => prog.addr_of(aref, point),
+        }
+    }
+}
+
+/// A right-hand-side operand, ready to evaluate at each point.
+enum OperandAddr<'a> {
+    Mem(RefAddr<'a>),
+    Const(f64),
+}
+
+impl<'a> OperandAddr<'a> {
+    fn new(prog: &Program, r: &'a Ref, nest: &LoopNest) -> Self {
+        match r {
+            Ref::Array(a) => OperandAddr::Mem(RefAddr::new(prog, a, nest)),
+            Ref::Const(c) => OperandAddr::Const(*c),
+        }
+    }
+
+    #[inline]
+    fn at(&self, prog: &Program, point: &[i64]) -> Operand {
+        match self {
+            OperandAddr::Mem(r) => match r.at(prog, point) {
+                Some(addr) => Operand::Mem(addr),
+                // Halo/out-of-bounds reads evaluate to 0.0 (matching the
+                // interpreter) and cost nothing.
+                None => Operand::Imm(0.0),
+            },
+            OperandAddr::Const(c) => Operand::Imm(*c),
+        }
+    }
+}
+
+/// One statement's references, built once per nest.
+struct StmtAddrs<'a> {
+    dst: RefAddr<'a>,
+    a: OperandAddr<'a>,
+    b: Option<OperandAddr<'a>>,
+}
+
+impl<'a> StmtAddrs<'a> {
+    fn new(prog: &Program, stmt: &'a Stmt, nest: &LoopNest) -> Self {
+        StmtAddrs {
+            dst: RefAddr::new(prog, &stmt.dst, nest),
+            a: OperandAddr::new(prog, &stmt.a, nest),
+            b: stmt.b.as_ref().map(|b| OperandAddr::new(prog, b, nest)),
+        }
+    }
+}
+
 /// Per-nest lowering view of one fused plan: member ops in chain order
 /// and the gathered operand references (head `a`, head `b`, then each
 /// tail's single gathered operand — the packet's union footprint).
-struct FusedLowerInfo {
+struct FusedLowerInfo<'a> {
     head_pos: usize,
     n_ops: u8,
     ops: [Op; MAX_FUSED_OPS],
-    gathered: Vec<ArrayRef>,
+    gathered: Vec<RefAddr<'a>>,
     lookahead: u32,
     stagger: i32,
     reshape_routes: bool,
 }
 
-impl FusedLowerInfo {
+impl<'a> FusedLowerInfo<'a> {
     /// Plans are validated up-front ([`crate::schedule::validate_chain_shape`]),
     /// so member lookups here cannot fail.
-    fn build(nest: &LoopNest, plan: &FusedPrecomputePlan) -> FusedLowerInfo {
+    fn build(prog: &Program, nest: &'a LoopNest, plan: &FusedPrecomputePlan) -> Self {
         let head = nest.stmt(plan.stmts[0]).expect("validated plan");
         let (ra, rb) = head.memory_operand_pair().expect("validated head");
         let mut ops = [Op::Add; MAX_FUSED_OPS];
         ops[0] = head.op.expect("validated head");
-        let mut gathered = vec![ra.clone(), rb.clone()];
+        let mut gathered = vec![RefAddr::new(prog, ra, nest), RefAddr::new(prog, rb, nest)];
         let mut prev_dst = &head.dst;
         for (k, id) in plan.stmts[1..].iter().enumerate() {
             let s = nest.stmt(*id).expect("validated plan");
             let (_, g) = chain_operands(s, prev_dst).expect("validated link");
             ops[k + 1] = s.op.expect("validated tail");
-            gathered.push(g.clone());
+            gathered.push(RefAddr::new(prog, g, nest));
             prev_dst = &s.dst;
         }
         FusedLowerInfo {
@@ -373,6 +490,7 @@ fn emit_stmt(
     nest_pos: usize,
     stmt_pos: usize,
     stmt: &Stmt,
+    addrs: &StmtAddrs,
     point: &[i64],
     precomputed: Option<u32>,
     emit_busy: bool,
@@ -383,26 +501,15 @@ fn emit_stmt(
             kind: InstKind::Busy { cycles: stmt.work },
         });
     }
-    let dst_addr = prog.addr_of(&stmt.dst, point);
-    let operand = |r: &Ref| -> Operand {
-        match r {
-            Ref::Array(a) => match prog.addr_of(a, point) {
-                Some(addr) => Operand::Mem(addr),
-                // Halo/out-of-bounds reads evaluate to 0.0 (matching the
-                // interpreter) and cost nothing.
-                None => Operand::Imm(0.0),
-            },
-            Ref::Const(c) => Operand::Imm(*c),
-        }
-    };
-    match (stmt.op, &stmt.b) {
+    let dst_addr = addrs.dst.at(prog, point);
+    match (stmt.op, &addrs.b) {
         (Some(op), Some(b)) => {
             trace.insts.push(Inst {
                 pc: pc_of(nest_pos, stmt_pos, ROLE_MAIN),
                 kind: InstKind::Compute {
                     op,
-                    a: operand(&stmt.a),
-                    b: operand(b),
+                    a: addrs.a.at(prog, point),
+                    b: b.at(prog, point),
                     store_to: dst_addr,
                     precomputed,
                 },
@@ -410,7 +517,7 @@ fn emit_stmt(
         }
         _ => {
             // Copy statement: load (if memory) then store.
-            if let Operand::Mem(addr) = operand(&stmt.a) {
+            if let Operand::Mem(addr) = addrs.a.at(prog, point) {
                 trace.insts.push(Inst {
                     pc: pc_of(nest_pos, stmt_pos, ROLE_MAIN),
                     kind: InstKind::Load { addr },
@@ -481,11 +588,11 @@ mod tests {
         let tp = lower(&p, &opts, None);
         // Thread 0 computes Z[0..25): its first compute reads X[0].
         let x_base = p.array(crate::program::ArrayId(0)).base;
-        match tp.traces[0].insts[0].kind {
+        match tp.traces[0].insts.get(0).kind {
             InstKind::Compute { a, .. } => assert_eq!(a.addr(), Some(x_base)),
             ref k => panic!("unexpected {k:?}"),
         }
-        match tp.traces[1].insts[0].kind {
+        match tp.traces[1].insts.get(0).kind {
             InstKind::Compute { a, .. } => assert_eq!(a.addr(), Some(x_base + 25 * 8)),
             ref k => panic!("unexpected {k:?}"),
         }
@@ -733,7 +840,7 @@ mod tests {
         let reordered = lower(&p, &opts, Some(&sched));
         // Same instruction count, swapped within-iteration order.
         assert_eq!(base.total_insts(), reordered.total_insts());
-        let first_store = |tp: &TraceProgram| match tp.traces[0].insts[0].kind {
+        let first_store = |tp: &TraceProgram| match tp.traces[0].insts.get(0).kind {
             InstKind::Compute { store_to, .. } => store_to,
             ref k => panic!("unexpected {k:?}"),
         };

@@ -334,6 +334,22 @@ impl LoopNest {
         }
     }
 
+    /// How many points thread `t` of `cores` runs under
+    /// [`LoopNest::thread_of`]: its block of the parallel level's values
+    /// (possibly short or empty) times every other level's trip count.
+    /// A nest without a parallel level gives every point to thread 0.
+    pub fn thread_points(&self, t: usize, cores: usize) -> u64 {
+        let Some(level) = self.parallel_level else {
+            return if t == 0 { self.points() } else { 0 };
+        };
+        let extent = (self.hi[level] - self.lo[level]).max(0);
+        let block = self.block(level, cores);
+        let mine = (extent - block.saturating_mul(t as i64)).clamp(0, block);
+        let mut extents = self.thread_extents(cores);
+        extents[level] = mine;
+        extents.iter().map(|&e| e as u64).product()
+    }
+
     /// ⌈extent / cores⌉ of loop `level`: one thread's block.
     fn block(&self, level: usize, cores: usize) -> i64 {
         let extent = (self.hi[level] - self.lo[level]).max(0);
@@ -540,7 +556,7 @@ impl Program {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::matrix::candidate_transforms;
     use ndc_types::SplitMix64;
@@ -554,7 +570,7 @@ mod tests {
 
     /// A seeded random nest: depth 0–4, `lo` in -3..3, extents 0–4 (a
     /// zero extent empties the whole nest), any parallel level or none.
-    fn random_nest(g: &mut SplitMix64) -> LoopNest {
+    pub(crate) fn random_nest(g: &mut SplitMix64) -> LoopNest {
         let depth = g.range_i64(0, 5) as usize;
         let lo: IVec = (0..depth).map(|_| g.range_i64(-3, 3)).collect();
         let hi: IVec = lo.iter().map(|&l| l + g.range_i64(0, 5)).collect();
@@ -807,7 +823,9 @@ mod tests {
 
     /// Grouping keeps every group's points in their current order, and
     /// the boundaries cover the list, whether the groups arrive in
-    /// order or interleaved.
+    /// order or interleaved; each group holds the number of points
+    /// `thread_points` counts for its thread (none for a thread past
+    /// the last).
     #[test]
     fn grouping_keeps_each_groups_order() {
         let g = SplitMix64::new(0x9019);
@@ -821,6 +839,14 @@ mod tests {
             let (grouped, starts) = list.clone().grouped_by(cores, thread);
             assert_eq!(starts.len(), cores + 1);
             assert_eq!(starts[cores], list.iter().len());
+            for c in 0..=cores {
+                let count = starts.get(c + 1).map_or(0, |end| end - starts[c]);
+                assert_eq!(
+                    nest.thread_points(c, cores),
+                    count as u64,
+                    "{nest:?} thread {c}"
+                );
+            }
             for c in 0..cores {
                 let mine: Vec<&[i64]> =
                     (starts[c]..starts[c + 1]).map(|i| grouped.get(i)).collect();

@@ -6,12 +6,15 @@
 //! `min_r = f_r + Σ_j min(F_rj·lo_j, F_rj·(hi_j − 1))` and symmetrically
 //! for `max_r`. The access is proven in-bounds iff
 //! `0 <= min_r` and `max_r < dims_r` for every dimension — exact, not
-//! approximate, for the rectangular nests this IR has.
+//! approximate, for the rectangular nests this IR has. The rule lives
+//! in `ndc_ir::affine` ([`row_extrema`], [`row_fits`]), where the same
+//! verdict admits a reference to lowering's `c0 + g·I` address form.
 //!
 //! Schedules don't change the verdict: a unimodular transform permutes
 //! the *order* of iteration points, never the set of points visited, so
 //! the proof covers the scheduled program too.
 
+use ndc_ir::affine::{row_extrema, row_fits};
 use ndc_ir::program::{ArrayId, LoopNest, NestId, Program, StmtId};
 
 /// The proven subscript range of one array reference.
@@ -115,15 +118,8 @@ pub fn prove_ref(
     }
     let mut ok = true;
     for (r, &dim) in dims.iter().enumerate() {
-        let (mut min, mut max) = (aref.offsets[r] as i128, aref.offsets[r] as i128);
-        for j in 0..aref.coeffs.cols {
-            let a = aref.coeffs[(r, j)] as i128;
-            let lo = a * nest.lo[j] as i128;
-            let hi = a * (nest.hi[j] - 1) as i128;
-            min += lo.min(hi);
-            max += lo.max(hi);
-        }
-        ok &= min >= 0 && max < dim as i128;
+        let (min, max) = row_extrema(aref, r, nest);
+        ok &= row_fits((min, max), dim);
         rb.range.push((clamp_i64(min), clamp_i64(max)));
     }
     rb.in_bounds = ok;

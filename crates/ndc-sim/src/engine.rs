@@ -80,14 +80,14 @@ struct LastWindowTable {
 }
 
 impl LastWindowTable {
-    /// Sized from the largest PC in the program; every lookup hits
-    /// in-bounds by construction (all queried PCs come from the traces).
+    /// Sized from the largest PC in the program, which each trace keeps
+    /// as a summary; every lookup hits in-bounds by construction (all
+    /// queried PCs come from the traces).
     fn for_program(prog: &TraceProgram) -> Self {
         let n = prog
             .traces
             .iter()
-            .flat_map(|t| t.insts.iter())
-            .map(|i| i.pc as usize + 1)
+            .map(|t| t.insts.pc_end() as usize)
             .max()
             .unwrap_or(0);
         // `pc_of` block-encodes PCs (nest·4096 + stmt·16 + role), so
@@ -136,39 +136,18 @@ impl PreResultTable {
             .traces
             .iter()
             .map(|t| {
-                let n = t
-                    .insts
-                    .iter()
-                    .filter_map(|i| match i.kind {
-                        InstKind::PreCompute { id, .. } => Some(id as usize + 1),
-                        InstKind::FusedPreCompute { id, n_ops, .. } => {
-                            Some(id as usize + n_ops as usize)
-                        }
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
+                // One past the largest id defined, kept by the trace.
+                let n = t.insts.precompute_id_end();
                 // Ids are assigned consecutively per trace by `lower()`,
                 // so the dense table stays proportional to the trace's
                 // static pre-compute count — catches a sparse-id
                 // regression that would balloon this to O(max_id) dead
                 // slots per core on a 16×16 mesh.
                 debug_assert!(
-                    (n as u64)
-                        <= 4 + t
-                            .insts
-                            .iter()
-                            .filter(|i| {
-                                matches!(
-                                    i.kind,
-                                    InstKind::PreCompute { .. } | InstKind::FusedPreCompute { .. }
-                                )
-                            })
-                            .count() as u64
-                            * 16,
+                    n <= 4 + t.precompute_count() * 16,
                     "PreResultTable sized {n} for sparse precompute ids"
                 );
-                vec![None; n]
+                vec![None; n as usize]
             })
             .collect();
         PreResultTable { slots }
@@ -450,7 +429,7 @@ impl<'a> Engine<'a> {
                 states[c].done = true;
                 continue;
             }
-            let inst = trace.insts[states[c].idx];
+            let inst = trace.insts.get(states[c].idx);
             states[c].idx += 1;
             let sink: &mut dyn ObsSink = match ring.as_mut() {
                 Some(r) => r,

@@ -31,7 +31,7 @@ pub use rng::SplitMix64;
 pub use stats::{
     bucket_index, geomean_improvement, mean, Cdf, WindowHistogram, BUCKET_LABELS, NUM_BUCKETS,
 };
-pub use trace::{Inst, InstKind, Operand, Trace, TraceProgram, MAX_FUSED_OPS};
+pub use trace::{Inst, InstIter, InstKind, Insts, Operand, Trace, TraceProgram, MAX_FUSED_OPS};
 
 /// A simulation timestamp, measured in core clock cycles.
 pub type Cycle = u64;

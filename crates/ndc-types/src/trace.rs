@@ -195,19 +195,342 @@ impl Inst {
     }
 }
 
+// Tags of `Record::tag`, one per `InstKind` variant.
+const TAG_LOAD: u8 = 0;
+const TAG_STORE: u8 = 1;
+const TAG_COMPUTE: u8 = 2;
+const TAG_PRECOMPUTE: u8 = 3;
+const TAG_FUSED: u8 = 4;
+const TAG_BUSY: u8 = 5;
+
+// Bits of `Record::flags`.
+/// `Compute`'s `a` is an immediate (its word holds `f64::to_bits`).
+const IMM_A: u8 = 1;
+/// `Compute`'s `b` is an immediate.
+const IMM_B: u8 = 2;
+/// `store_to` is present (its address is word 2).
+const HAS_STORE: u8 = 4;
+/// `Compute`'s `precomputed` is present (its id is `arg`).
+const HAS_ID: u8 = 8;
+/// `reshape_routes` of a precompute.
+const RESHAPE: u8 = 16;
+
+/// One instruction, packed. Fields a kind does not use are zero, so
+/// equal instructions pack to equal records.
+///
+/// | kind | `words` | `arg` | other |
+/// |---|---|---|---|
+/// | `Load`, `Store` | `[addr, 0, 0]` | 0 | |
+/// | `Compute` | `[a, b, store_to]` | consumed id | `op`, flags |
+/// | `PreCompute` | `[a, b, store_to]` | id | `op`, `stagger`, flags |
+/// | `FusedPreCompute` | `[side-table index, 0, 0]` | base id | `n_ops`, `stagger`, flags |
+/// | `Busy` | 0 | cycles | |
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Record {
+    /// Addresses, or immediates stored as `f64::to_bits` (flagged).
+    words: [u64; 3],
+    pc: Pc,
+    /// The defined id, the consumed id or the busy cycles.
+    arg: u32,
+    stagger: i32,
+    tag: u8,
+    /// Index into [`Op::ALL`].
+    op: u8,
+    flags: u8,
+    n_ops: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 40);
+
+/// A fused packet's ops and gathered addresses, held out of line:
+/// fused packets are a fraction of a percent of a trace.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct FusedOperands {
+    ops: [Op; MAX_FUSED_OPS],
+    addrs: [Addr; MAX_FUSED_OPS + 1],
+}
+
+#[inline]
+fn operand_word(o: Operand, imm_flag: u8) -> (u64, u8) {
+    match o {
+        Operand::Mem(addr) => (addr, 0),
+        Operand::Imm(v) => (v.to_bits(), imm_flag),
+    }
+}
+
+#[inline]
+fn word_operand(word: u64, imm: bool) -> Operand {
+    if imm {
+        Operand::Imm(f64::from_bits(word))
+    } else {
+        Operand::Mem(word)
+    }
+}
+
+impl Record {
+    #[inline]
+    fn decode(&self, fused: &[FusedOperands]) -> Inst {
+        let flag = |f: u8| self.flags & f != 0;
+        let store_to = flag(HAS_STORE).then_some(self.words[2]);
+        let kind = match self.tag {
+            TAG_LOAD => InstKind::Load {
+                addr: self.words[0],
+            },
+            TAG_STORE => InstKind::Store {
+                addr: self.words[0],
+            },
+            TAG_COMPUTE => InstKind::Compute {
+                op: Op::ALL[self.op as usize],
+                a: word_operand(self.words[0], flag(IMM_A)),
+                b: word_operand(self.words[1], flag(IMM_B)),
+                store_to,
+                precomputed: flag(HAS_ID).then_some(self.arg),
+            },
+            TAG_PRECOMPUTE => InstKind::PreCompute {
+                id: self.arg,
+                op: Op::ALL[self.op as usize],
+                a: self.words[0],
+                b: self.words[1],
+                store_to,
+                stagger: self.stagger,
+                reshape_routes: flag(RESHAPE),
+            },
+            TAG_FUSED => {
+                let packet = &fused[self.words[0] as usize];
+                InstKind::FusedPreCompute {
+                    id: self.arg,
+                    n_ops: self.n_ops,
+                    ops: packet.ops,
+                    addrs: packet.addrs,
+                    stagger: self.stagger,
+                    reshape_routes: flag(RESHAPE),
+                }
+            }
+            _ => InstKind::Busy { cycles: self.arg },
+        };
+        Inst { pc: self.pc, kind }
+    }
+}
+
+/// Per-trace summaries, kept up to date by every push so that callers
+/// sizing tables or counting kinds need not decode the trace.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Summary {
+    /// Largest pc + 1 (0 when empty).
+    pc_end: u64,
+    /// Largest defined precompute id + its id count (1, or `n_ops`).
+    id_end: u64,
+    computes: u64,
+    precomputes: u64,
+    precompute_ids: u64,
+}
+
+/// A trace's instructions, stored as 40-byte packed records; fused
+/// packets' operands are held out of line. [`Inst`] is the decoded
+/// view: [`Insts::push`] packs one, [`Insts::get`] and
+/// [`Insts::iter`] unpack them by value.
+///
+/// Equality compares the packed records, so immediates compare bit for
+/// bit (a NaN equals the same NaN, and `-0.0` differs from `0.0`).
+#[derive(Clone, Default, PartialEq)]
+pub struct Insts {
+    records: Vec<Record>,
+    fused: Vec<FusedOperands>,
+    summary: Summary,
+}
+
+impl Insts {
+    pub fn new() -> Self {
+        Insts::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Reserve room for exactly `additional` more instructions.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.records.reserve_exact(additional);
+    }
+
+    /// Hand unused capacity back to the allocator.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
+        self.fused.shrink_to_fit();
+    }
+
+    /// Append one instruction.
+    #[inline]
+    pub fn push(&mut self, inst: Inst) {
+        let mut r = Record {
+            words: [0; 3],
+            pc: inst.pc,
+            arg: 0,
+            stagger: 0,
+            tag: TAG_BUSY,
+            op: 0,
+            flags: 0,
+            n_ops: 0,
+        };
+        let s = &mut self.summary;
+        s.pc_end = s.pc_end.max(inst.pc as u64 + 1);
+        let mut define_ids = |id: PrecomputeId, n: u64| {
+            s.precomputes += 1;
+            s.precompute_ids += n;
+            s.id_end = s.id_end.max(id as u64 + n);
+        };
+        let store_word = |store_to: Option<Addr>| match store_to {
+            Some(addr) => (addr, HAS_STORE),
+            None => (0, 0),
+        };
+        match inst.kind {
+            InstKind::Load { addr } => {
+                r.tag = TAG_LOAD;
+                r.words[0] = addr;
+            }
+            InstKind::Store { addr } => {
+                r.tag = TAG_STORE;
+                r.words[0] = addr;
+            }
+            InstKind::Compute {
+                op,
+                a,
+                b,
+                store_to,
+                precomputed,
+            } => {
+                let (wa, fa) = operand_word(a, IMM_A);
+                let (wb, fb) = operand_word(b, IMM_B);
+                let (ws, fs) = store_word(store_to);
+                r.tag = TAG_COMPUTE;
+                r.op = op as u8;
+                r.words = [wa, wb, ws];
+                r.flags = fa | fb | fs;
+                if let Some(id) = precomputed {
+                    r.arg = id;
+                    r.flags |= HAS_ID;
+                }
+                s.computes += 1;
+            }
+            InstKind::PreCompute {
+                id,
+                op,
+                a,
+                b,
+                store_to,
+                stagger,
+                reshape_routes,
+            } => {
+                let (ws, fs) = store_word(store_to);
+                r.tag = TAG_PRECOMPUTE;
+                r.op = op as u8;
+                r.arg = id;
+                r.words = [a, b, ws];
+                r.stagger = stagger;
+                r.flags = fs | if reshape_routes { RESHAPE } else { 0 };
+                define_ids(id, 1);
+            }
+            InstKind::FusedPreCompute {
+                id,
+                n_ops,
+                ops,
+                addrs,
+                stagger,
+                reshape_routes,
+            } => {
+                r.tag = TAG_FUSED;
+                r.arg = id;
+                r.n_ops = n_ops;
+                r.words[0] = self.fused.len() as u64;
+                r.stagger = stagger;
+                r.flags = if reshape_routes { RESHAPE } else { 0 };
+                self.fused.push(FusedOperands { ops, addrs });
+                define_ids(id, n_ops as u64);
+            }
+            InstKind::Busy { cycles } => r.arg = cycles,
+        }
+        self.records.push(r);
+    }
+
+    /// Instruction `i`, decoded. Panics unless `i < len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Inst {
+        self.records[i].decode(&self.fused)
+    }
+
+    /// The instructions in order, decoded by value.
+    pub fn iter(&self) -> InstIter<'_> {
+        InstIter {
+            records: self.records.iter(),
+            fused: &self.fused,
+        }
+    }
+
+    /// Largest pc + 1: the size of a table indexed by pc.
+    pub fn pc_end(&self) -> u64 {
+        self.summary.pc_end
+    }
+
+    /// One past the largest precompute id defined, counting each of a
+    /// fused packet's `n_ops` ids: the size of a table indexed by id.
+    pub fn precompute_id_end(&self) -> u64 {
+        self.summary.id_end
+    }
+}
+
+impl std::fmt::Debug for Insts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a trace's instructions, decoded by value.
+pub struct InstIter<'a> {
+    records: std::slice::Iter<'a, Record>,
+    fused: &'a [FusedOperands],
+}
+
+impl Iterator for InstIter<'_> {
+    type Item = Inst;
+
+    #[inline]
+    fn next(&mut self) -> Option<Inst> {
+        self.records.next().map(|r| r.decode(self.fused))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
+}
+
+impl ExactSizeIterator for InstIter<'_> {}
+
+impl<'a> IntoIterator for &'a Insts {
+    type Item = Inst;
+    type IntoIter = InstIter<'a>;
+
+    fn into_iter(self) -> InstIter<'a> {
+        self.iter()
+    }
+}
+
 /// The instruction stream of one hardware thread, pinned to one core.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// The core this thread runs on.
     pub core: NodeId,
-    pub insts: Vec<Inst>,
+    pub insts: Insts,
 }
 
 impl Trace {
     pub fn new(core: NodeId) -> Self {
         Trace {
             core,
-            insts: Vec::new(),
+            insts: Insts::new(),
         }
     }
 
@@ -223,39 +546,21 @@ impl Trace {
     /// denominator for the paper's "32% of arithmetic and logical
     /// instructions executed as NDC" footnote).
     pub fn compute_count(&self) -> u64 {
-        self.insts
-            .iter()
-            .filter(|i| matches!(i.kind, InstKind::Compute { .. }))
-            .count() as u64
+        self.insts.summary.computes
     }
 
     /// Count of pre-compute (offload request) instructions. A fused
     /// packet counts as one instruction; see [`Trace::precompute_ids`]
     /// for the number of ids defined.
     pub fn precompute_count(&self) -> u64 {
-        self.insts
-            .iter()
-            .filter(|i| {
-                matches!(
-                    i.kind,
-                    InstKind::PreCompute { .. } | InstKind::FusedPreCompute { .. }
-                )
-            })
-            .count() as u64
+        self.insts.summary.precomputes
     }
 
     /// Total precompute *ids* defined by this trace: 1 per `PreCompute`
     /// and `n_ops` per `FusedPreCompute`. This is the right base when
     /// allocating fresh ids or sizing per-id tables.
     pub fn precompute_ids(&self) -> u64 {
-        self.insts
-            .iter()
-            .map(|i| match i.kind {
-                InstKind::PreCompute { .. } => 1,
-                InstKind::FusedPreCompute { n_ops, .. } => n_ops as u64,
-                _ => 0,
-            })
-            .sum()
+        self.insts.summary.precompute_ids
     }
 }
 
@@ -336,6 +641,7 @@ impl TraceProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
 
     fn mk_linked_trace(ok: bool) -> TraceProgram {
         let mut t = Trace::new(NodeId(0));
@@ -483,6 +789,196 @@ mod tests {
         let mut p = TraceProgram::new("overlap");
         p.traces.push(t);
         assert!(p.validate_precompute_links().is_err());
+    }
+
+    /// `a` and `b` are the same instruction, immediates compared bit
+    /// for bit (so a NaN matches itself and `-0.0` does not match 0.0).
+    fn same_bits(a: &Inst, b: &Inst) -> bool {
+        let imm_bits = |i: &Inst| match i.kind {
+            InstKind::Compute { a, b, .. } => [a, b].map(|o| match o {
+                Operand::Imm(v) => Some(v.to_bits()),
+                Operand::Mem(_) => None,
+            }),
+            _ => [None; 2],
+        };
+        let blank = |i: &Inst| {
+            let mut i = *i;
+            if let InstKind::Compute { a, b, .. } = &mut i.kind {
+                for o in [a, b] {
+                    if let Operand::Imm(v) = o {
+                        *v = 0.0;
+                    }
+                }
+            }
+            i
+        };
+        imm_bits(a) == imm_bits(b) && blank(a) == blank(b)
+    }
+
+    /// A random instruction of any kind, its fields drawn with weight on
+    /// the extremes a packed record must carry.
+    fn random_inst(g: &mut SplitMix64) -> Inst {
+        let addr = |g: &mut SplitMix64| match g.below(4) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => g.next_u64(),
+        };
+        let word32 = |g: &mut SplitMix64| match g.below(4) {
+            0 => 0,
+            1 => u32::MAX,
+            _ => g.next_u32(),
+        };
+        let stagger = |g: &mut SplitMix64| match g.below(4) {
+            0 => i32::MIN,
+            1 => i32::MAX,
+            _ => g.next_u32() as i32,
+        };
+        let imm = |g: &mut SplitMix64| {
+            let random = f64::from_bits(g.next_u64());
+            *g.choose(&[
+                f64::from_bits(0x7ff8_0000_0000_1234), // quiet NaN, payload
+                f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN
+                -0.0,
+                0.0,
+                f64::from_bits(1), // smallest subnormal
+                -f64::MIN_POSITIVE / 3.0,
+                f64::NEG_INFINITY,
+                random,
+            ])
+        };
+        let operand = |g: &mut SplitMix64| {
+            if g.chance(0.5) {
+                Operand::Imm(imm(g))
+            } else {
+                Operand::Mem(addr(g))
+            }
+        };
+        let op = |g: &mut SplitMix64| *g.choose(&Op::ALL);
+        let pc = word32(g);
+        let kind = match g.below(6) {
+            0 => InstKind::Load { addr: addr(g) },
+            1 => InstKind::Store { addr: addr(g) },
+            2 => InstKind::Compute {
+                op: op(g),
+                a: operand(g),
+                b: operand(g),
+                store_to: g.chance(0.5).then(|| addr(g)),
+                precomputed: g.chance(0.5).then(|| word32(g)),
+            },
+            3 => InstKind::PreCompute {
+                id: word32(g),
+                op: op(g),
+                a: addr(g),
+                b: addr(g),
+                store_to: g.chance(0.5).then(|| addr(g)),
+                stagger: stagger(g),
+                reshape_routes: g.chance(0.5),
+            },
+            4 => InstKind::FusedPreCompute {
+                id: word32(g),
+                n_ops: g.range_u64(2, MAX_FUSED_OPS as u64 + 1) as u8,
+                ops: [op(g), op(g), op(g), op(g)],
+                addrs: [addr(g), addr(g), addr(g), addr(g), addr(g)],
+                stagger: stagger(g),
+                reshape_routes: g.chance(0.5),
+            },
+            _ => InstKind::Busy { cycles: word32(g) },
+        };
+        Inst { pc, kind }
+    }
+
+    /// The summaries a full scan of `insts` computes: (pc end, id end,
+    /// computes, precomputes, precompute ids).
+    fn scanned_summary(insts: &[Inst]) -> (u64, u64, u64, u64, u64) {
+        let (mut pc_end, mut id_end, mut computes, mut pre, mut ids) = (0, 0, 0, 0, 0);
+        for i in insts {
+            pc_end = pc_end.max(i.pc as u64 + 1);
+            let defined = match i.kind {
+                InstKind::Compute { .. } => {
+                    computes += 1;
+                    None
+                }
+                InstKind::PreCompute { id, .. } => Some((id, 1)),
+                InstKind::FusedPreCompute { id, n_ops, .. } => Some((id, n_ops as u64)),
+                _ => None,
+            };
+            if let Some((id, n)) = defined {
+                pre += 1;
+                ids += n;
+                id_end = id_end.max(id as u64 + n);
+            }
+        }
+        (pc_end, id_end, computes, pre, ids)
+    }
+
+    #[test]
+    fn op_indices_follow_the_declaration_order() {
+        for (i, op) in Op::ALL.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?}");
+        }
+    }
+
+    /// Seeded property: every instruction pushed comes back exactly from
+    /// `get` and from iteration, whatever its kind and however extreme
+    /// its fields, and the summaries equal a full scan.
+    #[test]
+    fn packed_store_returns_every_instruction_exactly() {
+        let g = SplitMix64::new(0x2020);
+        for case in 0..512 {
+            let mut g = g.fork(case);
+            let pushed: Vec<Inst> = (0..g.range_u64(0, 48))
+                .map(|_| random_inst(&mut g))
+                .collect();
+            let mut t = Trace::new(NodeId(0));
+            for &i in &pushed {
+                t.insts.push(i);
+            }
+            assert_eq!(t.len(), pushed.len());
+            assert_eq!(t.is_empty(), pushed.is_empty());
+            for (k, want) in pushed.iter().enumerate() {
+                let got = t.insts.get(k);
+                assert!(
+                    same_bits(&got, want),
+                    "case {case} inst {k}: {got:?} != {want:?}"
+                );
+            }
+            assert_eq!(t.insts.iter().len(), pushed.len());
+            assert!(t.insts.iter().zip(&pushed).all(|(a, b)| same_bits(&a, b)));
+            assert!((&t.insts)
+                .into_iter()
+                .zip(&pushed)
+                .all(|(a, b)| same_bits(&a, b)));
+            assert_eq!(format!("{:?}", t.insts), format!("{pushed:?}"));
+            let summary = (
+                t.insts.pc_end(),
+                t.insts.precompute_id_end(),
+                t.compute_count(),
+                t.precompute_count(),
+                t.precompute_ids(),
+            );
+            assert_eq!(summary, scanned_summary(&pushed), "case {case}");
+            // Equality is bitwise, so a store equals its clone even
+            // when it holds NaNs.
+            assert_eq!(t.clone(), t);
+        }
+    }
+
+    #[test]
+    fn store_equality_compares_immediates_by_bits() {
+        let store = |v: f64| {
+            let mut s = Insts::new();
+            s.push(Inst::compute(
+                0,
+                Op::Add,
+                Operand::Imm(v),
+                Operand::Mem(8),
+                None,
+            ));
+            s
+        };
+        assert_eq!(store(f64::NAN), store(f64::NAN));
+        assert_ne!(store(0.0), store(-0.0));
+        assert_ne!(store(1.0), store(2.0));
     }
 
     #[test]

@@ -19,6 +19,12 @@ echo "== rustfmt (check) =="
 cargo fmt --check
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
+echo "== tests (release profile): trace store, address forms, bounds prover =="
+# Debug builds trap on integer overflow where release builds wrap, so
+# the crates whose address arithmetic relies on wrapping (the packed
+# trace store, the affine address forms, the interval rule) also run
+# their tests, property tests included, optimized.
+cargo test --release --offline -p ndc-types -p ndc-ir -p ndc-lint
 echo "== benchmark: perfbench builds and its unit tests pass =="
 # perfbench links the `ndc` facade by path, so a change to any public
 # item it calls must still compile there. `--locked` fails on a stale

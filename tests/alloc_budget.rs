@@ -11,10 +11,15 @@
 //!   about what it does at test size, because the cost model draws its
 //!   24 sample points directly instead of walking the iteration space;
 //! - lowering allocates far less than once per lowered instruction,
-//!   because scheduled points live in one flat buffer.
+//!   because scheduled points live in one flat buffer, and requests
+//!   few bytes more per instruction than its 40-byte packed record,
+//!   because each trace is reserved once from a bound on its length.
 //!
-//! The count is a deterministic function of the inputs, so unlike a
-//! wall-clock bound it guards these paths without flaking on a loaded
+//! The allocator also sums the bytes requested: each allocation's size,
+//! and the new size of each reallocation that grows a block.
+//!
+//! Both sums are deterministic functions of the inputs, so unlike a
+//! wall-clock bound they guard these paths without flaking on a loaded
 //! host.
 
 use ndc::check::{check_engine_output, CheckLevel};
@@ -26,17 +31,21 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Counts the allocations (and reallocations) made by the current
-/// thread. The test harness runs tests on parallel threads, so one
-/// process-wide counter would mix their counts.
+/// thread, and the bytes they request. The test harness runs tests on
+/// parallel threads, so one process-wide counter would mix their
+/// counts.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // `try_with`: the slot may already be gone while a thread exits.
+/// Count one request for `bytes` more bytes.
+fn count_one(bytes: usize) {
+    // `try_with`: the slots may already be gone while a thread exits.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -44,19 +53,25 @@ fn count_one() {
 // a const-initialized thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        // A growing reallocation requests its whole new size (it may
+        // move the block); a shrinking one requests nothing.
+        count_one(if new_size > layout.size() {
+            new_size
+        } else {
+            0
+        });
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract,
         // and `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -74,9 +89,17 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations made by `f` on this thread, and its result.
 fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
+    let (allocs, _, result) = requests(f);
+    (allocs, result)
+}
+
+/// Allocations made by `f` on this thread, the bytes they requested,
+/// and its result.
+fn requests<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let result = f();
-    (ALLOCS.with(Cell::get) - before, result)
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    (allocs - before.0, bytes - before.1, result)
 }
 
 /// Allocations per simulated instruction of one run.
@@ -227,9 +250,17 @@ fn compiling_at_paper_size_allocates_about_what_test_size_does() {
 /// At most this many allocations per lowered instruction at paper
 /// size. Grouping one flat buffer of scheduled points by thread, these
 /// kernels read 0.001–0.006; what remains is per nest and per trace
-/// (buffer growth, and the link validation of debug builds). One `Vec`
-/// per point, sorted and bucketed per thread, read 0.11–0.34.
+/// (the reservations, and the link validation of debug builds). One
+/// `Vec` per point, sorted and bucketed per thread, read 0.11–0.34.
 const LOWER_BUDGET: f64 = 0.02;
+
+/// At most this many bytes requested per lowered instruction at paper
+/// size. A packed record is 40 bytes and each trace is reserved once,
+/// so these kernels read 42–44 in release builds and 46–50 in debug
+/// builds, whose link validation adds a hash set; the rest is the flat
+/// point list and the bound's slack. 72-byte `Inst`s in buffers grown
+/// by doubling read 204–229.
+const LOWER_BYTES_BUDGET: f64 = 64.0;
 
 #[test]
 fn lowering_allocates_far_less_than_once_per_instruction() {
@@ -242,11 +273,18 @@ fn lowering_allocates_far_less_than_once_per_instruction() {
     for name in ["swim", "kdtree", "ocean"] {
         let prog = by_name(name).expect("known kernel").build(Scale::Paper);
         let (sched, _) = compile_algorithm1(&prog, &cfg, cores);
-        let (allocs, traces) = allocs(|| lower(&prog, &opts, Some(&sched)));
-        let per_inst = allocs as f64 / traces.total_insts() as f64;
+        let (allocs, bytes, traces) = requests(|| lower(&prog, &opts, Some(&sched)));
+        let insts = traces.total_insts() as f64;
+        let per_inst = allocs as f64 / insts;
         assert!(
             per_inst <= LOWER_BUDGET,
             "{name}: {per_inst:.4} allocations per lowered instruction (budget {LOWER_BUDGET})"
+        );
+        let bytes_per_inst = bytes as f64 / insts;
+        assert!(
+            bytes_per_inst <= LOWER_BYTES_BUDGET,
+            "{name}: {bytes_per_inst:.1} bytes requested per lowered instruction \
+             (budget {LOWER_BYTES_BUDGET})"
         );
     }
 }
