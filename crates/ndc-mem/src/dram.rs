@@ -1,4 +1,4 @@
-//! Banked DRAM channel with row buffers and FR-FCFS-flavoured timing.
+//! Banked DRAM channel with row buffers.
 //!
 //! Each memory controller owns one device of `banks_per_device` banks
 //! (Table 1: 4 banks, 16384 rows/bank, 4 KB row buffers). A request's
@@ -9,16 +9,16 @@
 //! * **row conflict** — a different row is open: precharge + activate +
 //!   access.
 //!
-//! Requests serialize per bank (banks have a busy horizon) and on the
-//! shared data channel (burst occupancy). FR-FCFS's "first-ready" bias
-//! is captured structurally: row hits occupy their bank for much less
-//! time, so streams with row locality drain ahead of conflicted ones —
-//! the same throughput effect the scheduler achieves — while the
-//! `starvation_cap` bounds how far a conflicted request can be pushed
-//! back by letting it claim the channel after at most that many bursts
-//! bypass it.
+//! Requests are serviced in the order they reach the controller. Each
+//! starts once its bank's busy horizon and the shared data channel's
+//! horizon have passed, so requests serialize per bank and on the
+//! channel (burst occupancy). Table 1's FR-FCFS scheduler is not
+//! modelled as a reordering queue: row hits occupy their bank for less
+//! time, which is the only first-ready effect the model keeps.
+//! `McStats::bypasses` counts row hits, the requests an FR-FCFS
+//! scheduler could have let bypass older ones.
 
-use ndc_types::{Addr, ArchConfig, Cycle};
+use ndc_types::{Addr, AddrMap, ArchConfig, Cycle};
 
 /// Row-buffer outcome of a DRAM access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +82,8 @@ pub struct McStats {
     pub row_misses: u64,
     pub row_conflicts: u64,
     pub total_queue_delay: u64,
+    /// Row hits: the requests an FR-FCFS scheduler could have let
+    /// bypass older ones (metrics key `bypasses`).
     pub bypasses: u64,
     /// Cycles the shared data channel spent transferring bursts — the
     /// numerator of channel utilization (denominator: elapsed cycles).
@@ -117,12 +119,11 @@ impl McStats {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     cfg: ArchConfig,
+    /// The address → (bank, row) map, without divisions.
+    map: AddrMap,
     banks: Vec<BankState>,
     /// Shared data-channel horizon (burst serialization).
     channel_busy_until: Cycle,
-    /// Consecutive row-hit bypasses granted since the last
-    /// non-row-hit request was serviced (FR-FCFS starvation cap).
-    consecutive_bypasses: u32,
     pub stats: McStats,
 }
 
@@ -137,9 +138,9 @@ impl MemoryController {
         ];
         MemoryController {
             cfg,
+            map: cfg.addr_map(),
             banks,
             channel_busy_until: 0,
-            consecutive_bypasses: 0,
             stats: McStats::default(),
         }
     }
@@ -148,8 +149,8 @@ impl MemoryController {
     /// `arrival`. Returns the full timing record.
     pub fn request(&mut self, addr: Addr, arrival: Cycle) -> McAccess {
         let dram = &self.cfg.mem.dram;
-        let bank_idx = self.cfg.dram_bank_of(addr) as usize % self.banks.len();
-        let row = self.cfg.dram_row_of(addr);
+        let (bank_idx, row) = self.map.dram_bank_row(addr);
+        let bank_idx = bank_idx as usize;
         let bank = &mut self.banks[bank_idx];
 
         let (outcome, access_cycles) = match bank.open_row {
@@ -158,24 +159,7 @@ impl MemoryController {
             None => (RowOutcome::Miss, dram.row_miss_cycles),
         };
 
-        // FR-FCFS flavour: a row hit may start as soon as its bank is
-        // free; a non-hit that has been bypassed too often claims the
-        // channel immediately (starvation cap).
-        let channel_ready = if outcome == RowOutcome::Hit {
-            self.consecutive_bypasses += 1;
-            self.stats.bypasses += 1;
-            // Row hits slot into the earliest channel gap.
-            self.channel_busy_until
-        } else if self.consecutive_bypasses >= self.cfg.mem.starvation_cap {
-            self.consecutive_bypasses = 0;
-            // Starved request: next channel slot, no further bypass.
-            self.channel_busy_until
-        } else {
-            self.consecutive_bypasses = 0;
-            self.channel_busy_until
-        };
-
-        let service_start = arrival.max(bank.busy_until).max(channel_ready);
+        let service_start = arrival.max(bank.busy_until).max(self.channel_busy_until);
         let data_ready = service_start + access_cycles;
         let completion = data_ready + dram.burst_cycles;
 
@@ -188,7 +172,10 @@ impl MemoryController {
         self.stats.total_queue_delay += service_start - arrival;
         self.stats.channel_busy_cycles += dram.burst_cycles;
         match outcome {
-            RowOutcome::Hit => self.stats.row_hits += 1,
+            RowOutcome::Hit => {
+                self.stats.row_hits += 1;
+                self.stats.bypasses += 1;
+            }
             RowOutcome::Miss => self.stats.row_misses += 1,
             RowOutcome::Conflict => self.stats.row_conflicts += 1,
         }
@@ -209,7 +196,6 @@ impl MemoryController {
             b.busy_until = 0;
         }
         self.channel_busy_until = 0;
-        self.consecutive_bypasses = 0;
         self.stats = McStats::default();
     }
 }

@@ -11,7 +11,7 @@
 //!   *coherence misses* are exactly what the paper's CME estimator does
 //!   not model, driving the Table 2 accuracy gap.
 //! * [`dram::MemoryController`] — a banked DRAM channel with open-row
-//!   buffers and FR-FCFS-flavoured timing: row hits, row misses
+//!   buffers, serviced in arrival order: row hits, row misses
 //!   (activations) and row conflicts (precharge+activate) cost
 //!   different latencies, banks serialize on their busy horizon, and
 //!   the shared data channel serializes bursts.

@@ -4,7 +4,7 @@
 //! request over the NoC to the address's static-NUCA home L2 bank, on a
 //! miss a request to the owning memory controller and its DRAM banks,
 //! the refill back to the bank, and (for conventional accesses) the
-//! data reply to the requesting core. The returned [`AccessPath`]
+//! data reply to the requesting core. The [`AccessPath`] it fills
 //! carries per-location presence timestamps — the raw material both for
 //! the paper's arrival-window instrumentation (Figure 2) and for NDC
 //! package resolution.
@@ -14,7 +14,7 @@ use ndc_noc::{LinkId, LinkTraversal, Mesh, Network, Traversal};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::{Span, SpanSampler, SpanTrace, QUEUE, STALL};
 use ndc_obs::{chk, Event};
-use ndc_types::{Addr, ArchConfig, Coord, Cycle, NodeId};
+use ndc_types::{Addr, AddrMap, ArchConfig, Coord, Cycle, NodeId};
 
 /// Size in bytes of a request message (address + command).
 pub const REQ_BYTES: u64 = 16;
@@ -53,8 +53,11 @@ pub struct MemLeg {
     pub row: RowOutcome,
 }
 
-/// Complete record of one access.
-#[derive(Debug, Clone)]
+/// Complete record of one access. A caller that walks many accesses
+/// keeps one path per operand and hands it to
+/// [`Machine::access_into`], which refills it in place and reuses its
+/// link buffer.
+#[derive(Debug, Clone, Default)]
 pub struct AccessPath {
     pub addr: Addr,
     pub core: NodeId,
@@ -78,45 +81,36 @@ pub struct AccessPath {
 }
 
 impl AccessPath {
-    /// A path that has not left the core yet.
-    fn new(addr: Addr, core: NodeId, issued: Cycle) -> AccessPath {
-        AccessPath {
-            addr,
-            core,
-            issued,
-            completion: issued,
-            l1_hit: false,
-            coherence_miss: false,
-            l2: None,
-            mem: None,
-            links: Vec::new(),
-            leg_ends: [0; 3],
-        }
+    /// Start the path over as an access that has not left the core yet,
+    /// keeping the link buffer's capacity.
+    fn reset(&mut self, addr: Addr, core: NodeId, issued: Cycle) {
+        self.addr = addr;
+        self.core = core;
+        self.issued = issued;
+        self.completion = issued;
+        self.l1_hit = false;
+        self.coherence_miss = false;
+        self.l2 = None;
+        self.mem = None;
+        self.links.clear();
+        self.leg_ends = [0; 3];
     }
 
     pub fn latency(&self) -> Cycle {
         self.completion - self.issued
     }
 
-    /// Take `buf` as the path's link buffer, with room for every leg an
-    /// access from `core` to its `home` bank can take: the request, on
-    /// a miss the MC request and refill via `mc`, and the reply of a
-    /// conventional access. The buffer then never grows mid-walk.
-    fn reserve_legs(
-        &mut self,
-        mut buf: Vec<LinkTraversal>,
-        core: Coord,
-        home: Coord,
-        mc: Coord,
-        intent: AccessIntent,
-    ) {
+    /// Make room in the link buffer for every leg an access from `core`
+    /// to its `home` bank can take: the request, on a miss the MC
+    /// request and refill via `mc`, and the reply of a conventional
+    /// access. The buffer then never grows mid-walk.
+    fn reserve_legs(&mut self, core: Coord, home: Coord, mc: Coord, intent: AccessIntent) {
         let reply = match intent {
             AccessIntent::ToCore => home.manhattan(core),
             AccessIntent::NearData => 0,
         };
-        buf.clear();
-        buf.reserve_exact((core.manhattan(home) + 2 * home.manhattan(mc) + reply) as usize);
-        self.links = buf;
+        self.links
+            .reserve((core.manhattan(home) + 2 * home.manhattan(mc) + reply) as usize);
     }
 
     /// The link buffer the next leg's traversals are appended to.
@@ -417,9 +411,12 @@ pub struct Machine {
     /// charge site. Charging never reads simulated time, so enabling it
     /// cannot perturb results.
     pub attr: Option<Box<AttrState>>,
-    /// Link buffers of finished paths ([`Machine::recycle`]), reused by
-    /// later accesses: once warm, walking an access allocates nothing.
-    spare_links: Vec<Vec<LinkTraversal>>,
+    /// The configuration's address maps, without divisions.
+    map: AddrMap,
+    /// Mesh coordinates of every node, indexed by `NodeId`.
+    coords: Vec<Coord>,
+    /// Node of every memory controller.
+    mc_nodes: Vec<NodeId>,
 }
 
 impl Machine {
@@ -431,14 +428,20 @@ impl Machine {
             net: Network::new(mesh),
             l1s: (0..nodes).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2s: (0..nodes).map(|_| SetAssocCache::new(cfg.l2)).collect(),
-            dir: Directory::new(),
+            dir: Directory::new(cfg.l1.line_bytes, nodes),
             mcs: (0..cfg.mem.num_controllers)
                 .map(|_| MemoryController::new(cfg))
                 .collect(),
             chk: None,
             spans: None,
             attr: None,
-            spare_links: Vec::new(),
+            map: cfg.addr_map(),
+            coords: (0..nodes)
+                .map(|n| NodeId(n as u16).coord(cfg.noc.width))
+                .collect(),
+            mc_nodes: (0..cfg.mem.num_controllers)
+                .map(|mc| cfg.mc_node(mc))
+                .collect(),
         }
     }
 
@@ -532,7 +535,14 @@ impl Machine {
         self.net.mesh()
     }
 
-    /// Walk one access through the hierarchy.
+    /// Mesh coordinates of node `n` (a table lookup, no division).
+    #[inline]
+    pub(crate) fn coord(&self, n: NodeId) -> Coord {
+        self.coords[n.index()]
+    }
+
+    /// Walk one access through the hierarchy into a new path. Callers
+    /// that walk many accesses use [`Machine::access_into`] instead.
     pub fn access(
         &mut self,
         core: NodeId,
@@ -541,32 +551,45 @@ impl Machine {
         write: bool,
         intent: AccessIntent,
     ) -> AccessPath {
-        self.attribute_to(core);
-        let path = self.access_inner(core, addr, now, write, intent);
-        if let Some(a) = &mut self.attr {
-            let q = path.mem.as_ref().map(|m| m.service_start - m.queue_enter);
-            a.ledger.charge_request(a.current, path.latency(), q);
-        }
-        if let Some(chk) = &mut self.chk {
-            chk.record_path(&path);
-        }
-        if let Some(spans) = &mut self.spans {
-            spans.record_path(&path);
-        }
+        let mut path = AccessPath::default();
+        self.access_into(&mut path, core, addr, now, write, intent);
         path
     }
 
-    fn access_inner(
+    /// Walk one access through the hierarchy, refilling `path` in place.
+    pub fn access_into(
         &mut self,
+        path: &mut AccessPath,
         core: NodeId,
         addr: Addr,
         now: Cycle,
         write: bool,
         intent: AccessIntent,
-    ) -> AccessPath {
-        let mut path = AccessPath::new(addr, core, now);
-        let width = self.cfg.noc.width;
-        let core_coord = core.coord(width);
+    ) {
+        self.attribute_to(core);
+        self.walk(path, core, addr, now, write, intent);
+        if let Some(a) = &mut self.attr {
+            let q = path.mem.as_ref().map(|m| m.service_start - m.queue_enter);
+            a.ledger.charge_request(a.current, path.latency(), q);
+        }
+        if let Some(chk) = &mut self.chk {
+            chk.record_path(path);
+        }
+        if let Some(spans) = &mut self.spans {
+            spans.record_path(path);
+        }
+    }
+
+    fn walk(
+        &mut self,
+        path: &mut AccessPath,
+        core: NodeId,
+        addr: Addr,
+        now: Cycle,
+        write: bool,
+        intent: AccessIntent,
+    ) {
+        path.reset(addr, core, now);
         let l1_latency = self.cfg.l1.latency;
         let l1_line = self.l1s[core.index()].line_addr(addr);
 
@@ -579,7 +602,7 @@ impl Machine {
                     if write {
                         self.invalidate_other_sharers(l1_line, core);
                     }
-                    return path;
+                    return;
                 }
                 AccessOutcome::Miss { evicted, coherence } => {
                     path.coherence_miss = coherence;
@@ -595,19 +618,19 @@ impl Machine {
                 if self.l1s[core.index()].probe(addr) {
                     path.l1_hit = true;
                     path.completion = now + l1_latency;
-                    return path;
+                    return;
                 }
             }
         }
 
         // --- Request to the home L2 bank ---
-        let home = self.cfg.l2_home(addr);
-        let home_coord = home.coord(width);
-        let mc = self.cfg.mc_of(addr);
-        let mc_node = self.cfg.mc_node(mc);
-        let mc_coord = mc_node.coord(width);
-        let buf = self.spare_links.pop().unwrap_or_default();
-        path.reserve_legs(buf, core_coord, home_coord, mc_coord, intent);
+        let home = self.map.l2_home(addr);
+        let mc = self.map.mc_of(addr);
+        let mc_node = self.mc_nodes[mc as usize];
+        let core_coord = self.coord(core);
+        let home_coord = self.coord(home);
+        let mc_coord = self.coord(mc_node);
+        path.reserve_legs(core_coord, home_coord, mc_coord, intent);
         let req_links = self.mesh().xy_links(core_coord, home_coord);
         let req = self.send(
             req_links,
@@ -676,16 +699,6 @@ impl Machine {
                 }
             }
         }
-        path
-    }
-
-    /// Hand a finished path's link buffer back for reuse by later
-    /// accesses. Optional: a path that is simply dropped costs a later
-    /// access one allocation.
-    pub fn recycle(&mut self, path: AccessPath) {
-        if path.links.capacity() > 0 {
-            self.spare_links.push(path.links);
-        }
     }
 
     /// Traverse `links` and charge the message to the current tenant.
@@ -714,17 +727,15 @@ impl Machine {
     /// conventional write, so NDC stores enjoy no phantom discount.
     /// Returns the write completion time.
     pub fn remote_write(&mut self, from: NodeId, addr: Addr, t: Cycle) -> Cycle {
-        let width = self.cfg.noc.width;
-        let home = self.cfg.l2_home(addr);
-        let home_coord = home.coord(width);
-        let route = self.mesh().xy_links(from.coord(width), home_coord);
+        let home = self.map.l2_home(addr);
+        let home_coord = self.coord(home);
+        let route = self.mesh().xy_links(self.coord(from), home_coord);
         let arr = self.send(route, t, RESULT_BYTES, None).arrived;
         let done = match self.l2s[home.index()].access(addr) {
             AccessOutcome::Hit => arr + self.cfg.l2.latency,
             AccessOutcome::Miss { .. } => {
-                let mc = self.cfg.mc_of(addr);
-                let mc_node = self.cfg.mc_node(mc);
-                let mc_coord = mc_node.coord(width);
+                let mc = self.map.mc_of(addr);
+                let mc_coord = self.coord(self.mc_nodes[mc as usize]);
                 let to_mc = self.mesh().xy_links(home_coord, mc_coord);
                 let mc_req = self.send(to_mc, arr + self.cfg.l2.latency, REQ_BYTES, None);
                 let dram = self.mcs[mc as usize].request(addr, mc_req.arrived);
@@ -737,11 +748,8 @@ impl Machine {
         };
         let l1_line = self.l1s[0].line_addr(addr);
         // The writer is no core: invalidate every L1 sharer.
-        for c in 0..self.cfg.nodes() {
-            if self.dir.is_sharer(l1_line, c) {
-                self.l1s[c].invalidate(l1_line);
-                self.dir.remove_sharer(l1_line, c);
-            }
+        for c in self.dir.take_sharers(l1_line) {
+            self.l1s[c].invalidate(l1_line);
         }
         done
     }
@@ -749,8 +757,7 @@ impl Machine {
     /// Send a small point-to-point message (NDC result / CPU-feed) and
     /// return its arrival time.
     pub fn send_result(&mut self, from: NodeId, to: NodeId, t: Cycle) -> Cycle {
-        let width = self.cfg.noc.width;
-        let route = self.mesh().xy_links(from.coord(width), to.coord(width));
+        let route = self.mesh().xy_links(self.coord(from), self.coord(to));
         self.send(route, t, RESULT_BYTES, None).arrived
     }
 
@@ -768,8 +775,7 @@ impl Machine {
 
     /// Uncontended one-way latency between two nodes (static estimates).
     pub fn hop_latency(&self, a: NodeId, b: NodeId) -> Cycle {
-        let width = self.cfg.noc.width;
-        let hops = a.coord(width).manhattan(b.coord(width));
+        let hops = self.coord(a).manhattan(self.coord(b));
         self.net.uncontended_latency(hops)
     }
 

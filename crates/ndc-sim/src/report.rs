@@ -7,7 +7,7 @@
 //! per-reason aborts), the caches (totals plus per-L2-bank counters),
 //! the directory, the NoC (totals plus per-link occupancy and
 //! queue-delay histograms when `Network::enable_obs` was on), and the
-//! DRAM controllers (FR-FCFS row outcomes and channel utilization).
+//! DRAM controllers (row-buffer outcomes and channel utilization).
 //!
 //! Everything here is a pure function of simulation state, and every
 //! container is iterated in a fixed order (node index, link index, MC

@@ -4,8 +4,9 @@
 //! evaluation: a 5×5 2D mesh, one core per node, 32 KB 2-way L1s with
 //! 64 B lines, 512 KB 64-way line-interleaved L2 banks with 256 B lines,
 //! 16 B links with a 3-cycle router pipeline and XY routing, 4 memory
-//! controllers with 4 KB interleaving and FR-FCFS scheduling, and DDR2-800
-//! style banked DRAM with 4 KB row buffers.
+//! controllers with 4 KB interleaving, and DDR2-800 style banked DRAM
+//! with 4 KB row buffers. (Table 1's FR-FCFS scheduling is not modelled
+//! as a queue; `ndc-mem`'s `dram` module says what the controller does.)
 
 use crate::{Cycle, NdcLocation};
 
@@ -91,11 +92,6 @@ pub struct MemConfig {
     pub interleave_bytes: u64,
     /// DRAM device timing.
     pub dram: DramConfig,
-    /// Maximum requests the FR-FCFS queue considers for reordering.
-    pub queue_depth: usize,
-    /// Cap on how many younger row-hit requests may bypass the oldest
-    /// request, bounding FR-FCFS starvation.
-    pub starvation_cap: u32,
 }
 
 /// Which computation types may be offloaded (Figure 17's last
@@ -211,8 +207,6 @@ impl ArchConfig {
                     row_conflict_cycles: 90,
                     burst_cycles: 4,
                 },
-                queue_depth: 32,
-                starvation_cap: 8,
             },
             ndc: NdcConfig {
                 enabled_mask: NdcConfig::ALL_LOCATIONS,
@@ -283,6 +277,11 @@ impl ArchConfig {
         (per_mc_frame / self.mem.dram.banks_per_device as u64) % self.mem.dram.rows_per_bank
     }
 
+    /// The address maps above, precomputed for the simulator's hot path.
+    pub fn addr_map(&self) -> crate::AddrMap {
+        crate::AddrMap::new(self)
+    }
+
     /// Mesh coordinates of a memory controller. The four controllers sit
     /// at the mesh corners (Figure 1: MC1-MC4 with DDR4 channels at the
     /// corners); extra controllers beyond four (not used by the paper)
@@ -331,8 +330,6 @@ impl ArchConfig {
                 Json::obj()
                     .with("num_controllers", self.mem.num_controllers)
                     .with("interleave_bytes", self.mem.interleave_bytes)
-                    .with("queue_depth", self.mem.queue_depth)
-                    .with("starvation_cap", self.mem.starvation_cap)
                     .with(
                         "dram",
                         Json::obj()

@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod addrmap;
 pub mod config;
 pub mod geom;
 pub mod hash;
@@ -22,6 +23,7 @@ pub mod rng;
 pub mod stats;
 pub mod trace;
 
+pub use addrmap::{AddrMap, Divisor};
 pub use config::{ArchConfig, CacheConfig, DramConfig, MemConfig, NdcConfig, NocConfig, OpClass};
 pub use geom::{Coord, NodeId};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -462,6 +462,16 @@ impl Insts {
         self.records[i].decode(&self.fused)
     }
 
+    /// The cycles of instruction `i` when it is a `Busy`, read without
+    /// decoding it; `None` for any other kind and past the end.
+    #[inline]
+    pub fn busy_cycles(&self, i: usize) -> Option<u32> {
+        self.records
+            .get(i)
+            .filter(|r| r.tag == TAG_BUSY)
+            .map(|r| r.arg)
+    }
+
     /// The instructions in order, decoded by value.
     pub fn iter(&self) -> InstIter<'_> {
         InstIter {
@@ -941,7 +951,13 @@ mod tests {
                     same_bits(&got, want),
                     "case {case} inst {k}: {got:?} != {want:?}"
                 );
+                let busy = match want.kind {
+                    InstKind::Busy { cycles } => Some(cycles),
+                    _ => None,
+                };
+                assert_eq!(t.insts.busy_cycles(k), busy, "case {case} inst {k}");
             }
+            assert_eq!(t.insts.busy_cycles(pushed.len()), None);
             assert_eq!(t.insts.iter().len(), pushed.len());
             assert!(t.insts.iter().zip(&pushed).all(|(a, b)| same_bits(&a, b)));
             assert!((&t.insts)

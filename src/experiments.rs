@@ -28,7 +28,7 @@ use ndc_obs::span::SpanTrace;
 use ndc_obs::{Event, Metrics, ObsLevel};
 use ndc_sim::engine::{simulate, Engine};
 use ndc_sim::instrument::Instrumentation;
-use ndc_sim::schemes::{Scheme, WaitBudget};
+use ndc_sim::schemes::{OracleGuide, Scheme, WaitBudget};
 use ndc_sim::SimResult;
 use ndc_types::{
     geomean_improvement, ArchConfig, Cycle, Json, NdcConfig, NdcLocation, OpClass, Pc,
@@ -152,26 +152,44 @@ pub fn evaluate_benchmark_obs(
     let traces = lower(&prog, &opts, None);
 
     // Every remaining piece of the evaluation is independent given
-    // `traces`: the instrumented baseline (+ CME accuracy), the seven
-    // Figure 4 measurement schemes, and the two compiler algorithms
-    // (each of which lowers its own schedule). Fan them out; ndc-par
-    // returns results in job order, so the output is bit-identical to
-    // the serial path.
+    // `traces`, except the oracle: the instrumented baseline (+ CME
+    // accuracy), the seven Figure 4 measurement schemes, and the two
+    // compiler algorithms (each of which lowers its own schedule). Fan
+    // them out; ndc-par returns results in job order, so the output is
+    // bit-identical to the serial path. The oracle plans its guide from
+    // the baseline's characterization records, so the baseline job runs
+    // it too rather than the oracle job re-simulating the same
+    // instrumented baseline as its plan pass.
     enum Job {
         Baseline,
         Scheme(Scheme),
         Algorithm(u8),
     }
     enum JobOut {
-        Baseline(Box<(SimResult, Instrumentation, AccuracyReport)>),
+        Baseline(Box<(SimResult, Instrumentation, AccuracyReport, Ran)>),
         Scheme(Box<SimResult>),
+        /// The oracle's slot: its run comes out of the baseline job.
+        OracleInBaseline,
         Algorithm(Box<(SimResult, CompilerReport)>),
+    }
+    /// One simulated run's output with its observability.
+    struct Ran {
+        out: JobOut,
+        metrics: Option<Metrics>,
+        events: Vec<Event>,
     }
 
     let mut jobs = vec![Job::Baseline];
     jobs.extend(figure4_schemes().into_iter().map(Job::Scheme));
     jobs.push(Job::Algorithm(1));
     jobs.push(Job::Algorithm(2));
+    let reuse_aware = figure4_schemes()
+        .into_iter()
+        .find_map(|s| match s {
+            Scheme::Oracle { reuse_aware } => Some(reuse_aware),
+            _ => None,
+        })
+        .expect("Figure 4 runs the oracle");
 
     // Per-job run labels in the same order as `jobs`, used to key the
     // observability output.
@@ -187,6 +205,22 @@ pub fn evaluate_benchmark_obs(
                 .run();
             let baseline = base_out.result;
             let instrumentation = base_out.instrumentation.expect("instrumented run");
+            // The oracle's guided pass, planned from this run.
+            let guide = OracleGuide::build(
+                &instrumentation.records,
+                &traces,
+                cfg.l1.line_bytes,
+                reuse_aware,
+            );
+            let out = Engine::new(cfg, &traces, Scheme::Oracle { reuse_aware })
+                .with_guide(&guide)
+                .with_obs(obs)
+                .run();
+            let oracle = Ran {
+                out: JobOut::Scheme(Box::new(out.result)),
+                metrics: out.metrics,
+                events: out.events,
+            };
             // Table 2: CME predictions vs the baseline's measured
             // behaviour.
             let cme = ndc_cme::analyze(&prog, &cfg, cores);
@@ -201,19 +235,24 @@ pub fn evaluate_benchmark_obs(
                 .map(|(k, v)| (*k, (v.hits, v.misses)))
                 .collect();
             let cme_accuracy = accuracy_against_sim(&cme, &l1_counters, &l2_counters, pc_of_refkey);
-            (
-                JobOut::Baseline(Box::new((baseline, instrumentation, cme_accuracy))),
-                base_out.metrics,
-                base_out.events,
-            )
+            Ran {
+                out: JobOut::Baseline(Box::new((baseline, instrumentation, cme_accuracy, oracle))),
+                metrics: base_out.metrics,
+                events: base_out.events,
+            }
         }
+        Job::Scheme(Scheme::Oracle { .. }) => Ran {
+            out: JobOut::OracleInBaseline,
+            metrics: None,
+            events: Vec::new(),
+        },
         Job::Scheme(s) => {
             let out = Engine::new(cfg, &traces, *s).with_obs(obs).run();
-            (
-                JobOut::Scheme(Box::new(out.result)),
-                out.metrics,
-                out.events,
-            )
+            Ran {
+                out: JobOut::Scheme(Box::new(out.result)),
+                metrics: out.metrics,
+                events: out.events,
+            }
         }
         Job::Algorithm(which) => {
             let (sched, report) = if *which == 1 {
@@ -223,28 +262,40 @@ pub fn evaluate_benchmark_obs(
             };
             let t = lower(&prog, &opts, Some(&sched));
             let out = Engine::new(cfg, &t, Scheme::Compiled).with_obs(obs).run();
-            (
-                JobOut::Algorithm(Box::new((out.result, report))),
-                out.metrics,
-                out.events,
-            )
+            Ran {
+                out: JobOut::Algorithm(Box::new((out.result, report))),
+                metrics: out.metrics,
+                events: out.events,
+            }
         }
     });
 
     let mut baseline_parts = None;
+    let mut oracle_run = None;
     let mut scheme_results = Vec::new();
     let mut algs = Vec::new();
     let mut bench_obs = BenchObs::default();
-    for (label, (out, metrics, events)) in labels.into_iter().zip(outs) {
-        if let Some(m) = metrics {
+    for (label, ran) in labels.into_iter().zip(outs) {
+        // The baseline job comes first, so the oracle's run is in hand
+        // by the time its slot comes up.
+        let ran = match ran.out {
+            JobOut::OracleInBaseline => oracle_run.take().expect("the baseline job ran the oracle"),
+            _ => ran,
+        };
+        if let Some(m) = ran.metrics {
             bench_obs.per_run.push((label.clone(), m));
         }
         if obs.trace_capacity > 0 {
-            bench_obs.per_run_events.push((label, events));
+            bench_obs.per_run_events.push((label, ran.events));
         }
-        match out {
-            JobOut::Baseline(b) => baseline_parts = Some(*b),
+        match ran.out {
+            JobOut::Baseline(b) => {
+                let (baseline, instrumentation, cme_accuracy, oracle) = *b;
+                baseline_parts = Some((baseline, instrumentation, cme_accuracy));
+                oracle_run = Some(oracle);
+            }
             JobOut::Scheme(r) => scheme_results.push(*r),
+            JobOut::OracleInBaseline => unreachable!("replaced by the baseline job's oracle run"),
             JobOut::Algorithm(a) => algs.push(*a),
         }
     }

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`ndc_types`] | shared vocabulary: config (paper Table 1), ops, traces, stats buckets |
 //! | [`ndc_noc`] | 2D-mesh NoC: XY routing, route signatures, contended links |
-//! | [`ndc_mem`] | caches, sharer directory, FR-FCFS DRAM controllers |
+//! | [`ndc_mem`] | caches, sharer directory, banked DRAM controllers |
 //! | [`ndc_sim`] | the manycore simulator + NDC hardware + execution schemes |
 //! | [`ndc_ir`] | loop-nest IR: affine accesses, dependences, transforms, lowering |
 //! | [`ndc_lint`] | static legality: IR verifier, bounds prover, `T·D` certificates, race detector |

@@ -115,9 +115,11 @@ fn oracle_dominates_blind_waiting() {
 #[test]
 fn committed_fig4_counters_match_a_fresh_evaluation() {
     // scripts/verify.sh gates every kernel of BENCH_fig4_schemes.json;
-    // re-deriving two here lets `cargo test` catch a moved counter
+    // re-deriving four here lets `cargo test` catch a moved counter
     // too. water is one of them because its oracle offloads at this
-    // scale (kdtree's does not).
+    // scale (kdtree's does not); md and swim carry the most `Busy` and
+    // store traffic, which the engine's `Busy` folding and the sharer
+    // directory's write path see.
     use ndc::types::Json;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fig4_schemes.json");
     let text = std::fs::read_to_string(path).expect("committed BENCH_fig4_schemes.json");
@@ -126,7 +128,8 @@ fn committed_fig4_counters_match_a_fresh_evaluation() {
     let Some(Json::Arr(committed_rows)) = committed.get("rows") else {
         panic!("BENCH_fig4_schemes.json has no rows");
     };
-    let fresh = exp::figure4_counters(&[eval("kdtree"), eval("water")], Scale::Test);
+    let evals: Vec<_> = ["kdtree", "water", "md", "swim"].map(eval).into();
+    let fresh = exp::figure4_counters(&evals, Scale::Test);
     let Some(Json::Arr(fresh_rows)) = fresh.get("rows") else {
         panic!("figure4_counters emitted no rows");
     };

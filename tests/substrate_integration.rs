@@ -2,8 +2,10 @@
 //! mapping, directory, DRAM, NoC) must agree with each other through
 //! the full access walk.
 
+use ndc_mem::{DirStats, Directory, MAX_CORES};
 use ndc_sim::machine::{AccessIntent, Machine};
-use ndc_types::{ArchConfig, NodeId};
+use ndc_types::{Addr, ArchConfig, FxHashMap, NodeId, SplitMix64};
+use std::collections::BTreeSet;
 
 fn machine() -> Machine {
     Machine::new(ArchConfig::paper_default())
@@ -172,5 +174,212 @@ fn mesh_sizes_scale_the_machine_consistently() {
             let p = m.access(NodeId(0), addr, 0, false, AccessIntent::ToCore);
             assert_eq!(p.l2.unwrap().bank, home);
         }
+    }
+}
+
+/// The textbook directory: a hash map from each tracked line to its
+/// nonempty sharer set.
+#[derive(Default)]
+struct ReferenceDirectory {
+    sharers: FxHashMap<Addr, BTreeSet<usize>>,
+    stats: DirStats,
+}
+
+impl ReferenceDirectory {
+    fn add_sharer(&mut self, line: Addr, core: usize) {
+        self.sharers.entry(line).or_default().insert(core);
+        self.stats.sharer_adds += 1;
+    }
+
+    fn write_by(&mut self, line: Addr, core: usize) -> Vec<usize> {
+        let set = self.sharers.entry(line).or_default();
+        let others: Vec<usize> = set.iter().copied().filter(|&c| c != core).collect();
+        *set = [core].into();
+        self.stats.writes += 1;
+        if !others.is_empty() {
+            self.stats.contended_writes += 1;
+            self.stats.invalidations_sent += others.len() as u64;
+        }
+        others
+    }
+
+    fn remove_sharer(&mut self, line: Addr, core: usize) {
+        if let Some(set) = self.sharers.get_mut(&line) {
+            set.remove(&core);
+            if set.is_empty() {
+                self.sharers.remove(&line);
+            }
+        }
+    }
+
+    fn take_sharers(&mut self, line: Addr) -> Vec<usize> {
+        self.sharers
+            .remove(&line)
+            .map_or_else(Vec::new, |set| set.into_iter().collect())
+    }
+
+    fn is_sharer(&self, line: Addr, core: usize) -> bool {
+        self.sharers.get(&line).is_some_and(|s| s.contains(&core))
+    }
+
+    fn sharer_count(&self, line: Addr) -> u32 {
+        self.sharers.get(&line).map_or(0, |s| s.len() as u32)
+    }
+}
+
+fn stats_tuple(s: &DirStats) -> (u64, u64, u64, u64) {
+    (
+        s.sharer_adds,
+        s.writes,
+        s.invalidations_sent,
+        s.contended_writes,
+    )
+}
+
+/// Seeded property: mixed add/write/remove/take sequences give the
+/// paged directory and a hash-map model the same invalidation sets,
+/// sharer queries, tracked-line count and statistics. Lines cluster
+/// around page boundaries (a page is 64 lines), sit far apart, or lie
+/// at address 0; directories of one mask word (64 and 25 cores) and of
+/// four words (cores 0–255) both run, over 64- and 256-byte lines.
+#[test]
+fn paged_directory_matches_a_reference_hash_map_model() {
+    for case in 0..512u64 {
+        let mut rng = SplitMix64::new(0xd1ec + case);
+        let cores = [MAX_CORES, 64, 25][case as usize % 3];
+        let line_bytes = if case % 4 == 3 { 256 } else { 64 };
+        let page_bytes = 64 * line_bytes;
+        let mut d = Directory::new(line_bytes, cores);
+        let mut model = ReferenceDirectory::default();
+        // A pool of lines: address 0, lines straddling page boundaries,
+        // a dense run inside one page, far-apart lines.
+        let mut lines = vec![0, line_bytes];
+        for _ in 0..4 {
+            let boundary = page_bytes * (1 + rng.below(1 << 20));
+            lines.extend([boundary - line_bytes, boundary, boundary + line_bytes]);
+        }
+        let run = page_bytes * rng.below(1 << 10);
+        lines.extend((0..8).map(|k| run + k * line_bytes));
+        lines.extend((0..4).map(|_| rng.below(1 << 40) * line_bytes));
+        let pick = |rng: &mut SplitMix64| lines[rng.below(lines.len() as u64) as usize];
+        for step in 0..160 {
+            let line = pick(&mut rng);
+            let core = rng.below(cores as u64) as usize;
+            match rng.below(20) {
+                0..=7 => {
+                    d.add_sharer(line, core);
+                    model.add_sharer(line, core);
+                }
+                8..=12 => {
+                    let got: Vec<usize> = d.write_by(line, core).collect();
+                    assert_eq!(got, model.write_by(line, core), "case {case} step {step}");
+                }
+                13..=18 => {
+                    d.remove_sharer(line, core);
+                    model.remove_sharer(line, core);
+                }
+                _ => {
+                    let got: Vec<usize> = d.take_sharers(line).collect();
+                    assert_eq!(got, model.take_sharers(line), "case {case} step {step}");
+                }
+            }
+            let (probe, c) = (pick(&mut rng), rng.below(cores as u64) as usize);
+            assert_eq!(
+                d.is_sharer(probe, c),
+                model.is_sharer(probe, c),
+                "case {case} step {step}: is_sharer({probe:#x}, {c})"
+            );
+            assert_eq!(d.sharer_count(line), model.sharer_count(line));
+            assert_eq!(
+                d.tracked_lines(),
+                model.sharers.len(),
+                "case {case} step {step}"
+            );
+        }
+        for &line in &lines {
+            assert_eq!(
+                d.sharer_count(line),
+                model.sharer_count(line),
+                "case {case}"
+            );
+            for c in 0..cores {
+                assert_eq!(
+                    d.is_sharer(line, c),
+                    model.is_sharer(line, c),
+                    "case {case}"
+                );
+            }
+        }
+        assert_eq!(
+            stats_tuple(&d.stats),
+            stats_tuple(&model.stats),
+            "case {case}"
+        );
+    }
+}
+
+/// The invariant the paged directory relies on: a core is a sharer of a
+/// line exactly while its L1 holds the line, so the directory tracks
+/// only L1-resident lines. Random conventional reads and writes,
+/// near-data fetches and near-data stores (`remote_write`) from every
+/// core, over a few hot shared lines and a footprint four L1s deep,
+/// keep it for every line and core.
+#[test]
+fn directory_sharers_are_exactly_the_l1_copies() {
+    for seed in 0..6u64 {
+        let cfg = if seed % 2 == 0 {
+            ArchConfig::paper_default()
+        } else {
+            ArchConfig::test_small()
+        };
+        let mut m = Machine::new(cfg);
+        let mut rng = SplitMix64::new(0x5ead + seed);
+        let line = cfg.l1.line_bytes;
+        let lines: Vec<Addr> = (0..4 * cfg.l1.lines())
+            .map(|k| 0x10_0000 + k * line)
+            .collect();
+        let nodes = cfg.nodes();
+        let mut t = 0;
+        for _ in 0..4000 {
+            // Most accesses hit a few hot lines, so lines gain many
+            // sharers before a write or eviction takes them away.
+            let k = if rng.chance(0.6) {
+                rng.below(16)
+            } else {
+                rng.below(lines.len() as u64)
+            };
+            let addr = lines[k as usize] + rng.below(line);
+            let core = NodeId(rng.below(nodes as u64) as u16);
+            t += rng.below(20);
+            match rng.below(10) {
+                0..=4 => {
+                    m.access(core, addr, t, false, AccessIntent::ToCore);
+                }
+                5..=7 => {
+                    m.access(core, addr, t, true, AccessIntent::ToCore);
+                }
+                8 => {
+                    m.access(core, addr, t, false, AccessIntent::NearData);
+                }
+                _ => {
+                    m.remote_write(core, addr, t);
+                }
+            }
+        }
+        let mut resident = 0;
+        for &l in &lines {
+            let mut held = false;
+            for c in 0..nodes {
+                let in_l1 = m.l1s[c].probe(l);
+                assert_eq!(
+                    m.dir.is_sharer(l, c),
+                    in_l1,
+                    "seed {seed}: line {l:#x} core {c}"
+                );
+                held |= in_l1;
+            }
+            resident += usize::from(held);
+        }
+        assert_eq!(m.dir.tracked_lines(), resident, "seed {seed}");
     }
 }
