@@ -532,7 +532,7 @@ fn fuse_nest_chains(
 
         // Cost the packet on the union footprint, and each member
         // individually for the bytes-benefit comparison.
-        let Some(fv) = assess_fused(prog, nest_pos, nest, &members, cfg, &cme, cores) else {
+        let Some(fv) = assess_fused(prog, nest, &members, cfg, cores) else {
             note_fusion(counts, head_pos, fuse_note::NO_SAMPLES);
             continue;
         };
@@ -1225,7 +1225,7 @@ mod tests {
         // The union footprint predicts strictly fewer bytes than the
         // members individually would have moved.
         let cme = cme_analyze(&p, &cfg(), 25);
-        let fv = assess_fused(&p, 0, &p.nests[0], &[0, 1], &cfg(), &cme, 25).unwrap();
+        let fv = assess_fused(&p, &p.nests[0], &[0, 1], &cfg(), 25).unwrap();
         let t = sched.fused[0].target.index();
         let solo: u64 = (0..2)
             .map(|pos| {

@@ -74,15 +74,6 @@ impl LatencyModel {
             + self.cfg.l2.latency as f64
             + self.hops(home, mc_node) as f64 * hop
     }
-
-    /// Expected conventional completion (operand to core) for Δ
-    /// conversion.
-    pub fn est_to_core(&self, core: NodeId, home: NodeId, p_l2_miss: f64) -> f64 {
-        let hop = self.cfg.noc.hop_cycles as f64;
-        self.est_data_at_bank(core, home, p_l2_miss)
-            + self.hops(home, core) as f64 * hop
-            + self.cfg.l1.latency as f64
-    }
 }
 
 /// Static viability of each NDC target for one use-use chain:
@@ -475,14 +466,13 @@ pub struct FusedViability {
 /// by analyzing the union footprint of its gathered operands. The
 /// chain's structure must already validate ([`chain_operands`] must
 /// link every tail); returns `None` otherwise or when the iteration
-/// space is unsampleable.
+/// space is unsampleable. Miss weighting is reuse-derived; the CME
+/// gates run per chain in the caller.
 pub fn assess_fused(
     prog: &Program,
-    nest_pos: usize,
     nest: &LoopNest,
     members: &[usize],
     cfg: &ArchConfig,
-    cme: &CmeAnalysis,
     cores: usize,
 ) -> Option<FusedViability> {
     let head = nest.body.get(*members.first()?)?;
@@ -499,9 +489,6 @@ pub fn assess_fused(
     }
     let n_ops = members.len() as f64;
     let total = nest.points();
-    // Miss weighting is reuse-derived; CME feeds the per-chain gates,
-    // and the nest position only keys CME lookups.
-    let _ = (cme, nest_pos);
 
     // Reuse facts per gathered ref; `rep[i]` is the index of the first
     // ref with an identical address stream (the one gather that serves
@@ -830,7 +817,5 @@ mod tests {
         assert!(m.est_data_at_bank(core, far, 0.0) > m.est_data_at_bank(core, near, 0.0));
         // Missing L2 costs more than hitting.
         assert!(m.est_data_at_bank(core, near, 1.0) > m.est_data_at_bank(core, near, 0.0));
-        // Full path to core exceeds bank availability.
-        assert!(m.est_to_core(core, far, 0.5) > m.est_data_at_bank(core, far, 0.5));
     }
 }

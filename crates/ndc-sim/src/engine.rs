@@ -10,8 +10,8 @@
 use crate::instrument::Instrumentation;
 use crate::machine::{AccessIntent, AccessPath, CheckRecorder, Machine, SpanRecorder};
 use crate::ndc::{
-    candidate_meetings, reshaped_candidates, resolve, resolve_with_candidates, window_observation,
-    windows_by_location, AbortReason, LocationPolicy, NdcOutcome, ResolveParams, ServiceTables,
+    candidate_meetings, reshaped_candidates, resolve, window_observation, windows_by_location,
+    AbortReason, LocationPolicy, NdcOutcome, ResolveParams, ServiceTables,
 };
 use crate::report::build_metrics;
 use crate::schemes::{
@@ -55,11 +55,6 @@ enum PreResult {
         at: Cycle,
     },
 }
-
-/// NDC result values return to the core over the CPU-feed; stores
-/// execute conventionally there, so the destination line's locality is
-/// identical to baseline execution.
-const _STORE_AT_CORE: () = ();
 
 /// Sentinel meaning "no window recorded yet" in [`LastWindowTable`].
 const NO_WINDOW: Cycle = Cycle::MAX;
@@ -184,13 +179,39 @@ impl PreResultTable {
 /// paths.
 #[derive(Default)]
 struct Paths {
-    /// Operands `a` and `b` of a compute or pre-compute.
-    a: AccessPath,
-    b: AccessPath,
+    /// A compute's two operand fetches, or an NDC package's gathers
+    /// (two for a pair, one per gathered operand of a fused packet).
+    gather: Vec<AccessPath>,
     /// Plain loads and stores, and a compute's result store.
     single: AccessPath,
-    /// A fused packet's gathers, one per gathered operand.
-    fused: Vec<AccessPath>,
+}
+
+impl Paths {
+    /// The first `n` gather paths, grown on first use.
+    fn gathers(&mut self, n: usize) -> &mut [AccessPath] {
+        if self.gather.len() < n {
+            self.gather.resize_with(n, AccessPath::default);
+        }
+        &mut self.gather[..n]
+    }
+}
+
+/// One NDC offload as the engine records it: an online offload a scheme
+/// decided at a compute, or a compiled pre-compute packet.
+struct Offload {
+    /// Trace index and node of the issuing core.
+    c: usize,
+    core: NodeId,
+    /// Ops the package runs at the meeting component (1 for a pair).
+    n_ops: usize,
+    /// When the operand fetches were injected: `start`, or earlier for
+    /// the oracle's perfectly timed fetches.
+    issue: Cycle,
+    /// When the offload left the LD/ST offload table.
+    start: Cycle,
+    /// An online offload counts its performed offload or abort now; a
+    /// compiled packet's consumers count theirs.
+    online: bool,
 }
 
 /// Raw material for the `ndc-check` invariant checker, collected when
@@ -612,21 +633,19 @@ impl<'a> Engine<'a> {
                 op,
                 a,
                 b,
-                store_to,
                 stagger,
                 reshape_routes,
+                ..
             } => {
-                self.exec_precompute(
+                self.exec_packet(
                     machine,
                     tables,
                     &mut states[c],
                     c,
                     core,
                     id,
-                    op,
-                    a,
-                    b,
-                    store_to,
+                    &[op],
+                    &[a, b],
                     stagger,
                     reshape_routes,
                     result,
@@ -643,7 +662,7 @@ impl<'a> Engine<'a> {
                 stagger,
                 reshape_routes,
             } => {
-                self.exec_fused_precompute(
+                self.exec_packet(
                     machine,
                     tables,
                     &mut states[c],
@@ -705,10 +724,13 @@ impl<'a> Engine<'a> {
             record_pc_cache(result, pc, slot, p);
             Some(p.completion)
         };
-        let (ta, tb) = (fetch(0, a, &mut paths.a), fetch(1, b, &mut paths.b));
+        let [pa, pb] = paths.gathers(2) else {
+            unreachable!("two gather paths")
+        };
+        let (ta, tb) = (fetch(0, a, pa), fetch(1, b, pb));
         let done = [ta, tb].into_iter().flatten().fold(start, Cycle::max) + 1; // the op itself
         if let (Some(ins), Some(_), Some(_)) = (instr, ta, tb) {
-            let obs = window_observation(machine, core, pc, &paths.a, &paths.b, done);
+            let obs = window_observation(machine, core, pc, paths.gathers(2), done);
             ins.record(c, obs);
         }
         if let Some(dst) = store_to {
@@ -868,47 +890,29 @@ impl<'a> Engine<'a> {
                 );
             }
             Some((policy, budget)) => {
-                result.ndc_attempts += 1;
-                // Offloads live in the LD/ST offload table (Figure 1),
-                // not the MSHRs: admission stalls only when the table is
-                // full, exactly as in the compiled path.
-                let start = {
-                    let st = &mut states[c];
-                    let cap = self.cfg.ndc.offload_table_entries.max(1);
-                    let before = st.now;
-                    st.offload.retain(|&r| r > st.now);
-                    while st.offload.len() >= cap {
-                        // An empty window has nothing to wait for;
-                        // guard instead of unwrap-panicking on it.
-                        let Some(min) = st.offload.iter().copied().min() else {
-                            break;
-                        };
-                        st.now = st.now.max(min);
-                        st.offload.retain(|&r| r > st.now);
-                    }
-                    result.offload_stall_cycles += st.now - before;
-                    st.now.max(start)
-                };
+                let st = &mut states[c];
+                self.admit_offload(st, 1, result);
+                let start = st.now;
                 // LD/ST probe + operand fetches toward their homes.
                 let issue = start.saturating_sub(oracle_lead);
-                let (pa, pb) = (&mut paths.a, &mut paths.b);
-                machine.access_into(pa, core, addr_a, issue, false, AccessIntent::NearData);
-                machine.access_into(pb, core, addr_b, issue, false, AccessIntent::NearData);
+                let pair = paths.gathers(2);
+                for (p, addr) in pair.iter_mut().zip([addr_a, addr_b]) {
+                    machine.access_into(p, core, addr, issue, false, AccessIntent::NearData);
+                }
                 // One candidate pass serves the resolution and the
                 // predictors' window (which always uses XY routes).
-                let plain = candidate_meetings(machine, core, pa, pb, false);
+                let plain = candidate_meetings(machine, core, pair, false);
                 let cands = if oracle_reshape {
-                    reshaped_candidates(machine, core, pa, pb, plain)
+                    reshaped_candidates(machine, core, pair, plain)
                 } else {
                     plain
                 };
-                let outcome = resolve_with_candidates(
+                let outcome = resolve(
                     machine,
                     tables,
                     core,
-                    op,
-                    pa,
-                    pb,
+                    &[op],
+                    pair,
                     issue,
                     ResolveParams {
                         policy,
@@ -925,48 +929,18 @@ impl<'a> Engine<'a> {
                 last_window.set(pc, observed.unwrap_or(WINDOW_CAP + 1));
                 markov.observe(pc, observed);
 
+                let offload = Offload {
+                    c,
+                    core,
+                    n_ops: 1,
+                    issue,
+                    start,
+                    online: true,
+                };
+                record_offload(machine, result, sink, &offload, outcome);
+                let st = &mut states[c];
                 match outcome {
-                    NdcOutcome::Performed {
-                        loc,
-                        result_at_core,
-                        wait,
-                        op_done,
-                        ..
-                    } => {
-                        result.ndc_performed[loc.index()] += 1;
-                        result.ndc_wait_cycles[loc.index()] += wait;
-                        result.ndc_offload_cycles[loc.index()] +=
-                            result_at_core.saturating_sub(issue);
-                        result.ndc_offload_samples[loc.index()] += 1;
-                        machine.charge_ndc(
-                            core,
-                            loc.index(),
-                            issue,
-                            wait,
-                            op_done,
-                            1,
-                            result_at_core,
-                        );
-                        record_ndc_span(
-                            machine,
-                            c as u32,
-                            loc.paper_label(),
-                            issue,
-                            wait,
-                            op_done,
-                            1,
-                            result_at_core,
-                        );
-                        if sink.enabled() {
-                            sink.record(Event {
-                                name: loc.trace_name(),
-                                cat: "ndc",
-                                ts: start,
-                                dur: result_at_core.saturating_sub(start),
-                                pid: 0,
-                                tid: c as u32,
-                            });
-                        }
+                    NdcOutcome::Performed { result_at_core, .. } => {
                         // Oracle runs are a limit study (§4.4: "maximum
                         // potential benefits"): the offload was timed
                         // perfectly, so the consumer never stalls on the
@@ -979,7 +953,6 @@ impl<'a> Engine<'a> {
                         // The CPU-feed returned the result; the store
                         // (if any) executes conventionally at the core,
                         // exactly as in baseline execution.
-                        let st = &mut states[c];
                         if let Some(dst) = store_to {
                             issue_tracked(machine, paths, st, result, core, pc, 2, dst, done, true);
                         }
@@ -990,28 +963,12 @@ impl<'a> Engine<'a> {
                         reason: AbortReason::LocalHit,
                         ..
                     } => {
-                        result.ndc_local_hits += 1;
-                        result.ndc_abort_reasons[AbortReason::LocalHit.index()] += 1;
-                        let st = &mut states[c];
                         self.conventional_compute(
                             machine, st, c, core, pc, a, b, store_to, start, result, None, paths,
                         );
                     }
-                    NdcOutcome::Aborted { reason, at } => {
-                        result.ndc_aborts += 1;
-                        result.ndc_abort_reasons[reason.index()] += 1;
-                        if sink.enabled() {
-                            sink.record(Event {
-                                name: reason.trace_name(),
-                                cat: "ndc",
-                                ts: start,
-                                dur: at.saturating_sub(start),
-                                pid: 0,
-                                tid: c as u32,
-                            });
-                        }
+                    NdcOutcome::Aborted { at, .. } => {
                         let begin = start.max(at);
-                        let st = &mut states[c];
                         // The failed offload occupied its table entry
                         // until the abort signal came back.
                         st.offload.push(begin);
@@ -1024,31 +981,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_precompute(
-        &self,
-        machine: &mut Machine,
-        tables: &mut ServiceTables,
-        st: &mut CoreState,
-        c: usize,
-        core: NodeId,
-        id: u32,
-        op: Op,
-        a: Addr,
-        b: Addr,
-        store_to: Option<Addr>,
-        stagger: i32,
-        reshape_routes: bool,
-        result: &mut SimResult,
-        pre_results: &mut PreResultTable,
-        paths: &mut Paths,
-        sink: &mut dyn ObsSink,
-    ) {
-        // Non-compiled schemes ignore stray pre-computes (defensive).
-        if self.scheme != Scheme::Compiled {
-            return;
-        }
-        // Offload table capacity: stall until an entry frees.
+    /// Admit an offload into the core's LD/ST offload table (Figure 1),
+    /// stalling until an entry frees, and count its `n_ops` attempts.
+    /// Offloads live there, not in the MSHRs; an online offload and a
+    /// compiled packet each hold one entry, whatever their op count.
+    fn admit_offload(&self, st: &mut CoreState, n_ops: usize, result: &mut SimResult) {
         let cap = self.cfg.ndc.offload_table_entries.max(1);
         let before = st.now;
         st.offload.retain(|&r| r > st.now);
@@ -1062,117 +999,20 @@ impl<'a> Engine<'a> {
             st.offload.retain(|&r| r > st.now);
         }
         result.offload_stall_cycles += st.now - before;
-        result.ndc_attempts += 1;
-        let start = st.now;
-
-        // Local-cache probe (Figure 1: "Local $ probe. If found, skip
-        // NDC").
-        if machine.l1s[core.index()].probe(a) || machine.l1s[core.index()].probe(b) {
-            pre_results.insert(c, id, PreResult::LocalHit);
-            return;
-        }
-
-        // Staggered operand fetches: positive delays b, negative delays
-        // a — the compiler's arrival alignment.
-        let (ta, tb) = if stagger >= 0 {
-            (start, start + stagger as Cycle)
-        } else {
-            (start + (-stagger) as Cycle, start)
-        };
-        let (pa, pb) = (&mut paths.a, &mut paths.b);
-        machine.access_into(pa, core, a, ta, false, AccessIntent::NearData);
-        machine.access_into(pb, core, b, tb, false, AccessIntent::NearData);
-        let outcome = resolve(
-            machine,
-            tables,
-            core,
-            op,
-            pa,
-            pb,
-            start,
-            ResolveParams {
-                policy: LocationPolicy::FirstOnPath,
-                budget: None,
-                reshape: reshape_routes,
-                ignore_limits: false,
-            },
-        );
-        let _ = store_to;
-        match outcome {
-            NdcOutcome::Performed {
-                loc,
-                result_at_core,
-                wait,
-                op_done,
-                ..
-            } => {
-                result.ndc_wait_cycles[loc.index()] += wait;
-                result.ndc_offload_cycles[loc.index()] += result_at_core.saturating_sub(start);
-                result.ndc_offload_samples[loc.index()] += 1;
-                machine.charge_ndc(core, loc.index(), start, wait, op_done, 1, result_at_core);
-                record_ndc_span(
-                    machine,
-                    c as u32,
-                    loc.paper_label(),
-                    start,
-                    wait,
-                    op_done,
-                    1,
-                    result_at_core,
-                );
-                if sink.enabled() {
-                    sink.record(Event {
-                        name: loc.trace_name(),
-                        cat: "pre",
-                        ts: start,
-                        dur: result_at_core.saturating_sub(start),
-                        pid: 0,
-                        tid: c as u32,
-                    });
-                }
-                st.offload.push(result_at_core);
-                pre_results.insert(
-                    c,
-                    id,
-                    PreResult::Performed {
-                        loc_index: loc.index(),
-                        result_at_core,
-                    },
-                );
-            }
-            NdcOutcome::Aborted {
-                reason: AbortReason::LocalHit,
-                ..
-            } => {
-                pre_results.insert(c, id, PreResult::LocalHit);
-            }
-            NdcOutcome::Aborted { reason, at } => {
-                result.ndc_abort_reasons[reason.index()] += 1;
-                if sink.enabled() {
-                    sink.record(Event {
-                        name: reason.trace_name(),
-                        cat: "pre",
-                        ts: start,
-                        dur: at.saturating_sub(start),
-                        pid: 0,
-                        tid: c as u32,
-                    });
-                }
-                st.offload.push(at);
-                pre_results.insert(c, id, PreResult::Aborted { at });
-            }
-        }
+        result.ndc_attempts += n_ops as u64;
     }
 
-    /// Execute a fused multi-op pre-compute packet: one offload-table
-    /// entry, one gather of the union footprint, one chain execution at
-    /// the meeting component, one CPU-feed. The packet defines results
-    /// for ids `id .. id + ops.len()` — one per chain member — so each
-    /// member's consumer link resolves, and the accounting treats the
-    /// packet as `ops.len()` attempts (each consumed result bumps
-    /// `ndc_performed`, keeping `performed + aborts == attempts`).
+    /// Execute a compiled pre-compute packet: one offload-table entry,
+    /// one gather of its operands, `ops.len()` chained ops at the
+    /// meeting component, one CPU-feed. A `PreCompute` is the one-op
+    /// packet with two gathers; a `FusedPreCompute` of `n` ops gathers
+    /// `n + 1`. The packet defines results for ids `id .. id +
+    /// ops.len()` — one per op — so each consumer link resolves, and the
+    /// accounting treats the packet as `ops.len()` attempts (each
+    /// consumed result bumps `ndc_performed`, keeping `performed +
+    /// aborts == attempts`).
     #[allow(clippy::too_many_arguments)]
-    fn exec_fused_precompute(
+    fn exec_packet(
         &self,
         machine: &mut Machine,
         tables: &mut ServiceTables,
@@ -1193,41 +1033,29 @@ impl<'a> Engine<'a> {
         if self.scheme != Scheme::Compiled {
             return;
         }
-        let n_ops = ops.len() as u32;
-        // Offload table capacity: the fused packet occupies ONE entry.
-        let cap = self.cfg.ndc.offload_table_entries.max(1);
-        let before = st.now;
-        st.offload.retain(|&r| r > st.now);
-        while st.offload.len() >= cap {
-            let Some(min) = st.offload.iter().copied().min() else {
-                break;
-            };
-            st.now = st.now.max(min);
-            st.offload.retain(|&r| r > st.now);
-        }
-        result.offload_stall_cycles += st.now - before;
-        result.ndc_attempts += n_ops as u64;
+        self.admit_offload(st, ops.len(), result);
         let start = st.now;
+        let ids = id..id + ops.len() as u32;
 
-        // Local-cache probe over the whole gather set.
-        if addrs.iter().any(|&a| machine.l1s[core.index()].probe(a)) {
-            for k in 0..n_ops {
-                pre_results.insert(c, id + k, PreResult::LocalHit);
+        // Local-cache probe over the whole gather set (Figure 1: "Local
+        // $ probe. If found, skip NDC").
+        let l1 = &machine.l1s[core.index()];
+        if addrs.iter().any(|&a| l1.probe(a)) {
+            for id in ids {
+                pre_results.insert(c, id, PreResult::LocalHit);
             }
             return;
         }
 
-        // Stagger aligns the head pair; the tail gathers issue with the
-        // earlier head operand.
+        // Staggered fetches of the head pair: positive delays the
+        // second operand, negative the first — the compiler's arrival
+        // alignment. A fused packet's tail gathers issue unstaggered.
         let (ta, tb) = if stagger >= 0 {
             (start, start + stagger as Cycle)
         } else {
             (start + (-stagger) as Cycle, start)
         };
-        if paths.fused.len() < addrs.len() {
-            paths.fused.resize_with(addrs.len(), AccessPath::default);
-        }
-        let gathers = &mut paths.fused[..addrs.len()];
+        let gathers = paths.gathers(addrs.len());
         for (k, (&addr, p)) in addrs.iter().zip(gathers.iter_mut()).enumerate() {
             let t = match k {
                 0 => ta,
@@ -1236,7 +1064,8 @@ impl<'a> Engine<'a> {
             };
             machine.access_into(p, core, addr, t, false, AccessIntent::NearData);
         }
-        let outcome = crate::ndc::resolve_fused(
+        let cands = candidate_meetings(machine, core, gathers, reshape_routes);
+        let outcome = resolve(
             machine,
             tables,
             core,
@@ -1249,116 +1078,134 @@ impl<'a> Engine<'a> {
                 reshape: reshape_routes,
                 ignore_limits: false,
             },
+            cands,
         );
-        match outcome {
+        let offload = Offload {
+            c,
+            core,
+            n_ops: ops.len(),
+            issue: start,
+            start,
+            online: false,
+        };
+        record_offload(machine, result, sink, &offload, outcome);
+        // The packet holds its table entry until the result or the
+        // abort signal is back at the core.
+        let pending = match outcome {
             NdcOutcome::Performed {
                 loc,
                 result_at_core,
-                wait,
-                op_done,
                 ..
             } => {
-                result.ndc_wait_cycles[loc.index()] += wait;
-                result.ndc_offload_cycles[loc.index()] += result_at_core.saturating_sub(start);
-                result.ndc_offload_samples[loc.index()] += 1;
-                machine.charge_ndc(
-                    core,
-                    loc.index(),
-                    start,
-                    wait,
-                    op_done,
-                    n_ops as Cycle,
-                    result_at_core,
-                );
-                record_ndc_span(
-                    machine,
-                    c as u32,
-                    loc.paper_label(),
-                    start,
-                    wait,
-                    op_done,
-                    n_ops as Cycle,
-                    result_at_core,
-                );
-                if sink.enabled() {
-                    sink.record(Event {
-                        name: loc.fused_trace_name(n_ops as usize),
-                        cat: "pre",
-                        ts: start,
-                        dur: result_at_core.saturating_sub(start),
-                        pid: 0,
-                        tid: c as u32,
-                    });
-                }
                 st.offload.push(result_at_core);
-                for k in 0..n_ops {
-                    pre_results.insert(
-                        c,
-                        id + k,
-                        PreResult::Performed {
-                            loc_index: loc.index(),
-                            result_at_core,
-                        },
-                    );
+                PreResult::Performed {
+                    loc_index: loc.index(),
+                    result_at_core,
                 }
             }
             NdcOutcome::Aborted {
                 reason: AbortReason::LocalHit,
                 ..
-            } => {
-                for k in 0..n_ops {
-                    pre_results.insert(c, id + k, PreResult::LocalHit);
-                }
-            }
-            NdcOutcome::Aborted { reason, at } => {
-                result.ndc_abort_reasons[reason.index()] += n_ops as u64;
-                if sink.enabled() {
-                    sink.record(Event {
-                        name: reason.trace_name(),
-                        cat: "pre",
-                        ts: start,
-                        dur: at.saturating_sub(start),
-                        pid: 0,
-                        tid: c as u32,
-                    });
-                }
+            } => PreResult::LocalHit,
+            NdcOutcome::Aborted { at, .. } => {
                 st.offload.push(at);
-                for k in 0..n_ops {
-                    pre_results.insert(c, id + k, PreResult::Aborted { at });
-                }
+                PreResult::Aborted { at }
             }
+        };
+        for id in ids {
+            pre_results.insert(c, id, pending);
         }
     }
 }
 
-/// Record a performed NDC offload as a span tree: operand gather until
-/// the first arrival, the first operand's wait for the last, the
-/// execution (`exec_cycles` = 1 for a plain pre-compute, the chain
-/// length for a fused packet), and the CPU-feed carrying the result
-/// home. The segment boundaries reconstruct the resolve timing exactly
-/// (`op_done = last arrival + exec_cycles`, `wait` = arrival spread),
-/// so the children tile `[issue, result_at_core)` with no residue.
-#[allow(clippy::too_many_arguments)]
-fn record_ndc_span(
+/// Record an offload's outcome: the result counters, the ledger charge,
+/// the span tree of a performed offload and the trace event. A performed package's trace event
+/// is named for its location and op count (`ndc@<loc>`,
+/// `ndc-fused<n>@<loc>`), an abort's for its reason
+/// (`ndc-abort:<reason>`); online offloads log under category `ndc`,
+/// compiled packets under `pre`. A compiled packet counts each abort
+/// reason once per op; its consumers count the performed results and
+/// the aborts.
+fn record_offload(
     machine: &mut Machine,
-    core: u32,
-    loc_label: &str,
-    issue: Cycle,
-    wait: Cycle,
-    op_done: Cycle,
-    exec_cycles: Cycle,
-    result_at_core: Cycle,
+    result: &mut SimResult,
+    sink: &mut dyn ObsSink,
+    off: &Offload,
+    outcome: NdcOutcome,
 ) {
-    let Some(spans) = &mut machine.spans else {
-        return;
+    let mut event = |name, end: Cycle| {
+        if sink.enabled() {
+            sink.record(Event {
+                name,
+                cat: if off.online { "ndc" } else { "pre" },
+                ts: off.start,
+                dur: end.saturating_sub(off.start),
+                pid: 0,
+                tid: off.c as u32,
+            });
+        }
     };
-    let first_arrival = op_done - exec_cycles - wait;
-    let mut root = Span::new(format!("ndc@{loc_label}"), issue, result_at_core);
-    root.leaf("ndc:gather", issue, first_arrival);
-    root.leaf("ndc:wait", first_arrival, op_done - exec_cycles);
-    root.leaf("ndc:exec", op_done - exec_cycles, op_done);
-    root.leaf("noc:feed", op_done, result_at_core);
-    spans.record_span(core, root);
+    match outcome {
+        NdcOutcome::Performed {
+            loc,
+            wait,
+            op_done,
+            result_at_core,
+            ..
+        } => {
+            let i = loc.index();
+            if off.online {
+                result.ndc_performed[i] += 1;
+            }
+            result.ndc_wait_cycles[i] += wait;
+            result.ndc_offload_cycles[i] += result_at_core.saturating_sub(off.issue);
+            result.ndc_offload_samples[i] += 1;
+            let exec_cycles = off.n_ops as Cycle;
+            machine.charge_ndc(
+                off.core,
+                i,
+                off.issue,
+                wait,
+                op_done,
+                exec_cycles,
+                result_at_core,
+            );
+            // The span tree: operand gather until the first arrival, the
+            // first operand's wait for the last, the chain's execution,
+            // and the CPU-feed carrying the result home. The boundaries
+            // reconstruct the resolve timing exactly (`op_done` = last
+            // arrival + `exec_cycles`, `wait` = arrival spread), so the
+            // children tile `[issue, result_at_core)` with no residue.
+            if let Some(spans) = &mut machine.spans {
+                let exec = op_done - exec_cycles;
+                let first_arrival = exec - wait;
+                let label = format!("ndc@{}", loc.paper_label());
+                let mut root = Span::new(label, off.issue, result_at_core);
+                root.leaf("ndc:gather", off.issue, first_arrival);
+                root.leaf("ndc:wait", first_arrival, exec);
+                root.leaf("ndc:exec", exec, op_done);
+                root.leaf("noc:feed", op_done, result_at_core);
+                spans.record_span(off.c as u32, root);
+            }
+            event(loc.trace_name(off.n_ops), result_at_core);
+        }
+        NdcOutcome::Aborted {
+            reason: AbortReason::LocalHit,
+            ..
+        } => {
+            if off.online {
+                result.ndc_local_hits += 1;
+                result.ndc_abort_reasons[AbortReason::LocalHit.index()] += 1;
+            }
+        }
+        NdcOutcome::Aborted { reason, at } => {
+            if off.online {
+                result.ndc_aborts += 1;
+            }
+            result.ndc_abort_reasons[reason.index()] += off.n_ops as u64;
+            event(reason.trace_name(), at);
+        }
+    }
 }
 
 /// Issue a conventional access whose path only feeds the per-PC cache
@@ -1521,11 +1368,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compiled_scheme_consumes_precomputes() {
+    /// A compiled pair over two cold operands homed at the same L2 bank,
+    /// and its consumer. Online schemes ignore the pre-compute, so the
+    /// consumer finds no result and offloads itself.
+    fn pair_prog(op: Op) -> TraceProgram {
         let mut prog = TraceProgram::new("compiled");
         let mut t = Trace::new(NodeId(12));
-        // Two cold operands destined for the same L2 bank.
         let line = cfg().l2.line_bytes;
         let nodes = cfg().nodes() as u64;
         let (a, b) = (0x40_0000, 0x40_0000 + nodes * line);
@@ -1534,7 +1382,7 @@ mod tests {
             pc: 0,
             kind: InstKind::PreCompute {
                 id: 0,
-                op: Op::Add,
+                op,
                 a,
                 b,
                 store_to: None,
@@ -1545,7 +1393,7 @@ mod tests {
         t.insts.push(Inst {
             pc: 1,
             kind: InstKind::Compute {
-                op: Op::Add,
+                op,
                 a: Operand::Mem(a),
                 b: Operand::Mem(b),
                 store_to: None,
@@ -1553,7 +1401,12 @@ mod tests {
             },
         });
         prog.traces.push(t);
-        let out = simulate(cfg(), &prog, Scheme::Compiled);
+        prog
+    }
+
+    #[test]
+    fn compiled_scheme_consumes_precomputes() {
+        let out = simulate(cfg(), &pair_prog(Op::Add), Scheme::Compiled);
         assert_eq!(out.result.ndc_attempts, 1);
         assert_eq!(out.result.ndc_total(), 1);
     }
@@ -1648,6 +1501,79 @@ mod tests {
             .find(|s| s.label == "ndc:exec")
             .expect("exec leaf");
         assert_eq!(exec.dur(), 2);
+    }
+
+    /// `(category, name)` of every trace event a run logs.
+    fn trace_events(
+        cfg: ArchConfig,
+        prog: &TraceProgram,
+        scheme: Scheme,
+    ) -> Vec<(&'static str, &'static str)> {
+        let out = Engine::new(cfg, prog, scheme)
+            .with_obs(ObsLevel::with_trace(64))
+            .run();
+        out.events.iter().map(|e| (e.cat, e.name)).collect()
+    }
+
+    /// A configuration whose NDC units only add and subtract.
+    fn add_sub_only() -> ArchConfig {
+        let mut c = cfg();
+        c.ndc.op_class = ndc_types::OpClass::AddSubOnly;
+        c
+    }
+
+    #[test]
+    fn every_offload_kind_logs_its_trace_event() {
+        let online = Scheme::NdcAll {
+            budget: WaitBudget::Forever,
+        };
+        let compiled = Scheme::Compiled;
+        // Performed: online offloads under `ndc`, compiled packets under
+        // `pre`, named for the location and the op count.
+        assert_eq!(
+            trace_events(cfg(), &pair_prog(Op::Add), online),
+            [("ndc", "ndc@cache")]
+        );
+        assert_eq!(
+            trace_events(cfg(), &pair_prog(Op::Add), compiled),
+            [("pre", "ndc@cache")]
+        );
+        assert_eq!(
+            trace_events(cfg(), &fused_prog(), compiled),
+            [("pre", "ndc-fused2@cache")]
+        );
+        // Aborted: named for the reason (the fused chain's second op is a
+        // `Mul`).
+        let abort = [("ndc", "ndc-abort:op_not_allowed")];
+        assert_eq!(
+            trace_events(add_sub_only(), &pair_prog(Op::Mul), online),
+            abort
+        );
+        let abort = [("pre", "ndc-abort:op_not_allowed")];
+        assert_eq!(
+            trace_events(add_sub_only(), &pair_prog(Op::Mul), compiled),
+            abort
+        );
+        assert_eq!(trace_events(add_sub_only(), &fused_prog(), compiled), abort);
+    }
+
+    #[test]
+    fn aborted_packets_count_each_op() {
+        let not_allowed = AbortReason::OpNotAllowed.index();
+        // A compiled packet adds its op count to the attempts and to the
+        // abort reason; each consumer then counts its own abort.
+        let fused = simulate(add_sub_only(), &fused_prog(), Scheme::Compiled).result;
+        assert_eq!(fused.ndc_attempts, 2);
+        assert_eq!(fused.ndc_abort_reasons[not_allowed], 2);
+        assert_eq!(fused.ndc_aborts, 2);
+        // An online offload counts its abort at once.
+        let online = Scheme::NdcAll {
+            budget: WaitBudget::Forever,
+        };
+        let pair = simulate(add_sub_only(), &pair_prog(Op::Mul), online).result;
+        assert_eq!(pair.ndc_attempts, 1);
+        assert_eq!(pair.ndc_abort_reasons[not_allowed], 1);
+        assert_eq!(pair.ndc_aborts, 1);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`machine`] — the memory system walk: an access's full
 //!   L1 → NoC → L2 → NoC → MC → DRAM path with per-location presence
 //!   timestamps ([`machine::AccessPath`]);
-//! * [`ndc`] — NDC package resolution: given two operand paths, where
-//!   (and when) can the computation be performed near data;
+//! * [`ndc`] — NDC package resolution: given a package's operand paths
+//!   (two for a pair, more for a fused chain), where (and when) can the
+//!   computation be performed near data;
 //! * [`instrument`] — arrival-window, breakeven-point, and per-PC
 //!   series collection (Figures 2, 3, 5);
 //! * [`schemes`] — the execution schemes of Figure 4 (Default NDC,
@@ -38,7 +39,7 @@ pub mod stats;
 pub use engine::{simulate, CheckData, Engine, EngineOutput};
 pub use instrument::{BreakevenInfo, Instrumentation, WindowObservation};
 pub use machine::{AccessPath, CheckRecorder, Machine, SpanRecorder, SPAN_SEED};
-pub use ndc::{NdcOutcome, NdcResolution, ALL_ABORT_REASONS};
+pub use ndc::{NdcOutcome, ALL_ABORT_REASONS};
 pub use report::{build_metrics, ledger_metrics};
 pub use schemes::{Scheme, WaitBudget};
 pub use stats::SimResult;

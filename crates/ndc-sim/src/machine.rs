@@ -511,8 +511,8 @@ impl Machine {
     }
 
     /// Charge one performed NDC offload to `core`'s tenant, decomposed
-    /// into gather/wait/exec/feed (engine-side call, next to the span
-    /// recorder's `record_ndc_span`).
+    /// into gather/wait/exec/feed (called by the engine's
+    /// `record_offload`, next to the offload's span tree).
     #[allow(clippy::too_many_arguments)]
     pub fn charge_ndc(
         &mut self,

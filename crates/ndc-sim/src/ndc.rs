@@ -1,22 +1,24 @@
 //! NDC compute-package resolution.
 //!
-//! Given the two operand journeys of an offloaded computation, decide
-//! *where* the operands can meet (link buffer on their data routes, the
-//! common home L2 bank, the common memory controller, or the common
-//! DRAM bank — Figure 1's ⓐ–ⓓ), *how long* the first operand waits
-//! (the arrival window), and whether the attempt aborts (time-out
-//! register, full service table, disabled component, disallowed op).
+//! An offloaded computation is one package (§2, Figure 1): it travels
+//! with its operand requests and computes at the first component where
+//! all of them are available. Given the operand journeys of a package,
+//! decide *where* the operands can meet (link buffer on their data
+//! routes, the common home L2 bank, the common memory controller, or
+//! the common DRAM bank — Figure 1's ⓐ–ⓓ), *how long* the first operand
+//! waits for the last (the arrival window), and whether the attempt
+//! aborts (time-out register, full service table, disabled component,
+//! disallowed op). A pair — an online offload or a compiled
+//! `PreCompute` — gathers two operands and runs one op; a fused packet
+//! gathers one operand per op plus one and runs its chain.
 //!
-//! The candidate evaluation mirrors the hardware flow of §2: the
-//! package travels with the operand requests and computes at the first
-//! component where both operands are available; the oracle scheme
-//! instead picks the best location, and Figure 14's isolation runs
-//! restrict candidates via the control register.
+//! The oracle scheme instead picks the best location, and Figure 14's
+//! isolation runs restrict candidates via the control register.
 
 use crate::instrument::WindowObservation;
 use crate::machine::{AccessPath, Machine};
 use ndc_noc::{best_signature_pair, converging_pair, LinkId, Mesh, Route, XyLinks};
-use ndc_types::{Cycle, NdcLocation, NodeId, Op, Pc, ALL_NDC_LOCATIONS};
+use ndc_types::{Coord, Cycle, NdcLocation, NodeId, Op, Pc};
 
 /// Why an NDC attempt did not happen / was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,20 +97,34 @@ pub struct Meeting {
     /// The node hosting the component (router / L2 bank / MC node; for
     /// DRAM banks, the MC's node).
     pub node: NodeId,
-    /// When each operand is available there.
-    pub t_a: Cycle,
-    pub t_b: Cycle,
+    /// When the first and the last of the package's operands are
+    /// available there.
+    pub first: Cycle,
+    pub last: Cycle,
 }
 
 impl Meeting {
+    /// A meeting of operands available at `times` (at least one).
+    fn new(loc: NdcLocation, node: NodeId, times: impl Iterator<Item = Cycle>) -> Meeting {
+        let (first, last) = times.fold((Cycle::MAX, Cycle::MIN), |(lo, hi), t| {
+            (lo.min(t), hi.max(t))
+        });
+        Meeting {
+            loc,
+            node,
+            first,
+            last,
+        }
+    }
+
     /// The arrival window: how long the first operand waits for the
-    /// second.
+    /// last.
     pub fn window(&self) -> Cycle {
-        self.t_a.abs_diff(self.t_b)
+        self.last - self.first
     }
 
     pub fn ready(&self) -> Cycle {
-        self.t_a.max(self.t_b)
+        self.last
     }
 }
 
@@ -141,10 +157,6 @@ impl Candidates {
         self.slots[..self.len].iter().flatten()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     pub fn first(&self) -> Option<Meeting> {
         self.slots[0]
     }
@@ -171,22 +183,14 @@ pub enum NdcOutcome {
     },
 }
 
-impl NdcOutcome {
-    pub fn performed(&self) -> bool {
-        matches!(self, NdcOutcome::Performed { .. })
-    }
-}
-
 /// How to choose among feasible meeting points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocationPolicy {
     /// The hardware's general flow: first component along the data
     /// path (link buffer → cache controller → MC → memory bank).
     FirstOnPath,
-    /// Oracle: the component minimizing result-at-core time.
-    Best,
-    /// Restrict to one component (Figure 14 isolation; control
-    /// register ⓔ).
+    /// Restrict to one component (the oracle's planned location;
+    /// Figure 14 isolation; control register ⓔ).
     Only(NdcLocation),
 }
 
@@ -219,11 +223,6 @@ impl ServiceTables {
         &mut self.entries[idx]
     }
 
-    /// Total live entries across all components (occupancy audit).
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
-    }
-
     /// Count live entries at `now` (pruning released ones).
     fn live(&mut self, loc: NdcLocation, node: NodeId, now: Cycle) -> usize {
         let v = self.slot(loc, node);
@@ -234,118 +233,133 @@ impl ServiceTables {
     fn insert(&mut self, loc: NdcLocation, node: NodeId, release: Cycle) {
         self.slot(loc, node).push(release);
     }
-
-    pub fn clear(&mut self) {
-        for v in &mut self.entries {
-            v.clear();
-        }
-    }
 }
 
-/// Enumerate the candidate meetings for two operand paths, ordered by
-/// where the operands' *data* first co-locates physically:
+/// Enumerate the candidate meetings of a package that gathers `paths`
+/// (two or more operand fetches), ordered by where the operands' *data*
+/// first co-locates physically:
 ///
 /// 1. the shared home L2 bank (the data converges there — no reply
 ///    messages exist under NDC, so no link meeting is possible);
 /// 2. the shared memory controller / DRAM bank (refills pass through
 ///    before any reply);
-/// 3. a common link of the data-reply routes toward the core — the
-///    fallback when no memory-side component is shared, and the place
-///    route reshaping (`reshape`) creates overlap (§5.2.1, Figure 11).
+/// 3. a link common to every operand's data-reply route toward the
+///    core — the fallback when no memory-side component is shared, and
+///    the place route reshaping (`reshape`) creates overlap (§5.2.1,
+///    Figure 11).
 ///
-/// A pure function of the two paths and the mesh: callers compute it
-/// once per compute and derive windows, breakevens and the resolution
-/// from the result.
+/// Every operand must be present at a meeting; its window is the spread
+/// of their arrivals there. Two operands are a pair: with `reshape` their reply routes are the
+/// maximal-overlap pair, and a link where their refill legs
+/// (MC → bank) cross is a link meeting too. With three or more
+/// operands the reply routes are XY (reshaping is a pairwise signature
+/// optimization), and refill legs are not searched: pairwise leg
+/// crossings no longer describe one component every operand passes.
+///
+/// A pure function of the paths and the mesh: callers compute it once
+/// per package and derive windows, breakevens and the resolution from
+/// the result.
 pub fn candidate_meetings(
     machine: &Machine,
     core: NodeId,
-    a: &AccessPath,
-    b: &AccessPath,
+    paths: &[AccessPath],
     reshape: bool,
 ) -> Candidates {
     let mut out = Candidates::default();
 
-    // Both operands must actually travel (L1 hits never leave the
-    // core, so no meeting is possible anywhere).
-    let (Some(l2a), Some(l2b)) = (a.l2, b.l2) else {
+    // Every operand must actually travel (L1 hits never leave the core,
+    // so no meeting is possible anywhere).
+    let Some(home) = paths.first().and_then(|p| p.l2) else {
         return out;
     };
-    let same_bank = l2a.bank == l2b.bank;
+    if paths.iter().any(|p| p.l2.is_none()) {
+        return out;
+    }
+    let l2 = |p: &AccessPath| p.l2.expect("every operand reached its bank");
+    let same_bank = paths.iter().all(|p| l2(p).bank == home.bank);
 
-    // --- Cache controller: both operands homed at the same L2 bank. ---
+    // --- Cache controller: every operand homed at the same L2 bank. ---
     if same_bank {
-        out.push(Meeting {
-            loc: NdcLocation::CacheController,
-            node: l2a.bank,
-            t_a: l2a.data_at_bank,
-            t_b: l2b.data_at_bank,
-        });
+        out.push(Meeting::new(
+            NdcLocation::CacheController,
+            home.bank,
+            paths.iter().map(|p| l2(p).data_at_bank),
+        ));
     }
 
-    // --- Memory side: both operands L2-missed to the same
-    // controller. When they also live in the same DRAM bank, the
-    // computation happens *in memory* (§2: "performed in memory if
-    // both A and B are currently residing in the same memory bank") —
-    // the data is born co-located, so in-array computation is the
-    // deepest, cheapest meeting and takes precedence over the queue;
-    // the windows gate on the two access commands reaching the device.
-    if let (Some(ma), Some(mb)) = (a.mem, b.mem) {
-        if ma.mc == mb.mc {
-            let loc = if ma.dram_bank == mb.dram_bank {
+    // --- Memory side: every operand L2-missed to the same controller.
+    // When they also live in the same DRAM bank, the computation
+    // happens *in memory* (§2: "performed in memory if both A and B are
+    // currently residing in the same memory bank") — the data is born
+    // co-located, so in-array computation is the deepest, cheapest
+    // meeting and takes precedence over the queue; the windows gate on
+    // the access commands reaching the device.
+    if let Some(m0) = paths[0].mem {
+        if paths.iter().all(|p| p.mem.is_some_and(|m| m.mc == m0.mc)) {
+            let mem = |p: &AccessPath| p.mem.expect("every operand reached the controller");
+            let loc = if paths.iter().all(|p| mem(p).dram_bank == m0.dram_bank) {
                 NdcLocation::MemoryBank
             } else {
                 NdcLocation::MemoryController
             };
-            out.push(Meeting {
+            out.push(Meeting::new(
                 loc,
-                node: ma.mc_node,
-                t_a: ma.queue_enter,
-                t_b: mb.queue_enter,
-            });
+                m0.mc_node,
+                paths.iter().map(|p| mem(p).queue_enter),
+            ));
         }
     }
 
     // --- Link buffer: only reachable when the operands' data actually
-    // moves on the network as two separate messages (different home
-    // banks): common links of the data routes toward the core, plus
-    // any actual refill-leg overlap. ---
+    // moves on the network as separate messages (different home
+    // banks). ---
     if !same_bank {
         let mesh = machine.mesh();
-        let (route_a, route_b) = reply_routes(machine, core, l2a.bank, l2b.bank, reshape);
-        let mut best_link = None;
-        // Entry time of operand X on hop k of its route: data leaves
+        let routes = ReplyRoutes::new(machine, core, paths, reshape);
+        // Entry time of an operand on hop k of its route: data leaves
         // the bank at data_at_bank and pays `hop` per link.
         let hop = machine.cfg.noc.hop_cycles;
-        // One pass over route a, looking each link up on route b (a
-        // minimal route holds a link at most once).
-        for (ka, la) in route_a.links().enumerate() {
-            if let Some(kb) = route_b.links().position(|lb| lb == la) {
-                keep_tighter(
-                    &mut best_link,
-                    Meeting {
-                        loc: NdcLocation::LinkBuffer,
-                        node: mesh.link_router(la),
-                        t_a: l2a.data_at_bank + hop * ka as Cycle,
-                        t_b: l2b.data_at_bank + hop * kb as Cycle,
-                    },
-                );
+        let mut best_link = None;
+        // One pass over the first route, looking each link up on every
+        // other route (a minimal route holds a link at most once).
+        'links: for (k0, link) in routes.route(machine, 0, home.bank).enumerate() {
+            let t0 = home.data_at_bank + hop * k0 as Cycle;
+            let (mut first, mut last) = (t0, t0);
+            for (k, p) in paths.iter().enumerate().skip(1) {
+                let l2 = l2(p);
+                let Some(pos) = routes.route(machine, k, l2.bank).position(|l| l == link) else {
+                    continue 'links;
+                };
+                let t = l2.data_at_bank + hop * pos as Cycle;
+                first = first.min(t);
+                last = last.max(t);
             }
+            keep_tighter(
+                &mut best_link,
+                Meeting {
+                    loc: NdcLocation::LinkBuffer,
+                    node: mesh.link_router(link),
+                    first,
+                    last,
+                },
+            );
         }
-        // Refill legs (MC -> bank) can also overlap — the "second
-        // router attempt" on the L2-miss path of the paper's trial
-        // order.
-        for ta in a.data_links() {
-            for tb in b.data_links() {
-                if ta.link == tb.link {
-                    keep_tighter(
-                        &mut best_link,
-                        Meeting {
-                            loc: NdcLocation::LinkBuffer,
-                            node: mesh.link_router(ta.link),
-                            t_a: ta.enter,
-                            t_b: tb.enter,
-                        },
-                    );
+        // A pair's refill legs (MC -> bank) can also overlap — the
+        // "second router attempt" on the L2-miss path of the paper's
+        // trial order.
+        if let [a, b] = paths {
+            for ta in a.data_links() {
+                for tb in b.data_links() {
+                    if ta.link == tb.link {
+                        keep_tighter(
+                            &mut best_link,
+                            Meeting::new(
+                                NdcLocation::LinkBuffer,
+                                mesh.link_router(ta.link),
+                                [ta.enter, tb.enter].into_iter(),
+                            ),
+                        );
+                    }
                 }
             }
         }
@@ -358,18 +372,18 @@ pub fn candidate_meetings(
 }
 
 /// `candidate_meetings(.., reshape = true)` given the plain pass: only
-/// the link meeting depends on the reply routes, and it exists only
-/// when the operands' banks differ, so other pairs reuse `plain`.
+/// a pair's link meeting depends on the reply routes, and it exists
+/// only when the operands' banks differ, so every other package reuses
+/// `plain`.
 pub fn reshaped_candidates(
     machine: &Machine,
     core: NodeId,
-    a: &AccessPath,
-    b: &AccessPath,
+    paths: &[AccessPath],
     plain: Candidates,
 ) -> Candidates {
-    match (a.l2, b.l2) {
-        (Some(l2a), Some(l2b)) if l2a.bank != l2b.bank => {
-            candidate_meetings(machine, core, a, b, true)
+    match paths {
+        [a, b] if matches!((a.l2, b.l2), (Some(l2a), Some(l2b)) if l2a.bank != l2b.bank) => {
+            candidate_meetings(machine, core, paths, true)
         }
         _ => plain,
     }
@@ -380,172 +394,6 @@ pub fn reshaped_candidates(
 fn keep_tighter(best: &mut Option<Meeting>, m: Meeting) {
     if best.is_none_or(|cur| m.window() < cur.window()) {
         *best = Some(m);
-    }
-}
-
-/// Enumerate the candidate meetings for an n-operand fused gather
-/// (one multi-op pre-compute packet): the same physical convergence
-/// points as [`candidate_meetings`], but *every* gathered operand must
-/// co-locate there. The window generalizes to the full arrival spread
-/// (`t_a` = earliest operand, `t_b` = latest), so `Meeting::window`
-/// is the wait the first-arriving operand endures for the last.
-///
-/// Link meetings use the operands' XY reply routes (route reshaping is
-/// a pairwise signature optimization; with three or more gathered
-/// operands the packet falls back to XY) and require a link common to
-/// every route. Refill-leg overlap is not considered for fused
-/// packets — with n operands the pairwise leg intersections no longer
-/// describe a single component all operands pass through.
-pub fn candidate_meetings_fused(
-    machine: &Machine,
-    core: NodeId,
-    paths: &[AccessPath],
-    reshape: bool,
-) -> Candidates {
-    let mut out = Candidates::default();
-    // Every operand must actually travel.
-    let Some(first) = paths.first().and_then(|p| p.l2) else {
-        return out;
-    };
-    if paths.iter().any(|p| p.l2.is_none()) {
-        return out;
-    }
-    let l2 = |k: usize| paths[k].l2.expect("every operand reached its bank");
-    let operands = 0..paths.len();
-    let same_bank = operands.clone().all(|k| l2(k).bank == first.bank);
-
-    // --- Cache controller: all operands homed at the same L2 bank. ---
-    if same_bank {
-        let (t_a, t_b) = spread(operands.clone().map(|k| l2(k).data_at_bank));
-        out.push(Meeting {
-            loc: NdcLocation::CacheController,
-            node: first.bank,
-            t_a,
-            t_b,
-        });
-    }
-
-    // --- Memory side: all operands L2-missed to the same controller
-    // (same DRAM bank deepens the meeting to the bank itself). ---
-    if let Some(m0) = paths[0].mem {
-        if paths.iter().all(|p| p.mem.is_some_and(|m| m.mc == m0.mc)) {
-            let mem = |k: usize| paths[k].mem.expect("every operand reached the controller");
-            let (t_a, t_b) = spread(operands.clone().map(|k| mem(k).queue_enter));
-            let loc = if operands.clone().all(|k| mem(k).dram_bank == m0.dram_bank) {
-                NdcLocation::MemoryBank
-            } else {
-                NdcLocation::MemoryController
-            };
-            out.push(Meeting {
-                loc,
-                node: m0.mc_node,
-                t_a,
-                t_b,
-            });
-        }
-    }
-
-    // --- Link buffer: a link every operand's data-reply route crosses. ---
-    if !same_bank {
-        let mesh = machine.mesh();
-        let cc = machine.coord(core);
-        let hop = machine.cfg.noc.hop_cycles;
-        let reshaped = (reshape && paths.len() == 2)
-            .then(|| reply_routes(machine, core, l2(0).bank, l2(1).bank, true));
-        let route = |k: usize| match &reshaped {
-            Some((ra, rb)) => [ra, rb][k].links(),
-            None => ReplyLinks::Walk(mesh.xy_links(machine.coord(l2(k).bank), cc)),
-        };
-        let mut best_link = None;
-        // Candidate links come from the first route; each must appear
-        // on every other route too.
-        'links: for (k0, link) in route(0).enumerate() {
-            let mut t_min = l2(0).data_at_bank + hop * k0 as Cycle;
-            let mut t_max = t_min;
-            for k in operands.clone().skip(1) {
-                let Some(pos) = route(k).position(|l| l == link) else {
-                    continue 'links;
-                };
-                let t = l2(k).data_at_bank + hop * pos as Cycle;
-                t_min = t_min.min(t);
-                t_max = t_max.max(t);
-            }
-            keep_tighter(
-                &mut best_link,
-                Meeting {
-                    loc: NdcLocation::LinkBuffer,
-                    node: mesh.link_router(link),
-                    t_a: t_min,
-                    t_b: t_max,
-                },
-            );
-        }
-        if let Some(m) = best_link {
-            out.push(m);
-        }
-    }
-
-    out
-}
-
-/// Earliest and latest of a non-empty set of arrival times.
-fn spread(times: impl Iterator<Item = Cycle> + Clone) -> (Cycle, Cycle) {
-    (times.clone().min().unwrap_or(0), times.max().unwrap_or(0))
-}
-
-/// Resolve a fused multi-op package: one gather of all operands, one
-/// chain execution (`ops.len()` cycles at the component), one CPU-feed
-/// carrying the final chain value home.
-pub fn resolve_fused(
-    machine: &mut Machine,
-    tables: &mut ServiceTables,
-    core: NodeId,
-    ops: &[Op],
-    paths: &[AccessPath],
-    issue: Cycle,
-    params: ResolveParams,
-) -> NdcOutcome {
-    machine.attribute_to(core);
-    let cfg = machine.cfg;
-    let cands = candidate_meetings_fused(machine, core, paths, params.reshape);
-    let plan = plan_resolution(
-        machine,
-        tables,
-        core,
-        ops,
-        paths.iter(),
-        issue,
-        params,
-        cands,
-    );
-    let (chosen, wait) = match plan {
-        ResolvePlan::Abort { reason, at } => return NdcOutcome::Aborted { reason, at },
-        ResolvePlan::Perform { chosen, wait } => (chosen, wait),
-    };
-
-    // A link-buffer meeting moves each operand's data from its bank to
-    // the meeting router.
-    if chosen.loc == NdcLocation::LinkBuffer {
-        let cc = machine.coord(core);
-        for p in paths {
-            let Some(l2) = p.l2 else { continue };
-            let route = machine.mesh().xy_links(machine.coord(l2.bank), cc);
-            if let Some(prefix) = prefix_to(machine.mesh(), route, chosen.node) {
-                machine.send_data_along(prefix, l2.data_at_bank, cfg.l1.line_bytes);
-            }
-        }
-    }
-
-    // The chain executes serially at the component: one cycle per op.
-    let op_done = chosen.ready() + ops.len() as Cycle;
-    tables.insert(chosen.loc, chosen.node, op_done);
-    let result_at_core = machine.send_result(chosen.node, core, op_done);
-    NdcOutcome::Performed {
-        loc: chosen.loc,
-        node: chosen.node,
-        wait,
-        op_done,
-        result_at_core,
     }
 }
 
@@ -587,33 +435,49 @@ impl Iterator for ReplyLinks<'_> {
     }
 }
 
-/// The data-reply routes used for link-overlap evaluation: XY, or with
-/// `reshape` the maximal-overlap pair of §5.2.1.
-fn reply_routes(
-    machine: &Machine,
-    core: NodeId,
-    bank_a: NodeId,
-    bank_b: NodeId,
-    reshape: bool,
-) -> (ReplyRoute, ReplyRoute) {
-    let mesh = machine.mesh();
-    let ca = machine.coord(bank_a);
-    let cb = machine.coord(bank_b);
-    let cc = machine.coord(core);
-    if !reshape {
-        return (
-            ReplyRoute::Walk(mesh.xy_links(ca, cc)),
-            ReplyRoute::Walk(mesh.xy_links(cb, cc)),
-        );
+/// The data-reply routes of a package's operands toward the core: the
+/// routes its link meetings are sought on, and the ones a link-buffer
+/// meeting charges the operands' data along.
+struct ReplyRoutes {
+    core: Coord,
+    /// A pair's two routes: XY, or with `reshape` the maximal-overlap
+    /// pair of §5.2.1. `None` for three or more operands, whose routes
+    /// are XY.
+    pair: Option<[ReplyRoute; 2]>,
+}
+
+impl ReplyRoutes {
+    /// The routes of `paths`, every one of which reached its bank.
+    fn new(machine: &Machine, core: NodeId, paths: &[AccessPath], reshape: bool) -> ReplyRoutes {
+        let mesh = machine.mesh();
+        let cc = machine.coord(core);
+        let bank =
+            |p: &AccessPath| machine.coord(p.l2.expect("every operand reached its bank").bank);
+        let pair = match paths {
+            [a, b] if reshape => Some(match converging_pair(mesh, bank(a), bank(b), cc) {
+                Some((ra, rb)) => [ReplyRoute::Walk(ra), ReplyRoute::Walk(rb)],
+                None => {
+                    let pair = best_signature_pair(mesh, bank(a), cc, bank(b), cc);
+                    [
+                        ReplyRoute::Listed(pair.route_a),
+                        ReplyRoute::Listed(pair.route_b),
+                    ]
+                }
+            }),
+            [a, b] => Some([
+                ReplyRoute::Walk(mesh.xy_links(bank(a), cc)),
+                ReplyRoute::Walk(mesh.xy_links(bank(b), cc)),
+            ]),
+            _ => None,
+        };
+        ReplyRoutes { core: cc, pair }
     }
-    match converging_pair(mesh, ca, cb, cc) {
-        Some((ra, rb)) => (ReplyRoute::Walk(ra), ReplyRoute::Walk(rb)),
-        None => {
-            let pair = best_signature_pair(mesh, ca, cc, cb, cc);
-            (
-                ReplyRoute::Listed(pair.route_a),
-                ReplyRoute::Listed(pair.route_b),
-            )
+
+    /// The route of operand `k`, whose home bank is `bank`.
+    fn route(&self, machine: &Machine, k: usize, bank: NodeId) -> ReplyLinks<'_> {
+        match &self.pair {
+            Some(pair) => pair[k].links(),
+            None => ReplyLinks::Walk(machine.mesh().xy_links(machine.coord(bank), self.core)),
         }
     }
 }
@@ -635,34 +499,11 @@ pub struct ResolveParams {
     /// Maximum wait the scheme tolerates at the meeting component
     /// (`None` = wait forever, bounded only by the hardware time-out).
     pub budget: Option<Cycle>,
-    /// Use reshaped reply routes for the link-buffer candidate.
+    /// Use reshaped reply routes for a pair's link-buffer candidate.
     pub reshape: bool,
     /// Oracle mode: skip the time-out register and service-table
     /// capacity (perfect scheduling never trips either).
     pub ignore_limits: bool,
-}
-
-/// Resolve an NDC package: pick a meeting, enforce the control
-/// register / op class / service tables / time-out, charge the network
-/// for the data movement that actually happens, and produce the
-/// outcome.
-///
-/// `issue` is when the LD/ST unit injected the package; aborts resolve
-/// at `issue + wasted-wait` and the engine then falls back to
-/// conventional execution.
-#[allow(clippy::too_many_arguments)]
-pub fn resolve(
-    machine: &mut Machine,
-    tables: &mut ServiceTables,
-    core: NodeId,
-    op: Op,
-    a: &AccessPath,
-    b: &AccessPath,
-    issue: Cycle,
-    params: ResolveParams,
-) -> NdcOutcome {
-    let cands = candidate_meetings(machine, core, a, b, params.reshape);
-    resolve_with_candidates(machine, tables, core, op, a, b, issue, params, cands)
 }
 
 /// The decision half of a resolution: everything up to (but not
@@ -675,19 +516,16 @@ enum ResolvePlan {
 }
 
 /// Decide the outcome of an NDC package that gathers `paths` and
-/// executes the chain `ops` at the meeting component. A pair package
-/// is the one-op, two-path case. The checks run in hardware order, each
-/// with its own abort time: local L1 copy, op class, co-location,
-/// scheme budget, time-out register, service table. Only the last
-/// touches `tables` (pruning released entries); nothing allocates.
-/// `cands` are the unfiltered candidate meetings of `paths`.
-#[allow(clippy::too_many_arguments)]
-fn plan_resolution<'p>(
+/// executes the chain `ops` at the meeting component. The checks run in
+/// hardware order, each with its own abort time: local L1 copy, op
+/// class, co-location, scheme budget, time-out register, service table.
+/// Only the last touches `tables` (pruning released entries); nothing
+/// allocates. `cands` are the unfiltered candidate meetings of `paths`.
+fn plan_resolution(
     machine: &Machine,
     tables: &mut ServiceTables,
-    core: NodeId,
     ops: &[Op],
-    paths: impl Iterator<Item = &'p AccessPath> + Clone,
+    paths: &[AccessPath],
     issue: Cycle,
     params: ResolveParams,
     mut cands: Candidates,
@@ -696,7 +534,7 @@ fn plan_resolution<'p>(
     // Local L1 copy of any operand: the LD/ST unit skips the offload
     // (handled by the caller for timing; reported here for
     // completeness).
-    if paths.clone().any(|p| p.l1_hit) {
+    if paths.iter().any(|p| p.l1_hit) {
         return ResolvePlan::Abort {
             reason: AbortReason::LocalHit,
             at: issue,
@@ -710,37 +548,27 @@ fn plan_resolution<'p>(
     }
 
     cands.retain(|m| cfg.ndc.location_enabled(m.loc));
-    match params.policy {
-        LocationPolicy::Only(loc) => cands.retain(|m| m.loc == loc),
-        LocationPolicy::FirstOnPath | LocationPolicy::Best => {}
+    if let LocationPolicy::Only(loc) = params.policy {
+        cands.retain(|m| m.loc == loc);
     }
-    if cands.is_empty() {
+    let Some(chosen) = cands.first() else {
         // The package traveled with the operands to the end of the path
         // and nothing met; the hardware knows once every journey
         // resolves, and signals the offload table (no time-out wait).
-        let at = paths.map(|p| p.completion).fold(issue, Cycle::max);
+        let at = paths.iter().map(|p| p.completion).fold(issue, Cycle::max);
         return ResolvePlan::Abort {
             reason: AbortReason::NoColocation,
             at,
         };
-    }
-
-    let chosen = match params.policy {
-        LocationPolicy::Best => *cands
-            .iter()
-            .min_by_key(|m| m.ready() + machine.hop_latency(m.node, core))
-            .unwrap(),
-        _ => cands.first().expect("checked non-empty above"),
     };
 
     let wait = chosen.window();
     // Scheme budget: the first operand leaves after `budget` cycles.
     if let Some(budget) = params.budget {
         if wait > budget {
-            let first = chosen.t_a.min(chosen.t_b);
             return ResolvePlan::Abort {
                 reason: AbortReason::BudgetExceeded,
-                at: first + budget,
+                at: chosen.first + budget,
             };
         }
     }
@@ -748,10 +576,9 @@ fn plan_resolution<'p>(
     if !params.ignore_limits {
         if let Some(tmo) = cfg.ndc.timeout {
             if wait > tmo {
-                let first = chosen.t_a.min(chosen.t_b);
                 return ResolvePlan::Abort {
                     reason: AbortReason::Timeout,
-                    at: first + tmo,
+                    at: chosen.first + tmo,
                 };
             }
         }
@@ -760,7 +587,7 @@ fn plan_resolution<'p>(
     // the time-out mechanism (§2): the request lingers until the
     // time-out expires and is then performed at the original core —
     // the expensive path that makes indiscriminate offloading hurt.
-    let arrive = chosen.t_a.min(chosen.t_b);
+    let arrive = chosen.first;
     if !params.ignore_limits
         && tables.live(chosen.loc, chosen.node, arrive) >= cfg.ndc.service_table_entries
     {
@@ -773,38 +600,36 @@ fn plan_resolution<'p>(
     ResolvePlan::Perform { chosen, wait }
 }
 
-/// [`resolve`] with the candidate meetings already computed.
+/// Resolve an NDC package that gathers `paths` and runs the chain `ops`
+/// at the meeting component: pick a meeting, enforce the control
+/// register / op class / service tables / time-out, charge the network
+/// for the data movement that actually happens, and produce the
+/// outcome. A pair (an online offload or a compiled `PreCompute`) is
+/// the one-op package with two gathers; a fused packet gathers one
+/// operand more than it has ops.
 ///
-/// `candidate_meetings` is a pure function of the two operand paths and
-/// the mesh, so callers that also need the pair's windows compute the
-/// candidates once and hand them in here. Only this part reads and
-/// writes the service tables and link horizons. `cands` must be the
-/// unfiltered output of [`candidate_meetings`] for
-/// `(core, a, b, params.reshape)`.
+/// `cands` must be the unfiltered output of [`candidate_meetings`] for
+/// `(core, paths, params.reshape)`: callers that also need the
+/// package's windows compute the candidates once and hand them in.
+/// Only this function reads and writes the service tables and link
+/// horizons.
+///
+/// `issue` is when the LD/ST unit injected the package; aborts resolve
+/// at `issue + wasted-wait` and the engine then falls back to
+/// conventional execution.
 #[allow(clippy::too_many_arguments)]
-pub fn resolve_with_candidates(
+pub fn resolve(
     machine: &mut Machine,
     tables: &mut ServiceTables,
     core: NodeId,
-    op: Op,
-    a: &AccessPath,
-    b: &AccessPath,
+    ops: &[Op],
+    paths: &[AccessPath],
     issue: Cycle,
     params: ResolveParams,
     cands: Candidates,
 ) -> NdcOutcome {
     machine.attribute_to(core);
-    let cfg = machine.cfg;
-    let plan = plan_resolution(
-        machine,
-        tables,
-        core,
-        &[op],
-        [a, b].into_iter(),
-        issue,
-        params,
-        cands,
-    );
+    let plan = plan_resolution(machine, tables, ops, paths, issue, params, cands);
     let (chosen, wait) = match plan {
         ResolvePlan::Abort { reason, at } => return NdcOutcome::Aborted { reason, at },
         ResolvePlan::Perform { chosen, wait } => (chosen, wait),
@@ -812,21 +637,21 @@ pub fn resolve_with_candidates(
 
     // Charge the data movement that actually happens for a link-buffer
     // meeting: each operand's data travels from its bank to the meeting
-    // router.
-    let op_ready = chosen.ready();
+    // router, along the routes the meeting was found on.
     if chosen.loc == NdcLocation::LinkBuffer {
-        if let (Some(l2a), Some(l2b)) = (a.l2, b.l2) {
-            let (ra, rb) = reply_routes(machine, core, l2a.bank, l2b.bank, params.reshape);
-            let bytes = cfg.l1.line_bytes;
-            for (route, l2) in [(ra, l2a), (rb, l2b)] {
-                if let Some(prefix) = prefix_to(machine.mesh(), route.links(), chosen.node) {
-                    machine.send_data_along(prefix, l2.data_at_bank, bytes);
-                }
+        let routes = ReplyRoutes::new(machine, core, paths, params.reshape);
+        let bytes = machine.cfg.l1.line_bytes;
+        for (k, p) in paths.iter().enumerate() {
+            let Some(l2) = p.l2 else { continue };
+            let route = routes.route(machine, k, l2.bank);
+            if let Some(prefix) = prefix_to(machine.mesh(), route, chosen.node) {
+                machine.send_data_along(prefix, l2.data_at_bank, bytes);
             }
         }
     }
 
-    let op_done = op_ready + 1;
+    // The chain executes serially at the component: one cycle per op.
+    let op_done = chosen.ready() + ops.len() as Cycle;
     tables.insert(chosen.loc, chosen.node, op_done);
     // CPU-feed: the result returns to the core.
     let result_at_core = machine.send_result(chosen.node, core, op_done);
@@ -872,9 +697,8 @@ pub fn breakeven_by_location(
 ) -> [Option<Cycle>; 4] {
     let mut out = [None; 4];
     for m in cands.iter() {
-        let t1 = m.t_a.min(m.t_b);
         let ret = machine.hop_latency(m.node, core);
-        let be = conv_done.saturating_sub(t1 + 1 + ret);
+        let be = conv_done.saturating_sub(m.first + 1 + ret);
         let slot = &mut out[m.loc.index()];
         if slot.is_none_or(|cur| be > cur) {
             *slot = Some(be);
@@ -884,19 +708,19 @@ pub fn breakeven_by_location(
 }
 
 /// The characterization record of one conventionally executed compute
-/// (instrumented baseline runs): windows under XY and reshaped reply
-/// routes plus breakevens, from one plain candidate pass and — only
-/// when the operands' banks differ — one reshaped pass.
+/// (instrumented baseline runs) whose two operand fetches are `pair`:
+/// windows under XY and reshaped reply routes plus breakevens, from one
+/// plain candidate pass and — only when the operands' banks differ —
+/// one reshaped pass.
 pub fn window_observation(
     machine: &Machine,
     core: NodeId,
     pc: Pc,
-    a: &AccessPath,
-    b: &AccessPath,
+    pair: &[AccessPath],
     conv_done: Cycle,
 ) -> WindowObservation {
-    let plain = candidate_meetings(machine, core, a, b, false);
-    let reshaped = reshaped_candidates(machine, core, a, b, plain);
+    let plain = candidate_meetings(machine, core, pair, false);
+    let reshaped = reshaped_candidates(machine, core, pair, plain);
     WindowObservation {
         pc,
         windows: windows_by_location(&plain),
@@ -905,14 +729,6 @@ pub fn window_observation(
         conv_done,
     }
 }
-
-/// All four locations, exported for iteration in reports.
-pub fn all_locations() -> [NdcLocation; 4] {
-    ALL_NDC_LOCATIONS
-}
-
-/// Alias used by the engine: a resolution request's full inputs.
-pub struct NdcResolution;
 
 #[cfg(test)]
 mod tests {
@@ -931,6 +747,40 @@ mod tests {
         Machine::new(ArchConfig::paper_default())
     }
 
+    /// The engine's parameters for a compiled pre-compute without route
+    /// reshaping.
+    fn first_on_path() -> ResolveParams {
+        ResolveParams {
+            policy: LocationPolicy::FirstOnPath,
+            budget: None,
+            reshape: false,
+            ignore_limits: false,
+        }
+    }
+
+    /// Resolve a one-op pair package, computing its candidates the way
+    /// the engine does.
+    fn resolve_pair(
+        m: &mut Machine,
+        tables: &mut ServiceTables,
+        core: NodeId,
+        op: Op,
+        pair: &[AccessPath],
+        issue: Cycle,
+        params: ResolveParams,
+    ) -> NdcOutcome {
+        let cands = candidate_meetings(m, core, pair, params.reshape);
+        resolve(m, tables, core, &[op], pair, issue, params, cands)
+    }
+
+    /// The link-buffer candidate among `cands`, if any.
+    fn link_meeting(cands: &Candidates) -> Option<Meeting> {
+        cands
+            .iter()
+            .copied()
+            .find(|c| c.loc == NdcLocation::LinkBuffer)
+    }
+
     /// Two addresses with the same L2 home bank but different lines.
     fn same_bank_addrs(cfg: &ArchConfig) -> (u64, u64) {
         let line = cfg.l2.line_bytes;
@@ -945,7 +795,7 @@ mod tests {
         let (a_addr, b_addr) = same_bank_addrs(&m.cfg);
         let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
-        let cands = candidate_meetings(&m, core, &a, &b, false);
+        let cands = candidate_meetings(&m, core, &[a, b], false);
         assert!(cands
             .iter()
             .any(|c| c.loc == NdcLocation::CacheController && c.node == NodeId(0)));
@@ -960,12 +810,130 @@ mod tests {
         // links.
         let a = m.access(core, 0, 0, false, AccessIntent::NearData);
         let b = m.access(core, line, 0, false, AccessIntent::NearData);
-        let cands = candidate_meetings(&m, core, &a, &b, false);
+        let cands = candidate_meetings(&m, core, &[a, b], false);
         assert!(!cands.iter().any(|c| c.loc == NdcLocation::CacheController));
         // Banks 0=(0,0) and 1=(1,0) routing XY to (2,2): share links
         // from (2,0) down? Route a: e,e,s,s; route b: e,s,s. Common:
         // the south links at column 2.
         assert!(cands.iter().any(|c| c.loc == NdcLocation::LinkBuffer));
+    }
+
+    /// L2-resident operands homed at banks (0,0) and (0,1), gathered for
+    /// core (2,2): their XY replies share only the last link into the
+    /// core, while the reshaped pair joins at (0,1) and shares the path
+    /// from there.
+    fn converging_pair_of_l2_hits(m: &mut Machine) -> (NodeId, [AccessPath; 2]) {
+        let core = NodeId(12);
+        let line = m.cfg.l2.line_bytes;
+        let (a_addr, b_addr) = (0, 5 * line);
+        assert_eq!(m.cfg.l2_home(a_addr), NodeId(0));
+        assert_eq!(m.cfg.l2_home(b_addr), NodeId(5));
+        // A first near-data fetch warms the L2 (never the L1), so the
+        // second reaches each bank without a refill leg.
+        for addr in [a_addr, b_addr] {
+            m.access(core, addr, 0, false, AccessIntent::NearData);
+        }
+        let a = m.access(core, a_addr, 10_000, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 10_000, false, AccessIntent::NearData);
+        assert!(a.mem.is_none() && b.mem.is_none());
+        (core, [a, b])
+    }
+
+    #[test]
+    fn reshaped_reply_routes_apply_to_pairs_only() {
+        let mut m = machine();
+        let (core, [a, b]) = converging_pair_of_l2_hits(&mut m);
+        // A pair: XY replies meet entering the core's router (2,2); the
+        // reshaped replies meet entering (1,1), one hop after joining.
+        let pair = [a.clone(), b.clone()];
+        let xy = link_meeting(&candidate_meetings(&m, core, &pair, false)).unwrap();
+        let reshaped = link_meeting(&candidate_meetings(&m, core, &pair, true)).unwrap();
+        assert_eq!(xy.node, NodeId(12));
+        assert_eq!(reshaped.node, NodeId(6));
+        let plain = candidate_meetings(&m, core, &pair, false);
+        assert_eq!(
+            link_meeting(&reshaped_candidates(&m, core, &pair, plain)),
+            Some(reshaped)
+        );
+        // Three operands: reshaping does not apply, the replies stay XY.
+        let three = [a, b.clone(), b];
+        let xy3: Vec<Meeting> = candidate_meetings(&m, core, &three, false)
+            .iter()
+            .copied()
+            .collect();
+        let reshaped3: Vec<Meeting> = candidate_meetings(&m, core, &three, true)
+            .iter()
+            .copied()
+            .collect();
+        assert_eq!(xy3, reshaped3);
+        assert_eq!(xy3, vec![xy]);
+        let plain3 = candidate_meetings(&m, core, &three, false);
+        assert_eq!(
+            link_meeting(&reshaped_candidates(&m, core, &three, plain3)),
+            Some(xy)
+        );
+    }
+
+    #[test]
+    fn refill_leg_overlap_applies_to_pairs_only() {
+        let mut m = machine();
+        // Cold misses to controller 0 at (0,0) for banks (3,0) and
+        // (3,2): both refills run east along row 0, while the replies
+        // toward core (4,1) share no link.
+        let core = NodeId(9);
+        let line = m.cfg.l2.line_bytes;
+        let (a_addr, b_addr) = (3 * line, 13 * line);
+        assert_eq!(m.cfg.l2_home(a_addr), NodeId(3));
+        assert_eq!(m.cfg.l2_home(b_addr), NodeId(13));
+        assert_eq!(m.cfg.mc_of(a_addr), 0);
+        assert_eq!(m.cfg.mc_of(b_addr), 0);
+        let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
+        let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
+        assert!(!a.refill_links().is_empty() && !b.refill_links().is_empty());
+        // The pair meets on the refill legs' first common link, entering
+        // router (1,0).
+        let pair = link_meeting(&candidate_meetings(
+            &m,
+            core,
+            &[a.clone(), b.clone()],
+            false,
+        ));
+        assert_eq!(pair.map(|l| l.node), Some(NodeId(1)));
+        // With three operands only the XY replies are searched, and they
+        // have no link in common.
+        let three = candidate_meetings(&m, core, &[a.clone(), b, a], false);
+        assert_eq!(link_meeting(&three), None);
+    }
+
+    #[test]
+    fn link_buffer_charge_walks_the_reshaped_routes() {
+        let mut m = machine();
+        let (core, pair) = converging_pair_of_l2_hits(&mut m);
+        let mut tables = ServiceTables::default();
+        let messages = m.net.messages;
+        let out = resolve_pair(
+            &mut m,
+            &mut tables,
+            core,
+            Op::Add,
+            &pair,
+            10_000,
+            ResolveParams {
+                reshape: true,
+                ..first_on_path()
+            },
+        );
+        match out {
+            NdcOutcome::Performed { loc, node, .. } => {
+                assert_eq!(loc, NdcLocation::LinkBuffer);
+                assert_eq!(node, NodeId(6));
+            }
+            other => panic!("expected success, got {other:?}"),
+        }
+        // Both operands' data travel to (1,1) along the reshaped routes
+        // (operand a's XY route never enters (1,1)), then one result
+        // feed goes home.
+        assert_eq!(m.net.messages - messages, 3);
     }
 
     #[test]
@@ -976,20 +944,14 @@ mod tests {
         let a = m.access(core, 0x1000, 100, false, AccessIntent::NearData);
         let b = m.access(core, 0x2000, 100, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
-        let out = resolve(
+        let out = resolve_pair(
             &mut m,
             &mut tables,
             core,
             Op::Add,
-            &a,
-            &b,
+            &[a, b],
             100,
-            ResolveParams {
-                policy: LocationPolicy::FirstOnPath,
-                budget: None,
-                reshape: false,
-                ignore_limits: false,
-            },
+            first_on_path(),
         );
         assert_eq!(
             out,
@@ -1009,20 +971,14 @@ mod tests {
         let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
-        let out = resolve(
+        let out = resolve_pair(
             &mut m,
             &mut tables,
             core,
             Op::Mul,
-            &a,
-            &b,
+            &[a, b],
             0,
-            ResolveParams {
-                policy: LocationPolicy::FirstOnPath,
-                budget: None,
-                reshape: false,
-                ignore_limits: false,
-            },
+            first_on_path(),
         );
         assert!(matches!(
             out,
@@ -1043,20 +999,14 @@ mod tests {
         let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
         let mut tables = ServiceTables::default();
-        let out = resolve(
+        let out = resolve_pair(
             &mut m,
             &mut tables,
             core,
             Op::Add,
-            &a,
-            &b,
+            &[a, b],
             0,
-            ResolveParams {
-                policy: LocationPolicy::FirstOnPath,
-                budget: None,
-                reshape: false,
-                ignore_limits: false,
-            },
+            first_on_path(),
         );
         match out {
             NdcOutcome::Performed {
@@ -1083,26 +1033,23 @@ mod tests {
         let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         // Operand b fetched much later: a big window.
         let b = m.access(core, b_addr, 5000, false, AccessIntent::NearData);
+        let l2a = a.l2.unwrap();
         let mut tables = ServiceTables::default();
-        let out = resolve(
+        let out = resolve_pair(
             &mut m,
             &mut tables,
             core,
             Op::Add,
-            &a,
-            &b,
+            &[a, b],
             5000,
             ResolveParams {
-                policy: LocationPolicy::FirstOnPath,
                 budget: Some(10),
-                reshape: false,
-                ignore_limits: false,
+                ..first_on_path()
             },
         );
         match out {
             NdcOutcome::Aborted { reason, at } => {
                 assert_eq!(reason, AbortReason::BudgetExceeded);
-                let l2a = a.l2.unwrap();
                 assert_eq!(at, l2a.data_at_bank + 10);
             }
             other => panic!("expected abort, got {other:?}"),
@@ -1122,20 +1069,14 @@ mod tests {
         tables.insert(NdcLocation::CacheController, NodeId(0), 1_000_000);
         let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         let b = m.access(core, b_addr, 0, false, AccessIntent::NearData);
-        let out = resolve(
+        let out = resolve_pair(
             &mut m,
             &mut tables,
             core,
             Op::Add,
-            &a,
-            &b,
+            &[a, b],
             0,
-            ResolveParams {
-                policy: LocationPolicy::FirstOnPath,
-                budget: None,
-                reshape: false,
-                ignore_limits: false,
-            },
+            first_on_path(),
         );
         assert!(matches!(
             out,
@@ -1157,7 +1098,7 @@ mod tests {
         assert_eq!(m.cfg.mc_of(a_addr), m.cfg.mc_of(b_addr));
         let a = m.access(core, a_addr, 0, false, AccessIntent::NearData);
         let b = m.access(core, b_addr, 40, false, AccessIntent::NearData);
-        let w = windows_by_location(&candidate_meetings(&m, core, &a, &b, false));
+        let w = windows_by_location(&candidate_meetings(&m, core, &[a, b], false));
         // Same L2 bank: cache-controller window exists.
         assert!(w[NdcLocation::CacheController.index()].is_some());
         // Cold misses to the same MC: the MC window exists too.
@@ -1172,11 +1113,12 @@ mod tests {
         let far = NodeId(24);
         let a = m.access(far, a_addr, 0, false, AccessIntent::NearData);
         let b = m.access(far, b_addr, 0, false, AccessIntent::NearData);
+        let pair = [a, b];
         let conv_done = 500;
         let be_far = breakeven_by_location(
             &m,
             far,
-            &candidate_meetings(&m, far, &a, &b, false),
+            &candidate_meetings(&m, far, &pair, false),
             conv_done,
         )[NdcLocation::CacheController.index()]
         .unwrap();
@@ -1184,7 +1126,7 @@ mod tests {
         let be_near = breakeven_by_location(
             &m,
             near,
-            &candidate_meetings(&m, near, &a, &b, false),
+            &candidate_meetings(&m, near, &pair, false),
             conv_done,
         )[NdcLocation::CacheController.index()]
         .unwrap();

@@ -112,9 +112,10 @@ pub enum NdcLocation {
     MemoryBank,
 }
 
-/// [`NdcLocation::fused_trace_name`] by chain length (2..=
-/// [`MAX_FUSED_OPS`]) and [`NdcLocation::index`].
-const FUSED_TRACE_NAMES: [[&str; 4]; MAX_FUSED_OPS - 1] = [
+/// [`NdcLocation::trace_name`] by op count (1..=[`MAX_FUSED_OPS`]) and
+/// [`NdcLocation::index`].
+const TRACE_NAMES: [[&str; 4]; MAX_FUSED_OPS] = [
+    ["ndc@network", "ndc@cache", "ndc@MC", "ndc@memory"],
     [
         "ndc-fused2@network",
         "ndc-fused2@cache",
@@ -166,17 +167,12 @@ impl NdcLocation {
         }
     }
 
-    /// Trace-event name of one offload performed here:
-    /// `ndc@<paper label>`.
-    pub fn trace_name(self) -> &'static str {
-        ["ndc@network", "ndc@cache", "ndc@MC", "ndc@memory"][self.index()]
-    }
-
-    /// Trace-event name of a fused `n_ops`-operation packet performed
-    /// here: `ndc-fused<n_ops>@<paper label>`, for `n_ops` in
+    /// Trace-event name of an NDC package of `n_ops` operations
+    /// performed here: `ndc@<paper label>` for one op,
+    /// `ndc-fused<n_ops>@<paper label>` for a fused chain of `n_ops` in
     /// `2..=MAX_FUSED_OPS`.
-    pub fn fused_trace_name(self, n_ops: usize) -> &'static str {
-        FUSED_TRACE_NAMES[n_ops - 2][self.index()]
+    pub fn trace_name(self, n_ops: usize) -> &'static str {
+        TRACE_NAMES[n_ops - 1][self.index()]
     }
 
     pub fn from_index(i: usize) -> Option<Self> {
@@ -203,10 +199,10 @@ mod tests {
     #[test]
     fn trace_names_match_their_labels() {
         for loc in ALL_NDC_LOCATIONS {
-            assert_eq!(loc.trace_name(), format!("ndc@{}", loc.paper_label()));
+            assert_eq!(loc.trace_name(1), format!("ndc@{}", loc.paper_label()));
             for n in 2..=MAX_FUSED_OPS {
                 assert_eq!(
-                    loc.fused_trace_name(n),
+                    loc.trace_name(n),
                     format!("ndc-fused{n}@{}", loc.paper_label())
                 );
             }

@@ -2,7 +2,7 @@
 # Repo verification: offline build, lints, formatting, the full test
 # suite, the benchmark's build and unit tests, and the determinism
 # contract of the ndc-par runtime — every `ndc-eval` stage below
-# (including the `--metrics` observability dump) must print
+# (including the `--metrics` and `--trace` observability dumps) must print
 # bit-identical output whether the experiment fan-out runs on one
 # thread or eight — plus the BENCH_*.json attestations and exact gates.
 # The run must leave the worktree as it found it: from a clean
@@ -85,9 +85,13 @@ gate() { "$EVAL" gate --baseline "$tmp/base_$1.json" --current "BENCH_$1.json"; 
 echo "== determinism: NDC_THREADS=1 vs NDC_THREADS=8 (+ BENCH_fig4_schemes.json) =="
 # The full fig4 sweep writes the simulated counters of every kernel and
 # every Figure 4 run (Figures 4, 6 and 13) to BENCH_fig4_schemes.json.
+# Its Chrome trace holds each run's latest NDC offload events (online
+# offloads, compiled packets and aborts), so the order and timing of
+# those events are pinned across thread counts too.
 same_across_threads fig4 "fig4 output bit-identical" \
-    "$EVAL" fig4 --scale test --metrics "$tmp/metrics.{t}"
+    "$EVAL" fig4 --scale test --metrics "$tmp/metrics.{t}" --trace "$tmp/trace.{t}"
 same_outputs "$tmp/metrics.1" "$tmp/metrics.8" "--metrics output byte-identical"
+same_outputs "$tmp/trace.1" "$tmp/trace.8" "--trace output byte-identical"
 gate fig4_schemes
 
 echo "== headline at paper scale: BENCH_fig4_schemes.paper.json =="
