@@ -11,7 +11,7 @@ use crate::invariant::Invariant;
 use ndc_ir::deps::{DependenceGraph, DistanceVector};
 use ndc_ir::matrix::{candidate_transforms, IMat};
 use ndc_ir::{Program, Schedule};
-use ndc_obs::chk;
+use ndc_obs::chk::CheckKind;
 use ndc_obs::ledger::{AttributionLedger, NUM_LOCATIONS};
 use ndc_sim::{CheckData, SimResult};
 use ndc_types::SplitMix64;
@@ -19,15 +19,15 @@ use ndc_types::SplitMix64;
 /// A class of injected simulator fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// A flit vanishes in the network: one `FLIT_EXIT` event is removed,
+    /// A flit vanishes in the network: one `FlitExit` record is removed,
     /// so that link's occupancy never drains back to zero.
     DroppedFlit,
     /// A DRAM response is delayed past the rest of its request's path:
-    /// one `MEM_DONE` timestamp jumps far into the future, breaking
+    /// one `MemDone` timestamp jumps far into the future, breaking
     /// per-request timestamp monotonicity.
     DelayedDramResponse,
     /// A stale offload-table window replays a completed request: one
-    /// `RETIRE` event is duplicated, so the request retires twice.
+    /// `Retire` record is duplicated, so the request retires twice.
     StaleOffloadWindow,
     /// A corrupted reshape tally: `ndc_attempts` is bumped without a
     /// matching performed/abort outcome, breaking NDC accounting.
@@ -63,13 +63,13 @@ impl Fault {
     }
 }
 
-/// Pick a seeded victim among event indices whose name matches `name`.
-fn pick_index(data: &CheckData, name: &str, rng: &mut SplitMix64) -> Option<usize> {
+/// Pick a seeded victim among the indices of records of `kind`.
+fn pick_index(data: &CheckData, kind: CheckKind, rng: &mut SplitMix64) -> Option<usize> {
     let sites: Vec<usize> = data
         .events
         .iter()
         .enumerate()
-        .filter(|(_, e)| e.name == name)
+        .filter(|(_, e)| e.kind == kind)
         .map(|(i, _)| i)
         .collect();
     if sites.is_empty() {
@@ -85,21 +85,21 @@ fn pick_index(data: &CheckData, name: &str, rng: &mut SplitMix64) -> Option<usiz
 pub fn inject(data: &mut CheckData, result: &mut SimResult, fault: Fault, seed: u64) -> bool {
     let mut rng = SplitMix64::new(seed);
     match fault {
-        Fault::DroppedFlit => match pick_index(data, chk::FLIT_EXIT, &mut rng) {
+        Fault::DroppedFlit => match pick_index(data, CheckKind::FlitExit, &mut rng) {
             Some(i) => {
                 data.events.remove(i);
                 true
             }
             None => false,
         },
-        Fault::DelayedDramResponse => match pick_index(data, chk::MEM_DONE, &mut rng) {
+        Fault::DelayedDramResponse => match pick_index(data, CheckKind::MemDone, &mut rng) {
             Some(i) => {
                 data.events[i].ts += 1_000_000_000;
                 true
             }
             None => false,
         },
-        Fault::StaleOffloadWindow => match pick_index(data, chk::RETIRE, &mut rng) {
+        Fault::StaleOffloadWindow => match pick_index(data, CheckKind::Retire, &mut rng) {
             Some(i) => {
                 let dup = data.events[i];
                 data.events.push(dup);
@@ -466,13 +466,10 @@ mod tests {
         let mut b = (clean_data, clean_result);
         assert!(inject(&mut a.0, &mut a.1, Fault::DroppedFlit, 42));
         assert!(inject(&mut b.0, &mut b.1, Fault::DroppedFlit, 42));
-        assert_eq!(a.0.events.len(), b.0.events.len());
-        let same =
-            a.0.events
-                .iter()
-                .zip(b.0.events.iter())
-                .all(|(x, y)| x.name == y.name && x.ts == y.ts && x.pid == y.pid && x.tid == y.tid);
-        assert!(same, "same seed must pick the same victim");
+        assert_eq!(
+            a.0.events, b.0.events,
+            "same seed must pick the same victim"
+        );
     }
 
     #[test]

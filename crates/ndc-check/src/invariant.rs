@@ -1,13 +1,13 @@
 //! Conservation-law invariants over a checked simulation run.
 //!
 //! Input is the [`ndc_sim::CheckData`] stream recorded by a
-//! `CheckLevel::full()` run (the `ndc_obs::chk` event contract) plus
+//! `CheckLevel::full()` run (the `ndc_obs::chk` record contract) plus
 //! the run's [`ndc_sim::SimResult`] counters. Violations are reported
 //! in id order (requests, then links), so reports are deterministic.
 
+use ndc_obs::chk::{CheckKind, CheckRecord};
 use ndc_obs::ledger::{AttributionLedger, NUM_LOCATIONS};
 use ndc_obs::span::SpanTrace;
-use ndc_obs::{chk, Event};
 use ndc_sim::{CheckData, EngineOutput, SimResult};
 use std::collections::BTreeMap;
 
@@ -137,11 +137,11 @@ impl<T: Clone + Default> IdTable<T> {
 struct ReqState {
     issues: u64,
     retires: u64,
-    /// Timestamp of the request's latest event; `None` until one is
+    /// Timestamp of the request's latest record; `None` until one is
     /// seen (a gap in the dense table).
     last_ts: Option<u64>,
-    /// The first event that went back in time: (name, ts, prior ts).
-    broken: Option<(&'static str, u64, u64)>,
+    /// The first record that went back in time: (kind, ts, prior ts).
+    broken: Option<(CheckKind, u64, u64)>,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -159,19 +159,19 @@ struct LinkState {
 }
 
 /// Check the stream-level invariants (retire-once, path monotonicity,
-/// link occupancy) over a check-event stream.
+/// link occupancy) over a check-record stream.
 ///
-/// One pass does O(1) work and no allocation per event: requests and
-/// links are tables indexed by id (the recorder numbers requests
-/// densely from 0). Link occupancy is proven without storing a
-/// timestamp: when every `flit_exit` of a link directly follows a
-/// `flit_enter` of the same link no later than it — which is how the
-/// engines write the flit log — and the link has as many enters as
-/// exits, those pairs match every enter to a distinct exit no earlier
-/// than it, so occupancy never goes negative. Only a link whose flits
-/// do not pair up that way (a malformed stream) has its timestamps
-/// collected and sorted for the exact check.
-pub fn check_stream(events: &[Event]) -> CheckReport {
+/// One pass does O(1) work and no allocation per record, dispatching on
+/// its kind byte: requests and links are tables indexed by id (the
+/// recorder numbers requests densely from 0). Link occupancy is proven
+/// without storing a timestamp: when every `FlitExit` of a link
+/// directly follows a `FlitEnter` of the same link no later than it —
+/// which is how the network writes its flit log — and the link has as
+/// many enters as exits, those pairs match every enter to a distinct
+/// exit no earlier than it, so occupancy never goes negative. Only a
+/// link whose flits do not pair up that way (a malformed stream) has
+/// its timestamps collected and sorted for the exact check.
+pub fn check_stream(events: &[CheckRecord]) -> CheckReport {
     let mut report = CheckReport {
         events: events.len(),
         ..Default::default()
@@ -183,28 +183,32 @@ pub fn check_stream(events: &[Event]) -> CheckReport {
 
     for ev in events {
         let after_enter = prev_enter.take();
-        if ev.cat == chk::CAT_REQ {
-            let st = reqs.get_mut(ev.pid);
-            if ev.name == chk::ISSUE {
-                st.issues += 1;
-            } else if ev.name == chk::RETIRE {
-                st.retires += 1;
-            }
-            if let Some(prev) = st.last_ts {
-                if ev.ts < prev && st.broken.is_none() {
-                    st.broken = Some((ev.name, ev.ts, prev));
-                }
-            }
-            st.last_ts = Some(ev.ts);
-        } else if ev.cat == chk::CAT_LINK {
-            let st = links.get_mut(ev.tid);
-            st.seen = true;
-            if ev.name == chk::FLIT_ENTER {
+        match ev.kind {
+            CheckKind::FlitEnter => {
+                let st = links.get_mut(ev.id);
+                st.seen = true;
                 st.enters += 1;
-                prev_enter = Some((ev.tid, ev.ts));
-            } else if ev.name == chk::FLIT_EXIT {
+                prev_enter = Some((ev.id, ev.ts));
+            }
+            CheckKind::FlitExit => {
+                let st = links.get_mut(ev.id);
+                st.seen = true;
                 st.exits += 1;
-                st.unpaired |= !after_enter.is_some_and(|(link, ts)| link == ev.tid && ts <= ev.ts);
+                st.unpaired |= !after_enter.is_some_and(|(link, ts)| link == ev.id && ts <= ev.ts);
+            }
+            kind => {
+                let st = reqs.get_mut(ev.id);
+                match kind {
+                    CheckKind::Issue => st.issues += 1,
+                    CheckKind::Retire => st.retires += 1,
+                    _ => {}
+                }
+                if let Some(prev) = st.last_ts {
+                    if ev.ts < prev && st.broken.is_none() {
+                        st.broken = Some((kind, ev.ts, prev));
+                    }
+                }
+                st.last_ts = Some(ev.ts);
             }
         }
     }
@@ -226,11 +230,12 @@ pub fn check_stream(events: &[Event]) -> CheckReport {
                 ),
             });
         }
-        if let Some((name, ts, prev)) = st.broken {
+        if let Some((kind, ts, prev)) = st.broken {
             report.violations.push(Violation {
                 invariant: Invariant::PathMonotonic,
                 detail: format!(
-                    "request {id}: {name} at cycle {ts} precedes prior event at cycle {prev}"
+                    "request {id}: {} at cycle {ts} precedes prior event at cycle {prev}",
+                    kind.name()
                 ),
             });
         }
@@ -266,7 +271,7 @@ pub fn check_stream(events: &[Event]) -> CheckReport {
 /// never require an exit before its enter — otherwise occupancy went
 /// negative at some point. Links with unequal counts are reported by
 /// count alone and skipped here.
-fn exact_crossings(events: &[Event], links: &mut IdTable<LinkState>) {
+fn exact_crossings(events: &[CheckRecord], links: &mut IdTable<LinkState>) {
     let suspect = |st: &LinkState| st.unpaired && st.enters == st.exits;
     if !links.iter().any(|(_, st)| suspect(st)) {
         return;
@@ -275,17 +280,8 @@ fn exact_crossings(events: &[Event], links: &mut IdTable<LinkState>) {
     // its exits, each in time order.
     let mut flits: Vec<(u32, bool, u64)> = events
         .iter()
-        .filter(|ev| ev.cat == chk::CAT_LINK && links.get(ev.tid).is_some_and(suspect))
-        .filter_map(|ev| {
-            let is_exit = if ev.name == chk::FLIT_ENTER {
-                false
-            } else if ev.name == chk::FLIT_EXIT {
-                true
-            } else {
-                return None;
-            };
-            Some((ev.tid, is_exit, ev.ts))
-        })
+        .filter(|ev| ev.kind.is_link() && links.get(ev.id).is_some_and(suspect))
+        .map(|ev| (ev.id, ev.kind == CheckKind::FlitExit, ev.ts))
         .collect();
     flits.sort_unstable();
     for group in flits.chunk_by(|a, b| a.0 == b.0) {
@@ -488,43 +484,26 @@ mod tests {
     use super::*;
     use ndc_types::SplitMix64;
 
-    fn req(name: &'static str, ts: u64, pid: u32) -> Event {
-        Event {
-            name,
-            cat: chk::CAT_REQ,
-            ts,
-            dur: 0,
-            pid,
-            tid: 0,
-        }
+    fn rec(kind: CheckKind, ts: u64, id: u32) -> CheckRecord {
+        CheckRecord::new(kind, id, ts)
     }
 
-    fn flit(name: &'static str, ts: u64, link: u32) -> Event {
-        Event {
-            name,
-            cat: chk::CAT_LINK,
-            ts,
-            dur: 0,
-            pid: 0,
-            tid: link,
-        }
-    }
-
-    fn healthy_stream() -> Vec<Event> {
+    fn healthy_stream() -> Vec<CheckRecord> {
+        use CheckKind::*;
         vec![
-            req(chk::ISSUE, 0, 0),
-            req(chk::L2_REQ, 10, 0),
-            req(chk::MEM_QUEUE, 20, 0),
-            req(chk::MEM_SERVICE, 25, 0),
-            req(chk::MEM_DONE, 80, 0),
-            req(chk::DATA_AT_BANK, 95, 0),
-            req(chk::RETIRE, 110, 0),
-            req(chk::ISSUE, 5, 1),
-            req(chk::RETIRE, 8, 1),
-            flit(chk::FLIT_ENTER, 12, 3),
-            flit(chk::FLIT_EXIT, 15, 3),
-            flit(chk::FLIT_ENTER, 14, 3),
-            flit(chk::FLIT_EXIT, 17, 3),
+            rec(Issue, 0, 0),
+            rec(L2Req, 10, 0),
+            rec(MemQueue, 20, 0),
+            rec(MemService, 25, 0),
+            rec(MemDone, 80, 0),
+            rec(DataAtBank, 95, 0),
+            rec(Retire, 110, 0),
+            rec(Issue, 5, 1),
+            rec(Retire, 8, 1),
+            rec(FlitEnter, 12, 3),
+            rec(FlitExit, 15, 3),
+            rec(FlitEnter, 14, 3),
+            rec(FlitExit, 17, 3),
         ]
     }
 
@@ -540,7 +519,7 @@ mod tests {
     #[test]
     fn duplicate_retire_is_caught() {
         let mut evs = healthy_stream();
-        evs.push(req(chk::RETIRE, 110, 0));
+        evs.push(rec(CheckKind::Retire, 110, 0));
         let r = check_stream(&evs);
         assert!(r.violated(Invariant::RetireOnce));
         assert!(!r.violated(Invariant::PathMonotonic));
@@ -548,9 +527,9 @@ mod tests {
 
     #[test]
     fn missing_retire_is_caught() {
-        let evs: Vec<Event> = healthy_stream()
+        let evs: Vec<CheckRecord> = healthy_stream()
             .into_iter()
-            .filter(|e| !(e.pid == 1 && e.name == chk::RETIRE))
+            .filter(|e| !(e.id == 1 && e.kind == CheckKind::Retire))
             .collect();
         let r = check_stream(&evs);
         assert!(r.violated(Invariant::RetireOnce));
@@ -568,9 +547,9 @@ mod tests {
 
     #[test]
     fn unbalanced_flits_are_caught() {
-        let evs: Vec<Event> = healthy_stream()
+        let evs: Vec<CheckRecord> = healthy_stream()
             .into_iter()
-            .filter(|e| !(e.name == chk::FLIT_EXIT && e.ts == 17))
+            .filter(|e| !(e.kind == CheckKind::FlitExit && e.ts == 17))
             .collect();
         let r = check_stream(&evs);
         assert!(r.violated(Invariant::LinkOccupancy));
@@ -578,7 +557,10 @@ mod tests {
 
     #[test]
     fn exit_before_enter_is_caught() {
-        let evs = vec![flit(chk::FLIT_ENTER, 100, 7), flit(chk::FLIT_EXIT, 5, 7)];
+        let evs = vec![
+            rec(CheckKind::FlitEnter, 100, 7),
+            rec(CheckKind::FlitExit, 5, 7),
+        ];
         let r = check_stream(&evs);
         assert!(r.violated(Invariant::LinkOccupancy));
     }
@@ -644,7 +626,7 @@ mod tests {
 
     /// The `BTreeMap` checker [`check_stream`] replaced, kept as the
     /// reference its reports must equal on every stream.
-    fn reference_check_stream(events: &[Event]) -> CheckReport {
+    fn reference_check_stream(events: &[CheckRecord]) -> CheckReport {
         let mut report = CheckReport {
             events: events.len(),
             ..Default::default()
@@ -661,28 +643,28 @@ mod tests {
         let mut links: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
 
         for ev in events {
-            if ev.cat == chk::CAT_REQ {
-                let st = reqs.entry(ev.pid).or_default();
-                match ev.name {
-                    n if n == chk::ISSUE => st.issues += 1,
-                    n if n == chk::RETIRE => st.retires += 1,
-                    _ => {}
-                }
-                if let Some(prev) = st.last_ts {
-                    if ev.ts < prev && st.monotonic_broken.is_none() {
-                        st.monotonic_broken = Some(format!(
-                            "request {}: {} at cycle {} precedes prior event at cycle {}",
-                            ev.pid, ev.name, ev.ts, prev
-                        ));
+            match ev.kind {
+                CheckKind::FlitEnter => links.entry(ev.id).or_default().0.push(ev.ts),
+                CheckKind::FlitExit => links.entry(ev.id).or_default().1.push(ev.ts),
+                kind => {
+                    let st = reqs.entry(ev.id).or_default();
+                    match kind {
+                        CheckKind::Issue => st.issues += 1,
+                        CheckKind::Retire => st.retires += 1,
+                        _ => {}
                     }
-                }
-                st.last_ts = Some(ev.ts);
-            } else if ev.cat == chk::CAT_LINK {
-                let (enters, exits) = links.entry(ev.tid).or_default();
-                match ev.name {
-                    n if n == chk::FLIT_ENTER => enters.push(ev.ts),
-                    n if n == chk::FLIT_EXIT => exits.push(ev.ts),
-                    _ => {}
+                    if let Some(prev) = st.last_ts {
+                        if ev.ts < prev && st.monotonic_broken.is_none() {
+                            st.monotonic_broken = Some(format!(
+                                "request {}: {} at cycle {} precedes prior event at cycle {}",
+                                ev.id,
+                                kind.name(),
+                                ev.ts,
+                                prev
+                            ));
+                        }
+                    }
+                    st.last_ts = Some(ev.ts);
                 }
             }
         }
@@ -784,23 +766,18 @@ mod tests {
 
     /// A healthy synthetic stream: request paths with ids from 0, then
     /// enter/exit pairs on a few links.
-    fn synthetic_stream(rng: &mut SplitMix64) -> Vec<Event> {
-        const SHORT: [&str; 2] = [chk::ISSUE, chk::RETIRE];
-        const LONG: [&str; 7] = [
-            chk::ISSUE,
-            chk::L2_REQ,
-            chk::MEM_QUEUE,
-            chk::MEM_SERVICE,
-            chk::MEM_DONE,
-            chk::DATA_AT_BANK,
-            chk::RETIRE,
+    fn synthetic_stream(rng: &mut SplitMix64) -> Vec<CheckRecord> {
+        use CheckKind::*;
+        const SHORT: [CheckKind; 2] = [Issue, Retire];
+        const LONG: [CheckKind; 7] = [
+            Issue, L2Req, MemQueue, MemService, MemDone, DataAtBank, Retire,
         ];
         let mut evs = Vec::new();
         for id in 0..rng.below(6) as u32 {
-            let path: &[&str] = if rng.chance(0.5) { &SHORT } else { &LONG };
+            let path: &[CheckKind] = if rng.chance(0.5) { &SHORT } else { &LONG };
             let mut t = rng.below(100);
-            for name in path {
-                evs.push(req(name, t, id));
+            for &kind in path {
+                evs.push(rec(kind, t, id));
                 t += rng.below(20);
             }
         }
@@ -808,38 +785,24 @@ mod tests {
         for _ in 0..rng.below(12) {
             let link = rng.below(links) as u32;
             let enter = rng.below(200);
-            evs.push(flit(chk::FLIT_ENTER, enter, link));
-            evs.push(flit(chk::FLIT_EXIT, enter + rng.below(8), link));
+            evs.push(rec(FlitEnter, enter, link));
+            evs.push(rec(FlitExit, enter + rng.below(8), link));
         }
         evs
     }
 
-    /// Corrupt a stream: drop, duplicate, swap and move events, rename
-    /// them (including names the contract does not define), move them
-    /// across categories, give them sparse ids up to `u32::MAX`, and
-    /// shift their timestamps.
-    fn mutate(rng: &mut SplitMix64, evs: &mut Vec<Event>) {
-        const NAMES: [&str; 11] = [
-            chk::ISSUE,
-            chk::L2_REQ,
-            chk::MEM_QUEUE,
-            chk::MEM_SERVICE,
-            chk::MEM_DONE,
-            chk::DATA_AT_BANK,
-            chk::RETIRE,
-            chk::FLIT_ENTER,
-            chk::FLIT_EXIT,
-            "bogus",
-            "",
-        ];
-        const CATS: [&str; 3] = [chk::CAT_REQ, chk::CAT_LINK, "ndc"];
+    /// Corrupt a stream: drop, duplicate, swap and move records,
+    /// re-tag them among the nine kinds (which moves a record between
+    /// the request and link halves of the contract), give them sparse
+    /// ids up to `u32::MAX`, and shift their timestamps.
+    fn mutate(rng: &mut SplitMix64, evs: &mut Vec<CheckRecord>) {
         for _ in 0..rng.below(8) {
             if evs.is_empty() {
                 return;
             }
             let n = evs.len() as u64;
             let i = rng.below(n) as usize;
-            match rng.below(8) {
+            match rng.below(7) {
                 0 => {
                     evs.remove(i);
                 }
@@ -852,9 +815,8 @@ mod tests {
                     let ev = evs.remove(i);
                     evs.insert(rng.below(n) as usize, ev);
                 }
-                4 => evs[i].name = *rng.choose(&NAMES),
-                5 => evs[i].cat = *rng.choose(&CATS),
-                6 => {
+                4 => evs[i].kind = *rng.choose(&CheckKind::ALL),
+                5 => {
                     let near = rng.below(3) as u32;
                     let ids = [
                         u32::MAX,
@@ -863,12 +825,7 @@ mod tests {
                         n as u32 - 1,
                         n as u32 + near,
                     ];
-                    let id = *rng.choose(&ids);
-                    if rng.chance(0.5) {
-                        evs[i].pid = id;
-                    } else {
-                        evs[i].tid = id;
-                    }
+                    evs[i].id = *rng.choose(&ids);
                 }
                 _ => evs[i].ts = rng.below(220),
             }

@@ -37,6 +37,15 @@ impl RowOutcome {
             RowOutcome::Conflict => "conflict",
         }
     }
+
+    /// Label of the DRAM leaf in a request's span tree: `dram:<label>`.
+    pub fn span_label(self) -> &'static str {
+        match self {
+            RowOutcome::Hit => "dram:hit",
+            RowOutcome::Miss => "dram:miss",
+            RowOutcome::Conflict => "dram:conflict",
+        }
+    }
 }
 
 /// Timing record of one memory-controller access.
@@ -292,6 +301,9 @@ mod tests {
         assert_eq!(RowOutcome::Hit.label(), "hit");
         assert_eq!(RowOutcome::Miss.label(), "miss");
         assert_eq!(RowOutcome::Conflict.label(), "conflict");
+        for row in [RowOutcome::Hit, RowOutcome::Miss, RowOutcome::Conflict] {
+            assert_eq!(row.span_label(), format!("dram:{}", row.label()));
+        }
     }
 
     #[test]

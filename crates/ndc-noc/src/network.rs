@@ -13,7 +13,7 @@
 //! between their entry times.
 
 use crate::mesh::{LinkId, Mesh};
-use ndc_types::{Cycle, Divisor, NodeId, WindowHistogram};
+use ndc_types::{CheckKind, CheckRecord, Cycle, Divisor, NodeId, WindowHistogram};
 
 /// Timestamp record for one link of a traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +79,11 @@ pub struct Network {
     /// Per-link telemetry; `None` (the default) keeps `traverse` on its
     /// original path apart from one branch.
     obs: Option<Vec<LinkObs>>,
-    /// Flit-level occupancy log for the invariant checker: one
-    /// `(link, enter, exit)` tuple per hop of every traversal, in
-    /// traversal order. `None` (the default) costs one branch.
-    check_log: Option<Vec<(LinkId, Cycle, Cycle)>>,
+    /// Flit-level occupancy log for the invariant checker: a
+    /// `FlitEnter` and a `FlitExit` check record per hop of every
+    /// traversal, in traversal order (the `ndc_obs::chk` contract).
+    /// `None` (the default) costs one branch.
+    check_log: Option<Vec<CheckRecord>>,
 }
 
 impl Network {
@@ -126,13 +127,13 @@ impl Network {
         }
     }
 
-    /// The flit log, if enabled: `(link, enter, exit)` per hop.
-    pub fn check_log(&self) -> Option<&[(LinkId, Cycle, Cycle)]> {
+    /// The flit log, if enabled: an enter/exit record pair per hop.
+    pub fn check_log(&self) -> Option<&[CheckRecord]> {
         self.check_log.as_deref()
     }
 
     /// Drain the flit log (leaves logging enabled).
-    pub fn take_check_log(&mut self) -> Vec<(LinkId, Cycle, Cycle)> {
+    pub fn take_check_log(&mut self) -> Vec<CheckRecord> {
         self.check_log
             .as_mut()
             .map(std::mem::take)
@@ -172,7 +173,8 @@ impl Network {
                     lo.queue_delay.record(Some(enter - t));
                 }
                 if let Some(log) = &mut self.check_log {
-                    log.push((l, enter, exit));
+                    log.push(CheckRecord::new(CheckKind::FlitEnter, l.0, enter));
+                    log.push(CheckRecord::new(CheckKind::FlitExit, l.0, exit));
                 }
                 if let Some(out) = out.as_deref_mut() {
                     out.push(LinkTraversal {
@@ -393,19 +395,22 @@ mod tests {
         // observation-only.
         assert_eq!(rec.arrived, 109);
         let log = n.check_log().unwrap();
-        assert_eq!(log.len(), 3);
-        for (hop, &(link, enter, exit)) in log.iter().enumerate() {
-            assert_eq!(link, links[hop].link);
-            assert_eq!(enter, links[hop].enter);
-            assert_eq!(exit, links[hop].exit);
-            assert!(enter <= exit);
+        assert_eq!(log.len(), 6);
+        for (pair, hop) in log.chunks(2).zip(&links) {
+            let id = hop.link.0;
+            assert_eq!(
+                pair[0],
+                CheckRecord::new(CheckKind::FlitEnter, id, hop.enter)
+            );
+            assert_eq!(pair[1], CheckRecord::new(CheckKind::FlitExit, id, hop.exit));
+            assert!(hop.enter <= hop.exit);
         }
-        assert_eq!(n.take_check_log().len(), 3);
+        assert_eq!(n.take_check_log().len(), 6);
         assert_eq!(n.check_log().unwrap().len(), 0);
         // Logging does not depend on the caller keeping records.
         let mesh = n.mesh().clone();
         n.traverse(mesh.xy_links(s, d), 0, 16, None);
-        assert_eq!(n.check_log().unwrap().len(), 3);
+        assert_eq!(n.check_log().unwrap().len(), 6);
         n.reset();
         assert!(n.check_log().unwrap().is_empty());
     }

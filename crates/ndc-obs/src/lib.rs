@@ -122,33 +122,30 @@ impl CheckLevel {
     }
 }
 
-/// The check-event contract shared by the emitter (`ndc-sim`) and the
-/// validator (`ndc-check`).
+/// The check-event contract shared by the emitters (`ndc-sim`'s
+/// `CheckRecorder` and `ndc-noc`'s flit log) and the validator
+/// (`ndc-check`).
 ///
-/// Request-path events (`CAT_REQ`) carry the request id in `pid` and
-/// appear in emission order per request:
-/// `issue → [l2_req] → [mem_queue → mem_service → mem_done] →
-/// [data_at_bank] → retire`, with non-decreasing `ts`. Link events
-/// (`CAT_LINK`) carry the link id in `tid` and the request id in `pid`;
-/// one `flit_enter` (ts = slot entry) and one `flit_exit` (ts = slot
-/// exit) per link traversal, so per-link occupancy computed from the
-/// pair sweep is non-negative and drains to zero.
+/// The stream is a `Vec` of 16-byte [`chk::CheckRecord`]s, each
+/// carrying exactly three fields: its [`chk::CheckKind`] (one byte),
+/// one `u32` id, and the timestamp `ts` in simulated cycles.
+///
+/// - **Request-path records** (`Issue` … `Retire`): `id` is the request
+///   id, numbered densely from 0 in recording order. Each request's
+///   records appear in path order,
+///   `Issue → [L2Req] → [MemQueue → MemService → MemDone] →
+///   [DataAtBank] → Retire`, with non-decreasing `ts`.
+/// - **Flit records** (`FlitEnter`, `FlitExit`): `id` is the link id.
+///   Each link traversal writes one `FlitEnter` (`ts` = slot entry)
+///   directly followed by its `FlitExit` (`ts` = exit from the
+///   downstream router), so per-link occupancy computed from the pair
+///   sweep is non-negative and drains to zero.
+///
+/// Every request-path record precedes every flit record. Neither kind
+/// records the issuing core, the requester of a flit or a duration:
+/// no invariant reads them.
 pub mod chk {
-    /// Category of request-path events.
-    pub const CAT_REQ: &str = "chk:req";
-    /// Category of per-link flit occupancy events.
-    pub const CAT_LINK: &str = "chk:link";
-
-    pub const ISSUE: &str = "issue";
-    pub const L2_REQ: &str = "l2_req";
-    pub const MEM_QUEUE: &str = "mem_queue";
-    pub const MEM_SERVICE: &str = "mem_service";
-    pub const MEM_DONE: &str = "mem_done";
-    pub const DATA_AT_BANK: &str = "data_at_bank";
-    pub const RETIRE: &str = "retire";
-
-    pub const FLIT_ENTER: &str = "flit_enter";
-    pub const FLIT_EXIT: &str = "flit_exit";
+    pub use ndc_types::check::{CheckKind, CheckRecord};
 }
 
 /// One node in a [`Metrics`] tree.
@@ -296,14 +293,14 @@ impl Metrics {
     }
 }
 
-/// One trace event: a named duration on a simulated timeline.
+/// One trace-ring event: a named duration on a simulated timeline.
 ///
 /// `pid`/`tid` map to Chrome-trace process/thread rows; we use pid for
 /// the run (benchmark × scheme) and tid for the simulated core or
 /// component lane. Every name the simulator emits comes from a finite
-/// set (the [`chk`] constants and the engines' static trace-name
-/// tables), so an event is a plain `Copy` value and recording one
-/// never allocates.
+/// set (the engine's static trace-name tables), so an event is a plain
+/// `Copy` value and recording one never allocates. The invariant
+/// checker's stream uses the smaller [`chk::CheckRecord`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     pub name: &'static str,
@@ -408,47 +405,6 @@ impl ObsSink for RingSink {
             }
         }
         self.events.push_back(ev);
-    }
-}
-
-/// An unbounded event sink: keeps everything, in record order. Used by
-/// the invariant checker, which needs the *complete* stream — a ring
-/// that drops its oldest events would turn every long run into a false
-/// "request never retired" violation.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    events: Vec<Event>,
-}
-
-impl VecSink {
-    pub fn new() -> VecSink {
-        VecSink::default()
-    }
-
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl ObsSink for VecSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ev: Event) {
-        self.events.push(ev);
     }
 }
 
@@ -663,19 +619,5 @@ mod tests {
         assert!(CheckLevel::full().invariants);
         assert!(CheckLevel::full().any());
         assert_eq!(CheckLevel::default(), CheckLevel::off());
-    }
-
-    #[test]
-    fn vec_sink_keeps_everything_in_order() {
-        let mut s = VecSink::new();
-        assert!(s.enabled());
-        assert!(s.is_empty());
-        for i in 0..10 {
-            s.record(ev("e", i));
-        }
-        assert_eq!(s.len(), 10);
-        let ts: Vec<Cycle> = s.events().iter().map(|e| e.ts).collect();
-        assert_eq!(ts, (0..10).collect::<Vec<_>>());
-        assert_eq!(s.into_events().len(), 10);
     }
 }

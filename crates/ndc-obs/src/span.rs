@@ -13,12 +13,16 @@
 //! the recorder closes gaps with explicit residue leaves labelled
 //! [`QUEUE`] or [`STALL`] via [`Span::fill_residue`].
 //!
+//! Labels are [`Label`]s — a static name or a link id — so building a
+//! tree allocates only its child lists.
+//!
 //! Sampling ([`SpanSampler`]) is a pure function of the request id and
 //! a seed — never of thread, wall clock, or iteration order — so the
 //! set of sampled requests (and therefore the rendered traces) is
 //! byte-identical at any `NDC_THREADS`.
 
 use ndc_types::{Cycle, SplitMix64};
+use std::fmt;
 
 /// Residue label for time spent waiting behind earlier traffic
 /// (link queues, MC queues, DRAM bank contention).
@@ -27,20 +31,51 @@ pub const QUEUE: &str = "queue";
 /// progressing (e.g. the core stalled on an in-flight line).
 pub const STALL: &str = "stall";
 
+/// A span's label: a fixed segment name (`l1`, `noc:req`, `dram:hit`,
+/// `ndc@cache`, …) or one hop on a link, rendered `link:<id>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Label {
+    Name(&'static str),
+    Link(u32),
+}
+
+impl Label {
+    /// The segment [`decompose`] groups this label under: the name
+    /// itself, or `link` for every hop.
+    pub(crate) fn segment(self) -> &'static str {
+        match self {
+            Label::Name(name) => name,
+            Label::Link(_) => "link",
+        }
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(name: &'static str) -> Label {
+        Label::Name(name)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Name(name) => f.write_str(name),
+            Label::Link(id) => write!(f, "link:{id}"),
+        }
+    }
+}
+
 /// One labelled interval in a span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Segment label. Instance suffixes go after a `:`; a numeric
-    /// suffix (`link:14`) is stripped by [`decompose`], a symbolic one
-    /// (`dram:hit`) is kept.
-    pub label: String,
+    pub label: Label,
     pub start: Cycle,
     pub end: Cycle,
     pub children: Vec<Span>,
 }
 
 impl Span {
-    pub fn new(label: impl Into<String>, start: Cycle, end: Cycle) -> Span {
+    pub fn new(label: impl Into<Label>, start: Cycle, end: Cycle) -> Span {
         Span {
             label: label.into(),
             start,
@@ -60,32 +95,35 @@ impl Span {
     }
 
     /// Convenience: append a leaf child.
-    pub fn leaf(&mut self, label: impl Into<String>, start: Cycle, end: Cycle) {
+    pub fn leaf(&mut self, label: impl Into<Label>, start: Cycle, end: Cycle) {
         self.push(Span::new(label, start, end));
     }
 
     /// Close every gap at this level with residue leaves labelled
     /// `residue`, so the children exactly partition `[start, end)`.
-    /// Zero-length gaps produce no span. Does not recurse: each level
+    /// Zero-length gaps produce no span. Works in place: a level
+    /// without gaps is left untouched, and each residue is inserted
+    /// before the child it precedes. Does not recurse: each level
     /// chooses its own residue label (`queue` inside the NoC and MC,
     /// `stall` at the request root).
-    pub fn fill_residue(&mut self, residue: &str) {
+    pub fn fill_residue(&mut self, residue: &'static str) {
         if self.children.is_empty() {
             return;
         }
-        let mut filled = Vec::with_capacity(self.children.len());
         let mut cursor = self.start;
-        for child in self.children.drain(..) {
-            if child.start > cursor {
-                filled.push(Span::new(residue, cursor, child.start));
+        let mut i = 0;
+        while i < self.children.len() {
+            let (start, end) = (self.children[i].start, self.children[i].end);
+            if start > cursor {
+                self.children.insert(i, Span::new(residue, cursor, start));
+                i += 1;
             }
-            cursor = child.end;
-            filled.push(child);
+            cursor = end;
+            i += 1;
         }
         if cursor < self.end {
-            filled.push(Span::new(residue, cursor, self.end));
+            self.children.push(Span::new(residue, cursor, self.end));
         }
-        self.children = filled;
     }
 
     /// Recursively verify the exact-partition contract. Returns a
@@ -183,25 +221,14 @@ impl SpanSampler {
     }
 }
 
-/// The segment a leaf label belongs to: the label with a trailing
-/// *numeric* instance suffix stripped (`link:14` → `link`), symbolic
-/// suffixes kept (`dram:hit` stays `dram:hit`).
-pub fn segment_of(label: &str) -> &str {
-    match label.rsplit_once(':') {
-        Some((head, tail)) if tail.bytes().all(|b| b.is_ascii_digit()) && !tail.is_empty() => head,
-        _ => label,
-    }
-}
-
-/// Sum leaf durations across traces, grouped by [`segment_of`] the
-/// leaf label. Output is sorted by segment name (deterministic).
-pub fn decompose(traces: &[SpanTrace]) -> Vec<(String, Cycle)> {
-    let mut by_seg = std::collections::BTreeMap::<String, Cycle>::new();
+/// Sum leaf durations across traces, grouped by segment: a leaf's
+/// name, or `link` for every hop. Output is sorted by segment name
+/// (deterministic).
+pub fn decompose(traces: &[SpanTrace]) -> Vec<(&'static str, Cycle)> {
+    let mut by_seg = std::collections::BTreeMap::<&'static str, Cycle>::new();
     for t in traces {
         t.root.for_each_leaf(&mut |leaf| {
-            *by_seg
-                .entry(segment_of(&leaf.label).to_string())
-                .or_insert(0) += leaf.dur();
+            *by_seg.entry(leaf.label.segment()).or_insert(0) += leaf.dur();
         });
     }
     by_seg.into_iter().collect()
@@ -257,8 +284,8 @@ mod tests {
         s.leaf("l2", 120, 130); // gap 104..120
         s.fill_residue(STALL); // and tail gap 130..160
         assert_eq!(s.partition_violation(), None);
-        let labels: Vec<&str> = s.children.iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(labels, ["l1", STALL, "l2", STALL]);
+        let labels: Vec<Label> = s.children.iter().map(|c| c.label).collect();
+        assert_eq!(labels, ["l1", STALL, "l2", STALL].map(Label::Name));
         let total: Cycle = s.children.iter().map(Span::dur).sum();
         assert_eq!(total, s.dur());
     }
@@ -271,6 +298,44 @@ mod tests {
         s.fill_residue(QUEUE);
         assert_eq!(s.children.len(), 2);
         assert_eq!(s.partition_violation(), None);
+    }
+
+    /// The fill `fill_residue` replaced, which rebuilt the child list.
+    fn rebuilt_fill(span: &Span, residue: &'static str) -> Vec<Span> {
+        let mut filled = Vec::new();
+        let mut cursor = span.start;
+        for child in &span.children {
+            if child.start > cursor {
+                filled.push(Span::new(residue, cursor, child.start));
+            }
+            cursor = child.end;
+            filled.push(child.clone());
+        }
+        if cursor < span.end && !span.children.is_empty() {
+            filled.push(Span::new(residue, cursor, span.end));
+        }
+        filled
+    }
+
+    #[test]
+    fn fill_residue_in_place_equals_the_rebuilt_list() {
+        for case in 0..256u64 {
+            let mut rng = SplitMix64::new(0x5eed_0000 + case);
+            let start = rng.below(50);
+            let mut s = Span::new("req", start, start + rng.below(120));
+            // Children in time order, with gaps, abutting and the odd
+            // overlap.
+            let mut t = start;
+            for _ in 0..rng.below(8) {
+                let a = (t + rng.below(12)).saturating_sub(rng.below(3));
+                let b = a + rng.below(15);
+                s.leaf(Label::Link(rng.below(80) as u32), a, b);
+                t = b;
+            }
+            let want = rebuilt_fill(&s, QUEUE);
+            s.fill_residue(QUEUE);
+            assert_eq!(s.children, want, "case {case}");
+        }
     }
 
     #[test]
@@ -286,7 +351,7 @@ mod tests {
 
         let mut nested = Span::new("req", 0, 10);
         let mut mid = Span::new("noc", 0, 10);
-        mid.leaf("link:0", 0, 4); // inner gap 4..10
+        mid.leaf(Label::Link(0), 0, 4); // inner gap 4..10
         nested.push(mid);
         assert!(nested.partition_violation().is_some());
     }
@@ -306,12 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn segments_strip_numeric_suffixes_only() {
-        assert_eq!(segment_of("link:14"), "link");
-        assert_eq!(segment_of("dram:hit"), "dram:hit");
-        assert_eq!(segment_of("l1"), "l1");
-        assert_eq!(segment_of("ndc:gather"), "ndc:gather");
-        assert_eq!(segment_of("x:"), "x:");
+    fn labels_render_and_group_by_segment() {
+        assert_eq!(Label::Link(14).to_string(), "link:14");
+        assert_eq!(Label::Link(14).segment(), "link");
+        assert_eq!(Label::from("dram:hit").to_string(), "dram:hit");
+        assert_eq!(Label::from("dram:hit").segment(), "dram:hit");
+        assert_eq!(Label::from("ndc:gather").segment(), "ndc:gather");
     }
 
     #[test]
@@ -319,21 +384,13 @@ mod tests {
         let mut root = Span::new("req", 0, 20);
         root.leaf("l1", 0, 4);
         let mut noc = Span::new("noc:req", 4, 16);
-        noc.leaf("link:0", 4, 7);
-        noc.leaf("link:5", 7, 12);
+        noc.leaf(Label::Link(0), 4, 7);
+        noc.leaf(Label::Link(5), 7, 12);
         noc.leaf(QUEUE, 12, 16);
         root.push(noc);
         root.leaf("l2", 16, 20);
         let d = decompose(&[trace(root)]);
-        assert_eq!(
-            d,
-            vec![
-                ("l1".to_string(), 4),
-                ("l2".to_string(), 4),
-                ("link".to_string(), 8),
-                (QUEUE.to_string(), 4),
-            ]
-        );
+        assert_eq!(d, vec![("l1", 4), ("l2", 4), ("link", 8), (QUEUE, 4)]);
         // Leaf segments account for the whole request.
         let total: Cycle = d.iter().map(|(_, c)| *c).sum();
         assert_eq!(total, 20);
@@ -343,7 +400,7 @@ mod tests {
     fn render_tree_is_indented_and_complete() {
         let mut root = Span::new("req", 0, 10);
         let mut noc = Span::new("noc:req", 0, 10);
-        noc.leaf("link:3", 0, 10);
+        noc.leaf(Label::Link(3), 0, 10);
         root.push(noc);
         let text = render_tree(&trace(root));
         assert_eq!(

@@ -20,8 +20,10 @@ use crate::schemes::{
 use crate::stats::SimResult;
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::{Span, SpanTrace};
-use ndc_obs::{chk, CheckLevel, Event, Metrics, NullSink, ObsLevel, ObsSink, RingSink};
-use ndc_types::{Addr, ArchConfig, Cycle, InstKind, NodeId, Op, Operand, Pc, TraceProgram};
+use ndc_obs::{CheckLevel, Event, Metrics, NullSink, ObsLevel, ObsSink, RingSink};
+use ndc_types::{
+    Addr, ArchConfig, CheckRecord, Cycle, InstKind, NodeId, Op, Operand, Pc, TraceProgram,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -216,12 +218,12 @@ struct Offload {
 
 /// Raw material for the `ndc-check` invariant checker, collected when
 /// the run had `CheckLevel::full()`: the complete check-event stream
-/// (`chk:req` request paths, then `chk:link` flit pairs) plus the DRAM
-/// accounting totals that live outside `SimResult`.
+/// (request-path records, then flit records) plus the DRAM accounting
+/// totals that live outside `SimResult`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckData {
-    /// `ndc_obs::chk` events: every request path and flit traversal.
-    pub events: Vec<Event>,
+    /// The `ndc_obs::chk` stream: every request path and flit traversal.
+    pub events: Vec<CheckRecord>,
     /// Requests serviced across all memory controllers.
     pub dram_requests: u64,
     /// Row-buffer outcomes tallied across all memory controllers
@@ -238,36 +240,15 @@ pub struct CheckData {
 
 impl CheckData {
     /// Collect a finished run's check data from its machine: the
-    /// recorded request paths, then one `flit_enter`/`flit_exit` pair
-    /// per logged link traversal, written into space reserved once for
-    /// the whole log.
+    /// recorded request paths followed by the network's flit log, both
+    /// already in record form.
     fn collect(machine: &mut Machine) -> CheckData {
         let mut events = machine
             .chk
             .take()
-            .map(CheckRecorder::into_events)
+            .map(CheckRecorder::into_records)
             .unwrap_or_default();
-        let log = machine.net.take_check_log();
-        events.reserve_exact(2 * log.len());
-        for (link, enter, exit) in log {
-            let tid = link.index() as u32;
-            events.push(Event {
-                name: chk::FLIT_ENTER,
-                cat: chk::CAT_LINK,
-                ts: enter,
-                dur: exit - enter,
-                pid: 0,
-                tid,
-            });
-            events.push(Event {
-                name: chk::FLIT_EXIT,
-                cat: chk::CAT_LINK,
-                ts: exit,
-                dur: 0,
-                pid: 0,
-                tid,
-            });
-        }
+        events.append(&mut machine.net.take_check_log());
         CheckData {
             events,
             dram_requests: machine.mcs.iter().map(|m| m.stats.requests).sum(),
@@ -1176,16 +1157,21 @@ fn record_offload(
             // reconstruct the resolve timing exactly (`op_done` = last
             // arrival + `exec_cycles`, `wait` = arrival spread), so the
             // children tile `[issue, result_at_core)` with no residue.
+            // Every offload takes an id; only a sampled one builds its
+            // tree.
             if let Some(spans) = &mut machine.spans {
-                let exec = op_done - exec_cycles;
-                let first_arrival = exec - wait;
-                let label = format!("ndc@{}", loc.paper_label());
-                let mut root = Span::new(label, off.issue, result_at_core);
-                root.leaf("ndc:gather", off.issue, first_arrival);
-                root.leaf("ndc:wait", first_arrival, exec);
-                root.leaf("ndc:exec", exec, op_done);
-                root.leaf("noc:feed", op_done, result_at_core);
-                spans.record_span(off.c as u32, root);
+                if let Some(id) = spans.sample() {
+                    let exec = op_done - exec_cycles;
+                    let first_arrival = exec - wait;
+                    // Labelled `ndc@<loc>` whatever the op count: the
+                    // one-op trace name.
+                    let mut root = Span::new(loc.trace_name(1), off.issue, result_at_core);
+                    root.leaf("ndc:gather", off.issue, first_arrival);
+                    root.leaf("ndc:wait", first_arrival, exec);
+                    root.leaf("ndc:exec", exec, op_done);
+                    root.leaf("noc:feed", op_done, result_at_core);
+                    spans.record_span(id, off.c as u32, 0, root);
+                }
             }
             event(loc.trace_name(off.n_ops), result_at_core);
         }
@@ -1260,7 +1246,7 @@ pub fn simulate(cfg: ArchConfig, prog: &TraceProgram, scheme: Scheme) -> EngineO
 mod tests {
     use super::*;
     use crate::schemes::WaitBudget;
-    use ndc_types::{Inst, Op, Trace};
+    use ndc_types::{CheckKind, Inst, Op, Trace};
 
     fn cfg() -> ArchConfig {
         ArchConfig::paper_default()
@@ -1491,14 +1477,14 @@ mod tests {
         let ndc = out
             .spans
             .iter()
-            .find(|t| t.root.label.starts_with("ndc@"))
+            .find(|t| t.root.label.to_string().starts_with("ndc@"))
             .expect("fused offload span");
         assert_eq!(ndc.root.partition_violation(), None);
         let exec = ndc
             .root
             .children
             .iter()
-            .find(|s| s.label == "ndc:exec")
+            .find(|s| s.label == "ndc:exec".into())
             .expect("exec leaf");
         assert_eq!(exec.dur(), 2);
     }
@@ -1751,22 +1737,14 @@ mod tests {
         let data = checked.check.expect("check enabled");
         assert!(!data.events.is_empty());
         // Every issued request retires, in the raw stream.
-        let issues = data.events.iter().filter(|e| e.name == chk::ISSUE).count();
-        let retires = data.events.iter().filter(|e| e.name == chk::RETIRE).count();
+        let count = |kind| data.events.iter().filter(|e| e.kind == kind).count();
+        let issues = count(CheckKind::Issue);
         assert!(issues > 0);
-        assert_eq!(issues, retires);
+        assert_eq!(issues, count(CheckKind::Retire));
         // Flit pairs are balanced and DRAM outcomes account for every
         // request.
-        let enters = data
-            .events
-            .iter()
-            .filter(|e| e.name == chk::FLIT_ENTER)
-            .count();
-        let exits = data
-            .events
-            .iter()
-            .filter(|e| e.name == chk::FLIT_EXIT)
-            .count();
+        let enters = count(CheckKind::FlitEnter);
+        let exits = count(CheckKind::FlitExit);
         assert!(enters > 0);
         assert_eq!(enters, exits);
         assert_eq!(data.dram_requests, data.dram_outcomes);
@@ -1843,7 +1821,7 @@ mod tests {
         assert!(spanned
             .spans
             .iter()
-            .any(|t| t.root.label.starts_with("ndc@")));
+            .any(|t| t.root.label.to_string().starts_with("ndc@")));
     }
 
     #[test]

@@ -12,9 +12,8 @@
 use ndc_mem::{AccessOutcome, Directory, MemoryController, RowOutcome, SetAssocCache};
 use ndc_noc::{LinkId, LinkTraversal, Mesh, Network, Traversal};
 use ndc_obs::ledger::AttributionLedger;
-use ndc_obs::span::{Span, SpanSampler, SpanTrace, QUEUE, STALL};
-use ndc_obs::{chk, Event};
-use ndc_types::{Addr, AddrMap, ArchConfig, Coord, Cycle, NodeId};
+use ndc_obs::span::{Label, Span, SpanSampler, SpanTrace, QUEUE, STALL};
+use ndc_types::{Addr, AddrMap, ArchConfig, CheckKind, CheckRecord, Coord, Cycle, NodeId};
 
 /// Size in bytes of a request message (address + command).
 pub const REQ_BYTES: u64 = 16;
@@ -168,43 +167,35 @@ pub enum AccessIntent {
 
 /// Records the request-path half of the check-event contract
 /// (`ndc_obs::chk`): each completed [`AccessPath`] becomes one freshly
-/// numbered request whose presence timestamps are replayed as
-/// `chk:req` events in path order. The invariant checker later asserts
-/// each request id retires exactly once with monotonic timestamps.
+/// numbered request whose presence timestamps are replayed as check
+/// records in path order. The invariant checker later asserts each
+/// request id retires exactly once with monotonic timestamps.
 #[derive(Debug, Default)]
 pub struct CheckRecorder {
-    events: Vec<Event>,
+    records: Vec<CheckRecord>,
     next_id: u32,
 }
 
 impl CheckRecorder {
-    fn push(&mut self, name: &'static str, ts: Cycle, pid: u32, tid: u32) {
-        self.events.push(Event {
-            name,
-            cat: chk::CAT_REQ,
-            ts,
-            dur: 0,
-            pid,
-            tid,
-        });
+    fn push(&mut self, kind: CheckKind, ts: Cycle, id: u32) {
+        self.records.push(CheckRecord::new(kind, id, ts));
     }
 
-    /// Replay one access's presence timestamps as check events.
+    /// Replay one access's presence timestamps as check records.
     pub fn record_path(&mut self, path: &AccessPath) {
         let id = self.next_id;
         self.next_id += 1;
-        let core = path.core.index() as u32;
-        self.push(chk::ISSUE, path.issued, id, core);
+        self.push(CheckKind::Issue, path.issued, id);
         if let Some(l2) = &path.l2 {
-            self.push(chk::L2_REQ, l2.req_arrival, id, core);
+            self.push(CheckKind::L2Req, l2.req_arrival, id);
             if let Some(mem) = &path.mem {
-                self.push(chk::MEM_QUEUE, mem.queue_enter, id, core);
-                self.push(chk::MEM_SERVICE, mem.service_start, id, core);
-                self.push(chk::MEM_DONE, mem.completion, id, core);
+                self.push(CheckKind::MemQueue, mem.queue_enter, id);
+                self.push(CheckKind::MemService, mem.service_start, id);
+                self.push(CheckKind::MemDone, mem.completion, id);
             }
-            self.push(chk::DATA_AT_BANK, l2.data_at_bank, id, core);
+            self.push(CheckKind::DataAtBank, l2.data_at_bank, id);
         }
-        self.push(chk::RETIRE, path.completion, id, core);
+        self.push(CheckKind::Retire, path.completion, id);
     }
 
     /// Requests recorded so far.
@@ -212,12 +203,12 @@ impl CheckRecorder {
         self.next_id
     }
 
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    pub fn records(&self) -> &[CheckRecord] {
+        &self.records
     }
 
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
+    pub fn into_records(self) -> Vec<CheckRecord> {
+        self.records
     }
 }
 
@@ -250,6 +241,16 @@ impl SpanRecorder {
         }
     }
 
+    /// Take the next request id, returning it if the id is sampled.
+    /// Every request and every performed NDC offload takes one id, in
+    /// issue order, so the sampled set does not depend on which trees
+    /// get built; a caller builds a tree only for a returned id.
+    pub(crate) fn sample(&mut self) -> Option<u64> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.sampler.keep(id).then_some(id)
+    }
+
     /// Turn one access path into a span tree, if its id is sampled.
     ///
     /// Construction mirrors the timing chain of
@@ -259,11 +260,9 @@ impl SpanRecorder {
     /// level tiles its parent with only labelled `queue`/`stall`
     /// residue (the invariant `ndc-check` asserts).
     pub fn record_path(&mut self, path: &AccessPath) {
-        let id = self.next_id;
-        self.next_id += 1;
-        if !self.sampler.keep(id) {
+        let Some(id) = self.sample() else {
             return;
-        }
+        };
         let mut root = Span::new("req", path.issued, path.completion);
         if path.l1_hit {
             root.leaf("l1", path.issued, path.completion);
@@ -287,11 +286,7 @@ impl SpanRecorder {
                         path.mc_links(),
                     );
                     let mut mc = Span::new("mc", mem.queue_enter, mem.completion);
-                    mc.leaf(
-                        format!("dram:{}", mem.row.label()),
-                        mem.service_start,
-                        mem.completion,
-                    );
+                    mc.leaf(mem.row.span_label(), mem.service_start, mem.completion);
                     mc.fill_residue(QUEUE);
                     root.push(mc);
                     push_noc_span(
@@ -317,30 +312,19 @@ impl SpanRecorder {
         }
         // The chain above is gap-free by construction; any residue an
         // edge case leaves is attributed explicitly, never lost.
-        root.fill_residue(STALL);
-        self.traces.push(SpanTrace {
-            id,
-            core: path.core.index() as u32,
-            addr: path.addr,
-            root,
-        });
+        self.record_span(id, path.core.index() as u32, path.addr, root);
     }
 
-    /// Record one NDC execution as a pre-built root span (the engine
-    /// owns offload timing; the recorder owns ids and sampling). The
-    /// span is sampled under the same id space as memory requests.
-    pub fn record_span(&mut self, core: u32, root: Span) {
-        let id = self.next_id;
-        self.next_id += 1;
-        if !self.sampler.keep(id) {
-            return;
-        }
-        let mut root = root;
+    /// Record the tree of sampled id `id` (from [`SpanRecorder::sample`]):
+    /// a memory request's, or an NDC execution's (the engine owns
+    /// offload timing; the recorder owns ids and sampling, and an
+    /// offload's `addr` is 0). Gaps at the root become `stall` residue.
+    pub(crate) fn record_span(&mut self, id: u64, core: u32, addr: u64, mut root: Span) {
         root.fill_residue(STALL);
         self.traces.push(SpanTrace {
             id,
             core,
-            addr: 0,
+            addr,
             root,
         });
     }
@@ -364,7 +348,7 @@ impl SpanRecorder {
 /// (zero-hop routes) are skipped entirely.
 fn push_noc_span(
     parent: &mut Span,
-    label: &str,
+    label: &'static str,
     start: Cycle,
     end: Cycle,
     links: &[LinkTraversal],
@@ -374,7 +358,7 @@ fn push_noc_span(
     }
     let mut noc = Span::new(label, start, end);
     for l in links {
-        noc.leaf(format!("link:{}", l.link.index()), l.enter, l.exit);
+        noc.leaf(Label::Link(l.link.0), l.enter, l.exit);
     }
     noc.fill_residue(QUEUE);
     parent.push(noc);
@@ -446,8 +430,8 @@ impl Machine {
     }
 
     /// Switch on check-event recording (idempotent): every access path
-    /// is replayed into the `chk:req` stream and the network's flit log
-    /// starts collecting `chk:link` pairs.
+    /// is replayed as request-path check records and the network's flit
+    /// log starts collecting enter/exit record pairs.
     pub fn enable_check(&mut self) {
         if self.chk.is_none() {
             self.chk = Some(CheckRecorder::default());
@@ -950,18 +934,21 @@ mod tests {
         );
         let rec = m.chk.as_ref().unwrap();
         assert_eq!(rec.requests(), 2);
-        let evs = rec.events();
-        assert_eq!(evs[0].name, chk::ISSUE);
-        assert_eq!(evs[0].pid, 0);
-        let retire0 = evs.iter().position(|e| e.name == chk::RETIRE).unwrap();
+        let evs = rec.records();
+        assert_eq!(evs[0].kind, CheckKind::Issue);
+        assert_eq!(evs[0].id, 0);
+        let retire0 = evs
+            .iter()
+            .position(|e| e.kind == CheckKind::Retire)
+            .unwrap();
         // Monotonic along the first request's path.
         for w in evs[..=retire0].windows(2) {
             assert!(w[0].ts <= w[1].ts, "{w:?}");
         }
         // Second request: fresh id, issue then retire only.
-        assert_eq!(evs[retire0 + 1].name, chk::ISSUE);
-        assert_eq!(evs[retire0 + 1].pid, 1);
-        assert_eq!(evs.last().unwrap().name, chk::RETIRE);
+        assert_eq!(evs[retire0 + 1].kind, CheckKind::Issue);
+        assert_eq!(evs[retire0 + 1].id, 1);
+        assert_eq!(evs.last().unwrap().kind, CheckKind::Retire);
         // The network flit log is on too.
         assert!(!m.net.check_log().unwrap().is_empty());
     }
@@ -990,11 +977,11 @@ mod tests {
         let full = &rec.traces()[0];
         assert_eq!(full.root.start, cold.issued);
         assert_eq!(full.root.end, cold.completion);
-        let labels: Vec<&str> = full
+        let labels: Vec<String> = full
             .root
             .children
             .iter()
-            .map(|c| c.label.as_str())
+            .map(|c| c.label.to_string())
             .collect();
         assert_eq!(
             labels,
@@ -1010,14 +997,21 @@ mod tests {
             ]
         );
         let mc = &full.root.children[4];
-        assert!(mc.children.iter().any(|c| c.label.starts_with("dram:")));
+        assert!(mc
+            .children
+            .iter()
+            .any(|c| c.label.to_string().starts_with("dram:")));
         // The L1 hit is one leaf covering the whole request.
         let hit = &rec.traces()[1];
         assert_eq!(hit.root.children.len(), 1);
-        assert_eq!(hit.root.children[0].label, "l1");
+        assert_eq!(hit.root.children[0].label, Label::Name("l1"));
         // NearData ends at the bank: no reply leg.
         let near = &rec.traces()[2];
-        assert!(!near.root.children.iter().any(|c| c.label == "noc:reply"));
+        assert!(!near
+            .root
+            .children
+            .iter()
+            .any(|c| c.label == Label::Name("noc:reply")));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! This crate defines the types every other crate in the workspace speaks:
 //! cycle timestamps, physical addresses, mesh coordinates, arithmetic/logic
 //! operations, the architecture configuration mirroring Table 1 of the
-//! paper, the trace instruction set the simulator executes, and the
-//! bucketed statistics (arrival-window CDFs) used throughout the
-//! evaluation.
+//! paper, the trace instruction set the simulator executes, the
+//! check-event record its invariant checker reads, and the bucketed
+//! statistics (arrival-window CDFs) used throughout the evaluation.
 //!
 //! Nothing here performs simulation or compilation; it is deliberately a
 //! leaf crate with no workspace dependencies so that the NoC, memory,
@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 
 pub mod addrmap;
+pub mod check;
 pub mod config;
 pub mod geom;
 pub mod hash;
@@ -24,6 +25,7 @@ pub mod stats;
 pub mod trace;
 
 pub use addrmap::{AddrMap, Divisor};
+pub use check::{CheckKind, CheckRecord};
 pub use config::{ArchConfig, CacheConfig, DramConfig, MemConfig, NdcConfig, NocConfig, OpClass};
 pub use geom::{Coord, NodeId};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -119,9 +119,11 @@ gate model_accuracy
 
 # `check` also runs the span-attribution invariant: CheckLevel::full()
 # samples request spans and asserts child spans + queue/stall residue
-# sum exactly to each root latency.
+# sum exactly to each root latency. Its per-kernel requests/links/
+# events/spans columns count what each checked run recorded.
 echo "== correctness layer: oracle + invariants + fault matrix =="
-"$EVAL" check --scale test
+same_across_threads check "check report bit-identical" "$EVAL" check --scale test
+cat "$tmp/check.1"
 
 echo "== static legality: lint verdicts, certificates, fault matrix =="
 same_across_threads lint "lint verdicts bit-identical" "$EVAL" lint --scale test

@@ -5,8 +5,10 @@
 //! - simulating a kernel makes at most one heap allocation per
 //!   simulated instruction under the instrumented baseline, Default
 //!   NDC, and Algorithm 2's compiled schedule;
-//! - a fully checked and observed run, invariant check included, stays
-//!   within a small constant per instruction;
+//! - a fully checked and observed run, invariant check included,
+//!   allocates about once per simulated instruction and requests a
+//!   bounded number of bytes per instruction, because check records are
+//!   16-byte typed values and span labels are not heap strings;
 //! - compiling a kernel with Algorithm 1 or 2 at paper size allocates
 //!   about what it does at test size, because the cost model draws its
 //!   24 sample points directly instead of walking the iteration space;
@@ -164,11 +166,18 @@ fn simulation_allocates_at_most_once_per_instruction() {
 
 /// At most this many allocations per simulated instruction for a run
 /// under `CheckLevel::full()` + `ObsLevel::metrics()` followed by its
-/// invariant check. Check events carry static names and the checker
-/// keeps per-id tables, so these kernels read 1.6–4.4; what remains is
-/// mostly the sampled span trees. One `String` per check event read
-/// 9.8–22.1.
-const CHECKED_BUDGET: f64 = 6.0;
+/// invariant check. Check records are 16-byte typed values and span
+/// labels are static names or link ids, so these kernels read
+/// 0.40–1.03; what remains is mostly the sampled span trees' child
+/// lists. `String` span labels with 56-byte string-tagged events read
+/// 1.6–4.4, and one `String` per check event read 9.8–22.1.
+const CHECKED_BUDGET: f64 = 1.4;
+
+/// At most this many bytes requested per simulated instruction by the
+/// same checked runs. Most of it is the check stream, grown by
+/// doubling; these kernels read 839–1966, and 56-byte string-tagged
+/// events with `String` span labels read 1500–3178.
+const CHECKED_BYTES_BUDGET: f64 = 2500.0;
 
 #[test]
 fn checked_runs_allocate_a_bounded_amount_per_instruction() {
@@ -178,14 +187,20 @@ fn checked_runs_allocate_a_bounded_amount_per_instruction() {
         cores,
         emit_busy: true,
     };
+    // Allocations and bytes requested per simulated instruction.
     let checked = |traces: &TraceProgram, scheme: Scheme| {
-        let out = Engine::new(cfg, traces, scheme)
-            .with_check(CheckLevel::full())
-            .with_obs(ObsLevel::metrics())
-            .run();
-        let report = check_engine_output(&out);
-        assert!(report.ok(), "{:?}", report.violations);
-        out.result
+        let (allocs, bytes, result) = requests(|| {
+            let out = Engine::new(cfg, traces, scheme)
+                .with_check(CheckLevel::full())
+                .with_obs(ObsLevel::metrics())
+                .run();
+            let report = check_engine_output(&out);
+            assert!(report.ok(), "{:?}", report.violations);
+            out.result
+        });
+        let insts = result.issued_insts as f64;
+        assert!(insts > 0.0);
+        (allocs as f64 / insts, bytes as f64 / insts)
     };
     for name in ["swim", "kdtree", "ocean", "barnes"] {
         let prog = by_name(name).expect("known kernel").build(Scale::Test);
@@ -193,20 +208,19 @@ fn checked_runs_allocate_a_bounded_amount_per_instruction() {
         let (sched, _) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
         let compiled = lower(&prog, &opts, Some(&sched));
         let runs = [
-            (
-                "baseline",
-                allocs_per_inst(|| checked(&base, Scheme::Baseline)),
-            ),
-            (
-                "compiled Alg 2",
-                allocs_per_inst(|| checked(&compiled, Scheme::Compiled)),
-            ),
+            ("baseline", checked(&base, Scheme::Baseline)),
+            ("compiled Alg 2", checked(&compiled, Scheme::Compiled)),
         ];
-        for (label, per_inst) in runs {
+        for (label, (per_inst, bytes_per_inst)) in runs {
             assert!(
                 per_inst <= CHECKED_BUDGET,
                 "{name}/{label}: {per_inst:.3} allocations per simulated instruction \
                  in a checked run (budget {CHECKED_BUDGET})"
+            );
+            assert!(
+                bytes_per_inst <= CHECKED_BYTES_BUDGET,
+                "{name}/{label}: {bytes_per_inst:.1} bytes requested per simulated \
+                 instruction in a checked run (budget {CHECKED_BYTES_BUDGET})"
             );
         }
     }

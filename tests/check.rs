@@ -6,6 +6,7 @@ use ndc::check::{
     check_engine_output, check_run, check_schedule, inject, sweep_workload, CheckLevel, ALL_FAULTS,
 };
 use ndc::prelude::*;
+use ndc::sim::{render_tree, EngineOutput};
 use ndc_ir::{DataStore, Interpreter};
 use ndc_sim::engine::{simulate as simulate_plain, Engine};
 
@@ -160,5 +161,79 @@ fn reference_runs_have_no_out_of_bounds_reads() {
             "{}: reference run touched out-of-bounds indices",
             bench.name
         );
+    }
+}
+
+/// FNV-1a, folded over `bytes` into `h`.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The content of a checked run's two recorded streams: the number of
+/// check events and a hash of each as (name, ts, request-or-link id),
+/// in stream order; the number of sampled span trees and a hash of
+/// each tree as `render_tree` prints it.
+fn stream_digest(out: &EngineOutput) -> (usize, u64, usize, u64) {
+    let data = out.check.as_ref().expect("checked run records CheckData");
+    let mut events = 0xcbf2_9ce4_8422_2325;
+    for ev in &data.events {
+        fnv1a(&mut events, ev.kind.name().as_bytes());
+        fnv1a(&mut events, &[0]);
+        fnv1a(&mut events, &ev.ts.to_le_bytes());
+        fnv1a(&mut events, &ev.id.to_le_bytes());
+    }
+    let mut spans = 0xcbf2_9ce4_8422_2325;
+    for t in &out.spans {
+        fnv1a(&mut spans, render_tree(t).as_bytes());
+    }
+    (data.events.len(), events, out.spans.len(), spans)
+}
+
+/// What a checked run records is pinned, not only its counts: the check
+/// stream and every sampled span tree hash to the values the
+/// `String`-labelled, 56-byte-event recorders produced, for two kernels
+/// under NdcAll w50% (as `ndc-eval check` runs them) and for
+/// Algorithm 2's compiled schedule, whose offloads are packets.
+#[test]
+fn checked_runs_record_the_pinned_streams() {
+    let cfg = cfg();
+    let checked = |traces: &ndc_types::TraceProgram, scheme: Scheme| {
+        Engine::new(cfg, traces, scheme)
+            .with_check(CheckLevel::full())
+            .run()
+    };
+    let w50 = Scheme::NdcAll {
+        budget: WaitBudget::PctOfCap(50),
+    };
+    let kdtree = by_name("kdtree").unwrap();
+    let prog = kdtree.build_timesteps(Scale::Test, 1);
+    let (sched, _) = compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+    let opts = LowerOptions {
+        cores: cfg.nodes(),
+        emit_busy: true,
+    };
+    let compiled = lower(&prog, &opts, Some(&sched));
+    let runs = [
+        (
+            "kdtree NdcAll w50%",
+            checked(&traces_for(&kdtree, &cfg), w50),
+            (146_020, 0x4e8e_f648_f25a_a60a, 1070, 0x8c34_0d3d_b078_665a),
+        ),
+        (
+            "swim NdcAll w50%",
+            checked(&traces_for(&by_name("swim").unwrap(), &cfg), w50),
+            (226_761, 0xf20e_111e_e64c_addb, 2834, 0x38f2_414f_aa9a_124e),
+        ),
+        (
+            "kdtree Algorithm 2",
+            checked(&compiled, Scheme::Compiled),
+            (144_750, 0x39ef_74c2_343d_3038, 1036, 0x030f_0a99_a28c_c9a4),
+        ),
+    ];
+    for (label, out, want) in runs {
+        assert_eq!(stream_digest(&out), want, "{label}");
     }
 }
