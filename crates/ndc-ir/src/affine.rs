@@ -103,6 +103,23 @@ impl AffineAddr {
             .zip(point)
             .fold(self.c0, |acc, (&g, &x)| acc.wrapping_add(g.wrapping_mul(x))) as Addr
     }
+
+    /// How the address moves between consecutive points of a
+    /// lexicographic walk over a box with trip counts `extents` (one per
+    /// loop, each at least 1): when loop `k` is the innermost one to
+    /// step, it advances by one and every deeper loop `d > k` wraps from
+    /// its last value to its first, so the address moves by
+    /// `out[k] = g_k − Σ_{d>k} g_d·(ext_d − 1)`. Starting from
+    /// [`AffineAddr::at`] the box's first point, adding `out[k]` at each
+    /// step yields `at` at every point. The arithmetic wraps, as in
+    /// `at`: each step's true sum is an address inside the array.
+    pub fn carry_deltas(&self, extents: &[i64], out: &mut [i64]) {
+        let mut wrapped: i64 = 0;
+        for k in (0..self.g.len()).rev() {
+            out[k] = self.g[k].wrapping_sub(wrapped);
+            wrapped = wrapped.wrapping_add(self.g[k].wrapping_mul(extents[k] - 1));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +199,51 @@ mod tests {
             built > 100 && refused > 100,
             "built {built}, refused {refused}"
         );
+    }
+
+    /// Seeded property: walking each thread's box of a random nest
+    /// (`LoopNest::thread_box`, any core count) from `at` of its first
+    /// point and adding the carry delta of the loop that steps gives
+    /// `at` at every point, for every form built.
+    #[test]
+    fn carry_deltas_advance_a_box_walk_exactly() {
+        let g = SplitMix64::new(0x2022);
+        let mut stepped = 0;
+        for case in 0..1024 {
+            let mut g = g.fork(case);
+            let nest = random_nest(&mut g);
+            let (prog, aref) = random_ref(&mut g, &nest);
+            let Some(form) = AffineAddr::of(&prog, &aref, &nest) else {
+                continue;
+            };
+            let cores = g.range_i64(1, 6) as usize;
+            let depth = nest.depth();
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for t in 0..cores {
+                if nest.thread_box(t, cores, &mut lo, &mut hi) == 0 {
+                    continue;
+                }
+                let extents: Vec<i64> = lo.iter().zip(&hi).map(|(l, h)| h - l).collect();
+                let mut deltas = vec![0; depth];
+                form.carry_deltas(&extents, &mut deltas);
+                let mut point = lo.clone();
+                let mut addr = form.at(&point);
+                'walk: loop {
+                    assert_eq!(addr, form.at(&point), "{aref:?} at {point:?} in {nest:?}");
+                    for k in (0..depth).rev() {
+                        point[k] += 1;
+                        if point[k] < hi[k] {
+                            addr = addr.wrapping_add(deltas[k] as Addr);
+                            stepped += 1;
+                            continue 'walk;
+                        }
+                        point[k] = lo[k];
+                    }
+                    break;
+                }
+            }
+        }
+        assert!(stepped > 500, "{stepped} steps checked");
     }
 
     #[test]

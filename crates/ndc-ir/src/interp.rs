@@ -6,6 +6,7 @@
 //! reads (e.g. a stencil's halo the workloads guard by construction)
 //! evaluate to 0.0 so the oracle stays total.
 
+use crate::matrix::IMat;
 use crate::program::{ArrayId, LoopNest, PointList, Program, Ref, Stmt};
 use crate::schedule::Schedule;
 
@@ -231,7 +232,7 @@ impl<'p> Interpreter<'p> {
             };
             // An untransformed nest runs in walk order, with no list.
             match schedule.transforms.get(&nest.id) {
-                Some(_) => scheduled_points(nest, schedule).iter().for_each(run_point),
+                Some(t) => transformed_points(nest, t).iter().for_each(run_point),
                 None => nest.for_each_point(run_point),
             }
         }
@@ -285,14 +286,10 @@ impl FusedChain {
     }
 }
 
-/// A nest's iteration points in scheduled (possibly transformed)
-/// execution order: lexicographic, or under a transform `T` the
-/// lexicographic order of the images `T·I`.
-pub(crate) fn scheduled_points(nest: &LoopNest, schedule: &Schedule) -> PointList {
-    match schedule.transforms.get(&nest.id) {
-        Some(t) => PointList::sorted_by(nest, t.rows, |p, image| t.mul_into(p, image)),
-        None => PointList::of(nest),
-    }
+/// A transformed nest's iteration points in execution order: the
+/// lexicographic order of their images `T·I`.
+pub(crate) fn transformed_points(nest: &LoopNest, t: &IMat) -> PointList {
+    PointList::sorted_by(nest, t.rows, |p, image| t.mul_into(p, image))
 }
 
 #[cfg(test)]

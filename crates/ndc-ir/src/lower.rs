@@ -15,12 +15,20 @@
 //! the offload request (and its operand fetches, staggered by the plan's
 //! `stagger`) starts early, and the original statement S3 becomes a
 //! `Compute` that consumes the offloaded result.
+//!
+//! A thread's points come from one of two sources: the thread's box of
+//! an untransformed nest ([`LoopNest::thread_box`]), walked in place
+//! with each affine reference's address advanced by increments, or a
+//! transformed nest's point list sorted by (thread, `T·I`). Both feed
+//! one emitter, which evaluates every reference once per point into a
+//! small ring of address rows that runs ahead of it by the longest
+//! lookahead.
 
 use crate::affine::AffineAddr;
-use crate::program::{ArrayRef, LoopNest, NestId, PointList, Program, Ref, Stmt, StmtId};
+use crate::program::{ArrayRef, LoopNest, NestId, PointList, Program, Ref, StmtId};
 use crate::schedule::{chain_operands, FusedPrecomputePlan, Schedule};
 use ndc_types::{
-    Addr, FxHashMap, Inst, InstKind, NodeId, Op, Operand, Pc, Trace, TraceProgram, MAX_FUSED_OPS,
+    Addr, Inst, InstKind, NodeId, Op, Operand, Pc, Trace, TraceProgram, MAX_FUSED_OPS,
 };
 
 /// A structural defect in the (program, schedule) pair that makes
@@ -153,191 +161,64 @@ pub fn try_lower(
         .map(|c| Trace::new(NodeId(c as u16)))
         .collect();
     // One reservation per trace: the points each nest gives the thread,
-    // times the most instructions a point can lower to. The final
-    // `shrink_to_fit` trims only what the bound over-counts (lookahead
-    // tails and halo fallbacks).
-    let reserved: Vec<usize> = (0..out.traces.len())
-        .map(|t| {
-            prog.nests
-                .iter()
-                .map(|nest| {
-                    nest.thread_points(t, cores) * insts_per_point(nest, sched, opts.emit_busy)
-                })
-                .sum::<u64>() as usize
-        })
-        .collect();
-    for (trace, &bound) in out.traces.iter_mut().zip(&reserved) {
-        trace.insts.reserve_exact(bound);
+    // times the most instructions, and fused packets, a point can lower
+    // to. The final `shrink_to_fit` trims only what the bound
+    // over-counts (lookahead tails and halo fallbacks).
+    let mut reserved = Vec::with_capacity(out.traces.len());
+    for (t, trace) in out.traces.iter_mut().enumerate() {
+        let (mut insts, mut fused) = (0, 0);
+        for nest in &prog.nests {
+            let points = nest.thread_points(t, cores);
+            insts += points * insts_per_point(nest, sched, opts.emit_busy);
+            fused += points * sched.fused_for(nest.id).count() as u64;
+        }
+        trace.insts.reserve_exact(insts as usize, fused as usize);
+        reserved.push(insts as usize);
     }
     // Next free precompute id per trace, carried across nests. Ids are
     // dense per trace (0..precompute_ids), which lets the engine index
     // its pre-result table directly instead of hashing (usize, u32)
     // keys in the inner loop.
     let mut next_ids = vec![0u32; opts.cores];
+    // Working memory for every nest and thread of this call.
+    let mut plan = NestPlan::default();
+    let mut rings = Rings::default();
+    let mut walk = BoxWalk::default();
 
     for (nest_pos, nest) in prog.nests.iter().enumerate() {
-        let order = sched.stmt_order_for(nest);
-        let plans: Vec<_> = sched.plans_for(nest.id).collect();
-        // Each plan's statement position in this nest's body, looked up
-        // once rather than at every point.
-        let plan_pos: Vec<Option<usize>> = plans.iter().map(|p| nest.stmt_pos(p.stmt)).collect();
-        let stmt_addrs: Vec<StmtAddrs> = nest
-            .body
-            .iter()
-            .map(|s| StmtAddrs::new(prog, s, nest))
-            .collect();
-        let fused_infos: Vec<FusedLowerInfo> = sched
-            .fused_for(nest.id)
-            .map(|p| FusedLowerInfo::build(prog, nest, p))
-            .collect();
-        // Statement id -> (fused plan index, chain member index).
-        let mut fused_member: FxHashMap<StmtId, (usize, usize)> = FxHashMap::default();
-        for (fi, p) in sched.fused_for(nest.id).enumerate() {
-            for (mi, id) in p.stmts.iter().enumerate() {
-                fused_member.insert(*id, (fi, mi));
+        plan.build(prog, sched, nest, nest_pos, opts.emit_busy);
+        let threads = out.traces.iter_mut().zip(&mut next_ids).enumerate();
+        match sched.transforms.get(&nest.id) {
+            // Thread `t` runs the points of its box in walk order.
+            None => {
+                for (tid, (trace, next_id)) in threads {
+                    let n = nest.thread_box(tid, cores, &mut walk.lo, &mut walk.hi) as usize;
+                    if n > 0 {
+                        walk.start(&plan.refs);
+                        emit_thread(prog, &plan, &mut rings, &mut walk, trace, next_id, n);
+                    }
+                }
             }
-        }
-
-        // Scheduled points grouped by the thread that runs them (block
-        // partitioning of the original parallel dimension), each
-        // thread's in schedule order (`interp::scheduled_points`):
-        // thread `t` runs points `starts[t]..starts[t + 1]`. Under a
-        // transform one sort by (thread, T·I) both orders and groups
-        // them.
-        let thread = |p: &[i64]| nest.thread_of(p, cores);
-        let points = match sched.transforms.get(&nest.id) {
-            Some(t) => PointList::sorted_by(nest, 1 + t.rows, |p, key| {
-                key[0] = thread(p) as i64;
-                t.mul_into(p, &mut key[1..]);
-            }),
-            None => PointList::of(nest),
-        };
-        let (points, starts) = points.grouped_by(cores, thread);
-
-        for (tid, bounds) in starts.windows(2).enumerate() {
-            let my_points = |j: usize| points.get(bounds[0] + j);
-            let my_len = bounds[1] - bounds[0];
-            let trace = &mut out.traces[tid];
-            let mut next_precompute_id = next_ids[tid];
-            // (plan index, consumer point index) -> precompute id.
-            let mut pending: FxHashMap<(usize, usize), u32> = FxHashMap::default();
-            // (fused plan index, consumer point index) -> base id. Kept
-            // until every chain member at that point has consumed its
-            // slot, then retired after the body loop.
-            let mut pending_fused: FxHashMap<(usize, usize), u32> = FxHashMap::default();
-            for j in 0..my_len {
-                let point = my_points(j);
-                // Issue pre-computes whose consumer sits `lookahead`
-                // iterations ahead.
-                for (pi, plan) in plans.iter().enumerate() {
-                    let target = j + plan.lookahead as usize;
-                    if target >= my_len {
-                        continue;
-                    }
-                    let Some(stmt_pos) = plan_pos[pi] else {
-                        continue;
+            // One sort by (thread, T·I) both orders and groups the
+            // points: thread `t` runs the `thread_points(t)` after the
+            // earlier threads' in schedule order
+            // (`interp::transformed_points`).
+            Some(t) => {
+                let points = PointList::sorted_by(nest, 1 + t.rows, |p, key| {
+                    key[0] = nest.thread_of(p, cores) as i64;
+                    t.mul_into(p, &mut key[1..]);
+                });
+                let mut next = 0;
+                for (tid, (trace, next_id)) in threads {
+                    let n = nest.thread_points(tid, cores) as usize;
+                    let mut list = ListWalk {
+                        points: &points,
+                        next,
                     };
-                    let addrs = &stmt_addrs[stmt_pos];
-                    let (Some(op), OperandAddr::Mem(ra), Some(OperandAddr::Mem(rb))) =
-                        (nest.body[stmt_pos].op, &addrs.a, &addrs.b)
-                    else {
-                        continue;
-                    };
-                    let tpoint = my_points(target);
-                    let (Some(addr_a), Some(addr_b)) = (ra.at(prog, tpoint), rb.at(prog, tpoint))
-                    else {
-                        continue;
-                    };
-                    let store_to = addrs.dst.at(prog, tpoint);
-                    let id = next_precompute_id;
-                    next_precompute_id += 1;
-                    pending.insert((pi, target), id);
-                    trace.insts.push(Inst {
-                        pc: pc_of(nest_pos, stmt_pos, ROLE_PRECOMPUTE),
-                        kind: InstKind::PreCompute {
-                            id,
-                            op,
-                            a: addr_a,
-                            b: addr_b,
-                            store_to,
-                            stagger: plan.stagger,
-                            reshape_routes: plan.reshape_routes,
-                        },
-                    });
+                    next += n;
+                    emit_thread(prog, &plan, &mut rings, &mut list, trace, next_id, n);
                 }
-
-                // Issue fused packets whose chain head's consumer sits
-                // `lookahead` iterations ahead: one gather of the union
-                // footprint, one packet, `n_ops` result slots.
-                for (fi, info) in fused_infos.iter().enumerate() {
-                    let target = j + info.lookahead as usize;
-                    if target >= my_len {
-                        continue;
-                    }
-                    let tpoint = my_points(target);
-                    let mut addrs = [0u64; MAX_FUSED_OPS + 1];
-                    let mut resolvable = true;
-                    for (k, r) in info.gathered.iter().enumerate() {
-                        match r.at(prog, tpoint) {
-                            Some(a) => addrs[k] = a,
-                            None => {
-                                // Halo access: the chain falls back to
-                                // conventional execution at this point.
-                                resolvable = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !resolvable {
-                        continue;
-                    }
-                    let id = next_precompute_id;
-                    next_precompute_id += info.n_ops as u32;
-                    pending_fused.insert((fi, target), id);
-                    trace.insts.push(Inst {
-                        pc: pc_of(nest_pos, info.head_pos, ROLE_PRECOMPUTE),
-                        kind: InstKind::FusedPreCompute {
-                            id,
-                            n_ops: info.n_ops,
-                            ops: info.ops,
-                            addrs,
-                            stagger: info.stagger,
-                            reshape_routes: info.reshape_routes,
-                        },
-                    });
-                }
-
-                // Body statements in scheduled order.
-                for &stmt_pos in &order {
-                    let stmt = &nest.body[stmt_pos];
-                    let precomputed = plans
-                        .iter()
-                        .enumerate()
-                        .find_map(|(pi, plan)| {
-                            (plan.stmt == stmt.id)
-                                .then(|| pending.remove(&(pi, j)))
-                                .flatten()
-                        })
-                        .or_else(|| {
-                            let &(fi, mi) = fused_member.get(&stmt.id)?;
-                            pending_fused.get(&(fi, j)).map(|&base| base + mi as u32)
-                        });
-                    emit_stmt(
-                        prog,
-                        trace,
-                        nest_pos,
-                        stmt_pos,
-                        stmt,
-                        &stmt_addrs[stmt_pos],
-                        point,
-                        precomputed,
-                        opts.emit_busy,
-                    );
-                }
-                // Retire fused slots consumed at this point.
-                pending_fused.retain(|&(_, t), _| t != j);
             }
-            next_ids[tid] = next_precompute_id;
         }
     }
     // Callers keep traces while they simulate them, and an evaluation
@@ -396,138 +277,517 @@ impl<'a> RefAddr<'a> {
     }
 }
 
-/// A right-hand-side operand, ready to evaluate at each point.
-enum OperandAddr<'a> {
-    Mem(RefAddr<'a>),
+/// A right-hand-side operand: a reference's slot in the address row,
+/// or a constant.
+#[derive(Clone, Copy)]
+enum Src {
+    Mem(usize),
     Const(f64),
 }
 
-impl<'a> OperandAddr<'a> {
-    fn new(prog: &Program, r: &'a Ref, nest: &LoopNest) -> Self {
-        match r {
-            Ref::Array(a) => OperandAddr::Mem(RefAddr::new(prog, a, nest)),
-            Ref::Const(c) => OperandAddr::Const(*c),
-        }
-    }
-
+impl Src {
+    /// The operand at the point whose addresses `row` holds.
     #[inline]
-    fn at(&self, prog: &Program, point: &[i64]) -> Operand {
+    fn at(self, row: &[Option<Addr>]) -> Operand {
         match self {
-            OperandAddr::Mem(r) => match r.at(prog, point) {
+            Src::Mem(slot) => match row[slot] {
                 Some(addr) => Operand::Mem(addr),
                 // Halo/out-of-bounds reads evaluate to 0.0 (matching the
                 // interpreter) and cost nothing.
                 None => Operand::Imm(0.0),
             },
-            OperandAddr::Const(c) => Operand::Imm(*c),
+            Src::Const(c) => Operand::Imm(c),
         }
     }
 }
 
-/// One statement's references, built once per nest.
-struct StmtAddrs<'a> {
-    dst: RefAddr<'a>,
-    a: OperandAddr<'a>,
-    b: Option<OperandAddr<'a>>,
+/// One statement, resolved against the address row.
+struct StmtInfo {
+    id: StmtId,
+    /// Whether a pre-compute plan or a fused plan names the statement,
+    /// so that it may consume a precomputed result.
+    consumer: bool,
+    /// `Busy` cycles emitted before the statement, 0 for none.
+    busy: u32,
+    dst: usize,
+    a: Src,
+    /// The op and second operand of a computation; `None` for a copy.
+    binary: Option<(Op, Src)>,
 }
 
-impl<'a> StmtAddrs<'a> {
-    fn new(prog: &Program, stmt: &'a Stmt, nest: &LoopNest) -> Self {
-        StmtAddrs {
-            dst: RefAddr::new(prog, &stmt.dst, nest),
-            a: OperandAddr::new(prog, &stmt.a, nest),
-            b: stmt.b.as_ref().map(|b| OperandAddr::new(prog, b, nest)),
-        }
-    }
-}
-
-/// Per-nest lowering view of one fused plan: member ops in chain order
-/// and the gathered operand references (head `a`, head `b`, then each
-/// tail's single gathered operand — the packet's union footprint).
-struct FusedLowerInfo<'a> {
-    head_pos: usize,
-    n_ops: u8,
-    ops: [Op; MAX_FUSED_OPS],
-    gathered: Vec<RefAddr<'a>>,
-    lookahead: u32,
+/// One pre-compute plan, resolved against its statement.
+struct PlanInfo {
+    stmt: StmtId,
+    lookahead: usize,
+    /// The op, the operand slots and the pc of what the plan issues;
+    /// `None` when its statement is not a two-memory-operand
+    /// computation of this nest, so it never issues.
+    issue: Option<(Op, usize, usize, Pc)>,
     stagger: i32,
     reshape_routes: bool,
 }
 
-impl<'a> FusedLowerInfo<'a> {
+/// One fused plan: member ops in chain order and the slots of the
+/// gathered operands (head `a`, head `b`, then each tail's single
+/// gathered operand — the packet's union footprint).
+struct FusedInfo {
+    pc: Pc,
+    n_ops: u8,
+    ops: [Op; MAX_FUSED_OPS],
+    gathered: [usize; MAX_FUSED_OPS + 1],
+    lookahead: usize,
+    stagger: i32,
+    reshape_routes: bool,
+}
+
+/// What lowering needs of one nest. One is built per `try_lower` call
+/// and rebuilt in place for each nest.
+#[derive(Default)]
+struct NestPlan<'a> {
+    /// Every reference a point evaluates, in address-row order: each
+    /// statement's `dst`, `a` and `b` (where they are arrays), then
+    /// each fused plan's gathered operands.
+    refs: Vec<RefAddr<'a>>,
+    /// The slots of the references without an affine form.
+    checked: Vec<usize>,
+    /// By body position.
+    stmts: Vec<StmtInfo>,
+    /// Body positions in execution order.
+    order: Vec<usize>,
+    plans: Vec<PlanInfo>,
+    fused: Vec<FusedInfo>,
+    /// By body position: the (fused plan, chain member) it belongs to.
+    member: Vec<Option<(usize, usize)>>,
+    nest_pos: usize,
+}
+
+impl<'a> NestPlan<'a> {
+    fn build(
+        &mut self,
+        prog: &Program,
+        sched: &Schedule,
+        nest: &'a LoopNest,
+        nest_pos: usize,
+        emit_busy: bool,
+    ) {
+        self.nest_pos = nest_pos;
+        let NestPlan {
+            refs,
+            checked,
+            stmts,
+            order,
+            plans,
+            fused,
+            member,
+            ..
+        } = self;
+        refs.clear();
+        checked.clear();
+        stmts.clear();
+        plans.clear();
+        fused.clear();
+        member.clear();
+        member.resize(nest.body.len(), None);
+        let mut slot = |aref: &'a ArrayRef| {
+            refs.push(RefAddr::new(prog, aref, nest));
+            refs.len() - 1
+        };
+        for s in &nest.body {
+            let dst = slot(&s.dst);
+            let mut src = |r: &'a Ref| match r {
+                Ref::Array(a) => Src::Mem(slot(a)),
+                Ref::Const(c) => Src::Const(*c),
+            };
+            let a = src(&s.a);
+            let binary = match (s.op, &s.b) {
+                (Some(op), Some(b)) => Some((op, src(b))),
+                _ => None,
+            };
+            stmts.push(StmtInfo {
+                id: s.id,
+                consumer: false,
+                busy: if emit_busy { s.work } else { 0 },
+                dst,
+                a,
+                binary,
+            });
+        }
+        *order = sched.stmt_order_for(nest);
+        for p in sched.plans_for(nest.id) {
+            let issue = nest.stmt_pos(p.stmt).and_then(|pos| match stmts[pos] {
+                StmtInfo {
+                    a: Src::Mem(a),
+                    binary: Some((op, Src::Mem(b))),
+                    ..
+                } => Some((op, a, b, pc_of(nest_pos, pos, ROLE_PRECOMPUTE))),
+                _ => None,
+            });
+            plans.push(PlanInfo {
+                stmt: p.stmt,
+                lookahead: p.lookahead as usize,
+                issue,
+                stagger: p.stagger,
+                reshape_routes: p.reshape_routes,
+            });
+        }
+        for (fi, p) in sched.fused_for(nest.id).enumerate() {
+            fused.push(FusedInfo::build(nest, nest_pos, p, &mut slot));
+            for (mi, id) in p.stmts.iter().enumerate() {
+                for (pos, s) in nest.body.iter().enumerate() {
+                    if s.id == *id {
+                        member[pos] = Some((fi, mi));
+                    }
+                }
+            }
+        }
+        for (info, member) in stmts.iter_mut().zip(member.iter()) {
+            info.consumer = member.is_some() || plans.iter().any(|p| p.stmt == info.id);
+        }
+        let without_form = refs
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| matches!(r, RefAddr::Checked(_)));
+        checked.extend(without_form.map(|(slot, _)| slot));
+    }
+
+    /// The longest lookahead that reaches a consumer among `n` points:
+    /// how far the lead walker runs ahead of the emitter.
+    fn lead(&self, n: usize) -> usize {
+        let plans = self.plans.iter().map(|p| p.lookahead);
+        let fused = self.fused.iter().map(|f| f.lookahead);
+        plans.chain(fused).filter(|&l| l < n).max().unwrap_or(0)
+    }
+}
+
+impl FusedInfo {
     /// Plans are validated up-front ([`crate::schedule::validate_chain_shape`]),
-    /// so member lookups here cannot fail.
-    fn build(prog: &Program, nest: &'a LoopNest, plan: &FusedPrecomputePlan) -> Self {
+    /// so member lookups here cannot fail. `slot` adds a reference to
+    /// the address row and returns its slot.
+    fn build<'a>(
+        nest: &'a LoopNest,
+        nest_pos: usize,
+        plan: &FusedPrecomputePlan,
+        mut slot: impl FnMut(&'a ArrayRef) -> usize,
+    ) -> Self {
         let head = nest.stmt(plan.stmts[0]).expect("validated plan");
         let (ra, rb) = head.memory_operand_pair().expect("validated head");
         let mut ops = [Op::Add; MAX_FUSED_OPS];
         ops[0] = head.op.expect("validated head");
-        let mut gathered = vec![RefAddr::new(prog, ra, nest), RefAddr::new(prog, rb, nest)];
+        let mut gathered = [0; MAX_FUSED_OPS + 1];
+        gathered[0] = slot(ra);
+        gathered[1] = slot(rb);
         let mut prev_dst = &head.dst;
         for (k, id) in plan.stmts[1..].iter().enumerate() {
             let s = nest.stmt(*id).expect("validated plan");
             let (_, g) = chain_operands(s, prev_dst).expect("validated link");
             ops[k + 1] = s.op.expect("validated tail");
-            gathered.push(RefAddr::new(prog, g, nest));
+            gathered[k + 2] = slot(g);
             prev_dst = &s.dst;
         }
-        FusedLowerInfo {
-            head_pos: nest.stmt_pos(plan.stmts[0]).expect("validated plan"),
+        let head_pos = nest.stmt_pos(plan.stmts[0]).expect("validated plan");
+        FusedInfo {
+            pc: pc_of(nest_pos, head_pos, ROLE_PRECOMPUTE),
             n_ops: plan.stmts.len() as u8,
             ops,
             gathered,
-            lookahead: plan.lookahead,
+            lookahead: plan.lookahead as usize,
             stagger: plan.stagger,
             reshape_routes: plan.reshape_routes,
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_stmt(
+/// Where the lead walker takes a thread's points from, in execution
+/// order.
+trait PointSource {
+    /// Write the address of each of `plan`'s references at the next
+    /// point into `row`.
+    fn fill_next(&mut self, prog: &Program, plan: &NestPlan, row: &mut [Option<Addr>]);
+}
+
+/// A thread's box (`lo`, `hi` from [`LoopNest::thread_box`]), walked
+/// in place. Each affine reference's address is advanced by its carry
+/// delta ([`AffineAddr::carry_deltas`]) rather than evaluated at every
+/// point.
+#[derive(Default)]
+struct BoxWalk {
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// The lead point.
+    point: Vec<i64>,
+    /// Per reference: its address at `point` (0 for one without an
+    /// affine form).
+    addrs: Vec<i64>,
+    /// Loop `k`'s carry delta of reference `r` at `k * refs + r`.
+    deltas: Vec<i64>,
+    /// Per loop: the box's trip count, then one reference's deltas.
+    extents: Vec<i64>,
+    carry: Vec<i64>,
+}
+
+impl BoxWalk {
+    /// Start at the first point of the (non-empty) box in `lo`, `hi`.
+    fn start(&mut self, refs: &[RefAddr]) {
+        let (depth, width) = (self.lo.len(), refs.len());
+        self.point.clone_from(&self.lo);
+        self.extents.clear();
+        let extents = self.lo.iter().zip(&self.hi).map(|(l, h)| h - l);
+        self.extents.extend(extents);
+        self.carry.resize(depth, 0);
+        self.addrs.clear();
+        self.deltas.clear();
+        self.deltas.resize(depth * width, 0);
+        for (r, aref) in refs.iter().enumerate() {
+            let RefAddr::Affine(form) = aref else {
+                self.addrs.push(0);
+                continue;
+            };
+            self.addrs.push(form.at(&self.lo) as i64);
+            form.carry_deltas(&self.extents, &mut self.carry);
+            for (k, &delta) in self.carry.iter().enumerate() {
+                self.deltas[k * width + r] = delta;
+            }
+        }
+    }
+}
+
+impl PointSource for BoxWalk {
+    #[inline]
+    fn fill_next(&mut self, prog: &Program, plan: &NestPlan, row: &mut [Option<Addr>]) {
+        for (out, &addr) in row.iter_mut().zip(&self.addrs) {
+            *out = Some(addr as Addr);
+        }
+        for &slot in &plan.checked {
+            if let RefAddr::Checked(aref) = plan.refs[slot] {
+                row[slot] = prog.addr_of(aref, &self.point);
+            }
+        }
+        // Odometer step from the innermost loop; the loop that steps
+        // decides every address's delta.
+        let width = row.len();
+        for k in (0..self.point.len()).rev() {
+            self.point[k] += 1;
+            if self.point[k] < self.hi[k] {
+                let deltas = &self.deltas[k * width..(k + 1) * width];
+                for (addr, &delta) in self.addrs.iter_mut().zip(deltas) {
+                    *addr = addr.wrapping_add(delta);
+                }
+                return;
+            }
+            self.point[k] = self.lo[k];
+        }
+    }
+}
+
+/// A thread's run of a sorted point list: each reference evaluated at
+/// each point.
+struct ListWalk<'p> {
+    points: &'p PointList,
+    next: usize,
+}
+
+impl PointSource for ListWalk<'_> {
+    #[inline]
+    fn fill_next(&mut self, prog: &Program, plan: &NestPlan, row: &mut [Option<Addr>]) {
+        let point = self.points.get(self.next);
+        self.next += 1;
+        for (out, aref) in row.iter_mut().zip(&plan.refs) {
+            *out = aref.at(prog, point);
+        }
+    }
+}
+
+/// In-flight state of one thread, indexed by point `i & mask`: a ring
+/// of `len` slots per table, `len` a power of two above the lead. One
+/// is allocated per `try_lower` call and reused by every thread.
+#[derive(Default)]
+struct Rings {
+    /// Row `i & mask` holds every reference's address at point `i`.
+    rows: Vec<Option<Addr>>,
+    /// Plan `p`'s precompute id for consumer point `i`, at
+    /// `p * len + (i & mask)`.
+    pending: Vec<Option<u32>>,
+    /// Fused plan `f`'s base id for consumer point `i`, likewise. It
+    /// stays until every chain member at that point has consumed its
+    /// slot.
+    pending_fused: Vec<Option<u32>>,
+}
+
+/// Lower one thread's `n` points of a nest into `trace`, the points
+/// taken from `src` in execution order and the thread's precompute ids
+/// from `next_id` on. A lead walker fills the ring of address rows
+/// [`NestPlan::lead`] points ahead of the emitter: a pre-compute reads
+/// the row of its consumer, `lookahead` points ahead, and each
+/// statement the row of its own point, so every reference is evaluated
+/// once per point.
+fn emit_thread(
     prog: &Program,
+    plan: &NestPlan,
+    rings: &mut Rings,
+    src: &mut impl PointSource,
+    trace: &mut Trace,
+    next_id: &mut u32,
+    n: usize,
+) {
+    let lead = plan.lead(n);
+    let len = (lead + 1).next_power_of_two();
+    let mask = len - 1;
+    let width = plan.refs.len();
+    let Rings {
+        rows,
+        pending,
+        pending_fused,
+    } = rings;
+    if rows.len() < len * width {
+        rows.resize(len * width, None);
+    }
+    pending.clear();
+    pending.resize(plan.plans.len() * len, None);
+    pending_fused.clear();
+    pending_fused.resize(plan.fused.len() * len, None);
+    let nest_pos = plan.nest_pos;
+    // Points whose row the lead walker has written.
+    let mut filled = 0;
+    for j in 0..n {
+        while filled <= (j + lead).min(n - 1) {
+            let at = (filled & mask) * width;
+            src.fill_next(prog, plan, &mut rows[at..at + width]);
+            filled += 1;
+        }
+        let row_of = |i: usize| &rows[(i & mask) * width..][..width];
+
+        // Issue pre-computes whose consumer sits `lookahead` points
+        // ahead.
+        for (pi, p) in plan.plans.iter().enumerate() {
+            let Some((op, slot_a, slot_b, pc)) = p.issue else {
+                continue;
+            };
+            let target = j + p.lookahead;
+            if target >= n {
+                continue;
+            }
+            let row = row_of(target);
+            let (Some(a), Some(b)) = (row[slot_a], row[slot_b]) else {
+                continue;
+            };
+            let id = *next_id;
+            *next_id += 1;
+            pending[pi * len + (target & mask)] = Some(id);
+            trace.insts.push(Inst {
+                pc,
+                kind: InstKind::PreCompute {
+                    id,
+                    op,
+                    a,
+                    b,
+                    stagger: p.stagger,
+                    reshape_routes: p.reshape_routes,
+                },
+            });
+        }
+
+        // Issue fused packets whose chain head's consumer sits
+        // `lookahead` points ahead: one gather of the union footprint,
+        // one packet, `n_ops` result slots.
+        for (fi, f) in plan.fused.iter().enumerate() {
+            let target = j + f.lookahead;
+            if target >= n {
+                continue;
+            }
+            let row = row_of(target);
+            let mut addrs = [0u64; MAX_FUSED_OPS + 1];
+            let gathered = &f.gathered[..f.n_ops as usize + 1];
+            let resolved = gathered.iter().zip(&mut addrs).all(|(&slot, out)| {
+                // A halo access: the chain falls back to conventional
+                // execution at this point.
+                row[slot].map(|a| *out = a).is_some()
+            });
+            if !resolved {
+                continue;
+            }
+            let id = *next_id;
+            *next_id += f.n_ops as u32;
+            pending_fused[fi * len + (target & mask)] = Some(id);
+            trace.insts.push(Inst {
+                pc: f.pc,
+                kind: InstKind::FusedPreCompute {
+                    id,
+                    n_ops: f.n_ops,
+                    ops: f.ops,
+                    addrs,
+                    stagger: f.stagger,
+                    reshape_routes: f.reshape_routes,
+                },
+            });
+        }
+
+        // Body statements in scheduled order.
+        let at = j & mask;
+        let row = row_of(j);
+        for &pos in &plan.order {
+            let info = &plan.stmts[pos];
+            let precomputed = info.consumer.then(|| {
+                plan.plans
+                    .iter()
+                    .enumerate()
+                    .find_map(|(pi, p)| {
+                        (p.stmt == info.id).then(|| pending[pi * len + at].take())?
+                    })
+                    .or_else(|| {
+                        let (fi, mi) = plan.member[pos]?;
+                        pending_fused[fi * len + at].map(|base| base + mi as u32)
+                    })
+            });
+            emit_stmt(trace, nest_pos, pos, info, row, precomputed.flatten());
+        }
+        // Retire this point's slots, consumed or not.
+        for pi in 0..plan.plans.len() {
+            pending[pi * len + at] = None;
+        }
+        for fi in 0..plan.fused.len() {
+            pending_fused[fi * len + at] = None;
+        }
+    }
+}
+
+fn emit_stmt(
     trace: &mut Trace,
     nest_pos: usize,
-    stmt_pos: usize,
-    stmt: &Stmt,
-    addrs: &StmtAddrs,
-    point: &[i64],
+    pos: usize,
+    stmt: &StmtInfo,
+    row: &[Option<Addr>],
     precomputed: Option<u32>,
-    emit_busy: bool,
 ) {
-    if emit_busy && stmt.work > 0 {
-        trace.insts.push(Inst {
-            pc: pc_of(nest_pos, stmt_pos, ROLE_BUSY),
-            kind: InstKind::Busy { cycles: stmt.work },
-        });
+    if stmt.busy > 0 {
+        trace
+            .insts
+            .push(Inst::busy(pc_of(nest_pos, pos, ROLE_BUSY), stmt.busy));
     }
-    let dst_addr = addrs.dst.at(prog, point);
-    match (stmt.op, &addrs.b) {
-        (Some(op), Some(b)) => {
+    let dst = row[stmt.dst];
+    match stmt.binary {
+        Some((op, b)) => {
             trace.insts.push(Inst {
-                pc: pc_of(nest_pos, stmt_pos, ROLE_MAIN),
+                pc: pc_of(nest_pos, pos, ROLE_MAIN),
                 kind: InstKind::Compute {
                     op,
-                    a: addrs.a.at(prog, point),
-                    b: b.at(prog, point),
-                    store_to: dst_addr,
+                    a: stmt.a.at(row),
+                    b: b.at(row),
+                    store_to: dst,
                     precomputed,
                 },
             });
         }
-        _ => {
+        None => {
             // Copy statement: load (if memory) then store.
-            if let Operand::Mem(addr) = addrs.a.at(prog, point) {
-                trace.insts.push(Inst {
-                    pc: pc_of(nest_pos, stmt_pos, ROLE_MAIN),
-                    kind: InstKind::Load { addr },
-                });
+            if let Operand::Mem(addr) = stmt.a.at(row) {
+                trace
+                    .insts
+                    .push(Inst::load(pc_of(nest_pos, pos, ROLE_MAIN), addr));
             }
-            if let Some(d) = dst_addr {
-                trace.insts.push(Inst {
-                    pc: pc_of(nest_pos, stmt_pos, ROLE_STORE),
-                    kind: InstKind::Store { addr: d },
-                });
+            if let Some(d) = dst {
+                trace
+                    .insts
+                    .push(Inst::store(pc_of(nest_pos, pos, ROLE_STORE), d));
             }
         }
     }
@@ -536,9 +796,10 @@ fn emit_stmt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ArrayDecl, ArrayRef, LoopNest, Program};
+    use crate::matrix::IMat;
+    use crate::program::{ArrayDecl, ArrayId, Stmt};
     use crate::schedule::{MoveStrategy, PrecomputePlan};
-    use ndc_types::{NdcLocation, Op};
+    use ndc_types::{NdcLocation, Op, SplitMix64};
 
     fn vec_add(n: u64) -> Program {
         let mut p = Program::new("vadd");
@@ -600,7 +861,7 @@ mod tests {
 
     /// Every point lowered into trace `t` is one that
     /// [`LoopNest::thread_of`] gives to thread `t`, in the order
-    /// `scheduled_points` runs them: with either loop parallel or
+    /// `transformed_points` runs them: with either loop parallel or
     /// none, under transforms that interleave the threads' points, and
     /// for core counts that do not divide the extent.
     #[test]
@@ -634,7 +895,7 @@ mod tests {
                         emit_busy: false,
                     };
                     let tp = lower(&p, &opts, Some(&sched));
-                    let scheduled = crate::interp::scheduled_points(&nest, &sched);
+                    let scheduled = crate::interp::transformed_points(&nest, t);
                     let mut lowered = 0;
                     for (tid, trace) in tp.traces.iter().enumerate() {
                         let mut mine = scheduled.iter().filter(|q| nest.thread_of(q, cores) == tid);
@@ -663,6 +924,211 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A reference into `x` for `random_case`: row `r` walks loop
+    /// `perm[r]` forwards or backwards through an array of `m + 2`
+    /// elements per dimension (`m` the nest's widest extent), so the
+    /// reference stays inside it with a one-element halo to spare. A
+    /// `shift` of ±1 reads the halo, and ±2 leaves the array at the
+    /// box's edge (no affine form: `addr_of` at each point). A depth-0
+    /// nest reads one element of a 3-element array.
+    fn random_ref(g: &mut SplitMix64, x: ArrayId, nest: &LoopNest, shift: i64) -> ArrayRef {
+        let depth = nest.depth();
+        if depth == 0 {
+            return ArrayRef::affine(x, IMat::zeros(1, 0), vec![1 + shift]);
+        }
+        let mut perm: Vec<usize> = (0..depth).collect();
+        for k in (1..depth).rev() {
+            perm.swap(k, g.below(k as u64 + 1) as usize);
+        }
+        let mut coeffs = IMat::zeros(depth, depth);
+        let offsets = (0..depth)
+            .map(|r| {
+                let k = perm[r];
+                let edge = if r == 0 { shift } else { 0 };
+                if g.chance(0.5) {
+                    coeffs[(r, k)] = 1;
+                    1 - nest.lo[k] + edge
+                } else {
+                    coeffs[(r, k)] = -1;
+                    nest.hi[k] + edge
+                }
+            })
+            .collect();
+        ArrayRef::affine(x, coeffs, offsets)
+    }
+
+    /// A seeded random program of one or two `random_nest`s (depth
+    /// 0–4, negative `lo`, zero-trip loops, any parallel level or none)
+    /// and a schedule for it with pre-compute plans of every lookahead
+    /// class (0, 1–12, past a thread's share, `u32::MAX`), fused plans
+    /// where the drawn statements form a chain, and some statement
+    /// orders. Arrays sit below, across or above 2^32, so some record
+    /// words are wide. Each nest's first statement is a computation,
+    /// so each point lowers to one `Compute` at its pc. Also returns
+    /// whether some reference leaves its array.
+    fn random_case(g: &mut SplitMix64, cores: usize) -> (Program, Schedule, bool) {
+        let mut p = Program::new("random");
+        let mut sched = Schedule::default();
+        let mut halo = false;
+        for n in 0..g.range_u64(1, 3) as u32 {
+            let mut nest = crate::program::tests::random_nest(g);
+            nest.id = crate::program::NestId(n);
+            let m = (0..nest.depth())
+                .map(|k| nest.hi[k] - nest.lo[k])
+                .max()
+                .unwrap_or(1)
+                .max(1) as u64;
+            let dims = vec![m + 2; nest.depth().max(1)];
+            let arrays: Vec<ArrayId> = (0..3)
+                .map(|a| p.add_array(ArrayDecl::new(format!("A{n}_{a}"), dims.clone(), 8)))
+                .collect();
+            let mut refer = |g: &mut SplitMix64| {
+                let shift: i64 = *g.choose(&[0, 0, 0, 0, 1, -1, 2, -2]);
+                halo |= shift.abs() == 2 && !nest.is_empty();
+                let x = *g.choose(&arrays);
+                random_ref(g, x, &nest, shift)
+            };
+            let ops = [Op::Add, Op::Sub, Op::Mul];
+            let mut body: Vec<Stmt> = Vec::new();
+            let chain = g.chance(0.5);
+            for i in 0..g.range_u64(2, 6) as u32 {
+                let work = g.below(3) as u32;
+                let op = *g.choose(&ops);
+                let dst = refer(g);
+                let mut operand = |g: &mut SplitMix64| match g.chance(0.8) {
+                    true => Ref::Array(refer(g)),
+                    false => Ref::Const(g.range_i64(-4, 4) as f64),
+                };
+                let s = match (i, chain) {
+                    // A chain head, then a tail forwarding its result.
+                    (0, true) => {
+                        let (a, b) = (Ref::Array(refer(g)), Ref::Array(refer(g)));
+                        Stmt::binary(i, dst, op, a, b, work)
+                    }
+                    (1, true) => {
+                        let link = Ref::Array(body[0].dst.clone());
+                        let other = Ref::Array(refer(g));
+                        let (a, b) = if g.chance(0.5) {
+                            (link, other)
+                        } else {
+                            (other, link)
+                        };
+                        Stmt::binary(i, dst, op, a, b, work)
+                    }
+                    (0, false) => Stmt::binary(i, dst, op, operand(g), operand(g), work),
+                    _ if g.chance(0.25) => Stmt::copy(i, dst, operand(g), work),
+                    _ => Stmt::binary(i, dst, op, operand(g), operand(g), work),
+                };
+                body.push(s);
+            }
+            nest.body = body;
+            let share = nest.thread_points(0, cores) as u32;
+            let lookahead = |g: &mut SplitMix64| match g.below(4) {
+                0 => 0,
+                1 => g.range_u64(1, 13) as u32,
+                2 => share.saturating_add(g.below(3) as u32),
+                _ => u32::MAX,
+            };
+            let mut fused = Vec::new();
+            if chain {
+                let stmts = vec![nest.body[0].id, nest.body[1].id];
+                if crate::schedule::validate_chain_shape(&nest, &stmts).is_ok() {
+                    fused = stmts.clone();
+                    sched.fused.push(crate::schedule::FusedPrecomputePlan {
+                        nest: nest.id,
+                        stmts,
+                        lookahead: lookahead(g),
+                        stagger: g.range_i64(-8, 9) as i32,
+                        reshape_routes: g.chance(0.5),
+                        target: NdcLocation::CacheController,
+                    });
+                }
+            }
+            for s in &nest.body {
+                if s.memory_operand_pair().is_none() || fused.contains(&s.id) || g.chance(0.3) {
+                    continue;
+                }
+                sched.precomputes.push(PrecomputePlan {
+                    nest: nest.id,
+                    stmt: s.id,
+                    lookahead: lookahead(g),
+                    stagger: g.range_i64(-8, 9) as i32,
+                    reshape_routes: g.chance(0.5),
+                    strategy: MoveStrategy::MoveBoth,
+                    target: NdcLocation::CacheController,
+                });
+            }
+            if g.chance(0.3) {
+                let mut order: Vec<usize> = (0..nest.body.len()).collect();
+                order.reverse();
+                sched.stmt_order.insert(nest.id, order);
+            }
+            p.nests.push(nest);
+        }
+        let base = *g.choose(&[0, 0x1000, (1 << 32) - 512, 1 << 33]);
+        p.assign_layout(base, 64);
+        (p, sched, halo)
+    }
+
+    /// Differential test of the two point sources: lowering a nest by
+    /// walking each thread's box in place, with addresses advanced by
+    /// carry deltas, gives record for record what lowering the same
+    /// points from a list sorted by (thread, `T·I`) gives, where an
+    /// identity transform `T` on every nest forces the list. Each
+    /// thread lowers `thread_points` points of each nest.
+    #[test]
+    fn box_walks_lower_exactly_what_sorted_lists_do() {
+        let g = SplitMix64::new(0x1024);
+        let (mut issued, mut fused, mut halos, mut wide) = (0, 0, 0, 0);
+        for case in 0..512 {
+            let mut g = g.fork(case);
+            let cores = *g.choose(&[1, 3, 4, 25]);
+            let (p, sched, halo) = random_case(&mut g, cores);
+            let opts = LowerOptions {
+                cores,
+                emit_busy: g.chance(0.7),
+            };
+            let boxed = lower(&p, &opts, Some(&sched));
+            let mut listed = sched.clone();
+            for nest in &p.nests {
+                listed
+                    .transforms
+                    .insert(nest.id, crate::matrix::IMat::identity(nest.depth()));
+            }
+            let listed = lower(&p, &opts, Some(&listed));
+            assert_eq!(
+                boxed, listed,
+                "case {case}: {p:?} {sched:?} on {cores} cores"
+            );
+            for (nest_pos, nest) in p.nests.iter().enumerate() {
+                let pc = pc_of(nest_pos, 0, ROLE_MAIN);
+                for (tid, trace) in boxed.traces.iter().enumerate() {
+                    let walked = trace
+                        .insts
+                        .iter()
+                        .filter(|i| i.pc == pc && matches!(i.kind, InstKind::Compute { .. }))
+                        .count();
+                    assert_eq!(walked as u64, nest.thread_points(tid, cores), "case {case}");
+                }
+            }
+            issued += boxed.total_precomputes();
+            fused += boxed
+                .traces
+                .iter()
+                .flat_map(|t| &t.insts)
+                .filter(|i| matches!(i.kind, InstKind::FusedPreCompute { .. }))
+                .count();
+            halos += usize::from(halo);
+            wide += usize::from(p.arrays.iter().any(|a| a.base + a.size_bytes() > 1 << 32));
+        }
+        // Every class of input is exercised.
+        assert!(
+            issued > 1000 && fused > 100,
+            "{issued} issued, {fused} fused"
+        );
+        assert!(halos > 50 && wide > 100, "{halos} with halos, {wide} wide");
     }
 
     #[test]

@@ -339,15 +339,49 @@ impl LoopNest {
     /// (possibly short or empty) times every other level's trip count.
     /// A nest without a parallel level gives every point to thread 0.
     pub fn thread_points(&self, t: usize, cores: usize) -> u64 {
-        let Some(level) = self.parallel_level else {
+        let Some((level, start, end)) = self.thread_block(t, cores) else {
             return if t == 0 { self.points() } else { 0 };
         };
-        let extent = (self.hi[level] - self.lo[level]).max(0);
+        (0..self.depth())
+            .map(|k| {
+                let trips = if k == level {
+                    end - start
+                } else {
+                    (self.hi[k] - self.lo[k]).max(0)
+                };
+                trips as u64
+            })
+            .product()
+    }
+
+    /// Thread `t`'s share of the nest under [`LoopNest::thread_of`] as a
+    /// box, written into `lo` and `hi`: the nest's bounds with the
+    /// parallel level cut to the thread's block `[lo + t·B, min(hi, lo +
+    /// (t+1)·B))`, `B = ⌈extent / cores⌉`. Without a parallel level
+    /// thread 0's box is the whole nest. Returns the box's point count,
+    /// [`LoopNest::thread_points`]; lowering skips a box of 0 points
+    /// (at depth 0 the bounds alone cannot show that it is empty).
+    /// Walking the box lexicographically visits the thread's points in
+    /// the order the whole nest's walk does.
+    pub fn thread_box(&self, t: usize, cores: usize, lo: &mut IVec, hi: &mut IVec) -> u64 {
+        lo.clone_from(&self.lo);
+        hi.clone_from(&self.hi);
+        if let Some((level, start, end)) = self.thread_block(t, cores) {
+            lo[level] = start;
+            hi[level] = end;
+        }
+        self.thread_points(t, cores)
+    }
+
+    /// Thread `t`'s values `start..end` of the parallel level (`None`
+    /// without one): block `t` of ⌈extent / cores⌉, clipped to the
+    /// loop's bounds, so possibly short or empty.
+    fn thread_block(&self, t: usize, cores: usize) -> Option<(usize, i64, i64)> {
+        let level = self.parallel_level?;
         let block = self.block(level, cores);
-        let mine = (extent - block.saturating_mul(t as i64)).clamp(0, block);
-        let mut extents = self.thread_extents(cores);
-        extents[level] = mine;
-        extents.iter().map(|&e| e as u64).product()
+        let (lo, hi) = (self.lo[level], self.hi[level].max(self.lo[level]));
+        let start = lo.saturating_add(block.saturating_mul(t as i64)).min(hi);
+        Some((level, start, start.saturating_add(block).min(hi)))
     }
 
     /// ⌈extent / cores⌉ of loop `level`: one thread's block.
@@ -380,18 +414,6 @@ pub(crate) struct PointList {
 }
 
 impl PointList {
-    /// A nest's whole iteration space in lexicographic order.
-    pub(crate) fn of(nest: &LoopNest) -> PointList {
-        let len = nest.points() as usize;
-        let mut coords = Vec::with_capacity(len * nest.depth());
-        nest.for_each_point(|p| coords.extend_from_slice(p));
-        PointList {
-            depth: nest.depth(),
-            len,
-            coords,
-        }
-    }
-
     /// Point `i`.
     pub(crate) fn get(&self, i: usize) -> &[i64] {
         assert!(i < self.len, "point {i} of {}", self.len);
@@ -430,42 +452,6 @@ impl PointList {
             nest.point_at(k as u64, &mut coords[j * depth..(j + 1) * depth]);
         }
         PointList { depth, len, coords }
-    }
-
-    /// The same points grouped by `group(point)` (one of `groups`),
-    /// each group keeping the current order. Returns the regrouped list
-    /// and the group boundaries: group `g` holds points
-    /// `starts[g]..starts[g + 1]`. When the groups already sit in
-    /// ascending order the list is returned as it is.
-    pub(crate) fn grouped_by(
-        self,
-        groups: usize,
-        group: impl Fn(&[i64]) -> usize,
-    ) -> (PointList, Vec<usize>) {
-        let mut starts = vec![0usize; groups + 1];
-        let mut in_order = true;
-        let mut last = 0;
-        for p in self.iter() {
-            let g = group(p);
-            in_order &= g >= last;
-            last = g;
-            starts[g + 1] += 1;
-        }
-        for g in 0..groups {
-            starts[g + 1] += starts[g];
-        }
-        if in_order {
-            return (self, starts);
-        }
-        let d = self.depth;
-        let mut next = starts.clone();
-        let mut coords = vec![0i64; self.coords.len()];
-        for p in self.iter() {
-            let g = group(p);
-            coords[next[g] * d..(next[g] + 1) * d].copy_from_slice(p);
-            next[g] += 1;
-        }
-        (PointList { coords, ..self }, starts)
     }
 }
 
@@ -728,7 +714,7 @@ pub(crate) mod tests {
         let nest = LoopNest::new(1, vec![0, 4], vec![8, 4], vec![]);
         assert_eq!(nest.points(), 0);
         assert!(walk(&nest).is_empty());
-        assert_eq!(PointList::of(&nest).iter().len(), 0);
+        assert_eq!(PointList::sorted_by(&nest, 0, |_, _| {}).iter().len(), 0);
     }
 
     #[test]
@@ -740,8 +726,9 @@ pub(crate) mod tests {
 
     /// Seeded property over random nests (depth 0–4, zero-trip
     /// dimensions, negative `lo`): `point_at(k)` is the k-th point of
-    /// the walk, the flat list holds the walk, and the evenly spaced
-    /// sample is what `step_by` over the walk selects.
+    /// the walk, a flat list sorted by an empty key holds the walk (the
+    /// sort is stable), and the evenly spaced sample is what `step_by`
+    /// over the walk selects.
     #[test]
     fn point_at_and_samples_match_the_walk() {
         let g = SplitMix64::new(0x9017);
@@ -754,7 +741,7 @@ pub(crate) mod tests {
                 nest.point_at(k as u64, &mut at);
                 assert_eq!(&at, p, "{nest:?} point {k}");
             }
-            let flat = PointList::of(&nest);
+            let flat = PointList::sorted_by(&nest, 0, |_, _| {});
             assert_eq!(flat.iter().len(), pts.len());
             assert!(flat.iter().eq(pts.iter().map(|p| p.as_slice())));
             for count in [1, 3, 24] {
@@ -767,10 +754,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The scheduled order sorts by keys computed once per point; it
+    /// The transformed order sorts by keys computed once per point; it
     /// must keep the order of sorting with `lex_cmp(T·a, T·b)` per
     /// comparison, the reference kept here, under random unimodular
-    /// transforms, and be the walk itself without one.
+    /// transforms.
     #[test]
     fn scheduled_order_keeps_the_per_comparison_order() {
         let g = SplitMix64::new(0x9018);
@@ -778,13 +765,9 @@ pub(crate) mod tests {
             let mut g = g.fork(case);
             let nest = random_nest(&mut g);
             let t = random_transform(&mut g, nest.depth());
-            let mut sched = crate::schedule::Schedule::default();
-            let walked = crate::interp::scheduled_points(&nest, &sched);
-            assert!(walked.iter().eq(walk(&nest).iter().map(|p| p.as_slice())));
             let mut expect = walk(&nest);
             expect.sort_by(|a, b| lex_cmp(&t.mul_vec(a), &t.mul_vec(b)));
-            sched.transforms.insert(nest.id, t.clone());
-            let got = crate::interp::scheduled_points(&nest, &sched);
+            let got = crate::interp::transformed_points(&nest, &t);
             assert!(
                 got.iter().eq(expect.iter().map(|p| p.as_slice())),
                 "{nest:?} under {t:?}"
@@ -821,13 +804,13 @@ pub(crate) mod tests {
         assert_eq!(inner.thread_extents(4), vec![10, 2]);
     }
 
-    /// Grouping keeps every group's points in their current order, and
-    /// the boundaries cover the list, whether the groups arrive in
-    /// order or interleaved; each group holds the number of points
-    /// `thread_points` counts for its thread (none for a thread past
-    /// the last).
+    /// Each thread's share, both ways lowering reads it: its box
+    /// (`thread_box`) walks exactly the points `thread_of` gives it, in
+    /// walk order, and a list sorted by (thread, `T·I`) holds them as
+    /// one run of `thread_points` entries after the earlier threads'
+    /// runs, in `T·I` order. A thread past the last gets none.
     #[test]
-    fn grouping_keeps_each_groups_order() {
+    fn thread_boxes_and_thread_sorted_runs_hold_each_threads_points() {
         let g = SplitMix64::new(0x9019);
         for case in 0..256 {
             let mut g = g.fork(case);
@@ -835,24 +818,29 @@ pub(crate) mod tests {
             let t = random_transform(&mut g, nest.depth());
             let cores = g.range_i64(1, 6) as usize;
             let thread = |p: &[i64]| nest.thread_of(p, cores);
-            let list = PointList::sorted_by(&nest, t.rows, |p, image| t.mul_into(p, image));
-            let (grouped, starts) = list.clone().grouped_by(cores, thread);
-            assert_eq!(starts.len(), cores + 1);
-            assert_eq!(starts[cores], list.iter().len());
+            let images = crate::interp::transformed_points(&nest, &t);
+            let by_thread = PointList::sorted_by(&nest, 1 + t.rows, |p, key| {
+                key[0] = thread(p) as i64;
+                t.mul_into(p, &mut key[1..]);
+            });
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            let mut start = 0;
             for c in 0..=cores {
-                let count = starts.get(c + 1).map_or(0, |end| end - starts[c]);
-                assert_eq!(
-                    nest.thread_points(c, cores),
-                    count as u64,
-                    "{nest:?} thread {c}"
-                );
+                let n = nest.thread_points(c, cores) as usize;
+                assert_eq!(nest.thread_box(c, cores, &mut lo, &mut hi), n as u64);
+                let mut boxed = Vec::new();
+                if n > 0 {
+                    LoopNest::new(0, lo.clone(), hi.clone(), vec![])
+                        .for_each_point(|p| boxed.push(p.to_vec()));
+                }
+                let mine: Vec<IVec> = walk(&nest).into_iter().filter(|p| thread(p) == c).collect();
+                assert_eq!(boxed, mine, "{nest:?} thread {c} of {cores}");
+                let run: Vec<&[i64]> = (start..start + n).map(|i| by_thread.get(i)).collect();
+                let expect: Vec<&[i64]> = images.iter().filter(|p| thread(p) == c).collect();
+                assert_eq!(run, expect, "{nest:?} thread {c} of {cores} under {t:?}");
+                start += n;
             }
-            for c in 0..cores {
-                let mine: Vec<&[i64]> =
-                    (starts[c]..starts[c + 1]).map(|i| grouped.get(i)).collect();
-                let expect: Vec<&[i64]> = list.iter().filter(|p| thread(p) == c).collect();
-                assert_eq!(mine, expect, "{nest:?} thread {c} of {cores}");
-            }
+            assert_eq!(start as u64, nest.points());
         }
     }
 

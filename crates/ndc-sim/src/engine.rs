@@ -616,7 +616,6 @@ impl<'a> Engine<'a> {
                 b,
                 stagger,
                 reshape_routes,
-                ..
             } => {
                 self.exec_packet(
                     machine,
@@ -1371,7 +1370,6 @@ mod tests {
                 op,
                 a,
                 b,
-                store_to: None,
                 stagger: 0,
                 reshape_routes: false,
             },
@@ -1640,7 +1638,6 @@ mod tests {
                         op: Op::Add,
                         a,
                         b,
-                        store_to: None,
                         stagger: 0,
                         reshape_routes: false,
                     },

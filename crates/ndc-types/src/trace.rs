@@ -76,16 +76,13 @@ pub enum InstKind {
     /// LD/ST unit records it in the offload table, probes the local L1
     /// (if an operand is local the offload is skipped and the
     /// computation runs at the core), and otherwise injects an NDC
-    /// compute package.
+    /// compute package. The result is fed back to the core (the
+    /// "CPU-feed" signal); the consuming `Compute` stores it there.
     PreCompute {
         id: PrecomputeId,
         op: Op,
         a: Addr,
         b: Addr,
-        /// Optional store target for the result (performed at the NDC
-        /// location's side, with the result also fed back to the CPU via
-        /// the "CPU-feed" signal).
-        store_to: Option<Addr>,
         /// Compiler-chosen issue stagger in cycles between the two
         /// operand requests: positive delays `b`'s request, negative
         /// delays `a`'s. This is how the code-motion of Figures 8/9
@@ -166,33 +163,6 @@ impl Inst {
             kind: InstKind::Busy { cycles },
         }
     }
-
-    /// Memory addresses this instruction touches (0 to
-    /// `MAX_FUSED_OPS + 1`).
-    pub fn touched_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        let mut slots: [Option<Addr>; MAX_FUSED_OPS + 1] = [None; MAX_FUSED_OPS + 1];
-        match &self.kind {
-            InstKind::Load { addr } => slots[0] = Some(*addr),
-            InstKind::Store { addr } => slots[0] = Some(*addr),
-            InstKind::Compute { a, b, store_to, .. } => {
-                slots[0] = a.addr();
-                slots[1] = b.addr();
-                slots[2] = *store_to;
-            }
-            InstKind::PreCompute { a, b, store_to, .. } => {
-                slots[0] = Some(*a);
-                slots[1] = Some(*b);
-                slots[2] = *store_to;
-            }
-            InstKind::FusedPreCompute { n_ops, addrs, .. } => {
-                for (k, slot) in slots.iter_mut().take(*n_ops as usize + 1).enumerate() {
-                    *slot = Some(addrs[k]);
-                }
-            }
-            InstKind::Busy { .. } => {}
-        }
-        slots.into_iter().flatten()
-    }
 }
 
 // Tags of `Record::tag`, one per `InstKind` variant.
@@ -208,31 +178,38 @@ const TAG_BUSY: u8 = 5;
 const IMM_A: u8 = 1;
 /// `Compute`'s `b` is an immediate.
 const IMM_B: u8 = 2;
-/// `store_to` is present (its address is word 2).
+/// `Compute`'s `store_to` is present (its address is word 2).
 const HAS_STORE: u8 = 4;
 /// `Compute`'s `precomputed` is present (its id is `arg`).
 const HAS_ID: u8 = 8;
 /// `reshape_routes` of a precompute.
 const RESHAPE: u8 = 16;
+/// Word `k` holds an index into the trace's wide table, not its value,
+/// when bit `WIDE << k` is set: the value needs more than 32 bits.
+const WIDE: u8 = 32;
 
-/// One instruction, packed. Fields a kind does not use are zero, so
-/// equal instructions pack to equal records.
+/// One instruction, packed into 24 bytes. Fields a kind does not use
+/// are zero, so equal instructions pack to equal records.
 ///
 /// | kind | `words` | `arg` | other |
 /// |---|---|---|---|
 /// | `Load`, `Store` | `[addr, 0, 0]` | 0 | |
 /// | `Compute` | `[a, b, store_to]` | consumed id | `op`, flags |
-/// | `PreCompute` | `[a, b, store_to]` | id | `op`, `stagger`, flags |
-/// | `FusedPreCompute` | `[side-table index, 0, 0]` | base id | `n_ops`, `stagger`, flags |
+/// | `PreCompute` | `[a, b, stagger]` | id | `op`, flags |
+/// | `FusedPreCompute` | `[side-table index, stagger, 0]` | base id | `n_ops`, flags |
 /// | `Busy` | 0 | cycles | |
+///
+/// An address or immediate that does not fit a `u32` word sits in the
+/// trace's wide table, and its word holds the table index (flag
+/// `WIDE << k`).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Record {
-    /// Addresses, or immediates stored as `f64::to_bits` (flagged).
-    words: [u64; 3],
+    /// Addresses, immediates as `f64::to_bits`, a stagger as `i32`
+    /// bits, or a side-table index.
+    words: [u32; 3],
     pc: Pc,
     /// The defined id, the consumed id or the busy cycles.
     arg: u32,
-    stagger: i32,
     tag: u8,
     /// Index into [`Op::ALL`].
     op: u8,
@@ -240,7 +217,7 @@ struct Record {
     n_ops: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() <= 40);
+const _: () = assert!(std::mem::size_of::<Record>() == 24);
 
 /// A fused packet's ops and gathered addresses, held out of line:
 /// fused packets are a fraction of a percent of a trace.
@@ -250,8 +227,9 @@ struct FusedOperands {
     addrs: [Addr; MAX_FUSED_OPS + 1],
 }
 
+/// An operand's 64-bit value and its immediate flag.
 #[inline]
-fn operand_word(o: Operand, imm_flag: u8) -> (u64, u8) {
+fn operand_bits(o: Operand, imm_flag: u8) -> (u64, u8) {
     match o {
         Operand::Mem(addr) => (addr, 0),
         Operand::Imm(v) => (v.to_bits(), imm_flag),
@@ -259,40 +237,56 @@ fn operand_word(o: Operand, imm_flag: u8) -> (u64, u8) {
 }
 
 #[inline]
-fn word_operand(word: u64, imm: bool) -> Operand {
+fn bits_operand(bits: u64, imm: bool) -> Operand {
     if imm {
-        Operand::Imm(f64::from_bits(word))
+        Operand::Imm(f64::from_bits(bits))
     } else {
-        Operand::Mem(word)
+        Operand::Mem(bits)
     }
 }
 
+/// A side-table index as a record word. A table gains at most three
+/// entries per record, far below 2^32 for any trace that fits in
+/// memory.
+fn index_word(len: usize) -> u32 {
+    u32::try_from(len).expect("trace side table outgrew u32 indices")
+}
+
 impl Record {
+    /// The 64-bit value of word `k`.
     #[inline]
-    fn decode(&self, fused: &[FusedOperands]) -> Inst {
+    fn value(&self, k: usize, wide: &[u64]) -> u64 {
+        let w = self.words[k];
+        if self.flags & (WIDE << k) != 0 {
+            wide[w as usize]
+        } else {
+            w as u64
+        }
+    }
+
+    #[inline]
+    fn decode(&self, fused: &[FusedOperands], wide: &[u64]) -> Inst {
         let flag = |f: u8| self.flags & f != 0;
-        let store_to = flag(HAS_STORE).then_some(self.words[2]);
         let kind = match self.tag {
             TAG_LOAD => InstKind::Load {
-                addr: self.words[0],
+                addr: self.value(0, wide),
             },
             TAG_STORE => InstKind::Store {
-                addr: self.words[0],
+                addr: self.value(0, wide),
             },
             TAG_COMPUTE => InstKind::Compute {
                 op: Op::ALL[self.op as usize],
-                a: word_operand(self.words[0], flag(IMM_A)),
-                b: word_operand(self.words[1], flag(IMM_B)),
-                store_to,
+                a: bits_operand(self.value(0, wide), flag(IMM_A)),
+                b: bits_operand(self.value(1, wide), flag(IMM_B)),
+                store_to: flag(HAS_STORE).then(|| self.value(2, wide)),
                 precomputed: flag(HAS_ID).then_some(self.arg),
             },
             TAG_PRECOMPUTE => InstKind::PreCompute {
                 id: self.arg,
                 op: Op::ALL[self.op as usize],
-                a: self.words[0],
-                b: self.words[1],
-                store_to,
-                stagger: self.stagger,
+                a: self.value(0, wide),
+                b: self.value(1, wide),
+                stagger: self.words[2] as i32,
                 reshape_routes: flag(RESHAPE),
             },
             TAG_FUSED => {
@@ -302,7 +296,7 @@ impl Record {
                     n_ops: self.n_ops,
                     ops: packet.ops,
                     addrs: packet.addrs,
-                    stagger: self.stagger,
+                    stagger: self.words[1] as i32,
                     reshape_routes: flag(RESHAPE),
                 }
             }
@@ -325,17 +319,20 @@ struct Summary {
     precompute_ids: u64,
 }
 
-/// A trace's instructions, stored as 40-byte packed records; fused
-/// packets' operands are held out of line. [`Inst`] is the decoded
-/// view: [`Insts::push`] packs one, [`Insts::get`] and
-/// [`Insts::iter`] unpack them by value.
+/// A trace's instructions, stored as 24-byte packed records; fused
+/// packets' operands and the values too wide for a record word are
+/// held out of line. [`Inst`] is the decoded view: [`Insts::push`]
+/// packs one, [`Insts::get`] and [`Insts::iter`] unpack them by value.
 ///
-/// Equality compares the packed records, so immediates compare bit for
-/// bit (a NaN equals the same NaN, and `-0.0` differs from `0.0`).
+/// Equality compares the packed records and side tables, so immediates
+/// compare bit for bit (a NaN equals the same NaN, and `-0.0` differs
+/// from `0.0`).
 #[derive(Clone, Default, PartialEq)]
 pub struct Insts {
     records: Vec<Record>,
     fused: Vec<FusedOperands>,
+    /// Addresses of 2^32 and above, and immediates' bits, in push order.
+    wide: Vec<u64>,
     summary: Summary,
 }
 
@@ -352,25 +349,46 @@ impl Insts {
         self.records.is_empty()
     }
 
-    /// Reserve room for exactly `additional` more instructions.
-    pub fn reserve_exact(&mut self, additional: usize) {
-        self.records.reserve_exact(additional);
+    /// Reserve room for exactly `insts` more instructions, `fused` of
+    /// them fused packets.
+    pub fn reserve_exact(&mut self, insts: usize, fused: usize) {
+        self.records.reserve_exact(insts);
+        self.fused.reserve_exact(fused);
     }
 
     /// Hand unused capacity back to the allocator.
     pub fn shrink_to_fit(&mut self) {
         self.records.shrink_to_fit();
         self.fused.shrink_to_fit();
+        self.wide.shrink_to_fit();
     }
 
-    /// Append one instruction.
-    #[inline]
+    /// Store `value` in word `k` of `r`: in place when it fits 32 bits,
+    /// else in the wide table.
+    #[inline(always)]
+    fn put(&mut self, r: &mut Record, k: usize, value: u64) {
+        match u32::try_from(value) {
+            Ok(w) => r.words[k] = w,
+            Err(_) => self.put_wide(r, k, value),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn put_wide(&mut self, r: &mut Record, k: usize, value: u64) {
+        r.words[k] = index_word(self.wide.len());
+        r.flags |= WIDE << k;
+        self.wide.push(value);
+    }
+
+    /// Append one instruction. Always inlined: at a call site that
+    /// names the kind, only that kind's packing is left.
+    #[inline(always)]
     pub fn push(&mut self, inst: Inst) {
         let mut r = Record {
             words: [0; 3],
             pc: inst.pc,
             arg: 0,
-            stagger: 0,
             tag: TAG_BUSY,
             op: 0,
             flags: 0,
@@ -378,23 +396,15 @@ impl Insts {
         };
         let s = &mut self.summary;
         s.pc_end = s.pc_end.max(inst.pc as u64 + 1);
-        let mut define_ids = |id: PrecomputeId, n: u64| {
-            s.precomputes += 1;
-            s.precompute_ids += n;
-            s.id_end = s.id_end.max(id as u64 + n);
-        };
-        let store_word = |store_to: Option<Addr>| match store_to {
-            Some(addr) => (addr, HAS_STORE),
-            None => (0, 0),
-        };
+        let reshape = |on: bool| if on { RESHAPE } else { 0 };
         match inst.kind {
             InstKind::Load { addr } => {
                 r.tag = TAG_LOAD;
-                r.words[0] = addr;
+                self.put(&mut r, 0, addr);
             }
             InstKind::Store { addr } => {
                 r.tag = TAG_STORE;
-                r.words[0] = addr;
+                self.put(&mut r, 0, addr);
             }
             InstKind::Compute {
                 op,
@@ -403,36 +413,39 @@ impl Insts {
                 store_to,
                 precomputed,
             } => {
-                let (wa, fa) = operand_word(a, IMM_A);
-                let (wb, fb) = operand_word(b, IMM_B);
-                let (ws, fs) = store_word(store_to);
+                s.computes += 1;
+                let (va, fa) = operand_bits(a, IMM_A);
+                let (vb, fb) = operand_bits(b, IMM_B);
                 r.tag = TAG_COMPUTE;
                 r.op = op as u8;
-                r.words = [wa, wb, ws];
-                r.flags = fa | fb | fs;
+                r.flags = fa | fb;
+                self.put(&mut r, 0, va);
+                self.put(&mut r, 1, vb);
+                if let Some(addr) = store_to {
+                    r.flags |= HAS_STORE;
+                    self.put(&mut r, 2, addr);
+                }
                 if let Some(id) = precomputed {
                     r.arg = id;
                     r.flags |= HAS_ID;
                 }
-                s.computes += 1;
             }
             InstKind::PreCompute {
                 id,
                 op,
                 a,
                 b,
-                store_to,
                 stagger,
                 reshape_routes,
             } => {
-                let (ws, fs) = store_word(store_to);
+                self.summary.define_ids(id, 1);
                 r.tag = TAG_PRECOMPUTE;
                 r.op = op as u8;
                 r.arg = id;
-                r.words = [a, b, ws];
-                r.stagger = stagger;
-                r.flags = fs | if reshape_routes { RESHAPE } else { 0 };
-                define_ids(id, 1);
+                r.words[2] = stagger as u32;
+                r.flags = reshape(reshape_routes);
+                self.put(&mut r, 0, a);
+                self.put(&mut r, 1, b);
             }
             InstKind::FusedPreCompute {
                 id,
@@ -442,14 +455,14 @@ impl Insts {
                 stagger,
                 reshape_routes,
             } => {
+                self.summary.define_ids(id, n_ops as u64);
                 r.tag = TAG_FUSED;
                 r.arg = id;
                 r.n_ops = n_ops;
-                r.words[0] = self.fused.len() as u64;
-                r.stagger = stagger;
-                r.flags = if reshape_routes { RESHAPE } else { 0 };
+                r.words[0] = index_word(self.fused.len());
+                r.words[1] = stagger as u32;
+                r.flags = reshape(reshape_routes);
                 self.fused.push(FusedOperands { ops, addrs });
-                define_ids(id, n_ops as u64);
             }
             InstKind::Busy { cycles } => r.arg = cycles,
         }
@@ -459,7 +472,7 @@ impl Insts {
     /// Instruction `i`, decoded. Panics unless `i < len()`.
     #[inline]
     pub fn get(&self, i: usize) -> Inst {
-        self.records[i].decode(&self.fused)
+        self.records[i].decode(&self.fused, &self.wide)
     }
 
     /// The cycles of instruction `i` when it is a `Busy`, read without
@@ -477,6 +490,7 @@ impl Insts {
         InstIter {
             records: self.records.iter(),
             fused: &self.fused,
+            wide: &self.wide,
         }
     }
 
@@ -492,6 +506,16 @@ impl Insts {
     }
 }
 
+impl Summary {
+    /// Count a precompute that defines ids `id .. id + n`.
+    #[inline]
+    fn define_ids(&mut self, id: PrecomputeId, n: u64) {
+        self.precomputes += 1;
+        self.precompute_ids += n;
+        self.id_end = self.id_end.max(id as u64 + n);
+    }
+}
+
 impl std::fmt::Debug for Insts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
@@ -502,6 +526,7 @@ impl std::fmt::Debug for Insts {
 pub struct InstIter<'a> {
     records: std::slice::Iter<'a, Record>,
     fused: &'a [FusedOperands],
+    wide: &'a [u64],
 }
 
 impl Iterator for InstIter<'_> {
@@ -509,7 +534,7 @@ impl Iterator for InstIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Inst> {
-        self.records.next().map(|r| r.decode(self.fused))
+        self.records.next().map(|r| r.decode(self.fused, self.wide))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -607,7 +632,8 @@ impl TraceProgram {
     /// trace.
     pub fn validate_precompute_links(&self) -> Result<(), String> {
         for (ti, trace) in self.traces.iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen =
+                std::collections::HashSet::with_capacity(trace.precompute_ids() as usize);
             for (ii, inst) in trace.insts.iter().enumerate() {
                 match inst.kind {
                     InstKind::PreCompute { id, .. } if !seen.insert(id) => {
@@ -663,7 +689,6 @@ mod tests {
                     op: Op::Add,
                     a: 0,
                     b: 64,
-                    store_to: None,
                     stagger: 0,
                     reshape_routes: false,
                 },
@@ -701,7 +726,6 @@ mod tests {
                     op: Op::Add,
                     a: 0,
                     b: 64,
-                    store_to: None,
                     stagger: 0,
                     reshape_routes: false,
                 },
@@ -710,20 +734,6 @@ mod tests {
         let mut p = TraceProgram::new("dup");
         p.traces.push(t);
         assert!(p.validate_precompute_links().is_err());
-    }
-
-    #[test]
-    fn touched_addrs_cover_all_operands() {
-        let i = Inst::compute(0, Op::Add, Operand::Mem(100), Operand::Mem(200), Some(300));
-        let addrs: Vec<Addr> = i.touched_addrs().collect();
-        assert_eq!(addrs, vec![100, 200, 300]);
-
-        let i = Inst::compute(0, Op::Add, Operand::Imm(1.0), Operand::Mem(200), None);
-        let addrs: Vec<Addr> = i.touched_addrs().collect();
-        assert_eq!(addrs, vec![200]);
-
-        let i = Inst::busy(0, 5);
-        assert_eq!(i.touched_addrs().count(), 0);
     }
 
     #[test]
@@ -828,9 +838,15 @@ mod tests {
     /// A random instruction of any kind, its fields drawn with weight on
     /// the extremes a packed record must carry.
     fn random_inst(g: &mut SplitMix64) -> Inst {
-        let addr = |g: &mut SplitMix64| match g.below(4) {
+        // Addresses either side of the 32-bit record word, which holds
+        // the narrow ones in place and indexes the wide table for the
+        // rest.
+        let addr = |g: &mut SplitMix64| match g.below(7) {
             0 => 0,
             1 => u64::MAX,
+            2 => u32::MAX as u64,
+            3 => 1 << 32,
+            4 | 5 => g.next_u32() as u64,
             _ => g.next_u64(),
         };
         let word32 = |g: &mut SplitMix64| match g.below(4) {
@@ -880,7 +896,6 @@ mod tests {
                 op: op(g),
                 a: addr(g),
                 b: addr(g),
-                store_to: g.chance(0.5).then(|| addr(g)),
                 stagger: stagger(g),
                 reshape_routes: g.chance(0.5),
             },
@@ -979,6 +994,34 @@ mod tests {
         }
     }
 
+    /// Values that fit a record word stay in it; each wider value takes
+    /// one wide-table entry.
+    #[test]
+    fn only_values_past_32_bits_use_the_wide_table() {
+        let mut s = Insts::new();
+        let narrow = Inst::compute(
+            0,
+            Op::Add,
+            Operand::Mem(u32::MAX as u64),
+            Operand::Imm(0.0),
+            Some(8),
+        );
+        s.push(narrow);
+        s.push(Inst::load(1, 64));
+        assert!(s.wide.is_empty());
+        let wide = Inst::compute(
+            2,
+            Op::Mul,
+            Operand::Imm(1.0),
+            Operand::Mem(1 << 32),
+            Some(u64::MAX),
+        );
+        s.push(wide);
+        assert_eq!(s.wide, [1f64.to_bits(), 1 << 32, u64::MAX]);
+        assert_eq!(s.get(0), narrow);
+        assert_eq!(s.get(2), wide);
+    }
+
     #[test]
     fn store_equality_compares_immediates_by_bits() {
         let store = |v: f64| {
@@ -995,11 +1038,5 @@ mod tests {
         assert_eq!(store(f64::NAN), store(f64::NAN));
         assert_ne!(store(0.0), store(-0.0));
         assert_ne!(store(1.0), store(2.0));
-    }
-
-    #[test]
-    fn fused_touched_addrs_cover_gathered_operands() {
-        let addrs: Vec<Addr> = fused_inst(0, 3).touched_addrs().collect();
-        assert_eq!(addrs, vec![0, 64, 128, 192]);
     }
 }

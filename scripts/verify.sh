@@ -22,11 +22,14 @@ cargo test -q --offline --workspace
 echo "== tests (release profile): trace store, address forms, bounds prover, simulator hot path =="
 # Debug builds trap on integer overflow where release builds wrap, so
 # the crates whose address arithmetic relies on wrapping (the packed
-# trace store, the affine address forms, the interval rule) also run
-# their tests, property tests included, optimized. The simulator's
-# hot-path crates (caches, the paged sharer directory, the network,
-# the engine) run optimized too, as perfbench builds them.
+# trace store, the affine address forms and their carry deltas, the
+# interval rule) also run their tests, property tests included,
+# optimized, and so does the pinned hash of every kernel's lowered
+# instructions (`tests/trace_store.rs`). The simulator's hot-path
+# crates (caches, the paged sharer directory, the network, the engine)
+# run optimized too, as perfbench builds them.
 cargo test --release --offline -p ndc-types -p ndc-ir -p ndc-lint -p ndc-mem -p ndc-noc -p ndc-sim
+cargo test --release --offline -p ndc --test trace_store
 echo "== benchmark: perfbench builds and its unit tests pass =="
 # perfbench links the `ndc` facade by path, so a change to any public
 # item it calls must still compile there. `--locked` fails on a stale

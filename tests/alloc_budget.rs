@@ -13,9 +13,12 @@
 //!   about what it does at test size, because the cost model draws its
 //!   24 sample points directly instead of walking the iteration space;
 //! - lowering allocates far less than once per lowered instruction,
-//!   because scheduled points live in one flat buffer, and requests
-//!   few bytes more per instruction than its 40-byte packed record,
-//!   because each trace is reserved once from a bound on its length.
+//!   and requests few bytes more per instruction than its 24-byte
+//!   packed record, because each trace is reserved once from a bound on
+//!   its length and an untransformed nest's points are walked in place;
+//! - lowering allocates a few times per trace and per nest, not per
+//!   thread of each nest, because its scratch is shared by every nest
+//!   and thread of a call.
 //!
 //! The allocator also sums the bytes requested: each allocation's size,
 //! and the new size of each reallocation that grows a block.
@@ -262,19 +265,21 @@ fn compiling_at_paper_size_allocates_about_what_test_size_does() {
 }
 
 /// At most this many allocations per lowered instruction at paper
-/// size. Grouping one flat buffer of scheduled points by thread, these
-/// kernels read 0.001–0.006; what remains is per nest and per trace
-/// (the reservations, and the link validation of debug builds). One
+/// size. Walking each thread's box in place, these kernels read
+/// 0.0003–0.0008; what remains is per nest and per trace (the
+/// reservations, and the link validation of debug builds). A flat
+/// buffer of every point, grouped by thread, read 0.001–0.006, and one
 /// `Vec` per point, sorted and bucketed per thread, read 0.11–0.34.
 const LOWER_BUDGET: f64 = 0.02;
 
 /// At most this many bytes requested per lowered instruction at paper
-/// size. A packed record is 40 bytes and each trace is reserved once,
-/// so these kernels read 42–44 in release builds and 46–50 in debug
-/// builds, whose link validation adds a hash set; the rest is the flat
-/// point list and the bound's slack. 72-byte `Inst`s in buffers grown
-/// by doubling read 204–229.
-const LOWER_BYTES_BUDGET: f64 = 64.0;
+/// size. A packed record is 24 bytes and each trace is reserved once,
+/// so these kernels read 24.1 in release builds and 26.0–27.6 in debug
+/// builds, whose link validation adds a hash set sized to the trace's
+/// ids; the rest is the bound's slack. 40-byte records with a point
+/// list of the whole nest read 42–44 and 46–50, and 72-byte `Inst`s in
+/// buffers grown by doubling 204–229.
+const LOWER_BYTES_BUDGET: f64 = 35.0;
 
 #[test]
 fn lowering_allocates_far_less_than_once_per_instruction() {
@@ -300,5 +305,62 @@ fn lowering_allocates_far_less_than_once_per_instruction() {
             "{name}: {bytes_per_inst:.1} bytes requested per lowered instruction \
              (budget {LOWER_BYTES_BUDGET})"
         );
+    }
+}
+
+/// At most this many allocations per trace, plus
+/// [`LOWER_NEST_ALLOCS`] per nest, for one test-scale lowering. Per
+/// trace a lowering reserves the records and the fused packets' side
+/// table and shrinks both to fit, and a debug build's link validation
+/// sizes one hash set: these kernels read 1 (baselines) to 5 (fused
+/// Algorithm 2, debug) per added trace.
+const LOWER_TRACE_ALLOCS: u64 = 6;
+
+/// At most this many allocations per nest, beside the per-trace ones:
+/// each reference's affine form, a transformed nest's point list, and
+/// the growth of the scratch every nest and thread reuse. Over the 20
+/// kernels the allocations left after 5 per trace read at most 40.0 per
+/// nest (md, fused Algorithm 2, debug). Allocating the rings once per
+/// (nest, thread) adds 3 per nest for every busy thread, 75 per nest
+/// at 25 cores.
+const LOWER_NEST_ALLOCS: u64 = 48;
+
+#[test]
+fn lowering_allocates_per_trace_and_per_nest_not_per_thread() {
+    let cfg = ArchConfig::paper_default();
+    let cores = cfg.nodes();
+    let opts = LowerOptions {
+        cores,
+        emit_busy: true,
+    };
+    let fused = Algorithm2Options {
+        fuse: true,
+        ..Default::default()
+    };
+    for bench in all_benchmarks() {
+        let prog = bench.build(Scale::Test);
+        let budget =
+            LOWER_TRACE_ALLOCS * cores as u64 + LOWER_NEST_ALLOCS * prog.nests.len() as u64;
+        for (label, sched) in [
+            ("baseline", None),
+            ("alg1", Some(compile_algorithm1(&prog, &cfg, cores).0)),
+            (
+                "alg2",
+                Some(compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default()).0),
+            ),
+            (
+                "alg2 fused",
+                Some(compile_algorithm2(&prog, &cfg, cores, fused).0),
+            ),
+        ] {
+            let (allocs, _) = allocs(|| lower(&prog, &opts, sched.as_ref()));
+            assert!(
+                allocs <= budget,
+                "{}/{label}: {allocs} allocations lowering {} nests onto {cores} traces \
+                 (budget {budget})",
+                bench.name,
+                prog.nests.len()
+            );
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! The packed trace store's summaries against the scans they replace.
+//! The packed trace store's summaries against the scans they replace,
+//! and the lowered instructions themselves.
 //!
 //! A trace keeps its largest pc, the end of its precompute-id range and
 //! its compute, precompute and precompute-id counts up to date on every
@@ -6,6 +7,9 @@
 //! computations without decoding a trace. Each summary must equal a
 //! full scan of the decoded instructions: on every kernel's baseline and
 //! compiled lowerings, and on hand-built traces whose ids are sparse.
+//! The same lowerings are hashed instruction by instruction against a
+//! pinned value, so a changed address, id or order fails here even
+//! where no simulated counter moves.
 
 use ndc::prelude::*;
 use ndc::types::{Inst, InstKind, NodeId, Operand, Trace, TraceProgram};
@@ -52,6 +56,81 @@ fn assert_summaries_match(label: &str, tp: &TraceProgram) {
     assert_eq!(tp.total_computes(), computes, "{label}");
 }
 
+/// Fold every decoded instruction of `t` into the FNV-1a hash `h`: the
+/// core and length, then per instruction its pc, a kind tag and every
+/// field, immediates by their bits.
+fn hash_trace(h: &mut u64, t: &Trace) {
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let operand = |o: Operand| match o {
+        Operand::Mem(addr) => [0, addr],
+        Operand::Imm(v) => [1, v.to_bits()],
+    };
+    let option = |o: Option<u64>| o.map_or([0, 0], |v| [1, v]);
+    word(t.core.0 as u64);
+    word(t.insts.len() as u64);
+    for inst in &t.insts {
+        word(inst.pc as u64);
+        let fields: Vec<u64> = match inst.kind {
+            InstKind::Load { addr } => vec![0, addr],
+            InstKind::Store { addr } => vec![1, addr],
+            InstKind::Compute {
+                op,
+                a,
+                b,
+                store_to,
+                precomputed,
+            } => [[2, op as u64], operand(a), operand(b), option(store_to)]
+                .concat()
+                .into_iter()
+                .chain(option(precomputed.map(u64::from)))
+                .collect(),
+            InstKind::PreCompute {
+                id,
+                op,
+                a,
+                b,
+                stagger,
+                reshape_routes,
+            } => vec![
+                3,
+                id as u64,
+                op as u64,
+                a,
+                b,
+                stagger as u32 as u64,
+                reshape_routes as u64,
+            ],
+            InstKind::FusedPreCompute {
+                id,
+                n_ops,
+                ops,
+                addrs,
+                stagger,
+                reshape_routes,
+            } => [4, id as u64, n_ops as u64]
+                .into_iter()
+                .chain(ops.map(|op| op as u64))
+                .chain(addrs)
+                .chain([stagger as u32 as u64, reshape_routes as u64])
+                .collect(),
+            InstKind::Busy { cycles } => vec![5, cycles as u64],
+        };
+        fields.into_iter().for_each(&mut word);
+    }
+}
+
+/// The hash of every instruction of the 20 kernels' test-scale
+/// baseline, Algorithm 1, Algorithm 2 and fused Algorithm 2 lowerings
+/// (25 cores, `Busy` emitted), in kernel order. Computed when lowering
+/// still built the whole iteration space as a point list, evaluated
+/// each reference from scratch at every point, and stored 40-byte
+/// records, with `PreCompute::store_to` (since deleted) left out.
+const LOWERED_HASH: u64 = 0x206d_f76e_bfd4_016b;
+
 #[test]
 fn trace_summaries_equal_a_full_scan_for_every_kernel() {
     let cfg = ArchConfig::paper_default();
@@ -61,9 +140,13 @@ fn trace_summaries_equal_a_full_scan_for_every_kernel() {
         emit_busy: true,
     };
     let mut fused_packets = 0;
+    let mut lowered = 0xcbf2_9ce4_8422_2325;
+    let mut hash = |tp: &TraceProgram| tp.traces.iter().for_each(|t| hash_trace(&mut lowered, t));
     for bench in all_benchmarks() {
         let prog = bench.build(Scale::Test);
-        assert_summaries_match(bench.name, &lower(&prog, &opts, None));
+        let base = lower(&prog, &opts, None);
+        assert_summaries_match(bench.name, &base);
+        hash(&base);
         let fused = Algorithm2Options {
             fuse: true,
             ..Default::default()
@@ -81,11 +164,16 @@ fn trace_summaries_equal_a_full_scan_for_every_kernel() {
         ] {
             let tp = lower(&prog, &opts, Some(&sched));
             assert_summaries_match(&format!("{}/{label}", bench.name), &tp);
+            hash(&tp);
             fused_packets += sched.fused.len();
         }
     }
     // The fused lowerings exercise the packets' n_ops-wide id ranges.
     assert!(fused_packets > 0);
+    assert_eq!(
+        lowered, LOWERED_HASH,
+        "lowered instructions differ from the pinned ones: {lowered:#018x}"
+    );
 }
 
 #[test]
@@ -97,7 +185,6 @@ fn hand_built_traces_with_sparse_ids_summarize_exactly() {
             op: Op::Add,
             a: 0,
             b: 64,
-            store_to: None,
             stagger: 0,
             reshape_routes: false,
         },
