@@ -3,11 +3,13 @@
 //! & Malik's framework).
 //!
 //! The estimator is built on compiler reuse analysis: for every array
-//! reference it derives reuse vectors (self-spatial, self-temporal and
-//! group-temporal, by solving the linear Diophantine systems
-//! `F·d = Δf`), converts reuse distances into cache footprints, and
-//! classifies the reference's expected *cold*, *capacity* and
-//! *conflict* behaviour in both L1 and L2.
+//! reference it derives reuse vectors (self-spatial and self-temporal
+//! from `ndc_ir::affine`'s fold of `F·I + f` into per-loop byte
+//! strides, group-temporal by solving the linear Diophantine systems
+//! `F·d = Δf` with the same module's exact solver), converts reuse
+//! distances into cache footprints, and classifies the reference's
+//! expected *cold*, *capacity* and *conflict* behaviour in both L1 and
+//! L2.
 //!
 //! Faithful to the paper, the estimator **does not model coherence
 //! misses** — cross-thread invalidations are invisible to the static
@@ -29,4 +31,4 @@ pub use accuracy::{
 };
 pub use bottleneck::{classify, BottleneckClass, BottleneckCounters};
 pub use predict::{analyze, CmeAnalysis, MissPrediction, RefKey};
-pub use reuse::{innermost_stride, ReuseInfo, ReuseKind};
+pub use reuse::{ReuseInfo, ReuseKind};

@@ -1,18 +1,19 @@
 //! Reuse analysis: the front half of the Cache Miss Equations.
 //!
-//! For a reference `X(F·I + f)` we derive:
+//! For a reference `X(F·I + f)` we derive, from `ndc_ir::affine`'s fold
+//! of `F·I + f` into per-loop byte strides ([`Fold::bytes`]):
 //!
 //! * the **innermost stride** — the address delta between consecutive
 //!   innermost iterations, which drives self-spatial reuse;
-//! * **self-temporal reuse** — a nonzero lex-positive `d` with
-//!   `F·d = 0` (the same element touched again `d` iterations later);
+//! * **self-temporal reuse** — the innermost loop whose stride is zero:
+//!   one step of it touches the same element again;
 //! * **group-temporal reuse** — another reference `X(F·I + f')` in the
-//!   nest with the same `F`; the reuse distance solves `F·d = f' − f`.
-//!
-//! All systems are solved exactly over the integers (Cramer with exact
-//! divisibility checks), mirroring the paper's Diophantine machinery.
+//!   nest with the same `F`; the reuse distance solves `F·d = f' − f`
+//!   exactly over the integers ([`solve`]), mirroring the paper's
+//!   Diophantine machinery.
 
-use ndc_ir::matrix::{lex_positive, IMat, IVec};
+use ndc_ir::affine::{decl_of, solve, Fold, Solve};
+use ndc_ir::matrix::{lex_positive, IVec};
 use ndc_ir::program::{ArrayRef, LoopNest, Program};
 
 /// The reuse a reference enjoys, in decreasing order of quality.
@@ -22,7 +23,7 @@ pub enum ReuseKind {
     /// (innermost stride 0).
     SelfTemporalInnermost,
     /// The same element is accessed again `distance` iterations later
-    /// (solution of `F·d = 0`).
+    /// (a unit step of a loop whose stride is zero).
     SelfTemporal { distance: IVec },
     /// Another reference touches the same element `distance` iterations
     /// later/earlier; `leader_stmt_pos`/`leader_slot` identify the
@@ -47,69 +48,13 @@ pub struct ReuseInfo {
     pub stride_bytes: i64,
 }
 
-/// Address delta (bytes) between iterations `I` and `I + e_innermost`.
-pub fn innermost_stride(prog: &Program, aref: &ArrayRef, nest: &LoopNest) -> i64 {
-    let depth = nest.depth();
-    let decl = prog.array(aref.array);
-    // Column of the innermost iterator in F gives the index-space step;
-    // convert to a linearized element step via row-major weights.
-    let col = aref.coeffs.col(depth - 1);
-    let mut weight: i64 = 1;
-    let mut step: i64 = 0;
-    for (dim, &c) in col.iter().enumerate().rev() {
-        step += c * weight;
-        weight = weight.saturating_mul(decl.dims[dim] as i64);
-    }
-    step * decl.elem_bytes as i64
-}
-
-/// Solve `F·d = c` exactly; `None` when no unique integer solution
-/// exists.
-fn solve_exact(f: &IMat, c: &IVec) -> Option<IVec> {
-    if f.rows != f.cols {
-        return None;
-    }
-    let det = f.det();
-    if det == 0 {
-        return None;
-    }
-    let n = f.rows;
-    let mut d = vec![0i64; n];
-    for j in 0..n {
-        let mut fj = f.clone();
-        for i in 0..n {
-            fj[(i, j)] = c[i];
-        }
-        let dj = fj.det();
-        if dj % det != 0 {
-            return None;
-        }
-        d[j] = dj / det;
-    }
-    Some(d)
-}
-
-/// Kernel probe: a nonzero lex-positive `d` with `F·d = 0`, searched
-/// over unit vectors (covers the common rank-deficient accesses like
-/// `X[i]` inside an `(i, j)` nest, where the innermost column is 0).
-fn self_temporal_distance(f: &IMat) -> Option<IVec> {
-    let n = f.cols;
-    for k in (0..n).rev() {
-        let col = f.col(k);
-        if col.iter().all(|&x| x == 0) {
-            let mut d = vec![0i64; n];
-            d[k] = 1;
-            return Some(d);
-        }
-    }
-    None
-}
-
 /// Analyze one reference's reuse within its nest.
 ///
 /// `stmt_pos`/`slot` identify the reference so that group reuse can
 /// point at its leader; `line_bytes` bounds what counts as spatial
-/// reuse.
+/// reuse. A reference without byte strides (its shape fails
+/// [`decl_of`] or its fold leaves `i64`) is predicted to touch a fresh
+/// line every access.
 pub fn analyze_reuse(
     prog: &Program,
     nest: &LoopNest,
@@ -118,27 +63,34 @@ pub fn analyze_reuse(
     aref: &ArrayRef,
     line_bytes: u64,
 ) -> ReuseInfo {
-    let stride = innermost_stride(prog, aref, nest);
+    let strides = decl_of(prog, aref, nest.depth())
+        .and_then(|decl| Fold::bytes(decl, aref))
+        .map_or_else(Vec::new, |f| f.coeffs);
+    let Some(&stride) = strides.last() else {
+        return ReuseInfo {
+            kind: ReuseKind::None,
+            stride_bytes: i64::MAX,
+        };
+    };
 
     // Innermost temporal: stride 0 means the same element every
     // innermost iteration.
     if stride == 0 {
-        // Distinguish "innermost column of F is zero" (temporal) from a
-        // degenerate constant access.
         return ReuseInfo {
             kind: ReuseKind::SelfTemporalInnermost,
             stride_bytes: 0,
         };
     }
 
-    // Self-temporal across outer loops (kernel of F).
-    if let Some(d) = self_temporal_distance(&aref.coeffs) {
-        if lex_positive(&d) {
-            return ReuseInfo {
-                kind: ReuseKind::SelfTemporal { distance: d },
-                stride_bytes: stride,
-            };
-        }
+    // Self-temporal across outer loops: the innermost loop that leaves
+    // the address fixed.
+    if let Some(k) = strides.iter().rposition(|&s| s == 0) {
+        let mut distance = vec![0; strides.len()];
+        distance[k] = 1;
+        return ReuseInfo {
+            kind: ReuseKind::SelfTemporal { distance },
+            stride_bytes: stride,
+        };
     }
 
     // Group-temporal: the lexicographically-smallest positive reuse
@@ -160,7 +112,7 @@ pub fn analyze_reuse(
                 .zip(aref.offsets.iter())
                 .map(|(o, s)| o - s)
                 .collect();
-            if let Some(d) = solve_exact(&aref.coeffs, &c) {
+            if let Solve::Unique(d) = solve(&aref.coeffs, &c, nest.depth()) {
                 // Lex-positive: touched again d iterations later.
                 // Zero distance: touched within the same iteration by
                 // an earlier statement (or an earlier slot of this
@@ -209,6 +161,7 @@ pub fn analyze_reuse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndc_ir::matrix::IMat;
     use ndc_ir::program::{ArrayDecl, Program, Ref, Stmt};
     use ndc_types::Op;
 
@@ -226,8 +179,8 @@ mod tests {
         let x = ndc_ir::program::ArrayId(0);
         let r = ArrayRef::identity(x, 2, vec![0, 0]);
         let nest = LoopNest::new(0, vec![0, 0], vec![64, 64], vec![]);
-        assert_eq!(innermost_stride(&p, &r, &nest), 8);
         let info = analyze_reuse(&p, &nest, 0, 0, &r, 64);
+        assert_eq!(info.stride_bytes, 8);
         assert_eq!(info.kind, ReuseKind::SelfSpatial { stride_bytes: 8 });
     }
 
@@ -238,8 +191,8 @@ mod tests {
         // X[j][i]: innermost j varies the ROW -> stride = 64*8 bytes.
         let r = ArrayRef::affine(x, IMat::from_rows(&[&[0, 1], &[1, 0]]), vec![0, 0]);
         let nest = LoopNest::new(0, vec![0, 0], vec![64, 64], vec![]);
-        assert_eq!(innermost_stride(&p, &r, &nest), 64 * 8);
         let info = analyze_reuse(&p, &nest, 0, 0, &r, 64);
+        assert_eq!(info.stride_bytes, 64 * 8);
         assert_eq!(info.kind, ReuseKind::None);
     }
 

@@ -153,11 +153,10 @@ fn pair_reuse(
 ) -> Option<PairReuse> {
     let l1 = cfg.l1.line_bytes;
     let l2 = cfg.l2.line_bytes;
-    let facts_a = analyze_ref(prog, nest, stmt, stmt_pos, 0, l1, l2)?;
-    let facts_b = analyze_ref(prog, nest, stmt, stmt_pos, 1, l1, l2)?;
-    let (ra, rb) = stmt.memory_operand_pair()?;
-    let form_a = AddressForm::build(prog, nest, ra);
-    let form_b = AddressForm::build(prog, nest, rb);
+    // Slots 0 and 1 are the operand pair's `a` and `b`.
+    stmt.memory_operand_pair()?;
+    let (facts_a, form_a) = analyze_ref(prog, nest, stmt, stmt_pos, 0, l1, l2)?;
+    let (facts_b, form_b) = analyze_ref(prog, nest, stmt, stmt_pos, 1, l1, l2)?;
     let n = nest.points();
     let (identical, shared, union_l2) = match (&form_a, &form_b) {
         (Some(fa), Some(fb)) => {
@@ -495,16 +494,15 @@ pub fn assess_fused(
     // all of them).
     let l1 = cfg.l1.line_bytes;
     let l2 = cfg.l2.line_bytes;
-    let facts: Vec<Option<RefFacts>> = refs
+    let (facts, forms): (Vec<Option<RefFacts>>, Vec<Option<AddressForm>>) = refs
         .iter()
         .map(|&(_, stmt_pos, slot)| {
-            analyze_ref(prog, nest, &nest.body[stmt_pos], stmt_pos, slot, l1, l2)
+            match analyze_ref(prog, nest, &nest.body[stmt_pos], stmt_pos, slot, l1, l2) {
+                Some((facts, form)) => (Some(facts), form),
+                None => (None, None),
+            }
         })
-        .collect();
-    let forms: Vec<Option<AddressForm>> = refs
-        .iter()
-        .map(|(r, _, _)| AddressForm::build(prog, nest, r))
-        .collect();
+        .unzip();
     let mut rep: Vec<usize> = (0..refs.len()).collect();
     for i in 0..refs.len() {
         if let Some(fi) = &forms[i] {

@@ -7,16 +7,19 @@
 //! postpone such data layout optimizations to a future study."
 //!
 //! This pass is that study's obvious first step: for each use-use chain
-//! whose operands walk two arrays with the *same* access function
-//! (equal `F` and equal per-iteration strides), the home banks of
-//! `A[f(I)]` and `B[f(I)]` differ by a constant number of L2 lines —
-//! the base-address delta. Padding `B`'s base by `(bank_count − delta
-//! mod bank_count)` lines makes every instance of the pair co-homed.
-//! The pass greedily picks, per array, the shift that maximizes the
-//! number of chains it completes, never shrinking an array and never
-//! moving an array earlier (so layouts stay non-overlapping).
+//! whose operands walk two arrays `A` and `B` with equal per-loop byte
+//! strides (`ndc_ir::affine`'s fold of `F·I + f`, scaled by the element
+//! size), their home banks differ by a constant number of L2 lines —
+//! the base-address delta. Equal `F` is not enough: the same subscripts
+//! step further through a wider row. Padding `B`'s base by
+//! `(bank_count − delta mod bank_count)` lines makes every instance of
+//! the pair co-homed. The pass greedily picks, per array, the shift
+//! that maximizes the number of chains it completes, never shrinking an
+//! array and never moving an array earlier (so layouts stay
+//! non-overlapping).
 
-use ndc_ir::program::{ArrayId, Program};
+use ndc_ir::affine::{decl_of, Fold};
+use ndc_ir::program::{ArrayId, ArrayRef, LoopNest, Program};
 use ndc_types::ArchConfig;
 use ndc_types::FxHashMap;
 
@@ -61,9 +64,9 @@ pub fn optimize_layout(prog: &Program, cfg: &ArchConfig) -> (Program, LayoutRepo
             let Some((ra, rb)) = stmt.memory_operand_pair() else {
                 continue;
             };
-            if ra.array == rb.array || ra.coeffs != rb.coeffs {
+            if !co_strided(prog, nest, ra, rb) {
                 // Same-array chains are already governed by their
-                // offsets; differing access matrices vary per iteration.
+                // offsets; differing strides vary per iteration.
                 report.unalignable += 1;
                 continue;
             }
@@ -139,7 +142,7 @@ pub fn optimize_layout(prog: &Program, cfg: &ArchConfig) -> (Program, LayoutRepo
             let Some((ra, rb)) = stmt.memory_operand_pair() else {
                 continue;
             };
-            if ra.array == rb.array || ra.coeffs != rb.coeffs {
+            if !co_strided(&out, nest, ra, rb) {
                 continue;
             }
             let (Some(a0), Some(b0)) = (out.addr_of(ra, &nest.lo), out.addr_of(rb, &nest.lo))
@@ -156,6 +159,14 @@ pub fn optimize_layout(prog: &Program, cfg: &ArchConfig) -> (Program, LayoutRepo
     report.aligned = aligned.saturating_sub(report.already_aligned);
     report.unalignable += unalignable;
     (out, report)
+}
+
+/// Whether two operands in different arrays move by the same number of
+/// bytes per step of every loop ([`Fold::bytes`]), so their address
+/// delta is the same at every point of `nest`.
+fn co_strided(prog: &Program, nest: &LoopNest, ra: &ArrayRef, rb: &ArrayRef) -> bool {
+    let strides = |r: &ArrayRef| Some(Fold::bytes(decl_of(prog, r, nest.depth())?, r)?.coeffs);
+    ra.array != rb.array && strides(ra).is_some_and(|a| strides(rb) == Some(a))
 }
 
 #[cfg(test)]
@@ -314,5 +325,38 @@ mod tests {
         assert_eq!(report.aligned, 0);
         assert_eq!(report.unalignable, 1);
         assert!(report.shifts.is_empty());
+    }
+
+    /// Z[i][j] = X[i][j] + Y[i][j] with X 64×64 and Y 64×128: the same
+    /// `F`, but a step of `i` moves X by 512 bytes and Y by 1,024, so
+    /// the home-bank delta changes with `i` and no base shift co-homes
+    /// the pair. The pass must leave it alone.
+    #[test]
+    fn equal_access_matrices_with_unequal_strides_are_unalignable() {
+        let cfg = cfg();
+        let mut p = Program::new("strides");
+        let x = p.add_array(ArrayDecl::new("X", vec![64, 64], 8));
+        let z = p.add_array(ArrayDecl::new("Z", vec![64, 64], 8));
+        let y = p.add_array(ArrayDecl::new("Y", vec![64, 128], 8));
+        let at = |arr| Ref::Array(ArrayRef::identity(arr, 2, vec![0, 0]));
+        let s = Stmt::binary(
+            0,
+            ArrayRef::identity(z, 2, vec![0, 0]),
+            Op::Add,
+            at(x),
+            at(y),
+            1,
+        );
+        p.nests
+            .push(LoopNest::new(0, vec![0, 0], vec![64, 64], vec![s]));
+        p.assign_layout(0x10_0000, 4096);
+        // Premise: the pair starts on different banks.
+        let (ra, rb) = p.nests[0].body[0].memory_operand_pair().unwrap();
+        let home = |r| cfg.l2_home(p.addr_of(r, &[0, 0]).unwrap());
+        assert_ne!(home(ra), home(rb), "premise broken");
+        let (q, report) = optimize_layout(&p, &cfg);
+        assert_eq!((report.aligned, report.unalignable), (0, 1), "{report:?}");
+        assert!(report.shifts.is_empty(), "{report:?}");
+        assert_eq!(q.arrays, p.arrays);
     }
 }

@@ -1,25 +1,90 @@
-//! The box-extrema rule and affine address forms.
+//! The reference algebra: what lowering, the reuse analysis, the CME,
+//! the linter and the layout pass derive from an affine reference
+//! `X(F·I + f)` (§5.2.1), in one place.
 //!
-//! Row `r` of a reference's subscript, `F_r·I + f_r`, is linear in the
-//! iteration vector, so over a nest's rectangular box its extrema sit at
-//! per-variable endpoints: `min_r = f_r + Σ_j min(F_rj·lo_j,
-//! F_rj·(hi_j − 1))`, and symmetrically for `max_r`. That rule is exact
-//! for this IR's nests. One copy of it, [`row_extrema`], decides both
-//! `ndc-lint`'s bounds verdict and whether lowering may evaluate a
-//! reference as an [`AffineAddr`].
+//! * The shape rule, [`decl_of`]: the array exists, `F` is rank × depth
+//!   and `f` has rank entries. Everything below assumes it.
+//! * The fold, [`Fold`]: on the row-major array `F·I + f` is one linear
+//!   element index `constant + Σ_j A_j·I_j`, with row weights
+//!   `w_r = Π_{r'>r} dims_r'`, `A_j = Σ_r w_r·F_rj` and
+//!   `constant = Σ_r w_r·f_r`, even where subscripts couple loops.
+//! * The bounds verdict, [`in_bounds`]. Row `r` is linear in the
+//!   iteration vector, so over a nest's rectangular box its extrema sit
+//!   at per-variable endpoints ([`row_extrema`]): exact for this IR.
+//! * The exact solver, [`solve`]: `F·d = c` by Cramer's rule.
 //!
-//! A reference whose every row stays in `[0, dims_r)` over the box has
-//! `addr_of(I) = base + elem·Σ_r stride_r·(F_r·I + f_r)` at every point,
-//! which is `c0 + g·I`: one multiply-add per loop instead of evaluating
-//! and bounds-checking each row.
+//! An in-bounds reference has `addr_of(I) = base + elem·(constant +
+//! Σ_j A_j·I_j)` at every point, which is [`AffineAddr`]'s `c0 + g·I`:
+//! one multiply-add per loop instead of evaluating and bounds-checking
+//! each row.
 
-use crate::program::{ArrayRef, LoopNest, Program};
+use crate::matrix::{IMat, IVec};
+use crate::program::{ArrayDecl, ArrayRef, LoopNest, Program};
 use ndc_types::Addr;
 
+/// The shape rule: the array `aref` indexes, when it exists, `F` is
+/// rank × `depth` and `f` has rank entries; `None` otherwise.
+pub fn decl_of<'p>(prog: &'p Program, aref: &ArrayRef, depth: usize) -> Option<&'p ArrayDecl> {
+    let decl = prog.arrays.get(aref.array.0 as usize)?;
+    let rank = decl.dims.len();
+    (aref.coeffs.rows == rank && aref.coeffs.cols == depth && aref.offsets.len() == rank)
+        .then_some(decl)
+}
+
+/// `F·I + f` as one linear function of the iteration vector:
+/// `constant + Σ_j coeffs_j·I_j`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fold {
+    /// Per loop, in loop order: how far the reference moves when that
+    /// loop steps by one.
+    pub coeffs: Vec<i64>,
+    pub constant: i128,
+}
+
+impl Fold {
+    /// The fold in elements (`A_j` and `Σ_r w_r·f_r`) of `aref`, whose
+    /// shape must pass [`decl_of`] for `decl`; `None` when a weight or a
+    /// sum leaves `i128` or an `A_j` leaves `i64`.
+    pub fn of(decl: &ArrayDecl, aref: &ArrayRef) -> Option<Fold> {
+        Some(Fold {
+            coeffs: (0..aref.coeffs.cols)
+                .map(|j| i64::try_from(weighted(&decl.dims, |r| aref.coeffs[(r, j)])?).ok())
+                .collect::<Option<_>>()?,
+            constant: weighted(&decl.dims, |r| aref.offsets[r])?,
+        })
+    }
+
+    /// [`Fold::of`] scaled to bytes by `elem_bytes` (`base` not added);
+    /// `None` also when a scaled value overflows.
+    pub fn bytes(decl: &ArrayDecl, aref: &ArrayRef) -> Option<Fold> {
+        let mut fold = Fold::of(decl, aref)?;
+        let elem = i64::try_from(decl.elem_bytes).ok()?;
+        for a in &mut fold.coeffs {
+            *a = a.checked_mul(elem)?;
+        }
+        fold.constant = fold.constant.checked_mul(elem as i128)?;
+        Some(fold)
+    }
+}
+
+/// `Σ_r w_r·v(r)` over the rows of an array with extents `dims`, walking
+/// the rows last to first so each weight is one multiply from the next.
+fn weighted(dims: &[u64], v: impl Fn(usize) -> i64) -> Option<i128> {
+    let (mut sum, mut w) = (0i128, 1i128);
+    for r in (0..dims.len()).rev() {
+        sum = sum.checked_add(w.checked_mul(v(r) as i128)?)?;
+        if r > 0 {
+            w = w.checked_mul(dims[r] as i128)?;
+        }
+    }
+    Some(sum)
+}
+
 /// The least and greatest value of subscript row `r` of `aref` over the
-/// box of `nest`, by the per-variable endpoint rule. The nest must be
-/// non-empty (an empty box has no extrema) and `aref` must have one
-/// coefficient column per loop and an offset for row `r`.
+/// box of `nest`: `f_r + Σ_j min(F_rj·lo_j, F_rj·(hi_j − 1))`, and
+/// symmetrically the max. The nest must be non-empty (an empty box has
+/// no extrema) and `aref` must have one coefficient column per loop and
+/// an offset for row `r`.
 pub fn row_extrema(aref: &ArrayRef, r: usize, nest: &LoopNest) -> (i128, i128) {
     let offset = aref.offsets[r] as i128;
     let (mut min, mut max) = (offset, offset);
@@ -33,10 +98,50 @@ pub fn row_extrema(aref: &ArrayRef, r: usize, nest: &LoopNest) -> (i128, i128) {
     (min, max)
 }
 
-/// Whether a row's range `(min, max)` lies inside an array dimension of
-/// `dim` elements.
-pub fn row_fits((min, max): (i128, i128), dim: u64) -> bool {
-    min >= 0 && max < dim as i128
+/// The bounds verdict: every row's [`row_extrema`] over `nest` lies in
+/// `[0, dims_r)`. An empty nest performs no accesses, so it is vacuously
+/// in bounds. The shape must pass [`decl_of`].
+pub fn in_bounds(decl: &ArrayDecl, aref: &ArrayRef, nest: &LoopNest) -> bool {
+    nest.is_empty()
+        || decl.dims.iter().enumerate().all(|(r, &dim)| {
+            let (min, max) = row_extrema(aref, r, nest);
+            min >= 0 && max < dim as i128
+        })
+}
+
+/// What [`solve`] finds for `F·d = c`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Solve {
+    Unique(IVec),
+    /// No integer solution: the two accesses never meet.
+    None,
+    /// `F` is not square over the nest's loops, or is singular: the
+    /// distances are underdetermined.
+    Many,
+}
+
+/// Solve `F·d = c` for an integer `d` with `depth` entries: Cramer's
+/// rule with exact integer division, for a square non-singular `F`.
+pub fn solve(f: &IMat, c: &[i64], depth: usize) -> Solve {
+    let square = f.rows == f.cols && f.rows == depth;
+    let det = if square { f.det() } else { 0 };
+    if det == 0 {
+        return Solve::Many;
+    }
+    let mut d = vec![0i64; depth];
+    for (j, dj) in d.iter_mut().enumerate() {
+        // Replace column j with c.
+        let mut fj = f.clone();
+        for i in 0..depth {
+            fj[(i, j)] = c[i];
+        }
+        let num = fj.det();
+        if num % det != 0 {
+            return Solve::None;
+        }
+        *dj = num / det;
+    }
+    Solve::Unique(d)
 }
 
 /// The address of an in-bounds reference as an affine function of the
@@ -48,48 +153,17 @@ pub struct AffineAddr {
 }
 
 impl AffineAddr {
-    /// The form of `aref` over `nest`, or `None` unless the nest is
-    /// non-empty, the reference's shape matches the array and the nest,
-    /// every row fits its dimension by [`row_extrema`], and `c0` and
-    /// every `g_j` fit in `i64`.
+    /// The form of `aref` over `nest`: [`Fold::bytes`] plus `base`.
+    /// `None` unless the shape passes [`decl_of`], the nest is non-empty,
+    /// the reference is [`in_bounds`], and the fold and `c0` fit.
     pub fn of(prog: &Program, aref: &ArrayRef, nest: &LoopNest) -> Option<AffineAddr> {
-        let decl = prog.arrays.get(aref.array.0 as usize)?;
-        let rows = decl.dims.len();
-        if nest.is_empty()
-            || aref.coeffs.cols != nest.depth()
-            || aref.coeffs.rows != rows
-            || aref.offsets.len() != rows
-        {
+        let decl = decl_of(prog, aref, nest.depth())?;
+        if nest.is_empty() || !in_bounds(decl, aref, nest) {
             return None;
         }
-        let inside = |r: usize| row_fits(row_extrema(aref, r, nest), decl.dims[r]);
-        if !(0..rows).all(inside) {
-            return None;
-        }
-        // Row-major strides in bytes: elem · Π_{s > r} dims_s.
-        let mut strides = vec![0i128; rows];
-        let mut stride = decl.elem_bytes as i128;
-        for r in (0..rows).rev() {
-            strides[r] = stride;
-            stride = stride.checked_mul(decl.dims[r] as i128)?;
-        }
-        let mut c0 = decl.base as i128;
-        for (r, &s) in strides.iter().enumerate() {
-            c0 = c0.checked_add(s.checked_mul(aref.offsets[r] as i128)?)?;
-        }
-        let g = (0..nest.depth())
-            .map(|j| {
-                let mut gj: i128 = 0;
-                for (r, &s) in strides.iter().enumerate() {
-                    gj = gj.checked_add(s.checked_mul(aref.coeffs[(r, j)] as i128)?)?;
-                }
-                i64::try_from(gj).ok()
-            })
-            .collect::<Option<Vec<i64>>>()?;
-        Some(AffineAddr {
-            c0: i64::try_from(c0).ok()?,
-            g,
-        })
+        let fold = Fold::bytes(decl, aref)?;
+        let c0 = i64::try_from((decl.base as i128).checked_add(fold.constant)?).ok()?;
+        Some(AffineAddr { c0, g: fold.coeffs })
     }
 
     /// The address at `point`, a point of the nest the form was built

@@ -10,6 +10,7 @@
 //! coefficient matrices yield an *unknown* distance, treated
 //! conservatively (blocks transformation).
 
+use crate::affine::{solve, Solve};
 use crate::matrix::{lex_positive, IMat, IVec};
 use crate::program::{ArrayId, LoopNest, StmtId};
 
@@ -226,7 +227,7 @@ fn dependence_between(
         .zip(r2.offsets.iter())
         .map(|(a, b)| a - b)
         .collect();
-    match solve_square(&r1.coeffs, &c, depth) {
+    match solve(&r1.coeffs, &c, depth) {
         Solve::Unique(d) => {
             // Orientation: the dependence runs from the earlier access
             // to the later one. A lex-positive d means s2's iteration
@@ -266,7 +267,7 @@ fn self_output_edges(
 ) -> Vec<DependenceEdge> {
     let f = &r.coeffs;
     let zero = vec![0i64; f.rows];
-    if matches!(solve_square(f, &zero, depth), Solve::Unique(_)) {
+    if matches!(solve(f, &zero, depth), Solve::Unique(_)) {
         // Square non-singular: F·d = 0 only at d = 0 — injective.
         return Vec::new();
     }
@@ -304,45 +305,6 @@ fn self_output_edges(
         }
     }
     vec![edge(DistanceVector::Unknown)]
-}
-
-enum Solve {
-    Unique(IVec),
-    None,
-    Many,
-}
-
-/// Solve `F·d = c` for integer `d` where `F` is `m×n`. Exact for square
-/// non-singular `F` (Cramer with exact integer division); `m < n` or
-/// singular square systems report `Many` (conservative); inconsistent
-/// systems report `None` (no dependence).
-fn solve_square(f: &IMat, c: &IVec, depth: usize) -> Solve {
-    if f.rows != f.cols || f.rows != depth {
-        // Rank-deficient access (e.g. 1-D access in a 2-D nest):
-        // distances underdetermined.
-        return Solve::Many;
-    }
-    let det = f.det();
-    if det == 0 {
-        return Solve::Many;
-    }
-    let n = f.rows;
-    let mut d = vec![0i64; n];
-    for j in 0..n {
-        // Cramer: replace column j with c.
-        let mut fj = f.clone();
-        for i in 0..n {
-            fj[(i, j)] = c[i];
-        }
-        let dj = fj.det();
-        if dj % det != 0 {
-            // Non-integer solution: the accesses never touch the same
-            // element.
-            return Solve::None;
-        }
-        d[j] = dj / det;
-    }
-    Solve::Unique(d)
 }
 
 #[cfg(test)]

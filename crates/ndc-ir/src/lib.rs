@@ -6,9 +6,11 @@
 //! column of `T·D` to be lexicographically positive. This crate provides
 //! exactly that abstraction, built from scratch:
 //!
-//! * [`affine`] — the box-extrema rule for subscript ranges, shared with
-//!   `ndc-lint`'s bounds prover, and the `c0 + g·I` address forms
-//!   lowering evaluates for references proven inside their arrays;
+//! * [`affine`] — the reference algebra every layer shares: the shape
+//!   rule, the fold of `F·I + f` into per-loop coefficients, the bounds
+//!   verdict, the exact solver for `F·d = c`, and the `c0 + g·I`
+//!   address forms lowering evaluates for references proven inside
+//!   their arrays;
 //! * [`matrix`] — small integer vectors/matrices, unimodularity,
 //!   lexicographic order, and candidate-`T` enumeration;
 //! * [`program`] — arrays, affine references, statements, loop nests,

@@ -26,7 +26,7 @@
 
 use crate::affine::AffineAddr;
 use crate::program::{ArrayRef, LoopNest, NestId, PointList, Program, Ref, StmtId};
-use crate::schedule::{chain_operands, FusedPrecomputePlan, Schedule};
+use crate::schedule::{chain_operands, is_permutation, FusedPrecomputePlan, Schedule};
 use ndc_types::{
     Addr, Inst, InstKind, NodeId, Op, Operand, Pc, Trace, TraceProgram, MAX_FUSED_OPS,
 };
@@ -47,6 +47,9 @@ pub enum LowerError {
     /// non-increasing positions, missing link, gathered operand aliasing
     /// an earlier destination, ...).
     InvalidFusedPlan { nest: NestId, detail: String },
+    /// A statement-order override is not a permutation of the nest's
+    /// body positions.
+    InvalidStmtOrder { nest: NestId, order: Vec<usize> },
 }
 
 impl std::fmt::Display for LowerError {
@@ -65,6 +68,11 @@ impl std::fmt::Display for LowerError {
             LowerError::InvalidFusedPlan { nest, detail } => {
                 write!(f, "fused plan for nest N{} is invalid: {detail}", nest.0)
             }
+            LowerError::InvalidStmtOrder { nest, order } => write!(
+                f,
+                "statement order {order:?} for nest N{} is not a permutation of its body",
+                nest.0
+            ),
         }
     }
 }
@@ -124,7 +132,9 @@ pub fn lower(prog: &Program, opts: &LowerOptions, schedule: Option<&Schedule>) -
 
 /// Lowering with structural validation: every pre-compute plan must
 /// reference an existing nest and a statement present in that nest's
-/// body. Returns a [`LowerError`] instead of panicking on a defective
+/// body, every fused plan must have a valid chain shape, and every
+/// statement order a nest runs under must be a permutation of its body.
+/// Returns a [`LowerError`] instead of panicking on a defective
 /// schedule.
 pub fn try_lower(
     prog: &Program,
@@ -154,6 +164,15 @@ pub fn try_lower(
                 detail,
             }
         })?;
+    }
+    for nest in &prog.nests {
+        let order = sched.stmt_order.get(&nest.id);
+        if let Some(order) = order.filter(|o| !is_permutation(o, nest.body.len())) {
+            return Err(LowerError::InvalidStmtOrder {
+                nest: nest.id,
+                order: order.clone(),
+            });
+        }
     }
     let cores = opts.cores.max(1);
     let mut out = TraceProgram::new(prog.name.clone());
@@ -1311,6 +1330,28 @@ mod tests {
             ref k => panic!("unexpected {k:?}"),
         };
         assert_ne!(first_store(&base), first_store(&reordered));
+    }
+
+    /// An order that drops a statement, or names a position past the
+    /// body, is a structured error: not a trace short of a statement,
+    /// not an index panic.
+    #[test]
+    fn stmt_order_that_is_not_a_permutation_is_a_structured_error() {
+        let mut p = Program::new("ord");
+        let x = p.add_array(ArrayDecl::new("X", vec![8], 8));
+        let copy = |id, v| Stmt::copy(id, ArrayRef::identity(x, 1, vec![0]), Ref::Const(v), 0);
+        let body = vec![copy(0, 1.0), copy(1, 2.0)];
+        p.nests.push(LoopNest::new(0, vec![0], vec![4], body));
+        p.assign_layout(0, 64);
+        let nest = crate::program::NestId(0);
+        for order in [vec![0], vec![0, 5]] {
+            let mut sched = Schedule::default();
+            sched.stmt_order.insert(nest, order.clone());
+            assert!(sched.validate(&p).is_err());
+            let err = try_lower(&p, &LowerOptions::default(), Some(&sched)).unwrap_err();
+            assert_eq!(err, LowerError::InvalidStmtOrder { nest, order });
+            assert!(err.to_string().contains("not a permutation"), "{err}");
+        }
     }
 
     #[test]

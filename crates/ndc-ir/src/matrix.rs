@@ -195,11 +195,6 @@ impl IMat {
         m
     }
 
-    /// Column `j` as a vector.
-    pub fn col(&self, j: usize) -> IVec {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Row `i` as a slice.
     pub fn row(&self, i: usize) -> &[i64] {
         &self.data[i * self.cols..(i + 1) * self.cols]

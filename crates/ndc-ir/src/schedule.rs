@@ -90,6 +90,13 @@ pub fn chain_operands<'a>(stmt: &'a Stmt, prev_dst: &ArrayRef) -> Option<(bool, 
     }
 }
 
+/// Whether a statement-order override lists each of a nest's `len` body
+/// positions exactly once. Lowering, [`Schedule::validate`] and the
+/// linter's schedule verifier all apply this one rule.
+pub fn is_permutation(order: &[usize], len: usize) -> bool {
+    order.len() == len && (0..len).all(|pos| order.contains(&pos))
+}
+
 /// Structural legality of a fused chain's shape inside one nest:
 /// member count in 2..=[`MAX_FUSED_OPS`], strictly increasing body
 /// positions, a two-memory-operand head, and every tail linking to its
@@ -237,10 +244,7 @@ impl Schedule {
                 .iter()
                 .find(|n| n.id == *nest_id)
                 .ok_or_else(|| format!("stmt_order references unknown nest {nest_id:?}"))?;
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            let expect: Vec<usize> = (0..nest.body.len()).collect();
-            if sorted != expect {
+            if !is_permutation(order, nest.body.len()) {
                 return Err(format!(
                     "stmt_order for {nest_id:?} is not a permutation: {order:?}"
                 ));

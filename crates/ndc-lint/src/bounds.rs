@@ -6,15 +6,16 @@
 //! `min_r = f_r + Σ_j min(F_rj·lo_j, F_rj·(hi_j − 1))` and symmetrically
 //! for `max_r`. The access is proven in-bounds iff
 //! `0 <= min_r` and `max_r < dims_r` for every dimension — exact, not
-//! approximate, for the rectangular nests this IR has. The rule lives
-//! in `ndc_ir::affine` ([`row_extrema`], [`row_fits`]), where the same
-//! verdict admits a reference to lowering's `c0 + g·I` address form.
+//! approximate, for the rectangular nests this IR has. The rule and the
+//! verdict live in `ndc_ir::affine` ([`row_extrema`], [`in_bounds`]),
+//! where the same verdict admits a reference to lowering's `c0 + g·I`
+//! address form and gates `ndc-reuse`'s `Exact` tags.
 //!
 //! Schedules don't change the verdict: a unimodular transform permutes
 //! the *order* of iteration points, never the set of points visited, so
 //! the proof covers the scheduled program too.
 
-use ndc_ir::affine::{row_extrema, row_fits};
+use ndc_ir::affine::{decl_of, in_bounds, row_extrema};
 use ndc_ir::program::{ArrayId, LoopNest, NestId, Program, StmtId};
 
 /// The proven subscript range of one array reference.
@@ -74,10 +75,9 @@ pub fn prove_program(prog: &Program) -> Vec<RefBounds> {
     out
 }
 
-/// Prove bounds for a single reference. Public so `ndc-reuse` can
-/// gate its `Exact` tags on the same interval-arithmetic proof the
-/// linter uses (an out-of-bounds reference performs only a subset of
-/// its affine accesses, so its footprint counts degrade to `Bound`).
+/// Prove bounds for a single reference: the verdict is
+/// [`ndc_ir::affine::in_bounds`], and the per-row ranges beside it are
+/// the diagnostics [`RefBounds::describe_violation`] reports.
 pub fn prove_ref(
     prog: &Program,
     nest: &LoopNest,
@@ -96,33 +96,26 @@ pub fn prove_ref(
         dims: Vec::new(),
         in_bounds: false,
     };
-    if aref.array.0 as usize >= prog.arrays.len() {
+    if let Some(decl) = prog.arrays.get(aref.array.0 as usize) {
+        rb.dims = decl.dims.clone();
+    }
+    let Some(decl) = decl_of(prog, aref, nest.depth()) else {
         return rb;
-    }
-    let dims = &prog.array(aref.array).dims;
-    rb.dims = dims.clone();
-    if aref.coeffs.cols != nest.depth()
-        || aref.coeffs.rows != dims.len()
-        || aref.offsets.len() != dims.len()
-    {
-        return rb;
-    }
-    // An empty iteration space performs no accesses: the claim
-    // "every access is in-bounds" holds vacuously. The endpoint
-    // formula below would otherwise evaluate at `hi[j] - 1 < lo[j]`,
-    // a point the nest never visits.
-    if nest.is_empty() {
-        rb.range = dims.iter().map(|_| (0, -1)).collect();
-        rb.in_bounds = true;
-        return rb;
-    }
-    let mut ok = true;
-    for (r, &dim) in dims.iter().enumerate() {
-        let (min, max) = row_extrema(aref, r, nest);
-        ok &= row_fits((min, max), dim);
-        rb.range.push((clamp_i64(min), clamp_i64(max)));
-    }
-    rb.in_bounds = ok;
+    };
+    rb.in_bounds = in_bounds(decl, aref, nest);
+    rb.range = (0..decl.dims.len())
+        .map(|r| {
+            if nest.is_empty() {
+                // The canonical empty interval: the endpoint rule would
+                // evaluate at `hi[j] - 1 < lo[j]`, a point the nest
+                // never visits.
+                (0, -1)
+            } else {
+                let (min, max) = row_extrema(aref, r, nest);
+                (clamp_i64(min), clamp_i64(max))
+            }
+        })
+        .collect();
     rb
 }
 

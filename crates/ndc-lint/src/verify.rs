@@ -9,7 +9,7 @@
 use crate::LintError;
 use ndc_ir::deps::{DependenceGraph, DistanceVector};
 use ndc_ir::program::{NestId, Program};
-use ndc_ir::schedule::Schedule;
+use ndc_ir::schedule::{is_permutation, Schedule};
 
 /// Check structural well-formedness of a program.
 pub fn verify_program(prog: &Program) -> Vec<LintError> {
@@ -125,9 +125,7 @@ pub fn verify_schedule(prog: &Program, schedule: &Schedule) -> Vec<LintError> {
             errors.push(LintError::OrderUnknownNest { nest: nest_id });
             continue;
         };
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        if sorted != (0..nest.body.len()).collect::<Vec<_>>() {
+        if !is_permutation(order, nest.body.len()) {
             errors.push(LintError::OrderNotPermutation {
                 nest: nest_id,
                 order: order.clone(),

@@ -1,16 +1,17 @@
 //! The composite address form: every affine reference reduced to a
 //! one-dimensional linear functional over the nest's iteration box.
 //!
-//! For `X(F·I + f)` on a row-major array with extents `d_0..d_{m-1}`,
-//! the linear element index is `lin(I) = Σ_r w_r·(f_r + Σ_j F_rj·I_j)`
-//! with `w_r = Π_{r'>r} d_{r'}` — a single linear form `β + Σ_j A_j·I_j`
-//! even when subscripts couple several iterators. Normalizing negative
-//! coefficients (mirroring the dimension) and dropping zero-coefficient
-//! and single-trip dimensions leaves a canonical sum-of-progressions
-//! whose distinct-value and distinct-cache-line cardinalities admit
-//! closed forms in the common cases; when no closed form is exact, the
-//! counts carry an explicit [`Exactness::Bound`] tag.
+//! For `X(F·I + f)` on a row-major array, `ndc_ir::affine`'s [`Fold`]
+//! gives the linear element index as a single linear form
+//! `β + Σ_j A_j·I_j`, even when subscripts couple several iterators.
+//! Normalizing negative coefficients (mirroring the dimension) and
+//! dropping zero-coefficient and single-trip dimensions leaves a
+//! canonical sum-of-progressions whose distinct-value and
+//! distinct-cache-line cardinalities admit closed forms in the common
+//! cases; when no closed form is exact, the counts carry an explicit
+//! [`Exactness::Bound`] tag.
 
+use ndc_ir::affine::{decl_of, Fold};
 use ndc_ir::program::{ArrayRef, LoopNest, Program};
 use ndc_lint::gcd;
 
@@ -109,50 +110,30 @@ pub struct AddressForm {
 }
 
 impl AddressForm {
-    /// Build the canonical form. `None` when the reference's shape
-    /// disagrees with the nest depth or the array rank, or when a
-    /// composite coefficient overflows — callers fall back to trivial
-    /// `Bound` facts.
+    /// Build the canonical form: [`Fold`] of the reference, then box
+    /// normalization. It covers references that leave their array too
+    /// (their counts degrade to `Bound` upstream). `None` when the
+    /// shape fails [`decl_of`] or the fold overflows — callers fall
+    /// back to trivial `Bound` facts.
     pub fn build(prog: &Program, nest: &LoopNest, aref: &ArrayRef) -> Option<AddressForm> {
-        let arr = prog.arrays.get(aref.array.0 as usize)?;
-        let rank = arr.dims.len();
-        let depth = nest.depth();
-        if aref.coeffs.cols != depth || aref.coeffs.rows != rank || aref.offsets.len() != rank {
-            return None;
-        }
-        // Row-major weights w_r = Π_{r'>r} d_{r'}.
-        let mut weights = vec![1i128; rank];
-        for r in (0..rank.saturating_sub(1)).rev() {
-            weights[r] = weights[r + 1].checked_mul(arr.dims[r + 1] as i128)?;
-        }
-        let mut beta: i128 = 0;
-        for (w, &off) in weights.iter().zip(aref.offsets.iter()) {
-            beta = beta.checked_add(w.checked_mul(off as i128)?)?;
-        }
-        let mut raw_coeffs = Vec::with_capacity(depth);
+        let arr = decl_of(prog, aref, nest.depth())?;
+        let Fold {
+            coeffs: raw_coeffs,
+            constant: mut beta,
+        } = Fold::of(arr, aref)?;
         let mut terms = Vec::new();
-        let empty = nest.is_empty();
-        for j in 0..depth {
-            let mut a: i128 = 0;
-            for (r, w) in weights.iter().enumerate() {
-                a = a.checked_add(w.checked_mul(aref.coeffs[(r, j)] as i128)?)?;
-            }
-            raw_coeffs.push(i64::try_from(a).ok()?);
-            if empty {
-                continue;
-            }
-            let extent = (nest.hi[j] - nest.lo[j]).max(0) as u64;
+        // An empty box has no minimum and no progressions.
+        let walked = if nest.is_empty() { 0 } else { nest.depth() };
+        for (j, &a) in raw_coeffs[..walked].iter().enumerate() {
             // The minimum of `a·I_j` over `[lo, hi)` is at `lo` for
             // positive coefficients and at `hi-1` for negative ones;
             // mirroring the dimension leaves the value set unchanged.
-            if a >= 0 {
-                beta = beta.checked_add(a.checked_mul(nest.lo[j] as i128)?)?;
-            } else {
-                beta = beta.checked_add(a.checked_mul((nest.hi[j] - 1) as i128)?)?;
-            }
+            let at = if a >= 0 { nest.lo[j] } else { nest.hi[j] - 1 };
+            beta = beta.checked_add((a as i128).checked_mul(at as i128)?)?;
+            let extent = (nest.hi[j] - nest.lo[j]).max(0) as u64;
             if a != 0 && extent >= 2 {
                 terms.push(Term {
-                    coeff: u64::try_from(a.unsigned_abs()).ok()?,
+                    coeff: a.unsigned_abs(),
                     extent,
                 });
             }

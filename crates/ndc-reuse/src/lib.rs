@@ -27,10 +27,11 @@
 //! * [`hopload`] projects byte flows onto per-link NoC hop loads under
 //!   XY routing — the placement-aware half of the traffic picture.
 //!
-//! The bounds verdict gating every `Exact` tag comes from `ndc-lint`'s
-//! interval-arithmetic prover ([`ndc_lint::prove_ref`]), and the
-//! distinct-value counting shares the linter's GCD machinery
-//! ([`ndc_lint::gcd`]) — one affine toolbox, two consumers.
+//! The shape rule, the fold of `F·I + f` into the composite form and
+//! the bounds verdict gating every `Exact` tag come from
+//! [`ndc_ir::affine`], the reference algebra lowering, the CME and the
+//! linter share; the distinct-value counting shares the linter's GCD
+//! machinery ([`ndc_lint::gcd`]).
 //!
 //! Zero-dependency like the rest of the workspace: only `ndc-ir`,
 //! `ndc-lint`, and `ndc-types`.

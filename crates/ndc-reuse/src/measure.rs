@@ -6,6 +6,7 @@
 
 use crate::report::{NestReuse, RefFacts, ReuseReport};
 use crate::Exactness;
+use ndc_ir::affine::decl_of;
 use ndc_ir::program::{ArrayRef, LoopNest, Program};
 use ndc_types::FxHashSet;
 
@@ -33,13 +34,7 @@ pub fn measure_ref(
     l2_line: u64,
 ) -> MeasuredFootprint {
     let mut m = MeasuredFootprint::default();
-    let Some(arr) = prog.arrays.get(aref.array.0 as usize) else {
-        return m;
-    };
-    if aref.coeffs.cols != nest.depth()
-        || aref.coeffs.rows != arr.dims.len()
-        || aref.offsets.len() != arr.dims.len()
-    {
+    if decl_of(prog, aref, nest.depth()).is_none() {
         return m;
     }
     let mut elems: FxHashSet<u64> = FxHashSet::default();

@@ -2,6 +2,7 @@
 
 use crate::classify::{classify, ReuseClass};
 use crate::form::{AddressForm, Count, Exactness};
+use ndc_ir::affine::{decl_of, in_bounds};
 use ndc_ir::program::{LoopNest, Program, Stmt};
 
 /// Everything the analysis proves about one array reference of one
@@ -16,9 +17,9 @@ pub struct RefFacts {
     /// Array name, for attribution in reports.
     pub array: String,
     pub is_write: bool,
-    /// Verdict of `ndc-lint`'s interval-arithmetic bounds prover; an
-    /// unproven reference performs only a subset of its affine image,
-    /// so every count is downgraded to `Bound`.
+    /// The bounds verdict of `ndc_ir::affine::in_bounds`; an unproven
+    /// reference performs only a subset of its affine image, so every
+    /// count is downgraded to `Bound`.
     pub in_bounds: bool,
     pub class: ReuseClass,
     /// Dynamic accesses the nest issues through this reference.
@@ -88,6 +89,8 @@ impl ReuseReport {
 /// Analyze one reference: canonical form, classification, footprint
 /// counts. Falls back to trivial `Bound` facts (capped by accesses and
 /// array size) when the reference's shape defeats the form builder.
+/// The form comes back beside the facts, so a caller that pairs
+/// references builds each form once.
 pub fn analyze_ref(
     prog: &Program,
     nest: &LoopNest,
@@ -96,62 +99,57 @@ pub fn analyze_ref(
     slot: u8,
     l1_line: u64,
     l2_line: u64,
-) -> Option<RefFacts> {
+) -> Option<(RefFacts, Option<AddressForm>)> {
     let (aref, is_write) = *stmt.array_refs().get(slot as usize)?;
-    let name = prog
-        .arrays
-        .get(aref.array.0 as usize)
-        .map(|a| a.name.clone())
-        .unwrap_or_else(|| format!("array#{}", aref.array.0));
+    let decl = prog.arrays.get(aref.array.0 as usize);
     let accesses = nest.points();
-    let in_bounds = ndc_lint::prove_ref(prog, nest, stmt.id, slot, aref, is_write).in_bounds;
-    let Some(form) = AddressForm::build(prog, nest, aref) else {
-        // Shape mismatch (reported by the verifier): everything the
-        // reference could touch is bounded by its access count and the
-        // array's size.
-        let cap = prog
-            .arrays
-            .get(aref.array.0 as usize)
-            .map(|a| a.elements())
-            .unwrap_or(0)
-            .min(accesses);
-        return Some(RefFacts {
-            stmt_pos,
-            slot,
-            array: name,
-            is_write,
-            in_bounds: false,
-            class: ReuseClass::NoReuse { stride_bytes: 0 },
-            accesses,
-            elems: Count::bound(cap),
-            l1_lines: Count::bound(cap),
-            l2_lines: Count::bound(cap),
-            dram_bytes: Count::bound(cap.saturating_mul(l2_line)),
-        });
+    let form = AddressForm::build(prog, nest, aref);
+    let (in_bounds, class, elems, l1_lines, l2_lines) = match &form {
+        Some(form) => {
+            let in_bounds =
+                decl_of(prog, aref, nest.depth()).is_some_and(|d| in_bounds(d, aref, nest));
+            // Out-of-bounds accesses address nothing, so the affine
+            // image over-approximates the touched set: sound only as a
+            // bound.
+            let tag = |c: Count| if in_bounds { c } else { c.relaxed() };
+            let (l1, l2) = (form.distinct_lines(l1_line), form.distinct_lines(l2_line));
+            let class = classify(form, l1_line);
+            (
+                in_bounds,
+                class,
+                tag(form.distinct_elements()),
+                tag(l1),
+                tag(l2),
+            )
+        }
+        None => {
+            // Shape mismatch (reported by the verifier): everything the
+            // reference could touch is bounded by its access count and
+            // the array's size.
+            let cap = Count::bound(decl.map_or(0, |a| a.elements()).min(accesses));
+            (
+                false,
+                ReuseClass::NoReuse { stride_bytes: 0 },
+                cap,
+                cap,
+                cap,
+            )
+        }
     };
-    let mut elems = form.distinct_elements();
-    let mut l1_lines = form.distinct_lines(l1_line);
-    let mut l2_lines = form.distinct_lines(l2_line);
-    if !in_bounds {
-        // Out-of-bounds accesses address nothing, so the affine image
-        // over-approximates the touched set: sound only as a bound.
-        elems = elems.relaxed();
-        l1_lines = l1_lines.relaxed();
-        l2_lines = l2_lines.relaxed();
-    }
-    Some(RefFacts {
+    let facts = RefFacts {
         stmt_pos,
         slot,
-        array: name,
+        array: decl.map_or_else(|| format!("array#{}", aref.array.0), |a| a.name.clone()),
         is_write,
         in_bounds,
-        class: classify(&form, l1_line),
+        class,
         accesses,
         elems,
         l1_lines,
         l2_lines,
         dram_bytes: l2_lines.times(l2_line),
-    })
+    };
+    Some((facts, form))
 }
 
 /// Analyze every reference of one nest.
@@ -165,7 +163,9 @@ pub fn analyze_nest(
     let mut refs = Vec::new();
     for (stmt_pos, stmt) in nest.body.iter().enumerate() {
         for slot in 0..stmt.array_refs().len() {
-            if let Some(f) = analyze_ref(prog, nest, stmt, stmt_pos, slot as u8, l1_line, l2_line) {
+            if let Some((f, _)) =
+                analyze_ref(prog, nest, stmt, stmt_pos, slot as u8, l1_line, l2_line)
+            {
                 refs.push(f);
             }
         }

@@ -19,6 +19,7 @@
 //! Algorithm 1/2 → lint certification → oracle → invariants and
 //! reports any divergence with its reproducing seed.
 
+use ndc_ir::affine::row_extrema;
 use ndc_ir::matrix::IMat;
 use ndc_ir::program::{ArrayDecl, ArrayId, ArrayRef, LoopNest, Program, Ref, Stmt};
 use ndc_types::{Op, SplitMix64};
@@ -324,25 +325,14 @@ impl Builder<'_> {
 }
 
 /// Exact per-dimension (min, max) subscript range a reference attains
-/// over its nest — the same endpoint arithmetic as the `ndc-lint`
-/// bounds prover. `None` for an empty iteration space.
+/// over its nest, by the bounds verdict's endpoint rule
+/// ([`row_extrema`]). `None` for an empty iteration space.
 fn extrema(nest: &LoopNest, aref: &ArrayRef) -> Option<Vec<(i64, i64)>> {
-    if nest.is_empty() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(aref.coeffs.rows);
-    for r in 0..aref.coeffs.rows {
-        let (mut min, mut max) = (aref.offsets[r], aref.offsets[r]);
-        for j in 0..aref.coeffs.cols {
-            let c = aref.coeffs[(r, j)];
-            let at_lo = c * nest.lo[j];
-            let at_hi = c * (nest.hi[j] - 1);
-            min += at_lo.min(at_hi);
-            max += at_lo.max(at_hi);
-        }
-        out.push((min, max));
-    }
-    Some(out)
+    let range = |r| {
+        let (min, max) = row_extrema(aref, r, nest);
+        (min as i64, max as i64)
+    };
+    (!nest.is_empty()).then(|| (0..aref.coeffs.rows).map(range).collect())
 }
 
 /// Size every array from the union of its references' subscript

@@ -19,17 +19,19 @@ echo "== rustfmt (check) =="
 cargo fmt --check
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
-echo "== tests (release profile): trace store, address forms, bounds prover, simulator hot path =="
+echo "== tests (release profile): trace store, address algebra, bounds prover, simulator hot path, pinned analyses =="
 # Debug builds trap on integer overflow where release builds wrap, so
 # the crates whose address arithmetic relies on wrapping (the packed
 # trace store, the affine address forms and their carry deltas, the
 # interval rule) also run their tests, property tests included,
-# optimized, and so does the pinned hash of every kernel's lowered
-# instructions (`tests/trace_store.rs`). The simulator's hot-path
-# crates (caches, the paged sharer directory, the network, the engine)
-# run optimized too, as perfbench builds them.
+# optimized, and so do the pinned hash of every kernel's lowered
+# instructions (`tests/trace_store.rs`) and the pinned hashes of every
+# kernel's CME predictions and reuse facts (`tests/reuse.rs`), whose
+# strides come from the checked fold. The simulator's hot-path crates
+# (caches, the paged sharer directory, the network, the engine) run
+# optimized too, as perfbench builds them.
 cargo test --release --offline -p ndc-types -p ndc-ir -p ndc-lint -p ndc-mem -p ndc-noc -p ndc-sim
-cargo test --release --offline -p ndc --test trace_store
+cargo test --release --offline -p ndc --test trace_store --test reuse
 echo "== benchmark: perfbench builds and its unit tests pass =="
 # perfbench links the `ndc` facade by path, so a change to any public
 # item it calls must still compile there. `--locked` fails on a stale

@@ -319,11 +319,12 @@ const LOWER_TRACE_ALLOCS: u64 = 6;
 /// At most this many allocations per nest, beside the per-trace ones:
 /// each reference's affine form, a transformed nest's point list, and
 /// the growth of the scratch every nest and thread reuse. Over the 20
-/// kernels the allocations left after 5 per trace read at most 40.0 per
-/// nest (md, fused Algorithm 2, debug). Allocating the rings once per
-/// (nest, thread) adds 3 per nest for every busy thread, 75 per nest
-/// at 25 cores.
-const LOWER_NEST_ALLOCS: u64 = 48;
+/// kernels the allocations left after 5 per trace read at most 25.0 per
+/// nest (md, fused Algorithm 2, debug; 16.7 in release): a form
+/// allocates only its coefficients. Allocating the rings once per
+/// (nest, thread) adds 3 per nest for every busy thread, 75 per nest at
+/// 25 cores.
+const LOWER_NEST_ALLOCS: u64 = 25;
 
 #[test]
 fn lowering_allocates_per_trace_and_per_nest_not_per_thread() {
