@@ -1,15 +1,16 @@
-//! The regression gate: compare a freshly generated `BENCH_*.json`
+//! The regression gate: compare a freshly written `results/<table>.json`
 //! document against its committed copy.
 //!
-//! Every committed file holds simulated counters, attestations and
-//! model errors only — nothing that depends on the host — so every
-//! leaf must match exactly. The simulator is deterministic, so any
+//! Every committed table holds simulated counters, derived figures,
+//! model errors and the paper's reference values only — nothing that
+//! depends on the host — so every leaf must match exactly. The simulator is deterministic, so any
 //! drift is a real behavioural change: fix it, or regenerate the file
 //! and commit it. Host time is measured by `perfbench`, not here.
 //!
 //! Comparison is structural and recursive; every divergence is
-//! reported with its JSON path, so a failing gate says exactly which
-//! counter moved and by how much.
+//! reported with its JSON path. A table keys its rows and columns by
+//! name (`$.rows.<row>.<column>`), so a failing gate names the row and
+//! column of every moved cell, and by how much it moved.
 
 use ndc_types::Json;
 
@@ -171,6 +172,22 @@ mod tests {
         let diffs = compare(&b, &c);
         assert_eq!(diffs.len(), 1, "{diffs:?}");
         assert_eq!(diffs[0].path, "$.host_parallelism");
+    }
+
+    #[test]
+    fn a_moved_table_cell_is_named_by_row_and_column() {
+        use ndc::table::{Cell, Table};
+        let table = |alg1: f64| {
+            let mut t = Table::new("fig4", "Figure 4", "bench").columns(&["oracle", "alg1"], 1);
+            t.row("md", vec![Cell::Num(-2.4), Cell::Num(8.5)]);
+            t.row("swim", vec![Cell::Num(0.0), Cell::Num(alg1)]);
+            Json::parse(&t.to_json(Some("Test"))).unwrap()
+        };
+        assert!(compare(&table(12.25), &table(12.25)).is_empty());
+        let diffs = compare(&table(12.25), &table(12.5));
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].path, "$.rows.swim.alg1");
+        assert!(diffs[0].detail.contains("12.25"), "{diffs:?}");
     }
 
     #[test]

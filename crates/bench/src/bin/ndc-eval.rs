@@ -1,63 +1,21 @@
-//! `ndc-eval` — regenerate the paper's tables and figures.
+//! `ndc-eval` — regenerate the paper's tables and figures. `ndc-eval
+//! help` lists every experiment and flag.
 //!
-//! ```text
-//! ndc-eval <experiment> [--scale test|paper] [--bench <name>]
-//!                       [--metrics <out.json>] [--trace <out.trace.json>]
-//!
-//! experiments:
-//!   table1            simulated configuration (paper Table 1)
-//!   table2            CME L1/L2 estimation accuracy
-//!   fig2              arrival-window CDFs per location
-//!   fig3              breakeven points vs arrival windows
-//!   fig4              performance benefit of every scheme
-//!   fig5              consecutive arrival windows (ocean, radiosity)
-//!   fig6              oracle NDC location breakdown
-//!   fig13             Algorithm-1 NDC location breakdown
-//!   fig14             Algorithm 1 restricted to single components
-//!   fig15             NDC opportunities exercised by Algorithm 2
-//!   fig16             L1/L2 miss rates under Algorithms 1 and 2
-//!   fig17             sensitivity study (mesh size, L2 size, op class)
-//!   explain           span traces + compiler provenance + cost-model cross-check
-//!   ablation-routing  router NDC with vs without route reshaping
-//!   ablation-coarse   fine-grain vs whole-nest mapping
-//!   fuse              operator fusion: bytes moved + offload cycles, BENCH_fusion.json
-//!   check             differential oracle + simulator invariants + fault matrix
-//!   lint              static legality: certificates, bounds proofs, race report
-//!   scale             mesh scale-up study (5x5 to 16x16), BENCH_scale.json
-//!   fuzz              seeded IR fuzzing: generator -> compilers -> oracle -> checked sim
-//!   gen               seeded corpus summary (class mix, shapes, degenerate coverage)
-//!   all               everything above in sequence (except check, lint, scale, fuzz)
-//!   help              full usage (also -h / --help)
-//! ```
-//!
-//! `fuzz` drives `--count` seeded programs (seeds `--seed`, `--seed`+1,
-//! ...) through every layer and exits 1 on any divergence, invariant
-//! violation, or panic, printing the reproducing seed; rerun one case
-//! with `ndc-eval fuzz --count 1 --seed <seed>`. The class × bottleneck
-//! corpus table lands in `BENCH_fuzz_corpus.json`.
-//!
-//! `fig4` writes the simulated counters of every Figure 4 run to
-//! `BENCH_fig4_schemes.json`, `explain` its model accuracy to
-//! `BENCH_model_accuracy.json`, `fuse` to `BENCH_fusion.json` and
-//! `scale` to `BENCH_scale.json`. At `--scale paper` each writes
-//! `BENCH_<name>.paper.json` instead, and under `--bench` none writes,
-//! so a partial or paper-scale run never replaces a committed
-//! test-scale file. `scripts/verify.sh` regenerates each committed file
-//! and gates it exactly with `ndc-eval gate`.
+//! Every experiment returns [`Table`]s. `ndc-eval` prints each with the
+//! one renderer and, on a full sweep, writes it with the one writer to
+//! `results/<table>.json`, or `results/<table>.paper.json` at
+//! `--scale paper`. A `--bench` run writes nothing, so a partial run
+//! never replaces a committed file. `scripts/verify.sh` regenerates
+//! every committed table and gates each exactly with `ndc-eval gate`.
 //!
 //! `--metrics` writes a per-run component-level breakdown (engine,
-//! NDC, caches, directory, NoC links, DRAM channels) of every
-//! benchmark-evaluation run as JSON; `--trace` additionally writes the
-//! latest NDC offload events in Chrome trace format (load it at
-//! `chrome://tracing` or Perfetto). Both apply to experiments that run
-//! the shared benchmark evaluation (table2, fig2-fig6, fig13, fig15,
-//! fig16); the output is byte-identical for any `NDC_THREADS`.
-//!
-//! `explain` cross-checks the compiler's offload cost model against
-//! the simulator's measured issue→result latencies for every NDC
-//! location; with `--bench` it additionally prints the per-segment
-//! latency decomposition of the sampled span traces, the slowest
-//! request trees, and the planner's per-chain decision provenance.
+//! NDC, caches, directory, NoC links, DRAM channels) of every run of
+//! the shared benchmark evaluation as JSON; `--trace` additionally
+//! writes the latest NDC offload events in Chrome trace format (load it
+//! at `chrome://tracing` or Perfetto). Both apply to the experiments
+//! that run the shared evaluation (table2, fig2, fig3, fig4, fig6,
+//! fig13, fig15, fig16 and `all`); the output is byte-identical for any
+//! `NDC_THREADS`.
 //!
 //! Unknown experiments, flags, or flag values are errors (exit 2).
 
@@ -65,7 +23,9 @@ use ndc::experiments as exp;
 use ndc::obs::ObsLevel;
 use ndc::prelude::*;
 use ndc::sim::Engine;
-use ndc_types::{geomean_improvement, Json, ALL_NDC_LOCATIONS, BUCKET_LABELS};
+use ndc::table::Table;
+use ndc_types::Json;
+use std::cell::OnceCell;
 
 /// Ring capacity per simulated run when `--trace` is on: enough to
 /// hold the tail of any test-scale run without unbounded memory.
@@ -88,9 +48,9 @@ struct Args {
     tenants: u16,
     /// `--top` for profile: outlier requests to show (default 5).
     top: usize,
-    /// `--baseline` for gate: the committed `BENCH_*.json`.
+    /// `--baseline` for gate: the committed `results/<table>.json`.
     baseline: Option<String>,
-    /// `--current` for gate: the freshly generated `BENCH_*.json`.
+    /// `--current` for gate: the freshly written `results/<table>.json`.
     current: Option<String>,
 }
 
@@ -117,7 +77,7 @@ fn usage() {
     println!("  table2            CME L1/L2 estimation accuracy");
     println!("  fig2              arrival-window CDFs per location");
     println!("  fig3              breakeven points vs arrival windows");
-    println!("  fig4              performance benefit of every scheme");
+    println!("  fig4              performance benefit of every scheme + every run's counters");
     println!("  fig5              consecutive arrival windows (ocean, radiosity)");
     println!("  fig6              oracle NDC location breakdown");
     println!("  fig13             Algorithm-1 NDC location breakdown");
@@ -125,39 +85,41 @@ fn usage() {
     println!("  fig15             NDC opportunities exercised by Algorithm 2");
     println!("  fig16             L1/L2 miss rates under Algorithms 1 and 2");
     println!("  fig17             sensitivity study (mesh size, L2 size, op class)");
-    println!("  explain           span traces + compiler provenance + cost-model cross-check");
+    println!("  explain           cost-model cross-check; with --bench: spans + provenance");
     println!("  profile           per-tenant attribution ledger + latency quantiles + outliers");
-    println!("  gate              perf-regression gate: --current BENCH json vs --baseline");
+    println!("  gate              exact gate: --current table JSON vs --baseline");
     println!("  ablation-routing  router NDC with vs without route reshaping");
     println!("  ablation-coarse   fine-grain vs whole-nest mapping");
     println!("  ablation-k        Algorithm 2 reuse-threshold k sweep");
     println!("  ablation-markov   Markov window predictor vs Last-Wait");
     println!("  ablation-layout   data-layout optimization before Algorithm 2");
-    println!(
-        "  fuse              operator fusion: bytes moved + offload cycles, BENCH_fusion.json"
-    );
+    println!("  fuse              operator fusion: bytes moved + offload cycles");
     println!("  check             differential oracle + simulator invariants + fault matrix");
     println!("  lint              static legality: certificates, bounds proofs, race report");
-    println!("  scale             mesh scale-up study (5x5 to 16x16), BENCH_scale.json");
+    println!("  scale             mesh scale-up study (8x8 at test scale, 5x5 to 16x16 at paper)");
     println!(
         "  fuzz              seeded IR fuzzing: generator -> compilers -> oracle -> checked sim"
     );
     println!("  gen               seeded corpus summary (class mix, shapes, degenerate coverage)");
-    println!("  all               everything above in sequence (except check, lint, scale, fuzz)");
+    println!("  all               every experiment from table1 to fuse above, except profile/gate");
     println!("  help              this text (also -h / --help)");
+    println!();
+    println!("Every table is printed and, on a full sweep (no --bench), written to");
+    println!("results/<table>.json (results/<table>.paper.json at --scale paper);");
+    println!("fuzz writes results/fuzz_corpus.json.");
     println!();
     println!("flags:");
     println!("  --scale test|paper   problem sizes (default: paper)");
     println!("  --bench <name>       restrict to one benchmark (see `list`)");
-    println!("  --metrics <path>     per-run component breakdown JSON (evaluation runs)");
+    println!("  --metrics <path>     per-run component breakdown JSON (shared evaluation)");
     println!("  --trace <path>       NDC offload events, Chrome trace format (implies metrics)");
     println!("  --count <n>          fuzz/gen: programs to generate (default: 256)");
     println!("  --seed <u64>         fuzz/gen: base seed, decimal or 0x hex (default: 7)");
     println!("  --json               profile/explain/check: JSON document on stdout");
     println!("  --tenants <n>        profile: tenants, cores assigned round-robin (default: 1)");
     println!("  --top <k>            profile: slowest sampled requests to show (default: 5)");
-    println!("  --baseline <path>    gate: committed BENCH_*.json to compare against");
-    println!("  --current <path>     gate: freshly generated BENCH_*.json under test");
+    println!("  --baseline <path>    gate: committed results/<table>.json to compare against");
+    println!("  --current <path>     gate: freshly written results/<table>.json under test");
 }
 
 /// Exit 2 with an argument error (usage goes to stderr so piped
@@ -269,70 +231,106 @@ fn benches(filter: &Option<String>) -> Vec<Benchmark> {
     }
 }
 
+/// The experiments `all` runs, in order.
+const ALL: [&str; 19] = [
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "explain",
+    "ablation-routing",
+    "ablation-coarse",
+    "ablation-k",
+    "ablation-markov",
+    "ablation-layout",
+    "fuse",
+];
+
 fn main() {
     let args = parse_args();
     let cfg = ArchConfig::paper_default();
+    // The shared evaluation, run on first use and reused by every
+    // experiment that reads it.
+    let evals = OnceCell::new();
     match args.experiment.as_str() {
         "list" => list_benchmarks(),
-        "table1" => table1(&cfg),
-        "table2" => with_evals(&args, cfg, table2_cmd),
-        "fig2" => with_evals(&args, cfg, fig2),
-        "fig3" => with_evals(&args, cfg, fig3),
-        "fig4" => with_evals(&args, cfg, |evals| fig4(&args, evals)),
-        "fig5" => fig5(&args, cfg),
-        "fig6" => with_evals(&args, cfg, fig6),
-        "fig13" => with_evals(&args, cfg, fig13),
-        "fig14" => fig14(&args, cfg),
-        "fig15" => with_evals(&args, cfg, fig15),
-        "fig16" => with_evals(&args, cfg, fig16),
-        "fig17" => fig17(&args),
-        "explain" => explain_cmd(&args, cfg),
         "profile" => profile_cmd(&args, cfg),
         "gate" => gate_cmd(&args),
-        "ablation-routing" => ablation_routing(&args, cfg),
-        "ablation-coarse" => ablation_coarse(&args, cfg),
-        "ablation-k" => ablation_k(&args, cfg),
-        "ablation-markov" => ablation_markov(&args, cfg),
-        "ablation-layout" => ablation_layout(&args, cfg),
-        "fuse" => fuse_cmd(&args, cfg),
         "check" => check_cmd(&args, cfg),
         "lint" => lint_cmd(&args, cfg),
         "scale" => scale_cmd(&args),
         "fuzz" => fuzz_cmd(&args, cfg),
         "gen" => gen_cmd(&args),
-        "all" => {
-            table1(&cfg);
-            let evals = eval_benches(&args, cfg);
-            table2_cmd(&evals);
-            fig2(&evals);
-            fig3(&evals);
-            fig4(&args, &evals);
-            fig5(&args, cfg);
-            fig6(&evals);
-            fig13(&evals);
-            fig14(&args, cfg);
-            fig15(&evals);
-            fig16(&evals);
-            fig17(&args);
-            explain_cmd(&args, cfg);
-            ablation_routing(&args, cfg);
-            ablation_coarse(&args, cfg);
-            ablation_k(&args, cfg);
-            ablation_markov(&args, cfg);
-            ablation_layout(&args, cfg);
-            fuse_cmd(&args, cfg);
-        }
         "help" => usage(),
+        "all" => {
+            for name in ALL {
+                experiment(name, &args, cfg, &evals);
+            }
+        }
+        name if ALL.contains(&name) => experiment(name, &args, cfg, &evals),
         other => arg_error(&format!("unknown experiment '{other}'")),
     }
 }
 
-/// Evaluate the selected benchmarks in parallel (ordered, deterministic)
-/// and hand the slice to the printing closure.
-fn with_evals(args: &Args, cfg: ArchConfig, f: impl Fn(&[exp::BenchmarkEvaluation])) {
-    f(&eval_benches(args, cfg));
+/// Print and write the tables of one experiment of [`ALL`].
+fn experiment(
+    name: &str,
+    args: &Args,
+    cfg: ArchConfig,
+    evals: &OnceCell<Vec<exp::BenchmarkEvaluation>>,
+) {
+    let shared = || evals.get_or_init(|| eval_benches(args, cfg)).as_slice();
+    let (list, scale) = (benches(&args.bench), args.scale);
+    let tables = match name {
+        "table1" => vec![exp::table1(&cfg)],
+        "table2" => vec![exp::table2(shared())],
+        "fig2" => vec![exp::figure2(shared())],
+        "fig3" => vec![exp::figure3(shared())],
+        "fig4" => vec![exp::figure4(shared()), exp::counters(shared())],
+        "fig5" => {
+            // Figure 5 always shows ocean and radiosity.
+            let two = ["ocean", "radiosity"].map(|n| by_name(n).expect("a paper workload"));
+            let evals = ndc_par::parallel_map(&two, |b| exp::evaluate_benchmark(b, cfg, scale));
+            vec![exp::figure5(&evals, 30)]
+        }
+        "fig6" => vec![exp::figure6(shared())],
+        "fig13" => vec![exp::figure13(shared())],
+        "fig14" => vec![exp::figure14(&list, cfg, scale)],
+        "fig15" => vec![exp::figure15(shared())],
+        "fig16" => vec![exp::figure16(shared())],
+        "fig17" => vec![exp::figure17(scale)],
+        "explain" => return explain_cmd(args, cfg),
+        "ablation-routing" => vec![exp::ablation_routing(&list, cfg, scale)],
+        "ablation-coarse" => vec![exp::ablation_coarse(&list, cfg, scale)],
+        "ablation-k" => {
+            let list = match args.bench {
+                Some(_) => list,
+                None => ["md", "water", "bt", "cholesky"]
+                    .map(|n| by_name(n).unwrap())
+                    .into(),
+            };
+            vec![exp::ablation_k(&list, cfg, scale, &[0, 1, 2, 4, 8])]
+        }
+        "ablation-markov" => vec![exp::ablation_markov(&list, cfg, scale)],
+        "ablation-layout" => vec![exp::ablation_layout(&list, cfg, scale)],
+        "fuse" => vec![exp::fusion(&list, cfg, scale)],
+        other => unreachable!("{other} is not in ALL"),
+    };
+    for t in &tables {
+        emit(args, t);
+    }
 }
 
+/// Evaluate the selected benchmarks in parallel (ordered, deterministic),
+/// writing the `--metrics` / `--trace` artifacts if asked for.
 fn eval_benches(args: &Args, cfg: ArchConfig) -> Vec<exp::BenchmarkEvaluation> {
     let list = benches(&args.bench);
     let obs = args.obs_level();
@@ -388,23 +386,44 @@ fn write_obs_outputs(args: &Args, evals: &[exp::BenchmarkEvaluation], all_obs: &
     }
 }
 
-/// Where an experiment's `BENCH_<name>.json` artifact goes, if
-/// anywhere. A `--bench`-filtered run covers part of the sweep, so it
-/// writes nothing; a paper-scale run writes `BENCH_<name>.paper.json`.
-/// So only a full test-scale sweep replaces a committed test-scale
-/// file, and only a full paper-scale sweep a committed paper-scale one.
-fn bench_file(name: &str, scale: Scale, filter: Option<&str>) -> Option<String> {
+/// Where a table's file goes, if anywhere: `results/<name>.json`, or
+/// `results/<name>.paper.json` at paper scale. A `--bench`-filtered run
+/// covers part of the sweep, so it writes nothing. So only a full
+/// test-scale sweep replaces a committed test-scale file, and only a
+/// full paper-scale sweep a committed paper-scale one.
+fn table_file(name: &str, scale: Scale, filter: Option<&str>) -> Option<String> {
     match (filter, scale) {
         (Some(_), _) => None,
-        (None, Scale::Paper) => Some(format!("BENCH_{name}.paper.json")),
-        (None, _) => Some(format!("BENCH_{name}.json")),
+        (None, Scale::Paper) => Some(format!("results/{name}.paper.json")),
+        (None, _) => Some(format!("results/{name}.json")),
+    }
+}
+
+/// Print a table, then write it as [`write_table`] does.
+fn emit(args: &Args, t: &Table) {
+    println!("{}", t.render());
+    write_table(args, t);
+}
+
+/// Write a table to its [`table_file`], if it has one.
+fn write_table(args: &Args, t: &Table) {
+    if let Some(path) = table_file(&t.name, args.scale, args.bench.as_deref()) {
+        write_file(&path, &t.to_json(Some(&format!("{:?}", args.scale))));
     }
 }
 
 fn write_json(path: &str, doc: &Json) {
-    let mut text = doc.render();
-    text.push('\n');
-    match std::fs::write(path, text) {
+    write_file(path, &format!("{}\n", doc.render()));
+}
+
+fn write_file(path: &str, text: &str) {
+    let dir = std::path::Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty());
+    match dir
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, text))
+    {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => {
             eprintln!("failed to write {path}: {e}");
@@ -434,312 +453,6 @@ fn list_benchmarks() {
     println!();
 }
 
-fn table1(cfg: &ArchConfig) {
-    println!("== Table 1: simulated configuration ==");
-    println!(
-        "Mesh: {}x{} 2D mesh, XY routing, {}B links, {}-cycle router pipeline",
-        cfg.noc.width, cfg.noc.height, cfg.noc.link_bytes, cfg.noc.hop_cycles
-    );
-    println!(
-        "L1: {} KB/node, {}B lines, {}-way, {}-cycle",
-        cfg.l1.size_bytes / 1024,
-        cfg.l1.line_bytes,
-        cfg.l1.ways,
-        cfg.l1.latency
-    );
-    println!(
-        "L2: {} KB/node, {}B lines, {}-way, {}-cycle, line-interleaved static NUCA",
-        cfg.l2.size_bytes / 1024,
-        cfg.l2.line_bytes,
-        cfg.l2.ways,
-        cfg.l2.latency
-    );
-    println!(
-        "Memory: {} controllers, {} KB interleave, {} banks/device, {} rows/bank, {} KB row buffers",
-        cfg.mem.num_controllers,
-        cfg.mem.interleave_bytes / 1024,
-        cfg.mem.dram.banks_per_device,
-        cfg.mem.dram.rows_per_bank,
-        cfg.mem.dram.row_bytes / 1024
-    );
-    println!(
-        "Cores: {}-issue, 1 thread/core, {} MSHRs; offloading: all arithmetic/logic ops",
-        cfg.issue_width, cfg.mshrs
-    );
-    println!();
-}
-
-fn table2_cmd(evals: &[exp::BenchmarkEvaluation]) {
-    println!("== Table 2: L1/L2 miss-estimation accuracy (%) ==");
-    println!("{:<10} {:>6} {:>6}", "bench", "L1", "L2");
-    let rows = exp::table2(evals);
-    let (mut l1s, mut l2s) = (Vec::new(), Vec::new());
-    for (name, r) in &rows {
-        println!(
-            "{:<10} {:>6.1} {:>6.1}",
-            name, r.l1_accuracy_pct, r.l2_accuracy_pct
-        );
-        l1s.push(r.l1_accuracy_pct);
-        l2s.push(r.l2_accuracy_pct);
-    }
-    println!(
-        "{:<10} {:>6.1} {:>6.1}   (paper: 81.1 / 72.9)",
-        "average",
-        ndc_types::mean(&l1s),
-        ndc_types::mean(&l2s)
-    );
-    println!();
-}
-
-fn fig2(evals: &[exp::BenchmarkEvaluation]) {
-    println!("== Figure 2: arrival-window CDFs (%, truncated at 50) ==");
-    let loc_names = [
-        "link buffer",
-        "L2 controller",
-        "memory controller",
-        "main memory",
-    ];
-    let rows = exp::figure2(evals);
-    for (li, lname) in loc_names.iter().enumerate() {
-        println!("--- ({}) {} ---", (b'a' + li as u8) as char, lname);
-        print!("{:<10}", "bench");
-        for l in BUCKET_LABELS {
-            print!(" {l:>6}");
-        }
-        println!();
-        for (name, per_loc) in &rows {
-            print!("{name:<10}");
-            for v in per_loc[li] {
-                print!(" {v:>6.1}");
-            }
-            println!();
-        }
-    }
-    println!();
-}
-
-fn fig3(evals: &[exp::BenchmarkEvaluation]) {
-    println!("== Figure 3: breakeven points vs arrival windows (% per bucket) ==");
-    let f3 = exp::figure3(evals);
-    let loc_names = [
-        "link buffer",
-        "cache controller",
-        "memory controller",
-        "main memory",
-    ];
-    print!("{:<34}", "location / series");
-    for l in BUCKET_LABELS {
-        print!(" {l:>6}");
-    }
-    println!();
-    for (i, lname) in loc_names.iter().enumerate() {
-        print!("{:<34}", format!("{lname} arrival window"));
-        for v in f3.windows[i].percentages() {
-            print!(" {v:>6.1}");
-        }
-        println!();
-        print!("{:<34}", format!("{lname} breakeven point"));
-        for v in f3.breakevens[i].percentages() {
-            print!(" {v:>6.1}");
-        }
-        println!();
-    }
-    println!();
-}
-
-fn fig4(args: &Args, evals: &[exp::BenchmarkEvaluation]) {
-    if let Some(path) = bench_file("fig4_schemes", args.scale, args.bench.as_deref()) {
-        write_json(&path, &exp::figure4_counters(evals, args.scale));
-    }
-    println!("== Figure 4: performance benefit over original (%) ==");
-    let rows = exp::figure4(evals);
-    println!(
-        "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>7} {:>7}",
-        "bench", "default", "oracle", "w5%", "w10%", "w25%", "w50%", "lastwait", "alg1", "alg2"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>9.1} {:>7.1} {:>7.1}",
-            r.name,
-            r.schemes[0],
-            r.schemes[1],
-            r.schemes[2],
-            r.schemes[3],
-            r.schemes[4],
-            r.schemes[5],
-            r.schemes[6],
-            r.alg1,
-            r.alg2
-        );
-    }
-    let g = |f: &dyn Fn(&exp::Figure4Row) -> f64| {
-        geomean_improvement(&rows.iter().map(f).collect::<Vec<_>>())
-    };
-    println!(
-        "{:<10} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>9.1} {:>7.1} {:>7.1}",
-        "geomean",
-        g(&|r| r.schemes[0]),
-        g(&|r| r.schemes[1]),
-        g(&|r| r.schemes[2]),
-        g(&|r| r.schemes[3]),
-        g(&|r| r.schemes[4]),
-        g(&|r| r.schemes[5]),
-        g(&|r| r.schemes[6]),
-        g(&|r| r.alg1),
-        g(&|r| r.alg2),
-    );
-    println!("(paper geomeans: default -16.7, oracle +29.3, wait -15.1..-13.4, lastwait -4.3, alg1 +22.5, alg2 +25.2)");
-    println!();
-}
-
-fn fig5(args: &Args, cfg: ArchConfig) {
-    println!("== Figure 5: 30 consecutive arrival windows of one instruction ==");
-    let names = ["ocean", "radiosity"];
-    let lines = ndc_par::parallel_map(&names, |name| {
-        let bench = by_name(name).unwrap();
-        let eval = exp::evaluate_benchmark(&bench, cfg, args.scale);
-        let series = exp::figure5(&eval, 30);
-        series
-            .iter()
-            .map(|w| w.map_or("-".into(), |c| c.to_string()))
-            .collect::<Vec<String>>()
-            .join(" ")
-    });
-    for (name, line) in names.iter().zip(&lines) {
-        println!("{name:<10} {line}");
-    }
-    println!("(- = operands never co-located for that instance)");
-    println!();
-}
-
-fn breakdown(rows: &[exp::BreakdownRow], title: &str, paper_avg: &str) {
-    println!("== {title} ==");
-    println!(
-        "{:<10} {:>7} {:>8} {:>6} {:>7}",
-        "bench", "cache", "network", "MC", "memory"
-    );
-    for r in rows {
-        // Paper order: cache, network, MC, memory.
-        println!(
-            "{:<10} {:>7.1} {:>8.1} {:>6.1} {:>7.1}",
-            r.name,
-            r.pct[NdcLocation::CacheController.index()],
-            r.pct[NdcLocation::LinkBuffer.index()],
-            r.pct[NdcLocation::MemoryController.index()],
-            r.pct[NdcLocation::MemoryBank.index()]
-        );
-    }
-    let avg = exp::breakdown_average(rows);
-    println!(
-        "{:<10} {:>7.1} {:>8.1} {:>6.1} {:>7.1}   (paper avg: {paper_avg})",
-        "average",
-        avg[NdcLocation::CacheController.index()],
-        avg[NdcLocation::LinkBuffer.index()],
-        avg[NdcLocation::MemoryController.index()],
-        avg[NdcLocation::MemoryBank.index()]
-    );
-    println!();
-}
-
-fn fig6(evals: &[exp::BenchmarkEvaluation]) {
-    breakdown(
-        &exp::figure6(evals),
-        "Figure 6: oracle NDC location breakdown (%)",
-        "25.9 / 36.0 / 21.7 / 16.4",
-    );
-}
-
-fn fig13(evals: &[exp::BenchmarkEvaluation]) {
-    breakdown(
-        &exp::figure13(evals),
-        "Figure 13: Algorithm-1 NDC location breakdown (%)",
-        "similar shape to Figure 6",
-    );
-    let fracs: Vec<f64> = evals
-        .iter()
-        .map(|e| 100.0 * e.alg1.0.ndc_fraction())
-        .collect();
-    println!(
-        "footnote 6: {:.1}% of arithmetic/logic instructions executed as NDC (paper: ~32%)",
-        ndc_types::mean(&fracs)
-    );
-    println!();
-}
-
-fn fig14(args: &Args, cfg: ArchConfig) {
-    println!("== Figure 14: Algorithm 1 restricted to a single component (%) ==");
-    println!(
-        "{:<10} {:>7} {:>8} {:>6} {:>7} {:>6}",
-        "bench", "cache", "network", "MC", "memory", "all"
-    );
-    let list = benches(&args.bench);
-    let rows = ndc_par::parallel_map(&list, |b| exp::figure14(b, cfg, args.scale));
-    for r in &rows {
-        println!(
-            "{:<10} {:>7.1} {:>8.1} {:>6.1} {:>7.1} {:>6.1}",
-            r.name,
-            r.isolated[NdcLocation::CacheController.index()],
-            r.isolated[NdcLocation::LinkBuffer.index()],
-            r.isolated[NdcLocation::MemoryController.index()],
-            r.isolated[NdcLocation::MemoryBank.index()],
-            r.all
-        );
-    }
-    println!("(the paper notes per-component sums exceed the combined run: a computation");
-    println!(" performed in one component is not re-performed in another)");
-    println!();
-}
-
-fn fig15(evals: &[exp::BenchmarkEvaluation]) {
-    println!("== Figure 15: NDC opportunities exercised by Algorithm 2 (%) ==");
-    let rows = exp::figure15(evals);
-    let mut vals = Vec::new();
-    for (name, pct) in &rows {
-        println!("{name:<10} {pct:>6.1}");
-        vals.push(*pct);
-    }
-    println!(
-        "{:<10} {:>6.1}   (paper avg: 81.8)",
-        "average",
-        ndc_types::mean(&vals)
-    );
-    println!();
-}
-
-fn fig16(evals: &[exp::BenchmarkEvaluation]) {
-    println!("== Figure 16: L1/L2 miss rates (%) under Algorithms 1 and 2 ==");
-    println!(
-        "{:<10} {:>8} {:>8} {:>8} {:>8}",
-        "bench", "L1 alg1", "L1 alg2", "L2 alg1", "L2 alg2"
-    );
-    for r in exp::figure16(evals) {
-        println!(
-            "{:<10} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
-            r.name, r.l1_alg1, r.l1_alg2, r.l2_alg1, r.l2_alg2
-        );
-    }
-    println!("(paper: Algorithm 2's rates are lower than Algorithm 1's in all programs)");
-    println!();
-}
-
-fn fig17(args: &Args) {
-    println!("== Figure 17: sensitivity study (geomean improvement %) ==");
-    println!(
-        "{:<32} {:>7} {:>7} {:>7}",
-        "configuration", "alg1", "alg2", "oracle"
-    );
-    for r in exp::figure17(args.scale) {
-        println!(
-            "{:<32} {:>7.1} {:>7.1} {:>7.1}",
-            r.label, r.alg1, r.alg2, r.oracle
-        );
-    }
-    println!(
-        "(paper: larger meshes help; L2 capacity is neutral; +/- restriction gives 14.1/16.5)"
-    );
-    println!();
-}
-
 /// `explain`: cross-check the compiler's offload cost model against
 /// the simulator's measured issue→result-at-core latencies, per NDC
 /// location, for every selected benchmark. With `--bench` the spans
@@ -757,67 +470,22 @@ fn explain_cmd(args: &Args, cfg: ArchConfig) {
     let reports = ndc_par::parallel_map(&list, |b| {
         exp::explain_benchmark(b, cfg, args.scale, one_in)
     });
-
-    // Aggregate model accuracy over the (benchmark × location) matrix:
-    // absolute relative error of the reuse-derived model and of the
-    // retired CME heuristic, on exactly the cells where the simulator
-    // measured offloads. The new model must beat the legacy mean —
-    // `ndc-eval gate` holds this via BENCH_model_accuracy.json.
-    let mut acc_rows: Vec<Json> = Vec::new();
-    let mut errs_new: Vec<f64> = Vec::new();
-    let mut errs_legacy: Vec<f64> = Vec::new();
-    for r in &reports {
-        for loc in ALL_NDC_LOCATIONS {
-            let a = r.offload.per_location[loc.index()];
-            let l = r.offload_legacy.per_location[loc.index()];
-            let (Some(en), Some(el)) = (a.error_pct(), l.error_pct()) else {
-                continue;
-            };
-            errs_new.push(en);
-            errs_legacy.push(el);
-            acc_rows.push(
-                Json::obj()
-                    .with("name", r.name.as_str())
-                    .with("location", loc.paper_label())
-                    .with("measured_cycles", a.measured_cycles)
-                    .with("predicted_cycles", a.predicted_cycles)
-                    .with("predicted_cycles_legacy", l.predicted_cycles)
-                    .with("error_pct", en)
-                    .with("error_pct_legacy", el),
-            );
-        }
-    }
-    let agg = |v: &[f64]| -> (f64, f64) {
-        if v.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (ndc_types::mean(v), v.iter().cloned().fold(0.0, f64::max))
-        }
-    };
-    let (mean_new, max_new) = agg(&errs_new);
-    let (mean_legacy, max_legacy) = agg(&errs_legacy);
-    let beats = !errs_new.is_empty() && mean_new < mean_legacy;
-    let summary = Json::obj()
-        .with("cells", errs_new.len() as u64)
-        .with("mean_abs_rel_error_pct", mean_new)
-        .with("max_abs_rel_error_pct", max_new)
-        .with("mean_abs_rel_error_pct_legacy", mean_legacy)
-        .with("max_abs_rel_error_pct_legacy", max_legacy)
-        .with("model_beats_legacy", beats);
-    if let Some(path) = bench_file("model_accuracy", args.scale, args.bench.as_deref()) {
-        let doc = Json::obj()
-            .with("experiment", "model_accuracy")
-            .with("scale", format!("{:?}", args.scale))
-            .with("summary", summary.clone())
-            .with("rows", acc_rows);
-        write_json(&path, &doc);
-    }
+    let table = exp::model_accuracy(&reports);
+    write_table(args, &table);
 
     if args.json {
+        let s = exp::ModelAccuracy::of(&reports);
+        let summary = Json::obj()
+            .with("cells", s.cells as u64)
+            .with("mean_abs_rel_error_pct", s.mean)
+            .with("max_abs_rel_error_pct", s.max)
+            .with("mean_abs_rel_error_pct_legacy", s.mean_legacy)
+            .with("max_abs_rel_error_pct_legacy", s.max_legacy)
+            .with("model_beats_legacy", s.beats_legacy());
         let bench_arr: Vec<Json> = reports
             .iter()
             .map(|r| {
-                let offload: Vec<Json> = ALL_NDC_LOCATIONS
+                let offload: Vec<Json> = ndc_types::ALL_NDC_LOCATIONS
                     .iter()
                     .map(|loc| {
                         let a = r.offload.per_location[loc.index()];
@@ -863,79 +531,7 @@ fn explain_cmd(args: &Args, cfg: ArchConfig) {
         return;
     }
 
-    println!("== Explain: compiler cost model vs measured offload cycles (alg2) ==");
-    // Paper breakdown order: cache, network, MC, memory.
-    let locs = [
-        NdcLocation::CacheController,
-        NdcLocation::LinkBuffer,
-        NdcLocation::MemoryController,
-        NdcLocation::MemoryBank,
-    ];
-    for loc in locs {
-        println!("-- {} --", loc.paper_label());
-        println!(
-            "{:<10} {:>10} {:>10} {:>10} {:>8} {:>7} {:>8}",
-            "bench", "predicted", "legacy", "measured", "samples", "err%", "leg-err%"
-        );
-        let mut errs = Vec::new();
-        let mut lerrs = Vec::new();
-        for r in &reports {
-            let a = r.offload.per_location[loc.index()];
-            let l = r.offload_legacy.per_location[loc.index()];
-            let err = match a.error_pct() {
-                Some(e) => {
-                    errs.push(e);
-                    format!("{e:.1}")
-                }
-                None => "-".into(),
-            };
-            let lerr = match l.error_pct() {
-                Some(e) => {
-                    lerrs.push(e);
-                    format!("{e:.1}")
-                }
-                None => "-".into(),
-            };
-            println!(
-                "{:<10} {:>10.1} {:>10.1} {:>10.1} {:>8} {:>7} {:>8}",
-                r.name,
-                a.predicted_cycles,
-                l.predicted_cycles,
-                a.measured_cycles,
-                a.samples,
-                err,
-                lerr
-            );
-        }
-        let avg = |v: &[f64]| {
-            if v.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", ndc_types::mean(v))
-            }
-        };
-        println!(
-            "{:<10} {:>10} {:>10} {:>10} {:>8} {:>7} {:>8}",
-            "average",
-            "",
-            "",
-            "",
-            "",
-            avg(&errs),
-            avg(&lerrs)
-        );
-        println!();
-    }
-    println!(
-        "-- model accuracy over {} measured cells --",
-        errs_new.len()
-    );
-    println!(
-        "reuse model:  mean {mean_new:.1}%  max {max_new:.1}%\n\
-         legacy model: mean {mean_legacy:.1}%  max {max_legacy:.1}%\n\
-         model_beats_legacy: {beats}"
-    );
-    println!();
+    println!("{}", table.render());
     if detail {
         explain_detail(&reports[0], one_in);
     }
@@ -1142,7 +738,7 @@ fn profile_cmd(args: &Args, cfg: ArchConfig) {
     }
 }
 
-/// `gate`: compare a freshly generated `BENCH_*.json` (`--current`)
+/// `gate`: compare a freshly written table file (`--current`)
 /// against a committed baseline (`--baseline`). Every value must match
 /// exactly; to accept new numbers, regenerate the file and commit it.
 fn gate_cmd(args: &Args) {
@@ -1177,119 +773,6 @@ fn gate_cmd(args: &Args) {
             std::process::exit(1);
         }
     }
-}
-
-fn ablation_routing(args: &Args, cfg: ArchConfig) {
-    println!("== Ablation: route reshaping (router NDC counts) ==");
-    println!(
-        "{:<10} {:>10} {:>10} {:>8}",
-        "bench", "with", "without", "drop%"
-    );
-    let list = benches(&args.bench);
-    let rows = ndc_par::parallel_map(&list, |b| exp::ablation_routing(b, cfg, args.scale));
-    let mut drops = Vec::new();
-    for r in &rows {
-        let drop = if r.router_ndc_with > 0 {
-            100.0 * (r.router_ndc_with - r.router_ndc_without) as f64 / r.router_ndc_with as f64
-        } else {
-            0.0
-        };
-        println!(
-            "{:<10} {:>10} {:>10} {:>8.1}",
-            r.name, r.router_ndc_with, r.router_ndc_without, drop
-        );
-        if r.router_ndc_with > 0 {
-            drops.push(drop);
-        }
-    }
-    println!(
-        "{:<10} {:>10} {:>10} {:>8.1}   (paper: ~40% fewer router NDC)",
-        "average",
-        "",
-        "",
-        ndc_types::mean(&drops)
-    );
-    println!();
-}
-
-fn ablation_k(args: &Args, cfg: ArchConfig) {
-    println!("== Extension: Algorithm 2 reuse-threshold k sweep ==");
-    let ks = [0u32, 1, 2, 4, 8];
-    println!(
-        "{:<10} {:>4} {:>10} {:>12}",
-        "bench", "k", "improve%", "exercised%"
-    );
-    let names = if args.bench.is_some() {
-        benches(&args.bench)
-            .iter()
-            .map(|b| b.name)
-            .collect::<Vec<_>>()
-    } else {
-        vec!["md", "water", "bt", "cholesky"]
-    };
-    let sweeps = ndc_par::parallel_map(&names, |name| {
-        let b = by_name(name).unwrap();
-        ndc::experiments::ablation_k(&b, cfg, args.scale, &ks)
-    });
-    for (name, rows) in names.iter().zip(&sweeps) {
-        for r in rows {
-            println!(
-                "{:<10} {:>4} {:>10.1} {:>12.1}",
-                name, r.k, r.improvement, r.exercised_pct
-            );
-        }
-    }
-    println!("(the paper evaluates k=0 and defers tuning to future work)");
-    println!();
-}
-
-fn ablation_markov(args: &Args, cfg: ArchConfig) {
-    println!("== Extension: Markov window predictor (vs Last-Wait, oracle) ==");
-    println!(
-        "{:<10} {:>9} {:>8} {:>8}",
-        "bench", "lastwait", "markov", "oracle"
-    );
-    let list = benches(&args.bench);
-    let rows = ndc_par::parallel_map(&list, |b| {
-        ndc::experiments::ablation_markov(b, cfg, args.scale)
-    });
-    let (mut lw, mut mk) = (Vec::new(), Vec::new());
-    for r in &rows {
-        println!(
-            "{:<10} {:>9.1} {:>8.1} {:>8.1}",
-            r.name, r.last_wait, r.markov, r.oracle
-        );
-        lw.push(r.last_wait);
-        mk.push(r.markov);
-    }
-    println!(
-        "{:<10} {:>9.1} {:>8.1}          (paper: \"even a Markov Chain-based predictor\"",
-        "geomean",
-        geomean_improvement(&lw),
-        geomean_improvement(&mk)
-    );
-    println!("                                      \"generated similar results\" to Last-Wait)");
-    println!();
-}
-
-fn ablation_layout(args: &Args, cfg: ArchConfig) {
-    println!("== Extension: data-layout optimization before Algorithm 2 ==");
-    println!(
-        "{:<10} {:>9} {:>12} {:>9}",
-        "bench", "without", "with-layout", "aligned"
-    );
-    let list = benches(&args.bench);
-    let rows = ndc_par::parallel_map(&list, |b| {
-        ndc::experiments::ablation_layout(b, cfg, args.scale)
-    });
-    for r in &rows {
-        println!(
-            "{:<10} {:>9.1} {:>12.1} {:>9}",
-            r.name, r.without, r.with_layout, r.chains_aligned
-        );
-    }
-    println!("(the paper defers bank-remapping layout optimization to a future study)");
-    println!();
 }
 
 /// `check`: run the correctness layer — the differential oracle over
@@ -1737,256 +1220,16 @@ fn lint_detail(prog: &Program, out: &[(&str, u64, ndc::lint::LintReport, bool); 
     }
 }
 
-fn ablation_coarse(args: &Args, cfg: ArchConfig) {
-    println!("== Ablation: coarse-grain (whole-nest) mapping (%) ==");
-    println!(
-        "{:<10} {:>9} {:>9} {:>11} {:>11}",
-        "bench", "fine-a1", "fine-a2", "coarse-a1", "coarse-a2"
-    );
-    let list = benches(&args.bench);
-    let rows = ndc_par::parallel_map(&list, |b| exp::ablation_coarse(b, cfg, args.scale));
-    let (mut c1s, mut c2s) = (Vec::new(), Vec::new());
-    for r in &rows {
-        println!(
-            "{:<10} {:>9.1} {:>9.1} {:>11.1} {:>11.1}",
-            r.name, r.fine_alg1, r.fine_alg2, r.coarse_alg1, r.coarse_alg2
-        );
-        c1s.push(r.coarse_alg1);
-        c2s.push(r.coarse_alg2);
-    }
-    println!(
-        "{:<10} {:>9} {:>9} {:>11.1} {:>11.1}   (paper: 1.2 / 2.5)",
-        "geomean",
-        "",
-        "",
-        geomean_improvement(&c1s),
-        geomean_improvement(&c2s)
-    );
-    println!();
-}
-
-/// `scale` — the mesh scale-up study: one workload simulated at every
-/// mesh size, its work scaled with the node count. Per row: simulated
-/// cycles and issued instructions, then host wall-clock and host
-/// throughput (issued instructions per second). Only the simulated
-/// counters land in `BENCH_scale.json` (`BENCH_scale.paper.json` for
-/// the full sweep), so the file is identical on every host; the host
-/// columns stay on stdout.
-///
-/// `--scale test` runs the 8×8 mesh alone; `--scale paper` (the
-/// default) sweeps 5×5 to 16×16.
+/// `scale` — the mesh scale-up study ([`exp::mesh_scale`]) of one
+/// workload (`--bench`, default ocean). Its host columns are printed
+/// but not written, so `results/scale.json` is identical on every host.
 fn scale_cmd(args: &Args) {
-    use std::time::Instant;
-
-    let meshes: &[(u16, u16)] = match args.scale {
-        Scale::Paper => &[(5, 5), (8, 8), (12, 12), (16, 16)],
-        _ => &[(8, 8)],
-    };
     let name = args.bench.as_deref().unwrap_or("ocean");
     let bench = by_name(name).unwrap_or_else(|| {
         eprintln!("unknown benchmark '{name}'");
         std::process::exit(1);
     });
-    let scheme = Scheme::NdcAll {
-        budget: WaitBudget::LastWindow,
-    };
-
-    println!("== Mesh scale-up ({name}) ==");
-    println!(
-        "{:<7} {:>6} {:>14} {:>12} {:>10} {:>12}",
-        "mesh", "nodes", "sim cycles", "insts", "host ms", "insts/sec"
-    );
-
-    let mut rows: Vec<Json> = Vec::new();
-    for &(w, h) in meshes {
-        let cfg = ArchConfig::with_mesh(w, h);
-        // Work scales with the mesh so per-node load stays constant:
-        // the 5×5 study mesh is exactly `Scale::Test`.
-        let prog = bench.build(Scale::proportional(cfg.nodes()));
-        let opts = LowerOptions {
-            cores: cfg.nodes(),
-            emit_busy: true,
-        };
-        let traces = lower(&prog, &opts, None);
-
-        let t0 = Instant::now();
-        let result = Engine::new(cfg, &traces, scheme).run().result;
-        let host_ns = t0.elapsed().as_nanos() as u64;
-        let per_sec = result.issued_insts as f64 * 1e9 / host_ns.max(1) as f64;
-        println!(
-            "{:<7} {:>6} {:>14} {:>12} {:>10.1} {:>12.0}",
-            format!("{w}x{h}"),
-            cfg.nodes(),
-            result.total_cycles,
-            result.issued_insts,
-            host_ns as f64 / 1e6,
-            per_sec
-        );
-        rows.push(
-            Json::obj()
-                .with("mesh", format!("{w}x{h}"))
-                .with("nodes", cfg.nodes())
-                .with("simulated_cycles", result.total_cycles)
-                .with("issued_insts", result.issued_insts),
-        );
-    }
-
-    let doc = Json::obj()
-        .with("experiment", "scale")
-        .with("benchmark", name)
-        .with("scheme", format!("{scheme:?}"))
-        .with("scale", format!("{:?}", args.scale))
-        .with("rows", rows);
-    if let Some(path) = bench_file("scale", args.scale, args.bench.as_deref()) {
-        write_json(&path, &doc);
-    }
-}
-
-/// `fuse`: the operator-fusion ablation — Algorithm 2 with and without
-/// producer-consumer chain fusion, per workload. "Bytes moved" is the
-/// compiler's cost model over the fused schedule's chains: a planned
-/// chain is charged its adopted candidate's predicted bytes, a fused
-/// packet its union footprint exactly once (arrays gathered by several
-/// members are not double-counted), and the unfused baseline charges
-/// each packet what its members would have moved individually —
-/// individual plans at their own adopted targets, conventional tails
-/// at their near-L2 lower bound (conventional execution returns whole
-/// cache lines to the core where an offload returns a 16 B result, so
-/// the real saving is larger). Offload cycles and NoC messages are
-/// measured by simulating both schedules under `Scheme::Compiled`.
-/// Results land in `BENCH_fusion.json` (`BENCH_fusion.paper.json` at
-/// paper scale, nothing under `--bench`); rows are deterministic for
-/// any `NDC_THREADS`.
-fn fuse_cmd(args: &Args, cfg: ArchConfig) {
-    use ndc::compiler::outcome;
-    use std::collections::BTreeSet;
-
-    /// Cost-model bytes moved under the fusion-enabled schedule:
-    /// planned chains at their adopted target, fused packets once per
-    /// group. With `unfused_equiv` the fused groups are instead
-    /// charged the compiler's estimate of what the same members would
-    /// have moved unfused (individual plans at their own targets,
-    /// conventional tails at their near-L2 lower bound) — the
-    /// like-for-like baseline of the bytes-moved comparison.
-    fn predicted_bytes(rep: &CompilerReport, unfused_equiv: bool) -> u64 {
-        let mut total = 0u64;
-        let mut charged_groups: BTreeSet<u32> = BTreeSet::new();
-        for chain in &rep.provenance {
-            if chain.outcome == outcome::FUSED {
-                let bytes = if unfused_equiv {
-                    chain.fused_unfused_bytes
-                } else {
-                    chain.fused_predicted_bytes
-                };
-                if let (Some(g), Some(b)) = (chain.chain_group, bytes) {
-                    if charged_groups.insert(g) {
-                        total = total.saturating_add(b);
-                    }
-                }
-            } else if chain.outcome == outcome::PLANNED {
-                if let Some(target) = chain.final_target {
-                    if let Some(c) = chain.candidates.iter().find(|c| c.location == target) {
-                        total = total.saturating_add(c.predicted_bytes_moved);
-                    }
-                }
-            }
-        }
-        total
-    }
-
-    println!("== Fusion: Algorithm 2 with producer-consumer chain fusion ==");
-    println!(
-        "{:<10} {:>6} {:>4} {:>12} {:>12} {:>6} {:>12} {:>12} {:>10} {:>10}",
-        "bench",
-        "chains",
-        "ops",
-        "bytes-unf",
-        "bytes-fus",
-        "drop%",
-        "offcyc-unf",
-        "offcyc-fus",
-        "noc-unf",
-        "noc-fus"
-    );
-    let list = benches(&args.bench);
-    let opts = LowerOptions {
-        cores: cfg.nodes(),
-        emit_busy: true,
-    };
-    let rows = ndc_par::parallel_map(&list, |b| {
-        let prog = b.build(args.scale);
-        let (su, _) = compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
-        let (sf, rf) = compile_algorithm2(
-            &prog,
-            &cfg,
-            cfg.nodes(),
-            Algorithm2Options {
-                fuse: true,
-                ..Default::default()
-            },
-        );
-        let run = |sched: &Schedule| {
-            simulate(cfg, &lower(&prog, &opts, Some(sched)), Scheme::Compiled).result
-        };
-        let (mu, mf) = (run(&su), run(&sf));
-        (
-            b.name,
-            rf.fused_chains,
-            rf.fused_ops,
-            predicted_bytes(&rf, true),
-            predicted_bytes(&rf, false),
-            mu.ndc_offload_cycles.iter().sum::<u64>(),
-            mf.ndc_offload_cycles.iter().sum::<u64>(),
-            mu.noc_messages,
-            mf.noc_messages,
-        )
-    });
-
-    let mut json_rows: Vec<Json> = Vec::new();
-    let mut reduced_both = 0usize;
-    let mut total_chains = 0u64;
-    for &(name, chains, ops, bu, bf, cu, cf, nu, nf) in &rows {
-        let drop_pct = if bu > 0 {
-            100.0 * (bu.saturating_sub(bf)) as f64 / bu as f64
-        } else {
-            0.0
-        };
-        println!(
-            "{:<10} {:>6} {:>4} {:>12} {:>12} {:>6.1} {:>12} {:>12} {:>10} {:>10}",
-            name, chains, ops, bu, bf, drop_pct, cu, cf, nu, nf
-        );
-        total_chains += chains;
-        if chains > 0 && bf < bu && cf < cu {
-            reduced_both += 1;
-        }
-        json_rows.push(
-            Json::obj()
-                .with("name", name)
-                .with("fused_chains", chains)
-                .with("fused_ops", ops)
-                .with("predicted_bytes_unfused", bu)
-                .with("predicted_bytes_fused", bf)
-                .with("offload_cycles_unfused", cu)
-                .with("offload_cycles_fused", cf)
-                .with("noc_messages_unfused", nu)
-                .with("noc_messages_fused", nf),
-        );
-    }
-    println!();
-    println!(
-        "fused chains: {total_chains}   workloads with fewer predicted bytes AND \
-         fewer measured offload cycles: {reduced_both}"
-    );
-
-    let doc = Json::obj()
-        .with("experiment", "fuse")
-        .with("scale", format!("{:?}", args.scale))
-        .with("fused_chains", total_chains)
-        .with("workloads_reduced_bytes_and_cycles", reduced_both as u64)
-        .with("rows", json_rows);
-    if let Some(path) = bench_file("fusion", args.scale, args.bench.as_deref()) {
-        write_json(&path, &doc);
-    }
+    emit(args, &exp::mesh_scale(&bench, args.scale));
 }
 
 /// `fuzz`: drive `--count` seeded programs (seeds `--seed`, `--seed`+1,
@@ -1994,96 +1237,23 @@ fn fuse_cmd(args: &Args, cfg: ArchConfig) {
 /// both compiler algorithms, schedule lint, the differential oracle,
 /// structured lowering, and the checked simulator — then classify each
 /// simulated run with the DAMOV-style bottleneck taxonomy. Prints the
-/// class × bottleneck corpus table, writes `BENCH_fuzz_corpus.json`,
-/// and exits 1 on any failure with the seed that reproduces it.
+/// class × bottleneck corpus table (a failing seed is a note with the
+/// command that reproduces it), writes it to
+/// `results/fuzz_corpus.json`, and exits 1 on any failure.
 /// Deterministic for any `NDC_THREADS`.
 fn fuzz_cmd(args: &Args, cfg: ArchConfig) {
-    use ndc::fuzz::{fuzz_batch, CorpusTable};
-    use ndc::workloads::gen::GenClass;
     let count = args.count.unwrap_or(256);
     let seed = args.seed.unwrap_or(7);
-    println!("== Fuzz: {count} seeded programs from base seed {seed:#x}, full pipeline ==");
-    let outcomes = fuzz_batch(seed, count, &cfg);
-    let table = CorpusTable::build(&outcomes);
-
-    println!();
-    println!("-- corpus coverage: access-pattern class x bottleneck --");
-    println!(
-        "{:<17} {:>9} {:>9} {:>9} {:>9}",
-        "class", "programs", "compute", "dram-bw", "noc"
-    );
-    let mut class_rows: Vec<Json> = Vec::new();
-    for (ci, class) in GenClass::ALL.iter().enumerate() {
-        println!(
-            "{:<17} {:>9} {:>9} {:>9} {:>9}",
-            class.label(),
-            table.per_class[ci],
-            table.cells[ci][0],
-            table.cells[ci][1],
-            table.cells[ci][2],
-        );
-        class_rows.push(
-            Json::obj()
-                .with("class", class.label())
-                .with("programs", table.per_class[ci] as u64)
-                .with("compute", table.cells[ci][0] as u64)
-                .with("dram_bw", table.cells[ci][1] as u64)
-                .with("noc", table.cells[ci][2] as u64),
-        );
-    }
-
-    let planned1: u64 = outcomes.iter().map(|o| o.alg1_planned).sum();
-    let planned2: u64 = outcomes.iter().map(|o| o.alg2_planned).sum();
-    let oracle_legal: usize = outcomes.iter().map(|o| o.oracle_legal).sum();
-    println!();
-    println!(
-        "alg1 chains planned: {planned1}   alg2 chains planned: {planned2}   \
-         oracle-verified transforms: {oracle_legal}"
-    );
-
-    let mut failure_rows: Vec<Json> = Vec::new();
-    for o in outcomes.iter().filter(|o| !o.passed()) {
-        println!();
-        println!(
-            "FAIL seed {:#018x} (reproduce: ndc-eval fuzz --count 1 --seed {:#x})",
-            o.seed, o.seed
-        );
-        for f in &o.failures {
-            println!("  {f}");
-        }
-        failure_rows.push(
-            Json::obj().with("seed", format!("{:#x}", o.seed)).with(
-                "failures",
-                o.failures
-                    .iter()
-                    .map(|f| Json::from(f.as_str()))
-                    .collect::<Vec<_>>(),
-            ),
-        );
-    }
-
-    let doc = Json::obj()
-        .with("experiment", "fuzz")
-        .with("base_seed", format!("{seed:#x}"))
-        .with("count", count as u64)
-        .with("failed", table.failed as u64)
-        .with("clean", table.failed == 0)
-        .with("alg1_planned", planned1)
-        .with("alg2_planned", planned2)
-        .with("oracle_verified_transforms", oracle_legal as u64)
-        .with("classes", class_rows)
-        .with("failures", failure_rows);
-    write_json("BENCH_fuzz_corpus.json", &doc);
-
-    println!();
-    if table.failed > 0 {
-        println!("fuzz: FAILED ({} of {} seeds)", table.failed, table.total);
+    let outcomes = ndc::fuzz::fuzz_batch(seed, count, &cfg);
+    let table = ndc::fuzz::corpus_table(&outcomes, seed);
+    println!("{}", table.render());
+    write_file("results/fuzz_corpus.json", &table.to_json(None));
+    let failed = outcomes.iter().filter(|o| !o.passed()).count();
+    if failed > 0 {
+        println!("fuzz: FAILED ({failed} of {count} seeds)");
         std::process::exit(1);
     }
-    println!(
-        "fuzz: {} seeds clean — zero divergences, violations, or panics",
-        table.total
-    );
+    println!("fuzz: {count} seeds clean — zero divergences, violations, or panics");
 }
 
 /// `gen`: summarize the seeded corpus without running it — class mix,
@@ -2168,17 +1338,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_a_full_sweep_writes_a_bench_file() {
+    fn only_a_full_sweep_writes_a_table_file() {
         assert_eq!(
-            bench_file("fusion", Scale::Test, None).as_deref(),
-            Some("BENCH_fusion.json")
+            table_file("fusion", Scale::Test, None).as_deref(),
+            Some("results/fusion.json")
         );
         assert_eq!(
-            bench_file("fusion", Scale::Paper, None).as_deref(),
-            Some("BENCH_fusion.paper.json")
+            table_file("fusion", Scale::Paper, None).as_deref(),
+            Some("results/fusion.paper.json")
         );
         for scale in [Scale::Test, Scale::Paper] {
-            assert_eq!(bench_file("scale", scale, Some("md")), None);
+            assert_eq!(table_file("scale", scale, Some("md")), None);
         }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! [`Json::parse`] is the read side: the exact regression gate
 //! (`ndc-eval gate`) and the root integration tests use it to re-read
-//! the committed `BENCH_*.json` counter files. It accepts exactly the
+//! the committed `results/*.json` table files. It accepts exactly the
 //! JSON grammar (objects, arrays, strings with the escapes
 //! [`Json::render`] emits plus `\u` escapes, numbers, bools, null) and
 //! keeps object field order, so `parse(render(x)) == x` for every tree

@@ -4,7 +4,8 @@
 # contract of the ndc-par runtime — every `ndc-eval` stage below
 # (including the `--metrics` and `--trace` observability dumps) must print
 # bit-identical output whether the experiment fan-out runs on one
-# thread or eight — plus the BENCH_*.json attestations and exact gates.
+# thread or eight — plus the attestations over the committed
+# results/*.json tables and their exact gates.
 # The run must leave the worktree as it found it: from a clean
 # checkout, `git status --porcelain` is still empty at the end.
 set -euo pipefail
@@ -77,50 +78,49 @@ require() { test -s "$1" || fail "$1 missing"; grep -q "$2" "$1" || fail "$3"; }
 refuse() { ! grep -q "$2" "$1" || fail "$3"; }
 
 # Regression gate: the stages below regenerate every committed
-# BENCH_*.json in place, so the committed copies are saved aside first
-# and each regenerated file must equal its own exactly. The files hold
-# simulated counters only (host time is perfbench's job). To accept new
-# numbers after an intentional behaviour change, commit the
-# regenerated files.
-for b in scale fusion fig4_schemes fig4_schemes.paper model_accuracy; do
-    cp "BENCH_$b.json" "$tmp/base_$b.json"
+# results/*.json table in place, so the committed copies (whatever
+# `git ls-files` lists) are saved aside first and each regenerated file
+# must equal its own exactly at the end. The tables hold simulated
+# counters and figures only (host time is perfbench's job). To accept
+# new numbers after an intentional behaviour change, commit the
+# regenerated files. A table verify.sh writes that git does not track
+# fails the worktree check below.
+mapfile -t tables < <(git ls-files 'results/*.json')
+[[ ${#tables[@]} -gt 0 ]] || fail "no committed results/*.json tables"
+mkdir -p "$tmp/base"
+for f in "${tables[@]}"; do
+    cp "$f" "$tmp/base/$(basename "$f")"
 done
-gate() { "$EVAL" gate --baseline "$tmp/base_$1.json" --current "BENCH_$1.json"; }
 
-echo "== determinism: NDC_THREADS=1 vs NDC_THREADS=8 (+ BENCH_fig4_schemes.json) =="
-# The full fig4 sweep writes the simulated counters of every kernel and
-# every Figure 4 run (Figures 4, 6 and 13) to BENCH_fig4_schemes.json.
-# Its Chrome trace holds each run's latest NDC offload events (online
-# offloads, compiled packets and aborts), so the order and timing of
-# those events are pinned across thread counts too.
-same_across_threads fig4 "fig4 output bit-identical" \
-    "$EVAL" fig4 --scale test --metrics "$tmp/metrics.{t}" --trace "$tmp/trace.{t}"
+echo "== determinism: every table of all --scale test, NDC_THREADS=1 vs 8 =="
+# One test-scale sweep of every experiment writes every test-scale
+# table. Its --metrics and --trace dumps cover every run of the shared
+# evaluation; the Chrome trace holds each run's latest NDC offload
+# events (online offloads, compiled packets and aborts), so the order
+# and timing of those events are pinned across thread counts too.
+same_across_threads all "all --scale test output bit-identical" \
+    "$EVAL" all --scale test --metrics "$tmp/metrics.{t}" --trace "$tmp/trace.{t}"
 same_outputs "$tmp/metrics.1" "$tmp/metrics.8" "--metrics output byte-identical"
 same_outputs "$tmp/trace.1" "$tmp/trace.8" "--trace output byte-identical"
-gate fig4_schemes
 
-echo "== headline at paper scale: BENCH_fig4_schemes.paper.json =="
-# One paper-scale sweep, the scale EXPERIMENTS.md quotes.
-"$EVAL" fig4 --scale paper
-gate fig4_schemes.paper
-
-echo "== determinism: fig13 NDC_THREADS=1 vs NDC_THREADS=8 =="
-same_across_threads fig13 "fig13 output bit-identical" "$EVAL" fig13 --scale test
+echo "== every table at paper scale =="
+# One paper-scale sweep, the scale EXPERIMENTS.md quotes, writes every
+# results/*.paper.json table.
+"$EVAL" all --scale paper > /dev/null
 
 echo "== determinism: explain NDC_THREADS=1 vs NDC_THREADS=8 =="
 same_across_threads explain "explain spans/provenance bit-identical" \
     "$EVAL" explain --scale test --bench kdtree
 
 echo "== model accuracy: reuse-based cost model vs legacy heuristic =="
-# The full explain sweep (every workload x every NDC location) emits
-# BENCH_model_accuracy.json with the mean/max error of the reuse-based
-# model and of the retired heuristic; the reuse model must win.
+# results/model_accuracy.json holds the error of the reuse-based model
+# and of the retired heuristic per workload and NDC location; the
+# reuse model's mean error must be the lower.
 same_across_threads explain-json "explain --json sweep byte-identical" \
     "$EVAL" explain --scale test --json
-require BENCH_model_accuracy.json '"model_beats_legacy":true' \
+require results/model_accuracy.json 'model_beats_legacy: true' \
     "reuse model does not beat the legacy heuristic"
-require BENCH_model_accuracy.json '"rows"' "BENCH_model_accuracy.json has no accuracy rows"
-gate model_accuracy
+require results/model_accuracy.json '^"cache/md":' "results/model_accuracy.json has no accuracy rows"
 
 # `check` also runs the span-attribution invariant: CheckLevel::full()
 # samples request spans and asserts child spans + queue/stall residue
@@ -134,27 +134,26 @@ echo "== static legality: lint verdicts, certificates, fault matrix =="
 same_across_threads lint "lint verdicts bit-identical" "$EVAL" lint --scale test
 cat "$tmp/lint.1"
 
-echo "== mesh scale-up: simulated counters + BENCH_scale.json =="
+echo "== mesh scale-up: simulated counters + results/scale.json =="
 # Test scale: the 8x8 mesh. The printed study is pinned across
-# NDC_THREADS minus its host columns (host ms, insts/sec).
-simulated_only() { grep -v "host ms" | cut -c1-42; }
+# NDC_THREADS minus its host columns (host ms, insts/sec), which are
+# the last two and are cut at the header's "host ms".
+simulated_only() { awk 'NR == 2 { c = index($0, " host ms") } c { $0 = substr($0, 1, c - 1) } 1'; }
 same_across_threads scale "scale study simulated cycles/instructions bit-identical" \
     --filter simulated_only "$EVAL" scale --scale test
-require BENCH_scale.json '"rows"' "BENCH_scale.json has no measurement rows"
-gate scale
+require results/scale.json '^"8x8":' "results/scale.json has no measurement rows"
 
-echo "== operator fusion: fused-vs-unfused report + BENCH_fusion.json =="
+echo "== operator fusion: fused-vs-unfused report + results/fusion.json =="
 # Every workload compiled with fusion off and on, both schedules
 # simulated; fusion must fire and some workload must reduce both
-# predicted bytes and measured offload cycles.
+# predicted bytes and measured offload cycles (the `cuts-both` total).
 same_across_threads fuse "fuse report bit-identical" "$EVAL" fuse --scale test
 cat "$tmp/fuse.1"
-require BENCH_fusion.json '"rows"' "BENCH_fusion.json has no per-workload rows"
-refuse BENCH_fusion.json '"scale":"Test","fused_chains":0,' \
-    "BENCH_fusion.json reports zero fused chains overall"
-refuse BENCH_fusion.json '"workloads_reduced_bytes_and_cycles":0' \
+require results/fusion.json '^"md":' "results/fusion.json has no per-workload rows"
+refuse results/fusion.json '^"total":{"chains":0,' \
+    "results/fusion.json reports zero fused chains overall"
+refuse results/fusion.json '^"total":.*"cuts-both":0}' \
     "no workload reduced both bytes moved and offload cycles"
-gate fusion
 
 echo "== seeded fuzzing: full pipeline, deterministic across thread counts =="
 # A fixed 512-seed corpus through generator -> verifier/bounds ->
@@ -163,8 +162,13 @@ echo "== seeded fuzzing: full pipeline, deterministic across thread counts =="
 # or panic, printing the reproducing seed.
 same_across_threads fuzz "fuzz report bit-identical" "$EVAL" fuzz --count 512 --seed 7
 cat "$tmp/fuzz.1"
-require BENCH_fuzz_corpus.json '"clean":true' "BENCH_fuzz_corpus.json does not attest a clean run"
-require BENCH_fuzz_corpus.json '"classes"' "BENCH_fuzz_corpus.json has no corpus table"
+require results/fuzz_corpus.json '^"total":.*"failed":0,' "results/fuzz_corpus.json does not attest a clean run"
+require results/fuzz_corpus.json '^"stencil":' "results/fuzz_corpus.json has no corpus table"
+
+echo "== exact gate: every committed table =="
+for f in "${tables[@]}"; do
+    "$EVAL" gate --baseline "$tmp/base/$(basename "$f")" --current "$f"
+done
 
 echo "== profile: tenant attribution deterministic across thread counts =="
 same_across_threads profile "profile ledger/sketches byte-identical" \

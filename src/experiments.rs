@@ -1,11 +1,12 @@
 //! The evaluation harness: one function per table/figure of the paper.
 //!
 //! Every artifact of the paper's evaluation section maps to a function
-//! here (see DESIGN.md §3 for the index). The expensive per-benchmark
-//! work is shared through [`evaluate_benchmark`], which runs the
-//! instrumented baseline, every Figure 4 scheme, and both compiler
-//! algorithms once; figure-specific functions then aggregate. The
-//! 20-benchmark sweeps — and, within one benchmark, the per-scheme
+//! here (see DESIGN.md §3 for the index), and every one returns a
+//! [`Table`], which `ndc-eval` prints and commits. The expensive
+//! per-benchmark work is shared through [`evaluate_benchmark`], which
+//! runs the instrumented baseline, every Figure 4 scheme, and both
+//! compiler algorithms once; figure-specific functions then aggregate.
+//! The 20-benchmark sweeps — and, within one benchmark, the per-scheme
 //! simulations — fan out on the in-tree `ndc-par` runtime (the harness
 //! layer is the only parallel code; each simulation is deterministic
 //! and single-threaded, and `ndc-par` returns results in input order,
@@ -15,24 +16,25 @@
 //! so the per-scheme level only spawns when a benchmark is evaluated
 //! on its own (e.g. `ndc-eval fig4 --bench swim`).
 
+use crate::table::{Cell, Table};
 use ndc_cme::{
     accuracy_against_sim, offload_accuracy, AccuracyReport, OffloadAccuracyReport, RefKey,
 };
 use ndc_compiler::{
-    compile_algorithm1, compile_algorithm2, compile_coarse, Algorithm2Options, CandidateRecord,
-    CompilerReport,
+    compile_algorithm1, compile_algorithm2, compile_coarse, outcome, Algorithm2Options,
+    CandidateRecord, CompilerReport,
 };
-use ndc_ir::{lower, LowerOptions, Program};
+use ndc_ir::{lower, LowerOptions, Program, Schedule};
 use ndc_obs::ledger::AttributionLedger;
 use ndc_obs::span::SpanTrace;
 use ndc_obs::{Event, Metrics, ObsLevel};
-use ndc_sim::engine::{simulate, Engine};
+use ndc_sim::engine::{simulate, Engine, EngineOutput};
 use ndc_sim::instrument::Instrumentation;
 use ndc_sim::schemes::{OracleGuide, Scheme, WaitBudget};
-use ndc_sim::SimResult;
+use ndc_sim::{SimResult, ALL_ABORT_REASONS};
 use ndc_types::{
-    geomean_improvement, ArchConfig, Cycle, Json, NdcConfig, NdcLocation, OpClass, Pc,
-    WindowHistogram, ALL_NDC_LOCATIONS,
+    geomean_improvement, mean, ArchConfig, NdcConfig, NdcLocation, OpClass, Pc, TraceProgram,
+    WindowHistogram, ALL_NDC_LOCATIONS, BUCKET_LABELS,
 };
 use ndc_workloads::{all_benchmarks, Benchmark, Scale};
 
@@ -102,7 +104,7 @@ impl BenchmarkEvaluation {
 
 /// The label of every run of one benchmark evaluation, in job order:
 /// `baseline`, the seven [`figure4_schemes`] labels, `alg1`, `alg2`.
-/// `--metrics` and [`figure4_counters`] key their runs by these.
+/// `--metrics` and the [`counters`] table key their runs by these.
 pub fn run_labels() -> Vec<String> {
     std::iter::once("baseline".to_string())
         .chain(figure4_schemes().into_iter().map(|s| s.label()))
@@ -113,6 +115,43 @@ pub fn run_labels() -> Vec<String> {
 /// Map a [`RefKey`] to the PC the lowering assigned its accesses.
 fn pc_of_refkey(key: &RefKey) -> Pc {
     ndc_ir::pc_of(key.nest_pos, key.stmt_pos, ndc_ir::ROLE_MAIN)
+}
+
+/// How every experiment lowers a program: one trace per mesh node,
+/// with `Busy` runs.
+fn lower_opts(cfg: &ArchConfig) -> LowerOptions {
+    LowerOptions {
+        cores: cfg.nodes(),
+        emit_busy: true,
+    }
+}
+
+/// The baseline and the oracle of one lowering, the one way every
+/// experiment runs the oracle: the instrumented baseline plans the
+/// oracle's guide, then the guided pass runs. Both passes are observed
+/// at `obs`. (A guideless oracle engine would simulate the same
+/// baseline again as its plan pass.)
+fn baseline_and_oracle(
+    cfg: ArchConfig,
+    traces: &TraceProgram,
+    reuse_aware: bool,
+    obs: ObsLevel,
+) -> (EngineOutput, EngineOutput) {
+    let base = Engine::new(cfg, traces, Scheme::Baseline)
+        .with_instrumentation()
+        .with_obs(obs)
+        .run();
+    let records = &base
+        .instrumentation
+        .as_ref()
+        .expect("instrumented run")
+        .records;
+    let guide = OracleGuide::build(records, traces, cfg.l1.line_bytes, reuse_aware);
+    let oracle = Engine::new(cfg, traces, Scheme::Oracle { reuse_aware })
+        .with_guide(&guide)
+        .with_obs(obs)
+        .run();
+    (base, oracle)
 }
 
 /// Observability artifacts from one benchmark evaluation: every run's
@@ -142,10 +181,7 @@ pub fn evaluate_benchmark_obs(
 ) -> (BenchmarkEvaluation, BenchObs) {
     let prog = bench.build(scale);
     let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
+    let opts = lower_opts(&cfg);
     // The baseline lowering is shared read-only by the instrumented
     // run and every measurement scheme — computed once, not per
     // scheme.
@@ -158,8 +194,7 @@ pub fn evaluate_benchmark_obs(
     // them out; ndc-par returns results in job order, so the output is
     // bit-identical to the serial path. The oracle plans its guide from
     // the baseline's characterization records, so the baseline job runs
-    // it too rather than the oracle job re-simulating the same
-    // instrumented baseline as its plan pass.
+    // it too (`baseline_and_oracle`).
     enum Job {
         Baseline,
         Scheme(Scheme),
@@ -198,24 +233,10 @@ pub fn evaluate_benchmark_obs(
     let outs = ndc_par::parallel_map(&jobs, |job| match job {
         Job::Baseline => {
             // Instrumented baseline: execution time + characterization
-            // + per-reference cache counters.
-            let base_out = Engine::new(cfg, &traces, Scheme::Baseline)
-                .with_instrumentation()
-                .with_obs(obs)
-                .run();
+            // + per-reference cache counters, then the oracle it plans.
+            let (base_out, out) = baseline_and_oracle(cfg, &traces, reuse_aware, obs);
             let baseline = base_out.result;
             let instrumentation = base_out.instrumentation.expect("instrumented run");
-            // The oracle's guided pass, planned from this run.
-            let guide = OracleGuide::build(
-                &instrumentation.records,
-                &traces,
-                cfg.l1.line_bytes,
-                reuse_aware,
-            );
-            let out = Engine::new(cfg, &traces, Scheme::Oracle { reuse_aware })
-                .with_guide(&guide)
-                .with_obs(obs)
-                .run();
             let oracle = Ran {
                 out: JobOut::Scheme(Box::new(out.result)),
                 metrics: out.metrics,
@@ -323,23 +344,117 @@ pub fn evaluate_all(cfg: ArchConfig, scale: Scale) -> Vec<BenchmarkEvaluation> {
     ndc_par::parallel_map(&benches, |b| evaluate_benchmark(b, cfg, scale))
 }
 
+/// The NDC locations in the paper's breakdown order (Figures 6, 13 and
+/// 14): cache, network, MC, memory.
+const PAPER_ORDER: [NdcLocation; 4] = [
+    NdcLocation::CacheController,
+    NdcLocation::LinkBuffer,
+    NdcLocation::MemoryController,
+    NdcLocation::MemoryBank,
+];
+
+/// The paper labels of [`PAPER_ORDER`], the column names of its tables.
+fn paper_order_labels() -> [&'static str; 4] {
+    PAPER_ORDER.map(NdcLocation::paper_label)
+}
+
+/// `t` with one row per benchmark, computed in parallel (results in
+/// input order).
+fn per_bench(
+    mut t: Table,
+    benches: &[Benchmark],
+    row: impl Fn(&Benchmark) -> Vec<Cell> + Sync,
+) -> Table {
+    for (b, cells) in benches.iter().zip(ndc_par::parallel_map(benches, row)) {
+        t.row(b.name, cells);
+    }
+    t
+}
+
+/// `values` as one row of numeric cells.
+fn nums(values: impl IntoIterator<Item = f64>) -> Vec<Cell> {
+    values.into_iter().map(Cell::Num).collect()
+}
+
+// ---------------------------------------------------------------------
+// Table 1: the simulated configuration.
+// ---------------------------------------------------------------------
+
+pub fn table1(cfg: &ArchConfig) -> Table {
+    let mut t = Table::new("table1", "Table 1: simulated configuration", "parameter")
+        .columns(&["value"], 0)
+        .note("2D mesh, XY routing; line-interleaved static NUCA L2; 1 thread/core")
+        .note("offloading: all arithmetic/logic ops");
+    let params = [
+        ("mesh width", u64::from(cfg.noc.width)),
+        ("mesh height", u64::from(cfg.noc.height)),
+        ("link bytes", cfg.noc.link_bytes),
+        ("router pipeline cycles", cfg.noc.hop_cycles),
+        ("L1 KB/node", cfg.l1.size_bytes / 1024),
+        ("L1 line bytes", cfg.l1.line_bytes),
+        ("L1 ways", u64::from(cfg.l1.ways)),
+        ("L1 cycles", cfg.l1.latency),
+        ("L2 KB/node", cfg.l2.size_bytes / 1024),
+        ("L2 line bytes", cfg.l2.line_bytes),
+        ("L2 ways", u64::from(cfg.l2.ways)),
+        ("L2 cycles", cfg.l2.latency),
+        ("memory controllers", u64::from(cfg.mem.num_controllers)),
+        ("interleave KB", cfg.mem.interleave_bytes / 1024),
+        ("banks/device", u64::from(cfg.mem.dram.banks_per_device)),
+        ("rows/bank", cfg.mem.dram.rows_per_bank),
+        ("row buffer KB", cfg.mem.dram.row_bytes / 1024),
+        ("issue width", u64::from(cfg.issue_width)),
+        ("MSHRs", u64::from(cfg.mshrs)),
+    ];
+    for (name, value) in params {
+        t.row(name, vec![Cell::Int(value)]);
+    }
+    t
+}
+
+// ---------------------------------------------------------------------
+// Table 2: CME estimation accuracy.
+// ---------------------------------------------------------------------
+
+pub fn table2(evals: &[BenchmarkEvaluation]) -> Table {
+    let mut t = Table::new(
+        "table2",
+        "Table 2: L1/L2 miss-estimation accuracy (%)",
+        "bench",
+    )
+    .columns(&["L1", "L2"], 1)
+    .paper(nums([81.1, 72.9]));
+    for e in evals {
+        let a = e.cme_accuracy;
+        t.row(&e.name, nums([a.l1_accuracy_pct, a.l2_accuracy_pct]));
+    }
+    t.aggregate_by("average", mean);
+    t
+}
+
 // ---------------------------------------------------------------------
 // Figure 2: arrival-window CDFs per location.
 // ---------------------------------------------------------------------
 
-/// Per-benchmark, per-location window CDF values (truncated at 50% as
-/// in the paper's plots).
-pub fn figure2(evals: &[BenchmarkEvaluation]) -> Vec<(String, [[f64; 7]; 4])> {
-    evals
-        .iter()
-        .map(|e| {
-            let mut per_loc = [[0.0; 7]; 4];
-            for (i, slot) in per_loc.iter_mut().enumerate() {
-                *slot = e.instrumentation.window_hist[i].cdf().truncated(50.0);
-            }
-            (e.name.clone(), per_loc)
-        })
-        .collect()
+/// Per-location, per-benchmark window CDF values (truncated at 50% as
+/// in the paper's plots); rows are `<location>/<bench>`.
+pub fn figure2(evals: &[BenchmarkEvaluation]) -> Table {
+    let mut t = Table::new(
+        "fig2",
+        "Figure 2: arrival-window CDFs (%, truncated at 50)",
+        "location/bench",
+    )
+    .columns(&BUCKET_LABELS, 1);
+    for loc in ALL_NDC_LOCATIONS {
+        for e in evals {
+            let cdf = e.instrumentation.window_hist[loc.index()].cdf();
+            t.row(
+                format!("{}/{}", loc.paper_label(), e.name),
+                nums(cdf.truncated(50.0)),
+            );
+        }
+    }
+    t
 }
 
 // ---------------------------------------------------------------------
@@ -347,241 +462,277 @@ pub fn figure2(evals: &[BenchmarkEvaluation]) -> Vec<(String, [[f64; 7]; 4])> {
 // all benchmarks.
 // ---------------------------------------------------------------------
 
-pub struct Figure3 {
-    pub windows: [WindowHistogram; 4],
-    pub breakevens: [WindowHistogram; 4],
+pub fn figure3(evals: &[BenchmarkEvaluation]) -> Table {
+    let mut t = Table::new(
+        "fig3",
+        "Figure 3: breakeven points vs arrival windows (% per bucket)",
+        "location/series",
+    )
+    .columns(&BUCKET_LABELS, 1);
+    for loc in ALL_NDC_LOCATIONS {
+        let (mut windows, mut breakevens) =
+            (WindowHistogram::default(), WindowHistogram::default());
+        for e in evals {
+            windows.merge(&e.instrumentation.window_hist[loc.index()]);
+            breakevens.merge(&e.instrumentation.breakeven_hist[loc.index()]);
+        }
+        t.row(
+            format!("{}/window", loc.paper_label()),
+            nums(windows.percentages()),
+        );
+        t.row(
+            format!("{}/breakeven", loc.paper_label()),
+            nums(breakevens.percentages()),
+        );
+    }
+    t
 }
 
-pub fn figure3(evals: &[BenchmarkEvaluation]) -> Figure3 {
-    let mut out = Figure3 {
-        windows: Default::default(),
-        breakevens: Default::default(),
-    };
+// ---------------------------------------------------------------------
+// Figure 4: performance benefits of every scheme, and the simulated
+// counters behind Figures 4, 6 and 13.
+// ---------------------------------------------------------------------
+
+/// Improvements (%) over the original program, one row per benchmark:
+/// the [`figure4_schemes`] in order, then both algorithms.
+pub fn figure4(evals: &[BenchmarkEvaluation]) -> Table {
+    let mut t = Table::new(
+        "fig4",
+        "Figure 4: performance benefit over original (%)",
+        "bench",
+    )
+    .columns(
+        &[
+            "default", "oracle", "w5%", "w10%", "w25%", "w50%", "lastwait", "alg1", "alg2",
+        ],
+        1,
+    )
+    .paper(nums([
+        -16.7, 29.3, -15.1, -14.7, -13.9, -13.4, -4.3, 22.5, 25.2,
+    ]));
     for e in evals {
-        for i in 0..4 {
-            out.windows[i].merge(&e.instrumentation.window_hist[i]);
-            out.breakevens[i].merge(&e.instrumentation.breakeven_hist[i]);
+        let runs = e.scheme_results.iter().chain([&e.alg1.0, &e.alg2.0]);
+        t.row(&e.name, nums(runs.map(|r| e.improvement(r))));
+    }
+    t.aggregate_by("geomean", geomean_improvement);
+    t
+}
+
+/// The simulated counters of every evaluation run, one row per
+/// `<bench>/<run>` (runs under their [`run_labels`]): execution time,
+/// issued instructions, NoC messages, performed NDC per location (in
+/// [`ALL_NDC_LOCATIONS`] order), and the counters that say why a cycle
+/// count moved — NoC queueing, MSHR and offload-table stalls, and NDC
+/// fallbacks per abort reason. Counters only, so the table is identical
+/// on every host.
+pub fn counters(evals: &[BenchmarkEvaluation]) -> Table {
+    let ndc = ALL_NDC_LOCATIONS.map(|l| format!("ndc_{}", l.paper_label()));
+    let aborts = ALL_ABORT_REASONS.map(|r| format!("abort_{}", r.label()));
+    let mut t = Table::new(
+        "counters",
+        "Simulated counters of every Figure 4 run (Figures 4, 6 and 13)",
+        "bench/run",
+    )
+    .columns(&["total_cycles", "issued_insts", "noc_messages"], 0)
+    .columns(&ndc, 0)
+    .columns(
+        &[
+            "noc_queueing_cycles",
+            "mshr_stall_cycles",
+            "offload_stall_cycles",
+        ],
+        0,
+    )
+    .columns(&aborts, 0);
+    for e in evals {
+        for (label, r) in run_labels().into_iter().zip(e.runs()) {
+            let head = [r.total_cycles, r.issued_insts, r.noc_messages];
+            let stalls = [
+                r.noc_queueing_cycles,
+                r.mshr_stall_cycles,
+                r.offload_stall_cycles,
+            ];
+            let cells = head
+                .into_iter()
+                .chain(r.ndc_performed)
+                .chain(stalls)
+                .chain(r.ndc_abort_reasons);
+            t.row(
+                format!("{}/{label}", e.name),
+                cells.map(Cell::Int).collect(),
+            );
         }
     }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Figure 4: performance benefits of every scheme.
-// ---------------------------------------------------------------------
-
-/// One Figure 4 row: improvements (%) over the original program.
-pub struct Figure4Row {
-    pub name: String,
-    /// Default, Oracle, Wait(5/10/25/50), LastWait — in
-    /// [`figure4_schemes`] order.
-    pub schemes: Vec<f64>,
-    pub alg1: f64,
-    pub alg2: f64,
-}
-
-pub fn figure4(evals: &[BenchmarkEvaluation]) -> Vec<Figure4Row> {
-    evals
-        .iter()
-        .map(|e| Figure4Row {
-            name: e.name.clone(),
-            schemes: e.scheme_results.iter().map(|r| e.improvement(r)).collect(),
-            alg1: e.improvement(&e.alg1.0),
-            alg2: e.improvement(&e.alg2.0),
-        })
-        .collect()
-}
-
-/// Geometric-mean summary of a Figure 4 column.
-pub fn figure4_geomean(rows: &[Figure4Row], col: impl Fn(&Figure4Row) -> f64) -> f64 {
-    let vals: Vec<f64> = rows.iter().map(col).collect();
-    geomean_improvement(&vals)
-}
-
-/// The simulated counters behind Figures 4, 6 and 13, as the document
-/// `ndc-eval fig4` commits as `BENCH_fig4_schemes.json`: one row per
-/// benchmark, each listing its runs under their [`run_labels`] with
-/// execution time, issued instructions, NoC messages and performed NDC
-/// per location (in [`ALL_NDC_LOCATIONS`] order: network, cache, MC,
-/// memory). Counters only, so the document is identical on every host.
-pub fn figure4_counters(evals: &[BenchmarkEvaluation], scale: Scale) -> Json {
-    let rows: Vec<Json> = evals
-        .iter()
-        .map(|e| {
-            let runs: Vec<Json> = run_labels()
-                .into_iter()
-                .zip(e.runs())
-                .map(|(label, r)| {
-                    Json::obj()
-                        .with("run", label)
-                        .with("total_cycles", r.total_cycles)
-                        .with("issued_insts", r.issued_insts)
-                        .with("noc_messages", r.noc_messages)
-                        .with("ndc_performed", r.ndc_performed.to_vec())
-                })
-                .collect();
-            Json::obj().with("name", e.name.as_str()).with("runs", runs)
-        })
-        .collect();
-    Json::obj()
-        .with("experiment", "fig4")
-        .with("scale", format!("{scale:?}"))
-        .with("rows", rows)
+    t
 }
 
 // ---------------------------------------------------------------------
 // Figure 5: consecutive arrival windows of one static instruction.
 // ---------------------------------------------------------------------
 
-/// The first `n` windows observed for the busiest PC of a benchmark
-/// (`None` = the operands never co-located for that instance).
-pub fn figure5(eval: &BenchmarkEvaluation, n: usize) -> Vec<Option<Cycle>> {
-    let Some(pc) = eval.instrumentation.busiest_pc() else {
-        return Vec::new();
-    };
-    eval.instrumentation.pc_series[&pc]
-        .iter()
-        .take(n)
-        .copied()
-        .collect()
+/// The first `n` windows observed for the busiest PC of each benchmark
+/// (missing = the operands never co-located for that instance).
+pub fn figure5(evals: &[BenchmarkEvaluation], n: usize) -> Table {
+    let names: Vec<String> = (1..=n).map(|i| i.to_string()).collect();
+    let mut t = Table::new(
+        "fig5",
+        "Figure 5: 30 consecutive arrival windows of one instruction",
+        "bench",
+    )
+    .columns(&names, 0)
+    .note("- = operands never co-located for that instance");
+    for e in evals {
+        let series = e
+            .instrumentation
+            .busiest_pc()
+            .map(|pc| &e.instrumentation.pc_series[&pc]);
+        let windows = series.into_iter().flatten().take(n).map(|w| Cell::from(*w));
+        let padding = std::iter::repeat(Cell::Missing);
+        t.row(&e.name, windows.chain(padding).take(n).collect());
+    }
+    t
 }
 
 // ---------------------------------------------------------------------
 // Figures 6 and 13: NDC location breakdowns.
 // ---------------------------------------------------------------------
 
-/// Per-benchmark per-location breakdown (%) of where NDC was performed.
-pub struct BreakdownRow {
-    pub name: String,
-    pub pct: [f64; 4],
+/// Per-benchmark per-location breakdown (%) of where `run` performed
+/// NDC, in the paper's order, with the paper's "average" bar.
+fn breakdown(
+    evals: &[BenchmarkEvaluation],
+    t: Table,
+    run: fn(&BenchmarkEvaluation) -> &SimResult,
+    fraction: bool,
+) -> Table {
+    let mut t = t;
+    for e in evals {
+        let r = run(e);
+        let pct = r.ndc_breakdown_pct();
+        let fraction = fraction.then(|| 100.0 * r.ndc_fraction());
+        t.row(
+            &e.name,
+            nums(PAPER_ORDER.iter().map(|l| pct[l.index()]).chain(fraction)),
+        );
+    }
+    t.aggregate_by("average", mean);
+    t
 }
 
 /// Figure 6: the oracle's NDC location distribution.
-pub fn figure6(evals: &[BenchmarkEvaluation]) -> Vec<BreakdownRow> {
-    evals
-        .iter()
-        .map(|e| BreakdownRow {
-            name: e.name.clone(),
-            pct: e.oracle().ndc_breakdown_pct(),
-        })
-        .collect()
+pub fn figure6(evals: &[BenchmarkEvaluation]) -> Table {
+    let t = Table::new(
+        "fig6",
+        "Figure 6: oracle NDC location breakdown (%)",
+        "bench",
+    )
+    .columns(&paper_order_labels(), 1)
+    .paper(nums([25.9, 36.0, 21.7, 16.4]));
+    breakdown(evals, t, BenchmarkEvaluation::oracle, false)
 }
 
-/// Figure 13: Algorithm 1's NDC location distribution (plus footnote
-/// 6's offloaded-instruction fraction, via `SimResult::ndc_fraction`).
-pub fn figure13(evals: &[BenchmarkEvaluation]) -> Vec<BreakdownRow> {
-    evals
-        .iter()
-        .map(|e| BreakdownRow {
-            name: e.name.clone(),
-            pct: e.alg1.0.ndc_breakdown_pct(),
-        })
-        .collect()
-}
-
-/// Average of a set of breakdown rows (the paper's "average" bar).
-pub fn breakdown_average(rows: &[BreakdownRow]) -> [f64; 4] {
-    let mut avg = [0.0; 4];
-    let n = rows.len().max(1) as f64;
-    for r in rows {
-        for (a, p) in avg.iter_mut().zip(r.pct.iter()) {
-            *a += p / n;
-        }
-    }
-    avg
+/// Figure 13: Algorithm 1's NDC location distribution, plus footnote
+/// 6's share of arithmetic/logic instructions executed as NDC.
+pub fn figure13(evals: &[BenchmarkEvaluation]) -> Table {
+    let t = Table::new(
+        "fig13",
+        "Figure 13: Algorithm-1 NDC location breakdown (%)",
+        "bench",
+    )
+    .columns(&paper_order_labels(), 1)
+    .columns(&["ndc%"], 1)
+    .paper(
+        [None, None, None, None, Some(32.0)]
+            .map(Cell::from)
+            .to_vec(),
+    )
+    .note("ndc%: arithmetic/logic instructions executed as NDC (footnote 6)")
+    .note("paper: similar shape to Figure 6");
+    breakdown(evals, t, |e| &e.alg1.0, true)
 }
 
 // ---------------------------------------------------------------------
 // Figure 14: Algorithm 1 restricted to a single component.
 // ---------------------------------------------------------------------
 
-pub struct Figure14Row {
-    pub name: String,
-    /// Improvement when only this location (by index) is enabled.
-    pub isolated: [f64; 4],
-    /// Improvement with all four locations (the Algorithm 1 bar).
-    pub all: f64,
-}
-
-pub fn figure14(bench: &Benchmark, cfg: ArchConfig, scale: Scale) -> Figure14Row {
-    let prog = bench.build(scale);
-    let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
-    let traces = lower(&prog, &opts, None);
-    let baseline = simulate(cfg, &traces, Scheme::Baseline).result;
-
-    let run_with_mask = |mask: u8| -> f64 {
-        let mut c = cfg;
-        c.ndc.enabled_mask = mask;
-        let (sched, _) = compile_algorithm1(&prog, &c, cores);
-        let t = lower(&prog, &opts, Some(&sched));
-        simulate(c, &t, Scheme::Compiled)
-            .result
-            .improvement_over(&baseline)
-    };
-
-    // The five compile+lower+simulate runs (one per isolated location
-    // plus the all-locations bar) are independent given the shared
-    // baseline above.
-    let masks: Vec<u8> = ALL_NDC_LOCATIONS
-        .iter()
-        .map(|&loc| NdcConfig::only(loc))
-        .chain([NdcConfig::ALL_LOCATIONS])
-        .collect();
-    let improvements = ndc_par::parallel_map(&masks, |&m| run_with_mask(m));
-    let mut isolated = [0.0; 4];
-    for (loc, imp) in ALL_NDC_LOCATIONS.iter().zip(&improvements) {
-        isolated[loc.index()] = *imp;
-    }
-    Figure14Row {
-        name: bench.name.to_string(),
-        isolated,
-        all: improvements[4],
-    }
-}
-
-pub fn figure14_all(cfg: ArchConfig, scale: Scale) -> Vec<Figure14Row> {
-    let benches = all_benchmarks();
-    ndc_par::parallel_map(&benches, |b| figure14(b, cfg, scale))
+/// Improvement (%) of Algorithm 1 with only one location enabled, in
+/// the paper's order, then with all four (the Algorithm 1 bar).
+pub fn figure14(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> Table {
+    let t = Table::new(
+        "fig14",
+        "Figure 14: Algorithm 1 restricted to a single component (%)",
+        "bench",
+    )
+    .columns(&paper_order_labels(), 1)
+    .columns(&["all"], 1)
+    .note(
+        "the paper notes per-component sums exceed the combined run: a computation \
+             performed in one component is not re-performed in another",
+    );
+    per_bench(t, benches, |bench| {
+        let prog = bench.build(scale);
+        let opts = lower_opts(&cfg);
+        let baseline = simulate(cfg, &lower(&prog, &opts, None), Scheme::Baseline).result;
+        // The five compile+lower+simulate runs are independent given
+        // the shared baseline.
+        let masks: Vec<u8> = PAPER_ORDER
+            .iter()
+            .map(|&loc| NdcConfig::only(loc))
+            .chain([NdcConfig::ALL_LOCATIONS])
+            .collect();
+        nums(ndc_par::parallel_map(&masks, |&mask| {
+            let mut c = cfg;
+            c.ndc.enabled_mask = mask;
+            let (sched, _) = compile_algorithm1(&prog, &c, cfg.nodes());
+            simulate(c, &lower(&prog, &opts, Some(&sched)), Scheme::Compiled)
+                .result
+                .improvement_over(&baseline)
+        }))
+    })
 }
 
 // ---------------------------------------------------------------------
 // Figure 15: fraction of NDC opportunities exercised by Algorithm 2.
 // ---------------------------------------------------------------------
 
-pub fn figure15(evals: &[BenchmarkEvaluation]) -> Vec<(String, f64)> {
-    evals
-        .iter()
-        .map(|e| (e.name.clone(), e.alg2.1.exercised_pct()))
-        .collect()
+pub fn figure15(evals: &[BenchmarkEvaluation]) -> Table {
+    let mut t = Table::new(
+        "fig15",
+        "Figure 15: NDC opportunities exercised by Algorithm 2 (%)",
+        "bench",
+    )
+    .columns(&["exercised%"], 1)
+    .paper(nums([81.8]));
+    for e in evals {
+        t.row(&e.name, nums([e.alg2.1.exercised_pct()]));
+    }
+    t.aggregate_by("average", mean);
+    t
 }
 
 // ---------------------------------------------------------------------
 // Figure 16: L1/L2 miss rates under Algorithms 1 and 2.
 // ---------------------------------------------------------------------
 
-pub struct Figure16Row {
-    pub name: String,
-    pub l1_alg1: f64,
-    pub l1_alg2: f64,
-    pub l2_alg1: f64,
-    pub l2_alg2: f64,
-}
-
-pub fn figure16(evals: &[BenchmarkEvaluation]) -> Vec<Figure16Row> {
-    evals
-        .iter()
-        .map(|e| Figure16Row {
-            name: e.name.clone(),
-            l1_alg1: 100.0 * e.alg1.0.l1.miss_rate(),
-            l1_alg2: 100.0 * e.alg2.0.l1.miss_rate(),
-            l2_alg1: 100.0 * e.alg1.0.l2.miss_rate(),
-            l2_alg2: 100.0 * e.alg2.0.l2.miss_rate(),
-        })
-        .collect()
+pub fn figure16(evals: &[BenchmarkEvaluation]) -> Table {
+    let mut t = Table::new(
+        "fig16",
+        "Figure 16: L1/L2 miss rates (%) under Algorithms 1 and 2",
+        "bench",
+    )
+    .columns(&["L1 alg1", "L1 alg2", "L2 alg1", "L2 alg2"], 1)
+    .note("paper: Algorithm 2's rates are lower than Algorithm 1's in all programs");
+    for e in evals {
+        let (a1, a2) = (&e.alg1.0, &e.alg2.0);
+        let rates = [
+            a1.l1.miss_rate(),
+            a2.l1.miss_rate(),
+            a1.l2.miss_rate(),
+            a2.l2.miss_rate(),
+        ];
+        t.row(&e.name, nums(rates.map(|r| 100.0 * r)));
+    }
+    t
 }
 
 // ---------------------------------------------------------------------
@@ -628,80 +779,54 @@ pub fn figure17_configs() -> Vec<SensitivityConfig> {
     configs
 }
 
-pub struct Figure17Row {
-    pub label: String,
-    /// Geometric means across all benchmarks.
-    pub alg1: f64,
-    pub alg2: f64,
-    pub oracle: f64,
-}
-
 /// Run the sensitivity sweep. Each configuration runs baseline, oracle,
 /// and both algorithms on every benchmark; rows are geometric means.
 ///
 /// The whole (configuration × benchmark) grid is flattened into one
 /// fan-out so a slow configuration can't serialize the sweep behind a
 /// per-configuration barrier.
-pub fn figure17(scale: Scale) -> Vec<Figure17Row> {
+pub fn figure17(scale: Scale) -> Table {
     let configs = figure17_configs();
     let benches = all_benchmarks();
     let pairs: Vec<(usize, usize)> = (0..configs.len())
         .flat_map(|ci| (0..benches.len()).map(move |bi| (ci, bi)))
         .collect();
 
-    let cells: Vec<(f64, f64, f64)> = ndc_par::parallel_map(&pairs, |&(ci, bi)| {
+    let cells: Vec<[f64; 3]> = ndc_par::parallel_map(&pairs, |&(ci, bi)| {
         let cfg = configs[ci].cfg;
         let prog = benches[bi].build(scale);
-        let cores = cfg.nodes();
-        let opts = LowerOptions {
-            cores,
-            emit_busy: true,
-        };
+        let opts = lower_opts(&cfg);
         // Shared baseline lowering for this (config, benchmark) cell;
-        // the oracle run reuses it, only the algorithms re-lower.
+        // the oracle reuses it, only the algorithms re-lower.
         let traces = lower(&prog, &opts, None);
-        let base = simulate(cfg, &traces, Scheme::Baseline).result;
-        let oracle = simulate(cfg, &traces, Scheme::Oracle { reuse_aware: true })
-            .result
-            .improvement_over(&base);
-        let (s1, _) = compile_algorithm1(&prog, &cfg, cores);
-        let a1 = simulate(cfg, &lower(&prog, &opts, Some(&s1)), Scheme::Compiled)
-            .result
-            .improvement_over(&base);
-        let (s2, _) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
-        let a2 = simulate(cfg, &lower(&prog, &opts, Some(&s2)), Scheme::Compiled)
-            .result
-            .improvement_over(&base);
-        (a1, a2, oracle)
+        let (base, oracle) = baseline_and_oracle(cfg, &traces, true, ObsLevel::off());
+        let base = base.result;
+        let compiled = |sched: &Schedule| {
+            simulate(cfg, &lower(&prog, &opts, Some(sched)), Scheme::Compiled)
+                .result
+                .improvement_over(&base)
+        };
+        let (s1, _) = compile_algorithm1(&prog, &cfg, cfg.nodes());
+        let (s2, _) = compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+        [
+            compiled(&s1),
+            compiled(&s2),
+            oracle.result.improvement_over(&base),
+        ]
     });
 
-    configs
-        .into_iter()
-        .enumerate()
-        .map(|(ci, sc)| {
-            let rows = &cells[ci * benches.len()..(ci + 1) * benches.len()];
-            let a1: Vec<f64> = rows.iter().map(|r| r.0).collect();
-            let a2: Vec<f64> = rows.iter().map(|r| r.1).collect();
-            let oracle: Vec<f64> = rows.iter().map(|r| r.2).collect();
-            Figure17Row {
-                label: sc.label,
-                alg1: geomean_improvement(&a1),
-                alg2: geomean_improvement(&a2),
-                oracle: geomean_improvement(&oracle),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Table 2: CME estimation accuracy.
-// ---------------------------------------------------------------------
-
-pub fn table2(evals: &[BenchmarkEvaluation]) -> Vec<(String, AccuracyReport)> {
-    evals
-        .iter()
-        .map(|e| (e.name.clone(), e.cme_accuracy))
-        .collect()
+    let mut t = Table::new(
+        "fig17",
+        "Figure 17: sensitivity study (geomean improvement %)",
+        "configuration",
+    )
+    .columns(&["alg1", "alg2", "oracle"], 1)
+    .note("paper: larger meshes help; L2 capacity is neutral; +/- restriction gives 14.1/16.5");
+    for (sc, rows) in configs.iter().zip(cells.chunks(benches.len())) {
+        let column = |i: usize| geomean_improvement(&rows.iter().map(|r| r[i]).collect::<Vec<_>>());
+        t.row(&sc.label, nums([column(0), column(1), column(2)]));
+    }
+    t
 }
 
 // ---------------------------------------------------------------------
@@ -787,13 +912,9 @@ pub fn explain_benchmark(
     one_in: u32,
 ) -> ExplainReport {
     let prog = bench.build(scale);
-    let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
-    let (sched, compiler) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
-    let traces = lower(&prog, &opts, Some(&sched));
+    let (sched, compiler) =
+        compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+    let traces = lower(&prog, &lower_opts(&cfg), Some(&sched));
     let out = Engine::new(cfg, &traces, Scheme::Compiled)
         .with_obs(ObsLevel::with_spans(one_in))
         .run();
@@ -815,13 +936,6 @@ pub fn explain_benchmark(
         offload,
         offload_legacy,
     }
-}
-
-/// [`explain_benchmark`] over all 20 benchmarks (ndc-par fan-out,
-/// ordered results) — the rows of the explain error table.
-pub fn explain_all(cfg: ArchConfig, scale: Scale, one_in: u32) -> Vec<ExplainReport> {
-    let benches = all_benchmarks();
-    ndc_par::parallel_map(&benches, |b| explain_benchmark(b, cfg, scale, one_in))
 }
 
 // ---------------------------------------------------------------------
@@ -885,12 +999,8 @@ pub fn profile_benchmark(
 ) -> ProfileReport {
     let prog = bench.build(scale);
     let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
     let (sched, _) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
-    let traces = lower(&prog, &opts, Some(&sched));
+    let traces = lower(&prog, &lower_opts(&cfg), Some(&sched));
     let obs = ObsLevel {
         span_one_in: one_in,
         ledger: true,
@@ -910,182 +1020,419 @@ pub fn profile_benchmark(
     }
 }
 
+/// The cost model's error over every (benchmark, location) cell where
+/// both models' errors are measured: the summary `explain --json`
+/// reports and the model-accuracy table's `mean` and `max` rows hold.
+pub struct ModelAccuracy {
+    pub cells: usize,
+    pub mean: f64,
+    pub max: f64,
+    pub mean_legacy: f64,
+    pub max_legacy: f64,
+}
+
+impl ModelAccuracy {
+    pub fn of(reports: &[ExplainReport]) -> ModelAccuracy {
+        let (mut errs, mut legacy) = (Vec::new(), Vec::new());
+        for r in reports {
+            for loc in ALL_NDC_LOCATIONS {
+                let a = r.offload.per_location[loc.index()].error_pct();
+                let l = r.offload_legacy.per_location[loc.index()].error_pct();
+                if let (Some(a), Some(l)) = (a, l) {
+                    errs.push(a);
+                    legacy.push(l);
+                }
+            }
+        }
+        let max = |v: &[f64]| v.iter().cloned().fold(0.0, f64::max);
+        ModelAccuracy {
+            cells: errs.len(),
+            mean: mean(&errs),
+            max: max(&errs),
+            mean_legacy: mean(&legacy),
+            max_legacy: max(&legacy),
+        }
+    }
+
+    /// The reuse-derived model's mean error is below the retired
+    /// heuristic's.
+    pub fn beats_legacy(&self) -> bool {
+        self.cells > 0 && self.mean < self.mean_legacy
+    }
+}
+
+/// `explain`'s cost-model cross-check: predicted (reuse model and
+/// retired heuristic) vs measured offload cycles per `<location>/<bench>`,
+/// each location's average error, and the mean and max over the cells
+/// where both errors are measured.
+pub fn model_accuracy(reports: &[ExplainReport]) -> Table {
+    let mut t = Table::new(
+        "model_accuracy",
+        "Explain: compiler cost model vs measured offload cycles (alg2)",
+        "location/bench",
+    )
+    .columns(&["predicted", "legacy", "measured"], 1)
+    .columns(&["samples"], 0)
+    .columns(&["err%", "leg-err%"], 1);
+    let errors = |a: Option<f64>, l: Option<f64>| {
+        let mut cells = vec![Cell::Missing; 4];
+        cells.extend([a.into(), l.into()]);
+        cells
+    };
+    for loc in PAPER_ORDER {
+        let (mut errs, mut legacy) = (Vec::new(), Vec::new());
+        for r in reports {
+            let a = r.offload.per_location[loc.index()];
+            let l = r.offload_legacy.per_location[loc.index()];
+            errs.extend(a.error_pct());
+            legacy.extend(l.error_pct());
+            let predicted = [a.predicted_cycles, l.predicted_cycles, a.measured_cycles];
+            let mut cells = nums(predicted);
+            cells.extend([a.samples.into(), a.error_pct().into(), l.error_pct().into()]);
+            t.row(format!("{}/{}", loc.paper_label(), r.name), cells);
+        }
+        let avg = |v: &[f64]| (!v.is_empty()).then(|| mean(v));
+        t.aggregate(
+            &format!("{}/average", loc.paper_label()),
+            errors(avg(&errs), avg(&legacy)),
+        );
+    }
+    let s = ModelAccuracy::of(reports);
+    t.aggregate("mean", errors(Some(s.mean), Some(s.mean_legacy)));
+    t.aggregate("max", errors(Some(s.max), Some(s.max_legacy)));
+    t.note(format!(
+        "mean and max over the {} cells where both errors are measured",
+        s.cells
+    ))
+    .note(format!("model_beats_legacy: {}", s.beats_legacy()))
+}
+
 // ---------------------------------------------------------------------
 // Ablations.
 // ---------------------------------------------------------------------
 
 /// §5.4: disabling route reshaping cuts router NDC by ~40%.
-pub struct RoutingAblationRow {
-    pub name: String,
-    pub router_ndc_with: u64,
-    pub router_ndc_without: u64,
-}
-
-pub fn ablation_routing(bench: &Benchmark, cfg: ArchConfig, scale: Scale) -> RoutingAblationRow {
-    let prog = bench.build(scale);
-    let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
-    let (sched, _) = compile_algorithm1(&prog, &cfg, cores);
-    let with = simulate(cfg, &lower(&prog, &opts, Some(&sched)), Scheme::Compiled).result;
-
-    let mut stripped = sched.clone();
-    for p in &mut stripped.precomputes {
-        p.reshape_routes = false;
-    }
-    let without = simulate(cfg, &lower(&prog, &opts, Some(&stripped)), Scheme::Compiled).result;
-
-    RoutingAblationRow {
-        name: bench.name.to_string(),
-        router_ndc_with: with.ndc_performed_at(NdcLocation::LinkBuffer),
-        router_ndc_without: without.ndc_performed_at(NdcLocation::LinkBuffer),
-    }
+pub fn ablation_routing(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> Table {
+    let t = Table::new(
+        "ablation_routing",
+        "Ablation: route reshaping (router NDC counts)",
+        "bench",
+    )
+    .columns(&["with", "without"], 0)
+    .columns(&["drop%"], 1)
+    .paper(vec![Cell::Missing, Cell::Missing, Cell::Num(40.0)])
+    .note("paper: ~40% fewer router NDC; the average is over kernels with router NDC");
+    let mut t = per_bench(t, benches, |bench| {
+        let prog = bench.build(scale);
+        let opts = lower_opts(&cfg);
+        let (sched, _) = compile_algorithm1(&prog, &cfg, cfg.nodes());
+        let mut stripped = sched.clone();
+        for p in &mut stripped.precomputes {
+            p.reshape_routes = false;
+        }
+        let router_ndc = |s: &Schedule| {
+            simulate(cfg, &lower(&prog, &opts, Some(s)), Scheme::Compiled)
+                .result
+                .ndc_performed_at(NdcLocation::LinkBuffer)
+        };
+        let (with, without) = (router_ndc(&sched), router_ndc(&stripped));
+        let drop = if with > 0 {
+            100.0 * (with - without) as f64 / with as f64
+        } else {
+            0.0
+        };
+        vec![with.into(), without.into(), drop.into()]
+    });
+    let drops: Vec<f64> = t
+        .rows
+        .iter()
+        .filter(|(_, r)| r[0] != Cell::Int(0))
+        .filter_map(|(_, r)| r[2].as_f64())
+        .collect();
+    t.aggregate(
+        "average",
+        vec![Cell::Missing, Cell::Missing, mean(&drops).into()],
+    );
+    t
 }
 
 /// §5.4: coarse-grain (whole-nest) mapping performs poorly.
-pub struct CoarseAblationRow {
-    pub name: String,
-    pub fine_alg1: f64,
-    pub fine_alg2: f64,
-    pub coarse_alg1: f64,
-    pub coarse_alg2: f64,
-}
-
-pub fn ablation_coarse(bench: &Benchmark, cfg: ArchConfig, scale: Scale) -> CoarseAblationRow {
-    let prog = bench.build(scale);
-    let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
-    let traces = lower(&prog, &opts, None);
-    let base = simulate(cfg, &traces, Scheme::Baseline).result;
-    let run = |sched: &ndc_ir::Schedule| -> f64 {
-        simulate(cfg, &lower(&prog, &opts, Some(sched)), Scheme::Compiled)
-            .result
-            .improvement_over(&base)
-    };
-    let (s1, _) = compile_algorithm1(&prog, &cfg, cores);
-    let (s2, _) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
-    let (c1, _) = compile_coarse(&prog, &cfg, false);
-    let (c2, _) = compile_coarse(&prog, &cfg, true);
-    CoarseAblationRow {
-        name: bench.name.to_string(),
-        fine_alg1: run(&s1),
-        fine_alg2: run(&s2),
-        coarse_alg1: run(&c1),
-        coarse_alg2: run(&c2),
-    }
+pub fn ablation_coarse(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> Table {
+    let t = Table::new(
+        "ablation_coarse",
+        "Ablation: coarse-grain (whole-nest) mapping (%)",
+        "bench",
+    )
+    .columns(&["fine-a1", "fine-a2", "coarse-a1", "coarse-a2"], 1)
+    .paper(vec![
+        Cell::Missing,
+        Cell::Missing,
+        Cell::Num(1.2),
+        Cell::Num(2.5),
+    ]);
+    let mut t = per_bench(t, benches, |bench| {
+        let prog = bench.build(scale);
+        let opts = lower_opts(&cfg);
+        let base = simulate(cfg, &lower(&prog, &opts, None), Scheme::Baseline).result;
+        let run = |sched: &Schedule| {
+            simulate(cfg, &lower(&prog, &opts, Some(sched)), Scheme::Compiled)
+                .result
+                .improvement_over(&base)
+        };
+        let (s1, _) = compile_algorithm1(&prog, &cfg, cfg.nodes());
+        let (s2, _) = compile_algorithm2(&prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+        let (c1, _) = compile_coarse(&prog, &cfg, false);
+        let (c2, _) = compile_coarse(&prog, &cfg, true);
+        nums([run(&s1), run(&s2), run(&c1), run(&c2)])
+    });
+    t.aggregate_by("geomean", geomean_improvement);
+    t
 }
 
 /// Extension: sweep Algorithm 2's reuse threshold `k` (the paper's
-/// future-work parameter, §5.3/§5.4) on one benchmark.
-pub struct KSweepRow {
-    pub k: u32,
-    pub improvement: f64,
-    pub exercised_pct: f64,
-}
-
-pub fn ablation_k(bench: &Benchmark, cfg: ArchConfig, scale: Scale, ks: &[u32]) -> Vec<KSweepRow> {
-    let prog = bench.build(scale);
-    let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
-    let traces = lower(&prog, &opts, None);
-    let base = simulate(cfg, &traces, Scheme::Baseline).result;
-    ks.iter()
-        .map(|&k| {
-            let (sched, report) = compile_algorithm2(
-                &prog,
-                &cfg,
-                cores,
-                Algorithm2Options {
-                    reuse_k: k,
-                    ..Default::default()
-                },
-            );
+/// future-work parameter, §5.3/§5.4); rows are `<bench>/k=<k>`.
+pub fn ablation_k(benches: &[Benchmark], cfg: ArchConfig, scale: Scale, ks: &[u32]) -> Table {
+    let sweeps = ndc_par::parallel_map(benches, |bench| {
+        let prog = bench.build(scale);
+        let opts = lower_opts(&cfg);
+        let base = simulate(cfg, &lower(&prog, &opts, None), Scheme::Baseline).result;
+        let sweep = ks.iter().map(|&k| {
+            let opts2 = Algorithm2Options {
+                reuse_k: k,
+                ..Default::default()
+            };
+            let (sched, report) = compile_algorithm2(&prog, &cfg, cfg.nodes(), opts2);
             let r = simulate(cfg, &lower(&prog, &opts, Some(&sched)), Scheme::Compiled).result;
-            KSweepRow {
-                k,
-                improvement: r.improvement_over(&base),
-                exercised_pct: report.exercised_pct(),
-            }
-        })
-        .collect()
+            [r.improvement_over(&base), report.exercised_pct()]
+        });
+        sweep.collect::<Vec<_>>()
+    });
+    let mut t = Table::new(
+        "ablation_k",
+        "Extension: Algorithm 2 reuse-threshold k sweep",
+        "bench/k",
+    )
+    .columns(&["improve%", "exercised%"], 1)
+    .note("the paper evaluates k=0 and defers tuning to future work");
+    for (bench, sweep) in benches.iter().zip(sweeps) {
+        for (k, cells) in ks.iter().zip(sweep) {
+            t.row(format!("{}/k={k}", bench.name), nums(cells));
+        }
+    }
+    t
 }
 
 /// Extension: the Markov-chain window predictor the paper mentions in
 /// §4.4 ("even a Markov Chain-based predictor generated similar
 /// results") — compared against Last-Wait and the oracle.
-pub struct MarkovRow {
-    pub name: String,
-    pub last_wait: f64,
-    pub markov: f64,
-    pub oracle: f64,
-}
-
-pub fn ablation_markov(bench: &Benchmark, cfg: ArchConfig, scale: Scale) -> MarkovRow {
-    let prog = bench.build(scale);
-    let opts = LowerOptions {
-        cores: cfg.nodes(),
-        emit_busy: true,
-    };
-    let traces = lower(&prog, &opts, None);
-    let base = simulate(cfg, &traces, Scheme::Baseline).result;
-    let run = |s: Scheme| simulate(cfg, &traces, s).result.improvement_over(&base);
-    MarkovRow {
-        name: bench.name.to_string(),
-        last_wait: run(Scheme::NdcAll {
-            budget: WaitBudget::LastWindow,
-        }),
-        markov: run(Scheme::NdcAll {
-            budget: WaitBudget::Markov,
-        }),
-        oracle: run(Scheme::Oracle { reuse_aware: true }),
-    }
+pub fn ablation_markov(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> Table {
+    let t = Table::new(
+        "ablation_markov",
+        "Extension: Markov window predictor (vs Last-Wait, oracle)",
+        "bench",
+    )
+    .columns(&["lastwait", "markov", "oracle"], 1)
+    .note("paper: \"even a Markov Chain-based predictor generated similar results\" to Last-Wait");
+    let mut t = per_bench(t, benches, |bench| {
+        let traces = lower(&bench.build(scale), &lower_opts(&cfg), None);
+        let (base, oracle) = baseline_and_oracle(cfg, &traces, true, ObsLevel::off());
+        let base = base.result;
+        let run = |budget| {
+            simulate(cfg, &traces, Scheme::NdcAll { budget })
+                .result
+                .improvement_over(&base)
+        };
+        let oracle = oracle.result.improvement_over(&base);
+        nums([run(WaitBudget::LastWindow), run(WaitBudget::Markov), oracle])
+    });
+    t.aggregate_by("geomean", geomean_improvement);
+    t
 }
 
 /// Extension: the data-layout optimization of §5.2.1's fourth
 /// challenge, applied before Algorithm 2.
-pub struct LayoutRow {
-    pub name: String,
-    pub without: f64,
-    pub with_layout: f64,
-    pub chains_aligned: u64,
+pub fn ablation_layout(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> Table {
+    let t = Table::new(
+        "ablation_layout",
+        "Extension: data-layout optimization before Algorithm 2",
+        "bench",
+    )
+    .columns(&["without", "with-layout"], 1)
+    .columns(&["aligned"], 0)
+    .note("the paper defers bank-remapping layout optimization to a future study");
+    per_bench(t, benches, |bench| {
+        let prog = bench.build(scale);
+        let opts = lower_opts(&cfg);
+        // Each layout is timed against its own baseline: the layout
+        // pass is a whole-program change.
+        let improvement = |prog: &Program| {
+            let base = simulate(cfg, &lower(prog, &opts, None), Scheme::Baseline).result;
+            let (s2, _) = compile_algorithm2(prog, &cfg, cfg.nodes(), Algorithm2Options::default());
+            simulate(cfg, &lower(prog, &opts, Some(&s2)), Scheme::Compiled)
+                .result
+                .improvement_over(&base)
+        };
+        let (reprog, report) = ndc_compiler::optimize_layout(&prog, &cfg);
+        vec![
+            improvement(&prog).into(),
+            improvement(&reprog).into(),
+            report.aligned.into(),
+        ]
+    })
 }
 
-pub fn ablation_layout(bench: &Benchmark, cfg: ArchConfig, scale: Scale) -> LayoutRow {
-    let prog = bench.build(scale);
-    let cores = cfg.nodes();
-    let opts = LowerOptions {
-        cores,
-        emit_busy: true,
-    };
-    // Baseline timing uses the ORIGINAL layout; the layout pass is a
-    // whole-program change, so its variant gets its own baseline too.
-    let base = simulate(cfg, &lower(&prog, &opts, None), Scheme::Baseline).result;
-    let (s2, _) = compile_algorithm2(&prog, &cfg, cores, Algorithm2Options::default());
-    let without = simulate(cfg, &lower(&prog, &opts, Some(&s2)), Scheme::Compiled)
-        .result
-        .improvement_over(&base);
+// ---------------------------------------------------------------------
+// Operator fusion.
+// ---------------------------------------------------------------------
 
-    let (reprog, lreport) = ndc_compiler::optimize_layout(&prog, &cfg);
-    let rebase = simulate(cfg, &lower(&reprog, &opts, None), Scheme::Baseline).result;
-    let (s2l, _) = compile_algorithm2(&reprog, &cfg, cores, Algorithm2Options::default());
-    let with_layout = simulate(cfg, &lower(&reprog, &opts, Some(&s2l)), Scheme::Compiled)
-        .result
-        .improvement_over(&rebase);
-
-    LayoutRow {
-        name: bench.name.to_string(),
-        without,
-        with_layout,
-        chains_aligned: lreport.aligned,
+/// Cost-model bytes moved under a fusion-enabled schedule: planned
+/// chains at their adopted target, fused packets once per group. With
+/// `unfused_equiv` the fused groups are instead charged the compiler's
+/// estimate of what the same members would have moved unfused
+/// (individual plans at their own targets, conventional tails at their
+/// near-L2 lower bound) — the like-for-like baseline of the bytes-moved
+/// comparison.
+fn predicted_bytes(rep: &CompilerReport, unfused_equiv: bool) -> u64 {
+    let mut total = 0u64;
+    let mut charged_groups = std::collections::BTreeSet::new();
+    for chain in &rep.provenance {
+        if chain.outcome == outcome::FUSED {
+            let bytes = if unfused_equiv {
+                chain.fused_unfused_bytes
+            } else {
+                chain.fused_predicted_bytes
+            };
+            if let (Some(g), Some(b)) = (chain.chain_group, bytes) {
+                if charged_groups.insert(g) {
+                    total = total.saturating_add(b);
+                }
+            }
+        } else if chain.outcome == outcome::PLANNED {
+            if let Some(target) = chain.final_target {
+                if let Some(c) = chain.candidates.iter().find(|c| c.location == target) {
+                    total = total.saturating_add(c.predicted_bytes_moved);
+                }
+            }
+        }
     }
+    total
+}
+
+/// The operator-fusion ablation: Algorithm 2 with and without
+/// producer-consumer chain fusion, per workload. "Bytes moved" is the
+/// compiler's cost model ([`predicted_bytes`]); conventional execution
+/// returns whole cache lines to the core where an offload returns a
+/// 16 B result, so the real saving is larger. Offload cycles and NoC
+/// messages are measured by simulating both schedules under
+/// `Scheme::Compiled`. `cuts-both` is 1 where fusion fires and cuts both
+/// predicted bytes and measured offload cycles; its total counts those
+/// workloads.
+pub fn fusion(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> Table {
+    let t = Table::new(
+        "fusion",
+        "Fusion: Algorithm 2 with producer-consumer chain fusion",
+        "bench",
+    )
+    .columns(&["chains", "ops", "bytes-unf", "bytes-fus"], 0)
+    .columns(&["drop%"], 1)
+    .columns(
+        &[
+            "offcyc-unf",
+            "offcyc-fus",
+            "noc-unf",
+            "noc-fus",
+            "cuts-both",
+        ],
+        0,
+    )
+    .note("cuts-both: fusion fires and cuts both predicted bytes and measured offload cycles");
+    let mut t = per_bench(t, benches, |bench| {
+        let prog = bench.build(scale);
+        let opts = lower_opts(&cfg);
+        let compile = |fuse| {
+            let opts2 = Algorithm2Options {
+                fuse,
+                ..Default::default()
+            };
+            compile_algorithm2(&prog, &cfg, cfg.nodes(), opts2)
+        };
+        let ((su, _), (sf, rf)) = (compile(false), compile(true));
+        let run = |sched: &Schedule| {
+            simulate(cfg, &lower(&prog, &opts, Some(sched)), Scheme::Compiled).result
+        };
+        let (mu, mf) = (run(&su), run(&sf));
+        let (bu, bf) = (predicted_bytes(&rf, true), predicted_bytes(&rf, false));
+        let (cu, cf) = (
+            mu.ndc_offload_cycles.iter().sum::<u64>(),
+            mf.ndc_offload_cycles.iter().sum::<u64>(),
+        );
+        let drop = if bu > 0 {
+            100.0 * (bu.saturating_sub(bf)) as f64 / bu as f64
+        } else {
+            0.0
+        };
+        let cuts_both = rf.fused_chains > 0 && bf < bu && cf < cu;
+        let counts = [rf.fused_chains, rf.fused_ops, bu, bf].map(Cell::Int);
+        let measured = [
+            cu,
+            cf,
+            mu.noc_messages,
+            mf.noc_messages,
+            u64::from(cuts_both),
+        ]
+        .map(Cell::Int);
+        counts
+            .into_iter()
+            .chain([drop.into()])
+            .chain(measured)
+            .collect()
+    });
+    t.total();
+    t
+}
+
+// ---------------------------------------------------------------------
+// Mesh scale-up.
+// ---------------------------------------------------------------------
+
+/// The mesh scale-up study: `bench` under Last Wait at every mesh size,
+/// its work scaled with the node count. `Scale::Test` runs the 8×8 mesh
+/// alone; `Scale::Paper` sweeps 5×5 to 16×16. Per row: simulated cycles
+/// and issued instructions, then host wall-clock and host throughput
+/// (issued instructions per second), which are printed but not written.
+pub fn mesh_scale(bench: &Benchmark, scale: Scale) -> Table {
+    let meshes: &[(u16, u16)] = match scale {
+        Scale::Paper => &[(5, 5), (8, 8), (12, 12), (16, 16)],
+        _ => &[(8, 8)],
+    };
+    let scheme = Scheme::NdcAll {
+        budget: WaitBudget::LastWindow,
+    };
+    let mut t = Table::new("scale", format!("Mesh scale-up ({})", bench.name), "mesh")
+        .columns(&["nodes", "sim cycles", "insts"], 0)
+        .host_column("host ms", 1)
+        .host_column("insts/sec", 0)
+        .note(format!("scheme: {scheme:?}"));
+    for &(w, h) in meshes {
+        let cfg = ArchConfig::with_mesh(w, h);
+        // Work scales with the mesh so per-node load stays constant:
+        // the 5×5 study mesh is exactly `Scale::Test`.
+        let prog = bench.build(Scale::proportional(cfg.nodes()));
+        let traces = lower(&prog, &lower_opts(&cfg), None);
+        let t0 = std::time::Instant::now();
+        let result = Engine::new(cfg, &traces, scheme).run().result;
+        let host_ns = t0.elapsed().as_nanos() as u64;
+        let per_sec = result.issued_insts as f64 * 1e9 / host_ns.max(1) as f64;
+        let cells = [cfg.nodes() as u64, result.total_cycles, result.issued_insts].map(Cell::Int);
+        t.row(
+            format!("{w}x{h}"),
+            cells
+                .into_iter()
+                .chain(nums([host_ns as f64 / 1e6, per_sec]))
+                .collect(),
+        );
+    }
+    t
 }
 
 /// Semantics-preservation oracle used by integration tests: the
@@ -1144,18 +1491,24 @@ mod tests {
     #[test]
     fn figure_builders_consume_evaluations() {
         let evals = vec![small_eval()];
-        assert_eq!(figure2(&evals).len(), 1);
+        // Figure 2 has one row per location and benchmark.
+        assert_eq!(figure2(&evals).rows.len(), 4);
         let f3 = figure3(&evals);
-        assert!(f3.windows[0].total() > 0);
+        let windows: f64 = f3.rows[0].1.iter().filter_map(Cell::as_f64).sum();
+        assert!(windows > 0.0 && windows <= 100.0 + 1e-6, "{windows}");
         let f4 = figure4(&evals);
-        assert_eq!(f4[0].schemes.len(), 7);
-        assert!(!figure5(&evals[0], 30).is_empty());
+        assert_eq!(f4.columns.len(), 9);
+        assert!(f4.cell("kdtree", "alg1").and_then(Cell::as_f64).is_some());
+        assert_eq!(counters(&evals).rows.len(), run_labels().len());
+        let f5 = figure5(&evals, 30);
+        assert!(f5.rows[0].1.iter().any(|c| *c != Cell::Missing));
         let f6 = figure6(&evals);
-        let avg = breakdown_average(&f6);
-        assert!(avg.iter().sum::<f64>() <= 100.0 + 1e-9);
-        assert_eq!(figure15(&evals).len(), 1);
-        assert_eq!(figure16(&evals).len(), 1);
-        assert_eq!(table2(&evals).len(), 1);
+        let avg: f64 = f6.aggregates[0].1.iter().filter_map(Cell::as_f64).sum();
+        assert!(avg <= 100.0 + 1e-9);
+        assert_eq!(figure13(&evals).columns.len(), 5);
+        assert_eq!(figure15(&evals).rows.len(), 1);
+        assert_eq!(figure16(&evals).rows.len(), 1);
+        assert_eq!(table2(&evals).rows.len(), 1);
     }
 
     #[test]
@@ -1237,10 +1590,18 @@ mod tests {
     #[test]
     fn k_sweep_is_monotone_in_exercised_fraction() {
         let bench = ndc_workloads::by_name("md").unwrap();
-        let rows = ablation_k(&bench, ArchConfig::paper_default(), Scale::Test, &[0, 2, 8]);
-        for w in rows.windows(2) {
+        let t = ablation_k(
+            &[bench],
+            ArchConfig::paper_default(),
+            Scale::Test,
+            &[0, 2, 8],
+        );
+        let exercised: Vec<f64> = ["md/k=0", "md/k=2", "md/k=8"]
+            .map(|row| t.cell(row, "exercised%").and_then(Cell::as_f64).unwrap())
+            .into();
+        for w in exercised.windows(2) {
             assert!(
-                w[1].exercised_pct >= w[0].exercised_pct - 1e-9,
+                w[1] >= w[0] - 1e-9,
                 "higher k must exercise at least as many opportunities"
             );
         }
@@ -1249,9 +1610,11 @@ mod tests {
     #[test]
     fn markov_scheme_runs() {
         let bench = ndc_workloads::by_name("radiosity").unwrap();
-        let row = ablation_markov(&bench, ArchConfig::paper_default(), Scale::Test);
-        assert!(row.markov.is_finite());
-        assert!(row.oracle.is_finite());
+        let t = ablation_markov(&[bench], ArchConfig::paper_default(), Scale::Test);
+        for column in ["markov", "oracle"] {
+            let v = t.cell("radiosity", column).and_then(Cell::as_f64).unwrap();
+            assert!(v.is_finite(), "{column}: {v}");
+        }
     }
 
     #[test]
@@ -1272,11 +1635,12 @@ mod tests {
                 assert!(w[0].1 <= w[1].0, "{name}: overlap after layout");
             }
             // ...and the program still simulates.
-            let opts = LowerOptions {
-                cores: cfg.nodes(),
-                emit_busy: true,
-            };
-            let r = simulate(cfg, &lower(&reprog, &opts, None), Scheme::Baseline).result;
+            let r = simulate(
+                cfg,
+                &lower(&reprog, &lower_opts(&cfg), None),
+                Scheme::Baseline,
+            )
+            .result;
             assert!(r.total_cycles > 0);
         }
     }
@@ -1285,12 +1649,12 @@ mod tests {
     fn routing_ablation_reduces_router_ndc() {
         // swim's chains rely on reshaped overlap.
         let bench = ndc_workloads::by_name("swim").unwrap();
-        let row = ablation_routing(&bench, ArchConfig::paper_default(), Scale::Test);
+        let t = ablation_routing(&[bench], ArchConfig::paper_default(), Scale::Test);
+        let count = |column| t.cell("swim", column).and_then(Cell::as_f64).unwrap();
+        let (with, without) = (count("with"), count("without"));
         assert!(
-            row.router_ndc_without <= row.router_ndc_with,
-            "reshaping can only add router meetings: {} vs {}",
-            row.router_ndc_without,
-            row.router_ndc_with
+            without <= with,
+            "reshaping can only add router meetings: {without} vs {with}"
         );
     }
 

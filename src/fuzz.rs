@@ -19,6 +19,7 @@
 use crate::check as chk;
 use crate::prelude::*;
 use crate::sim::{CheckLevel, Engine};
+use crate::table::{Cell, Table};
 use ndc_cme::{classify, BottleneckClass, BottleneckCounters};
 use ndc_ir::try_lower;
 use ndc_workloads::gen::{generate, GenClass};
@@ -389,6 +390,58 @@ impl CorpusTable {
         }
         t
     }
+}
+
+/// The corpus as the table `ndc-eval fuzz` prints and writes: per
+/// access-pattern class, the programs, their bottleneck cells, the
+/// failed seeds and the planned chains and oracle-verified transforms,
+/// with a total row. Each failing seed is a note with the command that
+/// reproduces it.
+pub fn corpus_table(outcomes: &[FuzzOutcome], base_seed: u64) -> Table {
+    let title = format!(
+        "Fuzz: {} seeded programs from base seed {base_seed:#x}, access-pattern class x bottleneck",
+        outcomes.len()
+    );
+    let mut t = Table::new("fuzz_corpus", title, "class").columns(
+        &[
+            "programs",
+            "compute",
+            "dram-bw",
+            "noc",
+            "failed",
+            "alg1-planned",
+            "alg2-planned",
+            "oracle-verified",
+        ],
+        0,
+    );
+    let corpus = CorpusTable::build(outcomes);
+    for (ci, class) in GenClass::ALL.iter().enumerate() {
+        let of_class = || outcomes.iter().filter(|o| o.class == *class);
+        let failed = of_class().filter(|o| !o.passed()).count();
+        let planned1: u64 = of_class().map(|o| o.alg1_planned).sum();
+        let planned2: u64 = of_class().map(|o| o.alg2_planned).sum();
+        let verified: usize = of_class().map(|o| o.oracle_legal).sum();
+        let mut cells = vec![corpus.per_class[ci].into()];
+        cells.extend(corpus.cells[ci].map(Cell::from));
+        cells.extend([
+            failed.into(),
+            planned1.into(),
+            planned2.into(),
+            verified.into(),
+        ]);
+        t.row(class.label(), cells);
+    }
+    t.total();
+    for o in outcomes.iter().filter(|o| !o.passed()) {
+        t.notes.push(format!(
+            "FAIL seed {:#018x} (reproduce: ndc-eval fuzz --count 1 --seed {:#x}): {}",
+            o.seed,
+            o.seed,
+            o.failures.join("; ")
+        ));
+    }
+    t
 }
 
 fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {

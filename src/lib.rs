@@ -55,6 +55,7 @@
 
 pub mod experiments;
 pub mod fuzz;
+pub mod table;
 
 /// Re-exports of the workspace crates under stable names.
 pub use ndc_check as check;

@@ -114,31 +114,30 @@ fn oracle_dominates_blind_waiting() {
 
 #[test]
 fn committed_fig4_counters_match_a_fresh_evaluation() {
-    // scripts/verify.sh gates every kernel of BENCH_fig4_schemes.json;
-    // re-deriving four here lets `cargo test` catch a moved counter
-    // too. water is one of them because its oracle offloads at this
-    // scale (kdtree's does not); md and swim carry the most `Busy` and
-    // store traffic, which the engine's `Busy` folding and the sharer
-    // directory's write path see.
+    // scripts/verify.sh gates every row of results/counters.json;
+    // re-deriving four kernels here lets `cargo test` catch a moved
+    // counter too. water is one of them because its oracle offloads at
+    // this scale (kdtree's does not); md and swim carry the most `Busy`
+    // and store traffic, which the engine's `Busy` folding and the
+    // sharer directory's write path see.
     use ndc::types::Json;
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fig4_schemes.json");
-    let text = std::fs::read_to_string(path).expect("committed BENCH_fig4_schemes.json");
-    let committed = Json::parse(&text).expect("BENCH_fig4_schemes.json parses");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/counters.json");
+    let text = std::fs::read_to_string(path).expect("committed results/counters.json");
+    let committed = Json::parse(&text).expect("results/counters.json parses");
     assert_eq!(committed.get("scale").and_then(Json::as_str), Some("Test"));
-    let Some(Json::Arr(committed_rows)) = committed.get("rows") else {
-        panic!("BENCH_fig4_schemes.json has no rows");
-    };
+    let committed_rows = committed
+        .get("rows")
+        .expect("results/counters.json has rows");
     let evals: Vec<_> = ["kdtree", "water", "md", "swim"].map(eval).into();
-    let fresh = exp::figure4_counters(&evals, Scale::Test);
-    let Some(Json::Arr(fresh_rows)) = fresh.get("rows") else {
-        panic!("figure4_counters emitted no rows");
+    let fresh = Json::parse(&exp::counters(&evals).to_json(Some("Test"))).unwrap();
+    let Some(Json::Obj(fresh_rows)) = fresh.get("rows") else {
+        panic!("the counters table has no rows");
     };
-    for row in fresh_rows {
-        let name = row.get("name").and_then(Json::as_str).unwrap();
+    assert_eq!(fresh_rows.len(), 4 * exp::run_labels().len());
+    for (name, row) in fresh_rows {
         let old = committed_rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("{name} missing from BENCH_fig4_schemes.json"));
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing from results/counters.json"));
         assert_eq!(
             row.render(),
             old.render(),
@@ -147,10 +146,17 @@ fn committed_fig4_counters_match_a_fresh_evaluation() {
     }
 }
 
+/// The cell of a one-row experiment table, as a number.
+fn num(t: &ndc::table::Table, row: &str, column: &str) -> f64 {
+    t.cell(row, column)
+        .and_then(ndc::table::Cell::as_f64)
+        .unwrap_or_else(|| panic!("{}: no number at {row}/{column}", t.name))
+}
+
 #[test]
 fn figure15_fraction_reflects_bypasses() {
     let e = eval("md");
-    let (_, pct) = exp::figure15(std::slice::from_ref(&e)).pop().unwrap();
+    let pct = num(&exp::figure15(std::slice::from_ref(&e)), "md", "exercised%");
     if e.alg2.1.bypassed_reuse > 0 {
         assert!(pct < 100.0);
     }
@@ -159,29 +165,29 @@ fn figure15_fraction_reflects_bypasses() {
 
 #[test]
 fn isolated_components_never_use_other_locations() {
-    let row = exp::figure14(
-        &by_name("kdtree").unwrap(),
+    let t = exp::figure14(
+        &[by_name("kdtree").unwrap()],
         ArchConfig::paper_default(),
         Scale::Test,
     );
     // Sanity: the combined run exists and the row is fully populated.
-    assert_eq!(row.isolated.len(), 4);
-    assert!(row.all.is_finite());
+    for column in ["cache", "network", "MC", "memory", "all"] {
+        assert!(num(&t, "kdtree", column).is_finite(), "{column}");
+    }
 }
 
 #[test]
 fn coarse_grain_underperforms_fine_grain() {
     // §5.4: whole-nest mapping is far below instruction-level mapping.
-    let r = exp::ablation_coarse(
-        &by_name("kdtree").unwrap(),
+    let t = exp::ablation_coarse(
+        &[by_name("kdtree").unwrap()],
         ArchConfig::paper_default(),
         Scale::Test,
     );
+    let (coarse, fine) = (num(&t, "kdtree", "coarse-a1"), num(&t, "kdtree", "fine-a1"));
     assert!(
-        r.coarse_alg1 <= r.fine_alg1 + 1.0,
-        "coarse {:.1} should not beat fine {:.1}",
-        r.coarse_alg1,
-        r.fine_alg1
+        coarse <= fine + 1.0,
+        "coarse {coarse:.1} should not beat fine {fine:.1}"
     );
 }
 

@@ -178,7 +178,7 @@ fn fused_packets_simulate_under_full_checks() {
     assert!(fused_any, "no workload fused at test scale");
 }
 
-/// `scripts/verify.sh` gates every row of `BENCH_fusion.json`;
+/// `scripts/verify.sh` gates every row of `results/fusion.json`;
 /// re-deriving the measured columns of md and swim, the workloads
 /// whose schedules fuse chains at this scale, lets `cargo test` catch a
 /// change to how fused packets simulate. Each schedule is measured the
@@ -187,13 +187,11 @@ fn fused_packets_simulate_under_full_checks() {
 #[test]
 fn committed_fusion_counters_match_a_fresh_run() {
     use ndc::types::Json;
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fusion.json");
-    let text = std::fs::read_to_string(path).expect("committed BENCH_fusion.json");
-    let committed = Json::parse(&text).expect("BENCH_fusion.json parses");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fusion.json");
+    let text = std::fs::read_to_string(path).expect("committed results/fusion.json");
+    let committed = Json::parse(&text).expect("results/fusion.json parses");
     assert_eq!(committed.get("scale").and_then(Json::as_str), Some("Test"));
-    let Some(Json::Arr(rows)) = committed.get("rows") else {
-        panic!("BENCH_fusion.json has no rows");
-    };
+    let rows = committed.get("rows").expect("results/fusion.json has rows");
     let cfg = ArchConfig::paper_default();
     let opts = LowerOptions {
         cores: cfg.nodes(),
@@ -201,35 +199,34 @@ fn committed_fusion_counters_match_a_fresh_run() {
     };
     for name in ["md", "swim"] {
         let row = rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("{name} missing from BENCH_fusion.json"));
-        let committed = |key: &str| {
-            row.get(key)
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing from results/fusion.json"));
+        let committed = |column: &str| {
+            row.get(column)
                 .and_then(Json::as_u64)
-                .unwrap_or_else(|| panic!("{name}: BENCH_fusion.json has no {key}"))
+                .unwrap_or_else(|| panic!("{name}: results/fusion.json has no {column}"))
         };
         let prog = by_name(name).expect("a paper workload").build(Scale::Test);
-        for (columns, fuse) in [("unfused", false), ("fused", true)] {
+        for (suffix, fuse) in [("unf", false), ("fus", true)] {
             let opts_fuse = Algorithm2Options {
                 fuse,
                 ..Default::default()
             };
             let (sched, rep) = compile_algorithm2(&prog, &cfg, cfg.nodes(), opts_fuse);
             if fuse {
-                assert_eq!(rep.fused_chains, committed("fused_chains"), "{name}");
+                assert_eq!(rep.fused_chains, committed("chains"), "{name}");
             }
             let run = simulate(cfg, &lower(&prog, &opts, Some(&sched)), Scheme::Compiled).result;
             let measured = [
-                ("offload_cycles", run.ndc_offload_cycles.iter().sum::<u64>()),
-                ("noc_messages", run.noc_messages),
+                ("offcyc", run.ndc_offload_cycles.iter().sum::<u64>()),
+                ("noc", run.noc_messages),
             ];
             for (column, value) in measured {
-                let key = format!("{column}_{columns}");
+                let column = format!("{column}-{suffix}");
                 assert_eq!(
                     value,
-                    committed(&key),
-                    "{name}: {key} moved; regenerate with `ndc-eval fuse --scale test`"
+                    committed(&column),
+                    "{name}: {column} moved; regenerate with `ndc-eval fuse --scale test`"
                 );
             }
         }
