@@ -26,10 +26,14 @@ use ndc_types::FxHashMap;
 /// What the layout pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LayoutReport {
-    /// Chains whose operands were already co-homed.
+    /// Chains whose operands were already co-homed at every point.
     pub already_aligned: u64,
-    /// Chains newly aligned by a base shift.
+    /// Chains newly co-homed at every point by a base shift.
     pub aligned: u64,
+    /// Chains co-homed at only part of their points after the pass: a
+    /// shift moves a whole number of L2 lines, and the operands' byte
+    /// delta need not be a multiple of the line.
+    pub partial: u64,
     /// Chains that could not be aligned (conflicting demands or
     /// non-matching access functions).
     pub unalignable: u64,
@@ -81,7 +85,8 @@ pub fn optimize_layout(prog: &Program, cfg: &ArchConfig) -> (Program, LayoutRepo
             let lb = b0 / line;
             let delta = (lb % banks + banks - la % banks) % banks;
             if delta == 0 {
-                report.already_aligned += 1;
+                let (homed, points) = cohomed_points(prog, nest, ra, rb, line, banks);
+                report.already_aligned += u64::from(homed == points);
                 continue;
             }
             // Shifting rb.array by (banks - delta) lines aligns homes.
@@ -135,7 +140,7 @@ pub fn optimize_layout(prog: &Program, cfg: &ArchConfig) -> (Program, LayoutRepo
     }
     report.shifts = shifted;
 
-    // Count what the shifts actually achieved.
+    // Count what the shifts actually achieved, at every point.
     let (mut aligned, mut unalignable) = (0u64, 0u64);
     for nest in &out.nests {
         for stmt in &nest.body {
@@ -145,20 +150,39 @@ pub fn optimize_layout(prog: &Program, cfg: &ArchConfig) -> (Program, LayoutRepo
             if !co_strided(&out, nest, ra, rb) {
                 continue;
             }
-            let (Some(a0), Some(b0)) = (out.addr_of(ra, &nest.lo), out.addr_of(rb, &nest.lo))
-            else {
+            if out.addr_of(ra, &nest.lo).is_none() || out.addr_of(rb, &nest.lo).is_none() {
                 continue;
-            };
-            if (a0 / line) % banks == (b0 / line) % banks {
-                aligned += 1;
-            } else {
-                unalignable += 1;
+            }
+            match cohomed_points(&out, nest, ra, rb, line, banks) {
+                (0, _) => unalignable += 1,
+                (homed, points) if homed == points => aligned += 1,
+                _ => report.partial += 1,
             }
         }
     }
     report.aligned = aligned.saturating_sub(report.already_aligned);
     report.unalignable += unalignable;
     (out, report)
+}
+
+/// Over every point of `nest`, how many co-home the two operands, and
+/// how many points there are.
+fn cohomed_points(
+    prog: &Program,
+    nest: &LoopNest,
+    ra: &ArrayRef,
+    rb: &ArrayRef,
+    line: u64,
+    banks: u64,
+) -> (u64, u64) {
+    let (mut homed, mut points) = (0u64, 0u64);
+    nest.for_each_point(|p| {
+        points += 1;
+        if let (Some(a), Some(b)) = (prog.addr_of(ra, p), prog.addr_of(rb, p)) {
+            homed += u64::from((a / line) % banks == (b / line) % banks);
+        }
+    });
+    (homed, points)
 }
 
 /// Whether two operands in different arrays move by the same number of
@@ -325,6 +349,42 @@ mod tests {
         assert_eq!(report.aligned, 0);
         assert_eq!(report.unalignable, 1);
         assert!(report.shifts.is_empty());
+    }
+
+    /// Z[i] = X[i] + Y[i] with 8-byte elements and Y's base 8 bytes past
+    /// a line: a whole-line shift co-homes the pair at the origin but
+    /// not at the points where Y's address crosses into its next line
+    /// before X's does, so the chain is partial, not aligned.
+    #[test]
+    fn a_delta_off_the_line_is_counted_partial() {
+        let cfg = cfg();
+        let mut p = Program::new("offline");
+        let z = p.add_array(ArrayDecl::new("Z", vec![4096], 8));
+        let x = p.add_array(ArrayDecl::new("X", vec![4096], 8));
+        let y = p.add_array(ArrayDecl::new("Y", vec![4096], 8));
+        let at = |arr| Ref::Array(ArrayRef::identity(arr, 1, vec![0]));
+        let s = Stmt::binary(
+            0,
+            ArrayRef::identity(z, 1, vec![0]),
+            Op::Add,
+            at(x),
+            at(y),
+            1,
+        );
+        p.nests.push(LoopNest::new(0, vec![0], vec![4096], vec![s]));
+        p.assign_layout(0x10_0000, 4096);
+        // Y is last, so its shift collides with nothing.
+        p.arrays[y.0 as usize].base += 8;
+        let (q, report) = optimize_layout(&p, &cfg);
+        assert_eq!((report.aligned, report.partial), (0, 1), "{report:?}");
+        let (ra, rb) = q.nests[0].body[0].memory_operand_pair().unwrap();
+        let homed = (0..4096)
+            .filter(|&i| {
+                let (a, b) = (q.addr_of(ra, &[i]).unwrap(), q.addr_of(rb, &[i]).unwrap());
+                cfg.l2_home(a) == cfg.l2_home(b)
+            })
+            .count();
+        assert!(homed > 0 && homed < 4096, "{homed} of 4096 points co-homed");
     }
 
     /// Z[i][j] = X[i][j] + Y[i][j] with X 64×64 and Y 64×128: the same

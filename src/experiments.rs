@@ -1258,7 +1258,8 @@ pub fn ablation_layout(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> 
         "bench",
     )
     .columns(&["without", "with-layout"], 1)
-    .columns(&["aligned"], 0)
+    .columns(&["aligned", "partial"], 0)
+    .note("aligned: chains the shifts co-home at every point; partial: at only some points")
     .note("the paper defers bank-remapping layout optimization to a future study");
     per_bench(t, benches, |bench| {
         let prog = bench.build(scale);
@@ -1277,6 +1278,7 @@ pub fn ablation_layout(benches: &[Benchmark], cfg: ArchConfig, scale: Scale) -> 
             improvement(&prog).into(),
             improvement(&reprog).into(),
             report.aligned.into(),
+            report.partial.into(),
         ]
     })
 }
